@@ -29,7 +29,7 @@ from .mesolve import (
     timelocal_residual,
 )
 from .metrics import (
-    MetricSample,
+    MetricSeries,
     PureStateSingularityError,
     coherence_l1,
     metric_series,
@@ -55,7 +55,7 @@ __all__ = [
     "AmplitudeSeries",
     "ClosedFormUnavailableError",
     "IntegratorConfig",
-    "MetricSample",
+    "MetricSeries",
     "PureStateSingularityError",
     "QuadratureConfig",
     "QuadratureConvergenceError",
@@ -84,6 +84,5 @@ __all__ = [
     "qfi_general_2x2",
     "qubit_physicality",
     "timelocal_residual",
-    "amplitude",
     "__version__",
 ]

@@ -27,6 +27,7 @@ from .presets import (
     contour_table,
     curve_table,
     make_config,
+    preset_grid,
     quantity_values,
 )
 from .verify import SUITES, run_suites
@@ -51,6 +52,13 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _csv_rows(*columns) -> list[str]:
+    """One CSV row per index of equal-length numeric columns, as %.12g."""
+    fmt = ",".join(["%.12g"] * len(columns))
+    rows = zip(*(c.tolist() for c in columns), strict=True)
+    return [fmt % row for row in rows]
+
+
 def _meta_lines(pairs) -> list[str]:
     return [f"# {k}: {v}" for k, v in pairs]
 
@@ -66,6 +74,7 @@ def _write(path: Path, lines) -> None:
 def run_curve_preset(sc: Scenario, preset: CurvePreset | None = None) -> Path:
     """Preset curves as CSV: one column per coupling value."""
     preset = preset or CURVE_PRESETS[sc.preset]
+    grid = preset_grid(preset, sc.n_points, sc.t_end)
     times, columns = curve_table(preset, sc.n_points, sc.t_end, sc.mode)
     header = "t," + ",".join(f"value_omega_{g}" for g in preset.couplings)
     meta = _meta_lines([
@@ -77,22 +86,20 @@ def run_curve_preset(sc: Scenario, preset: CurvePreset | None = None) -> Path:
          + f"={_fmt(preset.reservoir)}"),
         ("couplings", ",".join(str(g) for g in preset.couplings)),
         ("theta", _fmt(math.pi / 2)), ("phi", "0"),
-        ("t_end", _fmt(sc.t_end or preset.t_end)),
-        ("points", sc.n_points or preset.n_points),
+        ("t_end", _fmt(grid.t_end)),
+        ("points", grid.n_points),
         ("mode", sc.mode),
         ("time_unit", "omega0*t" if preset.family == "ohmic" else "R*t"),
     ])
-    rows = [header]
-    series = [columns[g] for g in preset.couplings]
-    for i, t in enumerate(times):
-        rows.append(",".join([_fmt(t)] + [_fmt(col[i]) for col in series]))
-    _write(sc.out, meta + rows)
+    rows = _csv_rows(times, *(columns[g] for g in preset.couplings))
+    _write(sc.out, meta + [header] + rows)
     return sc.out
 
 
 def run_contour_preset(sc: Scenario) -> Path:
     """Preset contour as long-format CSV (t, param, value)."""
     preset = CONTOUR_PRESETS[sc.preset]
+    grid = preset_grid(preset, sc.n_points, sc.t_end)
     times, params, values = contour_table(preset, sc.n_points, sc.t_end, sc.mode)
     meta = _meta_lines([
         ("generator", f"cavityqfi {__version__}"),
@@ -103,16 +110,14 @@ def run_contour_preset(sc: Scenario) -> Path:
          f" x {preset.n_param}"),
         ("fixed", _fmt(preset.fixed)),
         ("theta", _fmt(math.pi / 2)), ("phi", "0"),
-        ("t_end", _fmt(sc.t_end or preset.t_end)),
-        ("points", sc.n_points or preset.n_points),
+        ("t_end", _fmt(grid.t_end)),
+        ("points", grid.n_points),
         ("mode", sc.mode),
         ("row_order", "param-major"),
     ])
-    rows = ["t,param,value"]
-    for j, v in enumerate(params):
-        for i, t in enumerate(times):
-            rows.append(f"{_fmt(t)},{_fmt(v)},{_fmt(values[j, i])}")
-    _write(sc.out, meta + rows)
+    rows = _csv_rows(np.tile(times, params.size),
+                     np.repeat(params, times.size), values.ravel())
+    _write(sc.out, meta + ["t,param,value"] + rows)
     return sc.out
 
 
@@ -154,12 +159,19 @@ def run_sweep(family: str, params: list[str], ranges: list[str],
     """Cartesian sweep over named parameters, long-format CSV."""
     if len(params) != len(ranges):
         raise ValueError("need one --range per --param")
+    allowed = SWEEP_PARAMS[family]
     for p in params:
-        if p not in SWEEP_PARAMS[family]:
+        if p not in allowed:
             raise ValueError(f"parameter {p!r} not sweepable for {family} "
-                             f"(choose from {SWEEP_PARAMS[family]})")
-    axes = [_parse_range(r) for r in ranges]
+                             f"(choose from {allowed})")
     fixed = dict(fixed or {})
+    for name in fixed:
+        if name not in allowed:
+            raise ValueError(f"--fix {name}: not a {family} parameter "
+                             f"(choose from {allowed})")
+        if name in params:
+            raise ValueError(f"--fix {name}: also swept by --param {name}")
+    axes = [_parse_range(r) for r in ranges]
     defaults = {"coupling": 1.0, "omega_c": 3.0, "width": 1.0,
                 "theta": math.pi / 2, "phi": 0.0, "detuning": None}
     grid = TimeGrid(t_end, n_points)
@@ -180,10 +192,7 @@ def run_sweep(family: str, params: list[str], ranges: list[str],
                           theta=kw["theta"], phi=kw["phi"],
                           detuning=kw["detuning"])
         vals = quantity_values(cfg, grid, quantity)
-        prefix = ",".join(_fmt(c) for c in combo)
-        for t, v in zip(grid.times, vals):
-            rows.append(f"{_fmt(t)},{prefix},{_fmt(v)}" if prefix
-                        else f"{_fmt(t)},{_fmt(v)}")
+        rows += _csv_rows(grid.times, *(np.full(n_points, c) for c in combo), vals)
     _write(out, meta + rows)
     return out
 
@@ -204,13 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--mode", choices=("closed", "numeric"), default="closed")
     run.add_argument("--family", choices=("ohmic", "lorentzian"),
                      help="custom preset only")
-    run.add_argument("--quantity", choices=QUANTITIES, default="qfi_phi",
-                     help="custom preset only")
+    run.add_argument("--quantity", choices=QUANTITIES,
+                     help="custom preset only (default qfi_phi)")
     run.add_argument("--coupling", type=float, action="append",
                      help="custom preset only; repeatable")
     run.add_argument("--omega-c", type=float, help="custom ohmic cutoff")
     run.add_argument("--width", type=float, help="custom lorentzian width")
-    run.add_argument("--theta", type=float, default=math.pi / 2)
 
     ver = sub.add_parser("verify", help="run oracle/consistency suites")
     ver.add_argument("--suite", action="append", choices=sorted(SUITES),
@@ -231,6 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+CUSTOM_ONLY_FLAGS = ("family", "quantity", "coupling", "omega_c", "width")
+
+
 def _custom_preset(args) -> CurvePreset:
     if args.family is None:
         raise ValueError("custom preset needs --family")
@@ -241,10 +252,12 @@ def _custom_preset(args) -> CurvePreset:
         flag = "--omega-c" if args.family == "ohmic" else "--width"
         raise ValueError(f"custom {args.family} preset needs {flag}")
     # validation of values happens in the model/config constructors
-    make_config(args.family, args.coupling[0], reservoir, theta=args.theta)
-    return CurvePreset("custom", args.family, args.quantity,
-                       tuple(args.coupling), reservoir,
-                       args.t_end or 20.0, args.steps or 2000)
+    for g in args.coupling:
+        make_config(args.family, g, reservoir)
+    # --steps and --t-end reach the grid through the Scenario overrides
+    return CurvePreset("custom", args.family,
+                       "qfi_phi" if args.quantity is None else args.quantity,
+                       tuple(args.coupling), reservoir, 20.0, 2000)
 
 
 def main(argv=None) -> int:
@@ -253,8 +266,12 @@ def main(argv=None) -> int:
         if args.command == "run":
             out = args.out or Path(f"{args.preset}.csv")
             sc = Scenario(args.preset, out, args.steps, args.t_end, args.mode)
+            given = ["--" + d.replace("_", "-") for d in CUSTOM_ONLY_FLAGS
+                     if getattr(args, d) is not None]
             if args.preset == "custom":
                 run_curve_preset(sc, _custom_preset(args))
+            elif given:
+                raise ValueError(f"{', '.join(given)}: custom preset only")
             elif args.preset in CURVE_PRESETS:
                 run_curve_preset(sc)
             else:
@@ -266,7 +283,9 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             fixed = {}
             for item in args.fix:
-                name, _, value = item.partition("=")
+                name, sep, value = item.partition("=")
+                if not sep:
+                    raise ValueError(f"--fix expects NAME=VALUE, got {item!r}")
                 fixed[name] = float(value)
             out = args.out or Path("sweep.csv")
             run_sweep(args.model, args.param, args.ranges, args.quantity,

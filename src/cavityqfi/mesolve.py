@@ -57,8 +57,8 @@ class IntegratorConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError(f"step must be > 0, got {self.step}")
+        if not 0.0 < self.step < math.inf:
+            raise ValueError(f"step must be finite and > 0, got {self.step}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
@@ -209,14 +209,3 @@ def dressed_physicality(rho3) -> dict:
     eigs = np.linalg.eigvalsh(r)
     return {"hermiticity": herm, "trace": tr, "min_eigenvalue": float(eigs.min())}
 
-
-def check_dressed_density(rho3, herm_tol: float = 1e-10,
-                          trace_tol: float = 1e-10,
-                          eig_floor: float = -1e-6) -> None:
-    d = dressed_physicality(rho3)
-    if d["hermiticity"] > herm_tol:
-        raise ValueError(f"state not Hermitian to {herm_tol}: {d['hermiticity']}")
-    if d["trace"] > trace_tol:
-        raise ValueError(f"trace deviates from 1 by {d['trace']}")
-    if d["min_eigenvalue"] < eig_floor:
-        raise ValueError(f"negative eigenvalue {d['min_eigenvalue']}")

@@ -30,18 +30,19 @@ class PureStateSingularityError(ValueError):
 
 
 @dataclass(frozen=True)
-class MetricSample:
-    """Metrology quantities at one time sample.
+class MetricSeries:
+    """Metrology quantities on every time sample of an amplitude series.
 
-    relation_residual = |C_l1^2 - F_phi| monitors the coherence-information
-    identity on every emitted sample.
+    Each field is an array over the grid times.  relation_residual =
+    |C_l1^2 - F_phi| monitors the coherence-information identity on every
+    emitted sample.
     """
 
-    t: float
-    qfi_phi: float
-    qfi_theta: float
-    coherence_l1: float
-    relation_residual: float
+    t: np.ndarray
+    qfi_phi: np.ndarray
+    qfi_theta: np.ndarray
+    coherence_l1: np.ndarray
+    relation_residual: np.ndarray
 
 
 def qfi_closed(p, theta: float):
@@ -89,12 +90,8 @@ def coherence_l1(rho) -> float:
     return out if out.ndim else float(out)
 
 
-def metric_series(cfg: SystemConfig, amps: AmplitudeSeries) -> list[MetricSample]:
-    """One MetricSample per grid time from an amplitude series."""
+def metric_series(cfg: SystemConfig, amps: AmplitudeSeries) -> MetricSeries:
+    """The metrology quantities at every grid time of an amplitude series."""
     f_phi, f_theta = qfi_closed(amps.p, cfg.theta)
-    f_phi = np.atleast_1d(f_phi)
-    f_theta = np.atleast_1d(f_theta)
-    c = np.atleast_1d(coherence_l1(atom_state(cfg, amps.p)))
-    resid = np.abs(c * c - f_phi)
-    return [MetricSample(float(t), float(fp), float(ft), float(cc), float(rr))
-            for t, fp, ft, cc, rr in zip(amps.times, f_phi, f_theta, c, resid)]
+    c = coherence_l1(atom_state(cfg, amps.p))
+    return MetricSeries(amps.times, f_phi, f_theta, c, np.abs(c * c - f_phi))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SystemConfig, TimeGrid, amplitude, decoherence_rate
+from .dynamics import SystemConfig, TimeGrid, amplitude, decoherence_rate, lamb_shift
 from .metrics import metric_series
 from .spectral import QuadratureConfig, SpectralModel
 
@@ -113,23 +113,39 @@ def quantity_values(cfg: SystemConfig, grid: TimeGrid, quantity: str,
     if quantity == "decoherence_rate":
         return np.asarray(decoherence_rate(amps.p, amps.p_dot))
     if quantity == "lamb_shift":
-        from .dynamics import lamb_shift
         return np.asarray(lamb_shift(amps.p, amps.p_dot))
-    samples = metric_series(cfg, amps)
+    series = metric_series(cfg, amps)
     if quantity == "qfi_phi":
-        return np.array([s.qfi_phi for s in samples])
+        return series.qfi_phi
     if quantity == "qfi_theta":
-        return np.array([s.qfi_theta for s in samples])
+        return series.qfi_theta
     if quantity == "coherence":
-        return np.array([s.coherence_l1 for s in samples])
+        return series.coherence_l1
     raise ValueError(f"unknown quantity {quantity!r}")
+
+
+def preset_grid(preset: CurvePreset | ContourPreset, n_points: int | None = None,
+                t_end: float | None = None) -> TimeGrid:
+    """The preset's time grid, with each override that is not None applied."""
+    return TimeGrid(preset.t_end if t_end is None else t_end,
+                    preset.n_points if n_points is None else n_points)
+
+
+def contour_configs(preset: ContourPreset):
+    """Yield (swept value, config) for each row of a contour preset, in order."""
+    for v in np.linspace(preset.lo, preset.hi, preset.n_param):
+        v = float(v)
+        if preset.sweep == "coupling":
+            yield v, make_config(preset.family, v, preset.fixed)
+        else:  # reservoir parameter swept, coupling fixed
+            yield v, make_config(preset.family, preset.fixed, v)
 
 
 def curve_table(preset: CurvePreset, n_points: int | None = None,
                 t_end: float | None = None, mode: str = "closed",
                 quadrature: QuadratureConfig | None = None):
     """(times, {coupling: values}) for a curve preset, optionally overridden."""
-    grid = TimeGrid(t_end or preset.t_end, n_points or preset.n_points)
+    grid = preset_grid(preset, n_points, t_end)
     columns = {}
     for g in preset.couplings:
         cfg = make_config(preset.family, g, preset.reservoir)
@@ -141,13 +157,8 @@ def contour_table(preset: ContourPreset, n_points: int | None = None,
                   t_end: float | None = None, mode: str = "closed",
                   quadrature: QuadratureConfig | None = None):
     """(times, params, values[n_param, n_t]) for a contour preset (F_phi)."""
-    grid = TimeGrid(t_end or preset.t_end, n_points or preset.n_points)
-    params = np.linspace(preset.lo, preset.hi, preset.n_param)
-    values = np.empty((preset.n_param, grid.n_points))
-    for i, v in enumerate(params):
-        if preset.sweep == "coupling":
-            cfg = make_config(preset.family, float(v), preset.fixed)
-        else:  # reservoir parameter swept, coupling fixed
-            cfg = make_config(preset.family, preset.fixed, float(v))
-        values[i] = quantity_values(cfg, grid, "qfi_phi", mode, quadrature)
-    return grid.times, params, values
+    grid = preset_grid(preset, n_points, t_end)
+    params, values = zip(*[
+        (v, quantity_values(cfg, grid, "qfi_phi", mode, quadrature))
+        for v, cfg in contour_configs(preset)])
+    return grid.times, np.array(params), np.array(values)

@@ -73,20 +73,24 @@ class SpectralModel:
 
     def __post_init__(self):
         if self.kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
-            if self.omega_c is None or self.omega_c <= 0:
-                raise ValueError(f"omega_c must be > 0, got {self.omega_c}")
+            if self.omega_c is None or not 0.0 < self.omega_c < math.inf:
+                raise ValueError(f"omega_c must be finite and > 0, got {self.omega_c}")
         elif self.kind is SpectralKind.LORENTZIAN:
-            if self.rate is None or self.rate <= 0:
-                raise ValueError(f"rate must be > 0, got {self.rate}")
-            if self.width is None or self.width <= 0:
-                raise ValueError(f"width must be > 0, got {self.width}")
+            if self.rate is None or not 0.0 < self.rate < math.inf:
+                raise ValueError(f"rate must be finite and > 0, got {self.rate}")
+            if self.width is None or not 0.0 < self.width < math.inf:
+                raise ValueError(f"width must be finite and > 0, got {self.width}")
+            for name in ("detuning", "omega0"):
+                value = getattr(self, name)
+                if value is not None and not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value}")
         elif self.kind is SpectralKind.TABULATED:
             if not self.samples or len(self.samples) < 2:
                 raise ValueError("tabulated model needs at least two samples")
             freqs = [f for f, _ in self.samples]
-            if any(b <= a for a, b in zip(freqs, freqs[1:])):
+            if not all(b > a for a, b in zip(freqs, freqs[1:])):
                 raise ValueError("tabulated frequencies must be strictly increasing")
-            if any(d < 0 for _, d in self.samples):
+            if not all(d >= 0 for _, d in self.samples):
                 raise ValueError("tabulated densities must be >= 0")
 
     @classmethod
@@ -149,9 +153,9 @@ class QuadratureConfig:
     max_subdivisions: int = 10000
 
     def __post_init__(self):
-        if self.freq_window < 10:
+        if not self.freq_window >= 10:
             raise ValueError(f"freq_window must be >= 10, got {self.freq_window}")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
+        if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("tolerances must be > 0")
         if self.max_subdivisions < 100:
             raise ValueError("max_subdivisions must be >= 100")
@@ -375,17 +379,24 @@ def gamma_numeric(model: SpectralModel, omega_j: float, t: float,
     return total
 
 
+def integrate_rate(gamma: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """beta(t) = int_0^t gamma by composite Simpson on uniform ``times`` from 0.
+
+    beta(0) = 0 exactly.
+    """
+    if times.size == 1:
+        return np.zeros(1)
+    return cumulative_simpson(gamma, x=times, initial=0.0)
+
+
 def beta_numeric(model: SpectralModel, omega_j: float, grid,
                  cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> np.ndarray:
     """Cumulative exponent beta_j on a uniform grid from gamma_numeric samples.
 
-    Composite Simpson rule over the sampled rates; beta(0) = 0 exactly.
-    ``grid`` is a TimeGrid (uniform, starting at 0).
+    ``grid`` is a TimeGrid (uniform, starting at 0); see integrate_rate.
     """
     times = np.asarray(grid.times, dtype=float)
     if times[0] != 0.0:
         raise ValueError("grid must start at t = 0")
-    if times.size == 1:
-        return np.zeros(1)
-    g = np.array([gamma_numeric(model, omega_j, t, cfg) for t in times])
-    return cumulative_simpson(g, x=times, initial=0.0)
+    return integrate_rate(
+        np.array([gamma_numeric(model, omega_j, t, cfg) for t in times]), times)

@@ -17,7 +17,7 @@ from . import mesolve
 from .dynamics import SystemConfig, TimeGrid, amplitude, atom_state, \
     decoherence_rate, qubit_physicality
 from .metrics import coherence_l1, metric_series, qfi_closed, qfi_general_2x2
-from .presets import CONTOUR_PRESETS, CURVE_PRESETS, make_config
+from .presets import CONTOUR_PRESETS, CURVE_PRESETS, contour_configs, make_config
 from .spectral import SpectralModel, beta_closed, beta_numeric, gamma_closed, \
     gamma_numeric
 
@@ -67,33 +67,30 @@ class VerifyContext:
         return self._chain[key]
 
 
-def _curve_configs():
-    """Distinct (preset, coupling, config) rows across the curve presets."""
-    rows = []
-    for preset in CURVE_PRESETS.values():
-        for g in preset.couplings:
-            rows.append((preset, g, make_config(preset.family, g, preset.reservoir)))
-    return rows
+def _curve_configs(names=tuple(CURVE_PRESETS)):
+    """Distinct (preset, coupling, config) rows across the named curve presets."""
+    presets = [CURVE_PRESETS[n] for n in names]
+    return [(p, g, make_config(p.family, g, p.reservoir))
+            for p in presets for g in p.couplings]
+
+
+def _preset_configs():
+    """(preset, config) for every curve and every contour row of the presets."""
+    for preset, _, cfg in _curve_configs():
+        yield preset, cfg
+    for preset in CONTOUR_PRESETS.values():
+        for _, cfg in contour_configs(preset):
+            yield preset, cfg
 
 
 def suite_relation_coherence_qfi(ctx: VerifyContext) -> SuiteResult:
     """C_l1^2 = F_phi at every point of every preset grid."""
     tol = 1e-12
     worst = 0.0
-    for preset, _, cfg in _curve_configs():
+    for preset, cfg in _preset_configs():
         amps = ctx.amps(cfg, preset.t_end, preset.n_points)
-        resid = max(s.relation_residual for s in metric_series(cfg, amps))
+        resid = float(np.max(metric_series(cfg, amps).relation_residual))
         worst = max(worst, resid)
-    for preset in CONTOUR_PRESETS.values():
-        for v in np.linspace(preset.lo, preset.hi, preset.n_param):
-            if preset.sweep == "coupling":
-                cfg = make_config(preset.family, float(v), preset.fixed)
-            else:
-                cfg = make_config(preset.family, preset.fixed, float(v))
-            amps = ctx.amps(cfg, preset.t_end, preset.n_points)
-            f_phi, _ = qfi_closed(amps.p, cfg.theta)
-            c = coherence_l1(atom_state(cfg, amps.p))
-            worst = max(worst, float(np.max(np.abs(c * c - f_phi))))
     return SuiteResult("relation-coherence-qfi", worst <= tol, worst, tol)
 
 
@@ -199,18 +196,15 @@ def suite_mesolve_chain(ctx: VerifyContext) -> SuiteResult:
     worst = 0.0
     worst_ratio_score = 0.0
     detail = ""
-    for name in MESOLVE_PRESETS:
-        preset = CURVE_PRESETS[name]
-        for g in preset.couplings:
-            cfg = make_config(preset.family, g, preset.reservoir)
-            dev, _ = ctx.chain(cfg, preset.t_end, preset.n_points, halve=False)
-            if dev > worst:
-                worst = dev
-                detail = f"{name} coupling={g}"
-            dev_half, _ = ctx.chain(cfg, preset.t_end, preset.n_points, halve=True)
-            if dev_half > 1e-10:  # above the floor the 4th-order ratio must show
-                ratio_score = 8.0 * dev_half / max(dev, 1e-300)
-                worst_ratio_score = max(worst_ratio_score, ratio_score)
+    for preset, g, cfg in _curve_configs(MESOLVE_PRESETS):
+        dev, _ = ctx.chain(cfg, preset.t_end, preset.n_points, halve=False)
+        if dev > worst:
+            worst = dev
+            detail = f"{preset.name} coupling={g}"
+        dev_half, _ = ctx.chain(cfg, preset.t_end, preset.n_points, halve=True)
+        if dev_half > 1e-10:  # above the floor the 4th-order ratio must show
+            ratio_score = 8.0 * dev_half / max(dev, 1e-300)
+            worst_ratio_score = max(worst_ratio_score, ratio_score)
     passed = worst <= tol and worst_ratio_score <= 1.0
     detail += f"; halving score {worst_ratio_score:.2f} (<=1 means ratio >= 8 or floor)"
     return SuiteResult("mesolve-chain", passed, worst, tol, detail)
@@ -338,29 +332,16 @@ def suite_qfi_oracle(ctx: VerifyContext) -> SuiteResult:
 def suite_physicality(ctx: VerifyContext) -> SuiteResult:
     """Every emitted qubit and dressed state meets its type tolerances."""
     worst = 0.0
-    for preset, _, cfg in _curve_configs():
+    for preset, cfg in _preset_configs():
         amps = ctx.amps(cfg, preset.t_end, preset.n_points)
         d = qubit_physicality(atom_state(cfg, amps.p))
         worst = max(worst, d["hermiticity"] / 1e-12, d["trace"] / 1e-12,
                     max(0.0, -d["min_eigenvalue"]) / 1e-9)
-    for preset in CONTOUR_PRESETS.values():
-        for v in np.linspace(preset.lo, preset.hi, preset.n_param):
-            if preset.sweep == "coupling":
-                cfg = make_config(preset.family, float(v), preset.fixed)
-            else:
-                cfg = make_config(preset.family, preset.fixed, float(v))
-            amps = ctx.amps(cfg, preset.t_end, preset.n_points)
-            d = qubit_physicality(atom_state(cfg, amps.p))
-            worst = max(worst, d["hermiticity"] / 1e-12, d["trace"] / 1e-12,
-                        max(0.0, -d["min_eigenvalue"]) / 1e-9)
-    for name in MESOLVE_PRESETS:
-        preset = CURVE_PRESETS[name]
-        for g in preset.couplings:
-            cfg = make_config(preset.family, g, preset.reservoir)
-            _, traj = ctx.chain(cfg, preset.t_end, preset.n_points, halve=False)
-            d = mesolve.dressed_physicality(traj[::10])
-            worst = max(worst, d["hermiticity"] / 1e-10, d["trace"] / 1e-10,
-                        max(0.0, -d["min_eigenvalue"]) / 1e-6)
+    for preset, _, cfg in _curve_configs(MESOLVE_PRESETS):
+        _, traj = ctx.chain(cfg, preset.t_end, preset.n_points, halve=False)
+        d = mesolve.dressed_physicality(traj[::10])
+        worst = max(worst, d["hermiticity"] / 1e-10, d["trace"] / 1e-10,
+                    max(0.0, -d["min_eigenvalue"]) / 1e-6)
     return SuiteResult("physicality", worst <= 1.0, worst, 1.0,
                        "worst violation as fraction of its tolerance")
 

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 from cavityqfi import (
     AmplitudeRangeError,
     ClosedFormUnavailableError,
+    IntegratorConfig,
+    QuadratureConfig,
     SpectralModel,
     SystemConfig,
     TimeGrid,
     amplitude,
     atom_state,
+    beta_numeric,
     decoherence_rate,
     lamb_shift,
     qubit_physicality,
@@ -43,6 +46,38 @@ class TestTimeGrid:
             TimeGrid(1.0, 0)
         with pytest.raises(ValueError):
             TimeGrid(1.0, 1).dt
+
+
+NAN = float("nan")
+
+NON_FINITE_INPUTS = [
+    ("t_end", lambda: TimeGrid(NAN, 10)),
+    ("t_end", lambda: TimeGrid(math.inf, 10)),
+    ("omega0", lambda: SystemConfig(omega0=NAN, coupling=1.0, theta=0.0,
+                                    phi=0.0, spectral=OHMIC3)),
+    ("coupling", lambda: ohmic_cfg(coupling=NAN)),
+    ("coupling", lambda: ohmic_cfg(coupling=math.inf)),
+    ("theta", lambda: ohmic_cfg(theta=NAN)),
+    ("phi", lambda: ohmic_cfg(phi=NAN)),
+    ("omega_c", lambda: SpectralModel.ohmic_lorentz_drude(NAN)),
+    ("omega_c", lambda: SpectralModel.ohmic_lorentz_drude(math.inf)),
+    ("rate", lambda: SpectralModel.lorentzian(NAN, 1.0)),
+    ("width", lambda: SpectralModel.lorentzian(1.0, NAN)),
+    ("detuning", lambda: SpectralModel.lorentzian(1.0, 1.0, detuning=NAN)),
+    ("omega0", lambda: SpectralModel.lorentzian(1.0, 1.0, omega0=NAN)),
+    ("frequencies", lambda: SpectralModel.tabulated([0.0, NAN, 2.0], [1.0] * 3)),
+    ("densities", lambda: SpectralModel.tabulated([0.0, 1.0], [1.0, NAN])),
+    ("freq_window", lambda: QuadratureConfig(freq_window=NAN)),
+    ("tolerances", lambda: QuadratureConfig(abs_tol=NAN)),
+    ("step", lambda: IntegratorConfig(step=NAN)),
+]
+
+
+@pytest.mark.parametrize("name, build", NON_FINITE_INPUTS,
+                         ids=[name for name, _ in NON_FINITE_INPUTS])
+def test_non_finite_input_rejected(name, build):
+    with pytest.raises(ValueError, match=name):
+        build()
 
 
 class TestSystemConfig:
@@ -109,6 +144,16 @@ class TestAmplitude:
         numeric = amplitude(cfg, grid, mode="numeric")
         np.testing.assert_allclose(numeric.p, closed.p, atol=5e-7)
         np.testing.assert_allclose(numeric.p_dot, closed.p_dot, atol=5e-7)
+
+    def test_numeric_mode_exponents_are_beta_numeric(self):
+        # the rates are sampled once and integrated exactly as beta_numeric does
+        cfg = ohmic_cfg(coupling=0.5)
+        grid = TimeGrid(2.0, 9)
+        amps = amplitude(cfg, grid, mode="numeric")
+        np.testing.assert_array_equal(
+            amps.beta1, beta_numeric(cfg.spectral, cfg.omega_1, grid))
+        np.testing.assert_array_equal(
+            amps.beta2, beta_numeric(cfg.spectral, cfg.omega_2, grid))
 
     def test_closed_mode_needs_closed_form(self):
         tab = SpectralModel.tabulated([0.0, 5.0], [0.0, 1.0])

@@ -108,36 +108,34 @@ class TestMetricSeries:
     def test_single_point_grid(self):
         theta = 1.1
         cfg = cfg_with(theta)
-        samples = metric_series(cfg, amplitude(cfg, TimeGrid(1.0, 1)))
-        assert len(samples) == 1
-        s = samples[0]
-        assert s.t == 0.0
-        assert s.qfi_phi == pytest.approx(math.sin(theta) ** 2, rel=1e-14)
-        assert s.qfi_theta == pytest.approx(1.0)
-        assert s.coherence_l1 == pytest.approx(abs(math.sin(theta)), rel=1e-14)
-        assert s.relation_residual <= 1e-12
+        series = metric_series(cfg, amplitude(cfg, TimeGrid(1.0, 1)))
+        assert len(series.t) == 1
+        assert series.t[0] == 0.0
+        assert series.qfi_phi[0] == pytest.approx(math.sin(theta) ** 2, rel=1e-14)
+        assert series.qfi_theta[0] == pytest.approx(1.0)
+        assert series.coherence_l1[0] == pytest.approx(abs(math.sin(theta)),
+                                                       rel=1e-14)
+        assert series.relation_residual[0] <= 1e-12
 
     def test_vacuum_rabi_information(self):
         om = 0.5
         cfg = cfg_with(math.pi / 2, coupling=om)
         grid = TimeGrid(10.0, 300)
         amps = amplitude(cfg, grid, dissipation=False)
-        f_phi = np.array([s.qfi_phi for s in metric_series(cfg, amps)])
+        f_phi = metric_series(cfg, amps).qfi_phi
         np.testing.assert_allclose(f_phi, np.cos(om * grid.times) ** 2,
                                    atol=1e-12)
 
     def test_weak_coupling_monotone_decay(self):
         cfg = cfg_with(math.pi / 2, coupling=0.01)
-        samples = metric_series(cfg, amplitude(cfg, TimeGrid(10.0, 1001)))
-        f_phi = np.array([s.qfi_phi for s in samples])
+        f_phi = metric_series(cfg, amplitude(cfg, TimeGrid(10.0, 1001))).qfi_phi
         assert np.all(np.diff(f_phi) <= 1e-12)
         assert f_phi[-1] < 1e-3
 
     def test_orderings_and_bounds(self):
         cfg = cfg_with(math.pi / 2, coupling=1.0, omega_c=0.3)
-        samples = metric_series(cfg, amplitude(cfg, TimeGrid(20.0, 800)))
-        f_phi = np.array([s.qfi_phi for s in samples])
-        c = np.array([s.coherence_l1 for s in samples])
+        series = metric_series(cfg, amplitude(cfg, TimeGrid(20.0, 800)))
+        f_phi, c = series.qfi_phi, series.coherence_l1
         assert np.all((f_phi >= 0) & (f_phi <= 1))
         assert np.all((c >= 0) & (c <= 1))
         # both are monotone images of |p|, so their sample orderings agree

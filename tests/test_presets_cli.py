@@ -1,9 +1,16 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from cavityqfi.cli import Scenario, main, run_curve_preset, run_contour_preset
+from cavityqfi.cli import (
+    Scenario,
+    _csv_rows,
+    main,
+    run_contour_preset,
+    run_curve_preset,
+)
 from cavityqfi.dynamics import TimeGrid
 from cavityqfi.presets import (
     CONTOUR_PRESETS,
@@ -217,3 +224,96 @@ class TestCli:
         code = main(["sweep", "--model", "ohmic", "--param", "omega_c",
                      "--range", "1;2;3"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv, name", [
+        (["run", "fig1a", "--steps", "0"], "n_points"),
+        (["run", "fig1a", "--t-end", "0"], "t_end"),
+        (["run", "fig2a", "--steps", "0"], "n_points"),
+        (["run", "fig2a", "--t-end", "0"], "t_end"),
+        (["run", "custom", "--family", "ohmic", "--omega-c", "3",
+          "--coupling", "0.5", "--steps", "0"], "n_points"),
+        (["run", "custom", "--family", "ohmic", "--omega-c", "nan",
+          "--coupling", "0.5"], "omega_c"),
+        (["run", "custom", "--family", "lorentzian", "--width", "1",
+          "--coupling", "nan"], "coupling"),
+        (["sweep", "--model", "ohmic", "--param", "omega_c",
+          "--range", "0.5:3:3", "--fix", "coupling=nan"], "coupling"),
+        (["sweep", "--model", "ohmic", "--param", "omega_c",
+          "--range", "0.5:3:3", "--steps", "0"], "n_points"),
+    ])
+    def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, argv, name):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("preset", ["fig1a", "fig2a"])
+    @pytest.mark.parametrize("flag", [
+        ["--family", "ohmic"], ["--quantity", "coherence"],
+        ["--coupling", "0.5"], ["--omega-c", "3"], ["--width", "1"]])
+    def test_custom_only_flag_on_named_preset_exits_2(self, tmp_path, capsys,
+                                                      preset, flag):
+        out = tmp_path / "out.csv"
+        assert main(["run", preset, *flag, "--out", str(out)]) == 2
+        assert flag[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_theta_flag_removed(self):
+        with pytest.raises(SystemExit) as err:
+            main(["run", "custom", "--family", "ohmic", "--omega-c", "3",
+                  "--coupling", "0.5", "--theta", "0.3"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("fix, text", [
+        ("foo=2", "--fix foo"),         # not a parameter of the model
+        ("width=2", "--fix width"),     # a Lorentzian parameter only
+        ("omega_c=2", "--fix omega_c"),  # also swept
+        ("coupling", "NAME=VALUE"),
+    ])
+    def test_sweep_bad_fix_exits_2(self, tmp_path, capsys, fix, text):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--model", "ohmic", "--param", "omega_c",
+                     "--range", "0.5:3:3", "--fix", fix, "--out", str(out)])
+        assert code == 2
+        assert text in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_csv_rows_match_per_value_format():
+    rng = np.random.default_rng(7)
+    special = [float("nan"), math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16,
+               -1e16, 1.0, 0.1, 1e-300, 1.7976931348623157e308]
+    randoms = list(rng.standard_normal(40) * 10.0 ** rng.integers(-20, 20, 40))
+    randoms += list(rng.random(40))
+    a = np.array(special + randoms)
+    b = np.roll(a, 5)
+    c = np.roll(a, 17)
+    for columns in ((a,), (a, b), (a, b, c)):
+        want = [",".join(f"{x:.12g}" for x in row) for row in zip(*columns)]
+        assert _csv_rows(*columns) == want
+    with pytest.raises(ValueError):
+        _csv_rows(a, b[:-1])
+
+
+# SHA-256 of CLI outputs recorded before the CSV path was vectorised.  The
+# metadata carries the package version, so a version bump changes them.
+GOLDEN = [
+    (["run", "fig1a", "--steps", "50"],
+     "68147dbb9fc3d6758b7199689eda1464ae83237356f0bfdf861455f6006403c5"),
+    (["run", "fig4c", "--steps", "50"],
+     "0e32da6ff04bf5b1fcad643604926761fec4a8ea6c9436046caef53b1a44efe4"),
+    (["run", "fig2a", "--steps", "20"],
+     "c06cc3d9f9913a5fc8f39d57d8e9aefcffe6f83caefa1ce206a15e4cab6b8de9"),
+    (["sweep", "--model", "lorentzian", "--param", "coupling",
+      "--range", "0.5:1:3", "--param", "width", "--range", "0.1:3:3",
+      "--steps", "11", "--t-end", "5"],
+     "3ec98646c5f9b0f79d539323f19a3c9902693653a47943d1dac306421d4a126d"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN,
+                         ids=["fig1a", "fig4c", "fig2a", "sweep"])
+def test_golden_bytes(tmp_path, argv, digest):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
