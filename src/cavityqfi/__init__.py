@@ -17,11 +17,10 @@ from .dynamics import (
     atom_state,
     decoherence_rate,
     lamb_shift,
-    qubit_physicality,
+    physicality,
 )
 from .mesolve import (
     IntegratorConfig,
-    dressed_physicality,
     evolve,
     generator_apply,
     initial_dressed,
@@ -69,7 +68,6 @@ __all__ = [
     "beta_numeric",
     "coherence_l1",
     "decoherence_rate",
-    "dressed_physicality",
     "eval_density",
     "evolve",
     "gamma_closed",
@@ -80,9 +78,9 @@ __all__ = [
     "lamb_shift",
     "metric_series",
     "partial_trace_cavity",
+    "physicality",
     "qfi_closed",
     "qfi_general_2x2",
-    "qubit_physicality",
     "timelocal_residual",
     "__version__",
 ]

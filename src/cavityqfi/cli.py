@@ -18,12 +18,16 @@ import numpy as np
 
 from . import __version__
 from .dynamics import TimeGrid
-from .presets import (
+# make_config is not called here, but perfbench/tracer.py wraps this binding
+from .presets import (  # noqa: F401
     CONTOUR_PRESETS,
     CURVE_PRESETS,
     PRESET_NAMES,
     QUANTITIES,
+    RESERVOIR,
+    TIME_UNIT,
     CurvePreset,
+    configs,
     contour_table,
     curve_table,
     make_config,
@@ -82,14 +86,13 @@ def run_curve_preset(sc: Scenario, preset: CurvePreset | None = None) -> Path:
         ("preset", preset.name),
         ("family", preset.family),
         ("quantity", preset.quantity),
-        ("reservoir", ("omega_c" if preset.family == "ohmic" else "width")
-         + f"={_fmt(preset.reservoir)}"),
+        ("reservoir", f"{RESERVOIR[preset.family]}={_fmt(preset.reservoir)}"),
         ("couplings", ",".join(str(g) for g in preset.couplings)),
         ("theta", _fmt(math.pi / 2)), ("phi", "0"),
         ("t_end", _fmt(grid.t_end)),
         ("points", grid.n_points),
         ("mode", sc.mode),
-        ("time_unit", "omega0*t" if preset.family == "ohmic" else "R*t"),
+        ("time_unit", TIME_UNIT[preset.family]),
     ])
     rows = _csv_rows(times, *(columns[g] for g in preset.couplings))
     _write(sc.out, meta + [header] + rows)
@@ -147,52 +150,29 @@ def _parse_range(text: str) -> np.ndarray:
     return np.linspace(a, b, n)
 
 
-SWEEP_PARAMS = {
-    "ohmic": ("coupling", "omega_c", "theta", "phi"),
-    "lorentzian": ("coupling", "width", "detuning", "theta", "phi"),
-}
-
-
 def run_sweep(family: str, params: list[str], ranges: list[str],
               quantity: str, t_end: float, n_points: int, out: Path,
-              fixed: dict | None = None) -> Path:
-    """Cartesian sweep over named parameters, long-format CSV."""
+              fixed=()) -> Path:
+    """Cartesian sweep over named parameters, long-format CSV.
+
+    ``fixed`` holds (name, value) pairs, one per ``--fix``.
+    """
     if len(params) != len(ranges):
         raise ValueError("need one --range per --param")
-    allowed = SWEEP_PARAMS[family]
-    for p in params:
-        if p not in allowed:
-            raise ValueError(f"parameter {p!r} not sweepable for {family} "
-                             f"(choose from {allowed})")
-    fixed = dict(fixed or {})
-    for name in fixed:
-        if name not in allowed:
-            raise ValueError(f"--fix {name}: not a {family} parameter "
-                             f"(choose from {allowed})")
-        if name in params:
-            raise ValueError(f"--fix {name}: also swept by --param {name}")
-    axes = [_parse_range(r) for r in ranges]
-    defaults = {"coupling": 1.0, "omega_c": 3.0, "width": 1.0,
-                "theta": math.pi / 2, "phi": 0.0, "detuning": None}
     grid = TimeGrid(t_end, n_points)
+    table = configs(family, list(zip(params, map(_parse_range, ranges))), fixed)
 
     meta = _meta_lines([
         ("generator", f"cavityqfi {__version__}"),
         ("family", family), ("quantity", quantity),
         ("swept", ",".join(params)),
-        ("fixed", ",".join(f"{k}={v}" for k, v in sorted(fixed.items())) or "-"),
+        ("fixed", ",".join(f"{k}={v}" for k, v in sorted(fixed)) or "-"),
         ("t_end", _fmt(t_end)), ("points", n_points),
     ])
     rows = ["t," + ",".join(params) + ",value"]
-    mesh = [idx.ravel() for idx in np.meshgrid(*axes, indexing="ij")]
-    for combo in zip(*mesh) if mesh else [()]:
-        kw = {**defaults, **fixed, **dict(zip(params, map(float, combo)))}
-        reservoir = kw["omega_c"] if family == "ohmic" else kw["width"]
-        cfg = make_config(family, kw["coupling"], reservoir,
-                          theta=kw["theta"], phi=kw["phi"],
-                          detuning=kw["detuning"])
+    for values, cfg in table:
         vals = quantity_values(cfg, grid, quantity)
-        rows += _csv_rows(grid.times, *(np.full(n_points, c) for c in combo), vals)
+        rows += _csv_rows(grid.times, *(np.full(n_points, v) for v in values), vals)
     _write(out, meta + rows)
     return out
 
@@ -211,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--t-end", type=float, default=None,
                      help="override the scaled end time")
     run.add_argument("--mode", choices=("closed", "numeric"), default="closed")
-    run.add_argument("--family", choices=("ohmic", "lorentzian"),
+    run.add_argument("--family", choices=tuple(RESERVOIR),
                      help="custom preset only")
     run.add_argument("--quantity", choices=QUANTITIES,
                      help="custom preset only (default qfi_phi)")
@@ -225,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="run only the named suite(s)")
 
     sw = sub.add_parser("sweep", help="generic parameter sweep")
-    sw.add_argument("--model", required=True, choices=("ohmic", "lorentzian"))
+    sw.add_argument("--model", required=True, choices=tuple(RESERVOIR))
     sw.add_argument("--param", action="append", required=True)
     sw.add_argument("--range", action="append", required=True,
                     dest="ranges", metavar="A:B:N")
@@ -242,18 +222,25 @@ def build_parser() -> argparse.ArgumentParser:
 CUSTOM_ONLY_FLAGS = ("family", "quantity", "coupling", "omega_c", "width")
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _custom_preset(args) -> CurvePreset:
     if args.family is None:
         raise ValueError("custom preset needs --family")
     if not args.coupling:
         raise ValueError("custom preset needs at least one --coupling")
-    reservoir = args.omega_c if args.family == "ohmic" else args.width
+    name = RESERVOIR[args.family]
+    for other in RESERVOIR.values():
+        if other != name and getattr(args, other) is not None:
+            raise ValueError(f"{_flag(other)}: not a parameter of the "
+                             f"{args.family} family")
+    reservoir = getattr(args, name)
     if reservoir is None:
-        flag = "--omega-c" if args.family == "ohmic" else "--width"
-        raise ValueError(f"custom {args.family} preset needs {flag}")
+        raise ValueError(f"custom {args.family} preset needs {_flag(name)}")
     # validation of values happens in the model/config constructors
-    for g in args.coupling:
-        make_config(args.family, g, reservoir)
+    configs(args.family, [("coupling", args.coupling)], [(name, reservoir)])
     # --steps and --t-end reach the grid through the Scenario overrides
     return CurvePreset("custom", args.family,
                        "qfi_phi" if args.quantity is None else args.quantity,
@@ -266,8 +253,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             out = args.out or Path(f"{args.preset}.csv")
             sc = Scenario(args.preset, out, args.steps, args.t_end, args.mode)
-            given = ["--" + d.replace("_", "-") for d in CUSTOM_ONLY_FLAGS
-                     if getattr(args, d) is not None]
+            given = [_flag(d) for d in CUSTOM_ONLY_FLAGS if getattr(args, d) is not None]
             if args.preset == "custom":
                 run_curve_preset(sc, _custom_preset(args))
             elif given:
@@ -281,12 +267,12 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return run_verify(args.suite)
         if args.command == "sweep":
-            fixed = {}
+            fixed = []
             for item in args.fix:
                 name, sep, value = item.partition("=")
                 if not sep:
                     raise ValueError(f"--fix expects NAME=VALUE, got {item!r}")
-                fixed[name] = float(value)
+                fixed.append((name, float(value)))
             out = args.out or Path("sweep.csv")
             run_sweep(args.model, args.param, args.ranges, args.quantity,
                       args.t_end, args.steps, out, fixed)

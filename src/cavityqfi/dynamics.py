@@ -24,8 +24,7 @@ import numpy as np
 
 # beta_numeric is not called here, but perfbench/tracer.py wraps this binding
 from .spectral import (  # noqa: F401
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
+    SpectralKind,
     SpectralModel,
     beta_closed,
     beta_numeric,
@@ -79,7 +78,9 @@ class SystemConfig:
     theta is the polar angle of the initial pure atom state
     cos(theta/2)|e> + e^{i phi} sin(theta/2)|g>; phi is the estimated phase.
     An attached Lorentzian model with unresolved detuning/anchor is completed
-    here: detuning defaults to the coupling, the anchor to omega0.
+    here: detuning defaults to the coupling, the anchor to omega0.  An Ohmic
+    model needs coupling <= omega0: under the full-line convention the lower
+    dressed frequency omega0 - coupling, and with it its rate, turns negative.
     """
 
     omega0: float
@@ -93,6 +94,11 @@ class SystemConfig:
             raise ValueError(f"omega0 must be finite and > 0, got {self.omega0}")
         if not 0.0 <= self.coupling < math.inf:
             raise ValueError(f"coupling must be finite and >= 0, got {self.coupling}")
+        if (self.spectral.kind is SpectralKind.OHMIC_LORENTZ_DRUDE
+                and self.coupling > self.omega0):
+            raise ValueError(
+                f"coupling must satisfy 0 <= coupling <= omega0 for an Ohmic "
+                f"reservoir, got coupling={self.coupling}, omega0={self.omega0}")
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
         if not 0.0 <= self.phi < 2.0 * math.pi:
@@ -131,7 +137,6 @@ class AmplitudeSeries:
 
 
 def amplitude(cfg: SystemConfig, grid: TimeGrid, mode: str = "closed",
-              quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
               dissipation: bool = True) -> AmplitudeSeries:
     """Amplitude series on the grid, from closed-form or quadrature rates.
 
@@ -152,8 +157,8 @@ def amplitude(cfg: SystemConfig, grid: TimeGrid, mode: str = "closed",
         g1 = np.atleast_1d(gamma_closed(cfg.spectral, w1, times))
         g2 = np.atleast_1d(gamma_closed(cfg.spectral, w2, times))
     elif mode == "numeric":
-        g1 = np.array([gamma_numeric(cfg.spectral, w1, t, quadrature) for t in times])
-        g2 = np.array([gamma_numeric(cfg.spectral, w2, t, quadrature) for t in times])
+        g1 = np.array([gamma_numeric(cfg.spectral, w1, t) for t in times])
+        g2 = np.array([gamma_numeric(cfg.spectral, w2, t) for t in times])
         b1, b2 = integrate_rate(g1, times), integrate_rate(g2, times)
     else:
         raise ValueError(f"mode must be 'closed' or 'numeric', got {mode!r}")
@@ -221,12 +226,11 @@ def lamb_shift(p, p_dot, eps_p: float = EPS_P_SINGULAR):
     return out if out.ndim else float(out)
 
 
-def qubit_physicality(rho) -> dict:
-    """Worst-case physicality diagnostics over a stack of 2x2 states.
+def physicality(rho) -> dict:
+    """Worst-case physicality diagnostics over a stack of (..., n, n) states.
 
     Returns {'hermiticity', 'trace', 'min_eigenvalue'} where the first two
-    are max absolute deviations.  Type tolerances: hermitian and unit trace
-    to 1e-12, eigenvalues >= -1e-9.
+    are max absolute deviations.  The tolerances belong to the caller.
     """
     rho = np.asarray(rho)
     herm = float(np.max(np.abs(rho - np.conj(np.swapaxes(rho, -1, -2)))))

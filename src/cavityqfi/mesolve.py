@@ -46,21 +46,17 @@ _DEC2[:, 2] += 1.0
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed RK4 step (scaled time) and output thinning.
+    """Fixed RK4 step (scaled time).
 
     The step bound (omega0 + coupling) * step <= 0.05 is enforced when an
     evolution starts, since the frequencies live on the system config.
-    ``record_every`` keeps every k-th grid sample in the returned trajectory.
     """
 
     step: float
-    record_every: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.step < math.inf:
             raise ValueError(f"step must be finite and > 0, got {self.step}")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
 
 def initial_dressed(cfg: SystemConfig) -> np.ndarray:
@@ -109,9 +105,9 @@ def evolve(cfg: SystemConfig, grid: TimeGrid, icfg: IntegratorConfig,
     """RK4 trajectory of the dressed density matrix, sampled on the grid.
 
     Each grid interval is split into equal substeps no longer than
-    ``icfg.step``.  Returns shape (n_recorded, 3, 3) over
-    ``grid.times[::record_every]``.  With ``dissipation=False`` the rates are
-    forced to zero (bare vacuum-Rabi exchange, test hook).
+    ``icfg.step``.  Returns shape (n_points, 3, 3) over ``grid.times``.  With
+    ``dissipation=False`` the rates are forced to zero (bare vacuum-Rabi
+    exchange, test hook).
     """
     if (cfg.omega0 + cfg.coupling) * icfg.step > MAX_PHASE_PER_STEP + 1e-12:
         raise ValueError(
@@ -143,7 +139,7 @@ def evolve(cfg: SystemConfig, grid: TimeGrid, icfg: IntegratorConfig,
                 rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 idx += 2
             out.append(rho)
-    return np.array(out[::icfg.record_every])
+    return np.array(out)
 
 
 def partial_trace_cavity(rho3) -> np.ndarray:
@@ -195,17 +191,4 @@ def timelocal_residual(cfg: SystemConfig, grid: TimeGrid,
     out[1:-1] = resid
     out[1:-1][np.abs(amps.p[1:-1]) <= EPS_P_SINGULAR] = np.nan
     return out
-
-
-def dressed_physicality(rho3) -> dict:
-    """Worst-case physicality diagnostics over a stack of dressed states.
-
-    Type tolerances: hermitian and unit trace to 1e-10; eigenvalues >= -1e-6
-    (small transient violations are tolerated when rates go negative).
-    """
-    r = np.asarray(rho3)
-    herm = float(np.max(np.abs(r - np.conj(np.swapaxes(r, -1, -2)))))
-    tr = float(np.max(np.abs(np.trace(r, axis1=-2, axis2=-1) - 1.0)))
-    eigs = np.linalg.eigvalsh(r)
-    return {"hermiticity": herm, "trace": tr, "min_eigenvalue": float(eigs.min())}
 

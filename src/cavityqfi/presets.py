@@ -13,6 +13,7 @@ contour grids default to 200 x 100.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .dynamics import SystemConfig, TimeGrid, amplitude, decoherence_rate, lamb_shift
 from .metrics import metric_series
-from .spectral import QuadratureConfig, SpectralModel
+from .spectral import SpectralModel
 
 THETA_DEFAULT = math.pi / 2.0
 PHI_DEFAULT = 0.0
@@ -28,6 +29,17 @@ LORENTZ_OMEGA0 = 1.0   # atom frequency in units of R
 LORENTZ_RATE = 1.0
 
 QUANTITIES = ("qfi_phi", "qfi_theta", "coherence", "decoherence_rate")
+
+# The parameter vocabulary every table (curve, contour, sweep) is built from.
+RESERVOIR = {"ohmic": "omega_c", "lorentzian": "width"}
+PARAMS = {
+    "ohmic": ("coupling", "omega_c", "theta", "phi"),
+    "lorentzian": ("coupling", "width", "detuning", "theta", "phi"),
+}
+# values of the parameters a table neither sweeps nor fixes
+DEFAULTS = {"coupling": 1.0, "omega_c": 3.0, "width": 1.0,
+            "theta": THETA_DEFAULT, "phi": PHI_DEFAULT, "detuning": None}
+TIME_UNIT = {"ohmic": "omega0*t", "lorentzian": "R*t"}
 
 
 @dataclass(frozen=True)
@@ -82,7 +94,8 @@ CONTOUR_PRESETS: dict[str, ContourPreset] = {
     "fig5b": ContourPreset("fig5b", "lorentzian", "width", 0.03, 3.0, 100, 1.0, 50.0, 200),
 }
 
-PRESET_NAMES = tuple(list(CURVE_PRESETS) + list(CONTOUR_PRESETS))
+PRESETS: dict[str, CurvePreset | ContourPreset] = {**CURVE_PRESETS, **CONTOUR_PRESETS}
+PRESET_NAMES = tuple(PRESETS)
 
 
 def make_config(family: str, coupling: float, reservoir: float,
@@ -102,14 +115,50 @@ def make_config(family: str, coupling: float, reservoir: float,
                         phi=phi, spectral=model)
 
 
+def configs(family: str, axes, fixed=()) -> list:
+    """(values, config) over the Cartesian product of the named axes.
+
+    ``axes`` is a sequence of (name, values) pairs and ``fixed`` one of
+    (name, value) pairs; parameters in neither take their ``DEFAULTS``.
+    The last axis varies fastest, as in ``np.meshgrid(..., indexing="ij")``.
+    Every config is built before returning, so a bad combination fails
+    before any computation.  Messages name the `sweep` flags, the general
+    form of every table.
+    """
+    allowed = PARAMS[family]
+    swept, held = [n for n, _ in axes], [n for n, _ in fixed]
+    for flag, names in (("--param", swept), ("--fix", held)):
+        for i, name in enumerate(names):
+            if name not in allowed:
+                raise ValueError(f"{flag} {name}: not sweepable or fixable for "
+                                 f"{family} (choose from {allowed})")
+            if name in names[:i]:
+                raise ValueError(f"{flag} {name}: given twice")
+            if flag == "--fix" and name in swept:
+                raise ValueError(f"--fix {name}: also swept by --param {name}")
+    out = []
+    for values in itertools.product(*(map(float, v) for _, v in axes)):
+        kw = {**DEFAULTS, **dict(fixed), **dict(zip(swept, values))}
+        out.append((values, make_config(family, kw["coupling"], kw[RESERVOIR[family]],
+                                        theta=kw["theta"], phi=kw["phi"],
+                                        detuning=kw["detuning"])))
+    return out
+
+
+def preset_axes(preset: CurvePreset | ContourPreset):
+    """(axes, fixed) of a preset: its couplings, or a contour's swept axis."""
+    if isinstance(preset, CurvePreset):
+        return ([("coupling", preset.couplings)],
+                [(RESERVOIR[preset.family], preset.reservoir)])
+    other = RESERVOIR[preset.family] if preset.sweep == "coupling" else "coupling"
+    return ([(preset.sweep, np.linspace(preset.lo, preset.hi, preset.n_param))],
+            [(other, preset.fixed)])
+
+
 def quantity_values(cfg: SystemConfig, grid: TimeGrid, quantity: str,
-                    mode: str = "closed",
-                    quadrature: QuadratureConfig | None = None) -> np.ndarray:
+                    mode: str = "closed") -> np.ndarray:
     """Evaluate one output quantity on a grid (NaN marks flagged samples)."""
-    kwargs = {"mode": mode}
-    if quadrature is not None:
-        kwargs["quadrature"] = quadrature
-    amps = amplitude(cfg, grid, **kwargs)
+    amps = amplitude(cfg, grid, mode=mode)
     if quantity == "decoherence_rate":
         return np.asarray(decoherence_rate(amps.p, amps.p_dot))
     if quantity == "lamb_shift":
@@ -131,34 +180,19 @@ def preset_grid(preset: CurvePreset | ContourPreset, n_points: int | None = None
                     preset.n_points if n_points is None else n_points)
 
 
-def contour_configs(preset: ContourPreset):
-    """Yield (swept value, config) for each row of a contour preset, in order."""
-    for v in np.linspace(preset.lo, preset.hi, preset.n_param):
-        v = float(v)
-        if preset.sweep == "coupling":
-            yield v, make_config(preset.family, v, preset.fixed)
-        else:  # reservoir parameter swept, coupling fixed
-            yield v, make_config(preset.family, preset.fixed, v)
-
-
 def curve_table(preset: CurvePreset, n_points: int | None = None,
-                t_end: float | None = None, mode: str = "closed",
-                quadrature: QuadratureConfig | None = None):
+                t_end: float | None = None, mode: str = "closed"):
     """(times, {coupling: values}) for a curve preset, optionally overridden."""
     grid = preset_grid(preset, n_points, t_end)
-    columns = {}
-    for g in preset.couplings:
-        cfg = make_config(preset.family, g, preset.reservoir)
-        columns[g] = quantity_values(cfg, grid, preset.quantity, mode, quadrature)
-    return grid.times, columns
+    return grid.times, {g: quantity_values(cfg, grid, preset.quantity, mode)
+                        for (g,), cfg in configs(preset.family, *preset_axes(preset))}
 
 
 def contour_table(preset: ContourPreset, n_points: int | None = None,
-                  t_end: float | None = None, mode: str = "closed",
-                  quadrature: QuadratureConfig | None = None):
+                  t_end: float | None = None, mode: str = "closed"):
     """(times, params, values[n_param, n_t]) for a contour preset (F_phi)."""
     grid = preset_grid(preset, n_points, t_end)
     params, values = zip(*[
-        (v, quantity_values(cfg, grid, "qfi_phi", mode, quadrature))
-        for v, cfg in contour_configs(preset)])
+        (v, quantity_values(cfg, grid, "qfi_phi", mode))
+        for (v,), cfg in configs(preset.family, *preset_axes(preset))])
     return grid.times, np.array(params), np.array(values)

@@ -166,23 +166,13 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 
 def eval_density(model: SpectralModel, omega_prime):
     """Spectral density J(omega') of the reservoir.  Accepts arrays."""
-    w = np.asarray(omega_prime, dtype=float)
-    if model.kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
-        wc2 = model.omega_c ** 2
-        out = (2.0 * w / math.pi) * wc2 / (wc2 + w * w)
-    elif model.kind is SpectralKind.LORENTZIAN:
-        peak = model.lorentz_peak()
-        lam2 = model.width ** 2
-        out = (model.rate * lam2 / (2.0 * math.pi)) / ((peak - w) ** 2 + lam2)
-    else:
-        freqs = np.array([f for f, _ in model.samples])
-        dens = np.array([d for _, d in model.samples])
-        out = np.interp(w, freqs, dens, left=0.0, right=0.0)
+    out = np.asarray(_scalar_density(model)(np.asarray(omega_prime, dtype=float)))
     return out if out.ndim else float(out)
 
 
 def _scalar_density(model: SpectralModel):
-    """Plain-python density closure, cheap enough for quadrature callbacks."""
+    """Density closure: plain float math for quadrature callbacks, and
+    elementwise on arrays for `eval_density`."""
     if model.kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
         wc2 = model.omega_c ** 2
         return lambda w: (2.0 * w / math.pi) * wc2 / (wc2 + w * w)
@@ -193,7 +183,7 @@ def _scalar_density(model: SpectralModel):
         return lambda w: amp / ((peak - w) ** 2 + lam2)
     freqs = np.array([f for f, _ in model.samples])
     dens = np.array([d for _, d in model.samples])
-    return lambda w: float(np.interp(w, freqs, dens, left=0.0, right=0.0))
+    return lambda w: np.interp(w, freqs, dens, left=0.0, right=0.0)
 
 
 def gamma_closed(model: SpectralModel, omega_j: float, t):

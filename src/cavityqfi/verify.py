@@ -15,9 +15,10 @@ import numpy as np
 
 from . import mesolve
 from .dynamics import SystemConfig, TimeGrid, amplitude, atom_state, \
-    decoherence_rate, qubit_physicality
+    decoherence_rate, physicality
 from .metrics import coherence_l1, metric_series, qfi_closed, qfi_general_2x2
-from .presets import CONTOUR_PRESETS, CURVE_PRESETS, contour_configs, make_config
+from .presets import CURVE_PRESETS, PRESET_NAMES, PRESETS, configs, make_config, \
+    preset_axes
 from .spectral import SpectralModel, beta_closed, beta_numeric, gamma_closed, \
     gamma_numeric
 
@@ -67,27 +68,23 @@ class VerifyContext:
         return self._chain[key]
 
 
-def _curve_configs(names=tuple(CURVE_PRESETS)):
-    """Distinct (preset, coupling, config) rows across the named curve presets."""
-    presets = [CURVE_PRESETS[n] for n in names]
-    return [(p, g, make_config(p.family, g, p.reservoir))
-            for p in presets for g in p.couplings]
+def _preset_configs(names=PRESET_NAMES, extra_axes=()):
+    """Yield (preset, values, config) for every config of the named presets.
 
-
-def _preset_configs():
-    """(preset, config) for every curve and every contour row of the presets."""
-    for preset, _, cfg in _curve_configs():
-        yield preset, cfg
-    for preset in CONTOUR_PRESETS.values():
-        for _, cfg in contour_configs(preset):
-            yield preset, cfg
+    ``values`` holds the preset's swept value, then one per extra axis.
+    """
+    for name in names:
+        preset = PRESETS[name]
+        axes, fixed = preset_axes(preset)
+        for values, cfg in configs(preset.family, axes + list(extra_axes), fixed):
+            yield preset, values, cfg
 
 
 def suite_relation_coherence_qfi(ctx: VerifyContext) -> SuiteResult:
     """C_l1^2 = F_phi at every point of every preset grid."""
     tol = 1e-12
     worst = 0.0
-    for preset, cfg in _preset_configs():
+    for preset, _, cfg in _preset_configs():
         amps = ctx.amps(cfg, preset.t_end, preset.n_points)
         resid = float(np.max(metric_series(cfg, amps).relation_residual))
         worst = max(worst, resid)
@@ -98,13 +95,12 @@ def suite_qfi_theta_identity(ctx: VerifyContext) -> SuiteResult:
     """F_phi = F_theta sin^2(theta) for theta in {pi/6, pi/3, pi/2}."""
     tol = 1e-12
     worst = 0.0
-    for preset, g, _ in _curve_configs():
-        for theta in (math.pi / 6, math.pi / 3, math.pi / 2):
-            cfg = make_config(preset.family, g, preset.reservoir, theta=theta)
-            amps = ctx.amps(cfg, preset.t_end, preset.n_points)
-            f_phi, f_theta = qfi_closed(amps.p, cfg.theta)
-            worst = max(worst, float(np.max(np.abs(
-                f_phi - f_theta * math.sin(theta) ** 2))))
+    thetas = ("theta", (math.pi / 6, math.pi / 3, math.pi / 2))
+    for preset, _, cfg in _preset_configs(CURVE_PRESETS, [thetas]):
+        amps = ctx.amps(cfg, preset.t_end, preset.n_points)
+        f_phi, f_theta = qfi_closed(amps.p, cfg.theta)
+        worst = max(worst, float(np.max(np.abs(
+            f_phi - f_theta * math.sin(cfg.theta) ** 2))))
     return SuiteResult("closed-form-identity", worst <= tol, worst, tol)
 
 
@@ -196,7 +192,7 @@ def suite_mesolve_chain(ctx: VerifyContext) -> SuiteResult:
     worst = 0.0
     worst_ratio_score = 0.0
     detail = ""
-    for preset, g, cfg in _curve_configs(MESOLVE_PRESETS):
+    for preset, (g,), cfg in _preset_configs(MESOLVE_PRESETS):
         dev, _ = ctx.chain(cfg, preset.t_end, preset.n_points, halve=False)
         if dev > worst:
             worst = dev
@@ -330,16 +326,21 @@ def suite_qfi_oracle(ctx: VerifyContext) -> SuiteResult:
 
 
 def suite_physicality(ctx: VerifyContext) -> SuiteResult:
-    """Every emitted qubit and dressed state meets its type tolerances."""
+    """Every emitted qubit and dressed state meets its type tolerances.
+
+    Qubit states: hermitian and unit trace to 1e-12, eigenvalues >= -1e-9.
+    Dressed states: 1e-10 and >= -1e-6, since small transient violations are
+    tolerated while the rates go negative.
+    """
     worst = 0.0
-    for preset, cfg in _preset_configs():
+    for preset, _, cfg in _preset_configs():
         amps = ctx.amps(cfg, preset.t_end, preset.n_points)
-        d = qubit_physicality(atom_state(cfg, amps.p))
+        d = physicality(atom_state(cfg, amps.p))
         worst = max(worst, d["hermiticity"] / 1e-12, d["trace"] / 1e-12,
                     max(0.0, -d["min_eigenvalue"]) / 1e-9)
-    for preset, _, cfg in _curve_configs(MESOLVE_PRESETS):
+    for preset, _, cfg in _preset_configs(MESOLVE_PRESETS):
         _, traj = ctx.chain(cfg, preset.t_end, preset.n_points, halve=False)
-        d = mesolve.dressed_physicality(traj[::10])
+        d = physicality(traj[::10])
         worst = max(worst, d["hermiticity"] / 1e-10, d["trace"] / 1e-10,
                     max(0.0, -d["min_eigenvalue"]) / 1e-6)
     return SuiteResult("physicality", worst <= 1.0, worst, 1.0,

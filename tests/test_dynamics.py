@@ -18,7 +18,7 @@ from cavityqfi import (
     beta_numeric,
     decoherence_rate,
     lamb_shift,
-    qubit_physicality,
+    physicality,
 )
 
 OHMIC3 = SpectralModel.ohmic_lorentz_drude(3.0)
@@ -96,6 +96,12 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             SystemConfig(omega0=0.0, coupling=1.0, theta=0.0, phi=0.0,
                          spectral=OHMIC3)
+        # Ohmic domain 0 <= coupling <= omega0; the Lorentzian family has none
+        with pytest.raises(ValueError, match="0 <= coupling <= omega0"):
+            ohmic_cfg(coupling=1.5)
+        assert ohmic_cfg(coupling=1.0).omega_1 == 0.0
+        SystemConfig(omega0=1.0, coupling=40.0, theta=0.0, phi=0.0,
+                     spectral=SpectralModel.lorentzian(1.0, 3.0))
 
     def test_lorentzian_defaults_resolved(self):
         cfg = SystemConfig(omega0=1.0, coupling=0.7, theta=0.1, phi=0.0,
@@ -199,7 +205,7 @@ class TestAtomState:
         phi_state = min(phi_state, 2 * math.pi - 1e-9)
         cfg = ohmic_cfg(theta=theta, phi=phi_state)
         rho = atom_state(cfg, mag * np.exp(1j * phase))
-        d = qubit_physicality(rho)
+        d = physicality(rho)
         assert d["hermiticity"] <= 1e-12
         assert d["trace"] <= 1e-12
         assert d["min_eigenvalue"] >= -1e-9

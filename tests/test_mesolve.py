@@ -11,12 +11,12 @@ from cavityqfi import (
     amplitude,
     atom_state,
     beta_closed,
-    dressed_physicality,
     evolve,
     gamma_closed,
     generator_apply,
     initial_dressed,
     partial_trace_cavity,
+    physicality,
     timelocal_residual,
 )
 
@@ -104,12 +104,6 @@ class TestEvolve:
             evolve(ohmic_cfg(coupling=1.0), TimeGrid(1.0, 11),
                    IntegratorConfig(step=0.1))
 
-    def test_record_every(self):
-        cfg = ohmic_cfg()
-        grid = TimeGrid(1.0, 11)
-        traj = evolve(cfg, grid, IntegratorConfig(step=0.02, record_every=5))
-        assert traj.shape == (3, 3, 3)  # samples at t = 0, 0.5, 1.0
-
     def test_dressed_coherence_envelope(self):
         # rho_{12}(t) = rho_{12}(0) e^{2i coupling t} e^{-(beta1+beta2)/4}
         cfg = ohmic_cfg(coupling=0.6, theta=0.9, omega_c=0.5)
@@ -139,7 +133,7 @@ class TestPartialTrace:
         ana = atom_state(cfg, amplitude(cfg, grid).p)
         dev = np.max(np.abs(partial_trace_cavity(traj) - ana))
         assert dev <= 1e-6
-        d = dressed_physicality(traj)
+        d = physicality(traj)
         assert d["hermiticity"] <= 1e-10
         assert d["trace"] <= 1e-10
         assert d["min_eigenvalue"] >= -1e-6

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cavityqfi import presets
 from cavityqfi.cli import (
     Scenario,
     _csv_rows,
@@ -15,6 +16,8 @@ from cavityqfi.dynamics import TimeGrid
 from cavityqfi.presets import (
     CONTOUR_PRESETS,
     CURVE_PRESETS,
+    DEFAULTS,
+    configs,
     contour_table,
     make_config,
     quantity_values,
@@ -65,6 +68,28 @@ class TestPresetParameters:
         cfg = make_config("ohmic", 1.0, 3.0)
         assert cfg.theta == PI_2
         assert cfg.phi == 0.0
+
+
+class TestConfigs:
+    def test_row_order_is_meshgrid_ij(self):
+        a, b = np.array([0.1, 0.5, 0.9]), np.array([0.3, 3.0])
+        rows = configs("ohmic", [("coupling", a), ("omega_c", b)])
+        want = list(zip(*(m.ravel() for m in np.meshgrid(a, b, indexing="ij"))))
+        assert [values for values, _ in rows] == want
+        assert [(c.coupling, c.spectral.omega_c) for _, c in rows] == want
+
+    def test_defaults_fill_unswept_unfixed(self):
+        [((g,), cfg)] = configs("lorentzian", [("coupling", [0.5])])
+        assert g == 0.5
+        assert cfg.spectral.width == DEFAULTS["width"]
+        assert (cfg.theta, cfg.phi) == (DEFAULTS["theta"], DEFAULTS["phi"])
+        assert cfg.spectral.detuning == 0.5  # None: resolved to the coupling
+
+    def test_fixed_overrides_default(self):
+        [(_, cfg)] = configs("lorentzian", [("coupling", [0.5])],
+                             [("width", 0.1), ("theta", 0.3)])
+        assert cfg.spectral.width == 0.1
+        assert cfg.theta == 0.3
 
 
 class TestCurveOutputs:
@@ -277,6 +302,35 @@ class TestCli:
         assert code == 2
         assert text in capsys.readouterr().err
         assert not out.exists()
+
+
+OHMIC_DOMAIN = "0 <= coupling <= omega0"
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["sweep", "--model", "ohmic", "--param", "coupling", "--range", "0:1:2",
+      "--param", "coupling", "--range", "0.5:0.7:2"], "--param coupling"),
+    (["sweep", "--model", "ohmic", "--param", "omega_c", "--range", "0.5:3:3",
+      "--fix", "coupling=0.3", "--fix", "coupling=0.6"], "--fix coupling"),
+    (["run", "custom", "--family", "lorentzian", "--width", "1",
+      "--omega-c", "3", "--coupling", "0.5"], "--omega-c"),
+    (["run", "custom", "--family", "ohmic", "--width", "1",
+      "--omega-c", "3", "--coupling", "0.5"], "--width"),
+    (["run", "custom", "--family", "ohmic", "--omega-c", "3",
+      "--coupling", "1.5", "--steps", "5", "--t-end", "0.5"], OHMIC_DOMAIN),
+    (["sweep", "--model", "ohmic", "--param", "coupling",
+      "--range", "0.5:1.5:3"], OHMIC_DOMAIN),
+], ids=["param-twice", "fix-twice", "custom-lorentzian-omega-c",
+        "custom-ohmic-width", "custom-ohmic-coupling", "sweep-ohmic-coupling"])
+def test_rejected_before_any_amplitude(tmp_path, capsys, monkeypatch, argv, text):
+    def no_amplitude(*args, **kwargs):
+        raise AssertionError("amplitude computed before the input was rejected")
+
+    monkeypatch.setattr(presets, "amplitude", no_amplitude)
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert text in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_csv_rows_match_per_value_format():
