@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -144,9 +145,9 @@ def _parse_range(text: str) -> np.ndarray:
         a, b, n = text.split(":")
         a, b, n = float(a), float(b), int(n)
     except ValueError:
-        raise ValueError(f"range must look like A:B:N, got {text!r}")
+        raise ValueError(f"--range must look like A:B:N, got {text!r}")
     if n < 1:
-        raise ValueError("range count must be >= 1")
+        raise ValueError("--range count must be >= 1")
     return np.linspace(a, b, n)
 
 
@@ -219,6 +220,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# argparse reads a value such as "-1:1:3" as an unknown flag
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_negative_ranges(argv: list[str]) -> list[str]:
+    """Rewrite "--range -A:B:N" as the "--range=-A:B:N" form argparse accepts."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--range" and _NEGATIVE_VALUE.match(arg):
+            out[-1] = "--range=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 CUSTOM_ONLY_FLAGS = ("family", "quantity", "coupling", "omega_c", "width")
 
 
@@ -248,7 +264,8 @@ def _custom_preset(args) -> CurvePreset:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_negative_ranges(argv))
     try:
         if args.command == "run":
             out = args.out or Path(f"{args.preset}.csv")

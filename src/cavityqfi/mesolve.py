@@ -13,6 +13,15 @@ classic RK4 integrates this (rates are smooth; the step bound
 (omega0 + coupling) * step <= 0.05 keeps the error budget predictable), and
 tracing out the cavity must reproduce the analytic atom state.  Negative
 instantaneous rates in the non-Markovian regime are integrated as-is.
+
+In this basis the equation scales each element rho_ab by its own rate
+c_ab(t) = -i(E_a - E_b) - (gamma_1 DEC1 + gamma_2 DEC2)_ab / 4, except that
+rho_00 is fed what rho_11 and rho_22 lose.  One RK4 substep therefore
+multiplies each element by its step factor R (the RK4 stability polynomial of
+the rates at t, t + h/2 and t + h), and `evolve` forms the trajectory as a
+cumulative product of these factors, with rho_00 the cumulative sum of
+rho_11 (1 - R_11) + rho_22 (1 - R_22).  This is the same scheme as a substep
+loop over `_generator`, to rounding.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ from .dynamics import (
 from .spectral import gamma_closed
 
 MAX_PHASE_PER_STEP = 0.05  # (omega0 + coupling) * step bound
+_CHUNK_SUBSTEPS = 2048  # substeps per vectorized block of evolve (bounds memory)
 
 # basis order: (|a0>, |a1->, |a1+>)
 _DEC1 = np.zeros((3, 3))
@@ -42,6 +52,7 @@ _DEC1[:, 1] += 1.0
 _DEC2 = np.zeros((3, 3))
 _DEC2[2, :] += 1.0
 _DEC2[:, 2] += 1.0
+_POPS = [4, 8]  # flat indices of rho_11 and rho_22
 
 
 @dataclass(frozen=True)
@@ -100,6 +111,14 @@ def generator_apply(cfg: SystemConfig, t: float, rho3: np.ndarray) -> np.ndarray
     return _generator(rho3, phase, g1, g2)
 
 
+def _rk4_factor(c0, c1, c2, h: float):
+    """Classic RK4 step factor of y' = c(t) y, rates at t, t + h/2 and t + h."""
+    s2 = 1.0 + 0.5 * h * c0
+    s3 = 1.0 + 0.5 * h * c1 * s2
+    s4 = 1.0 + h * c1 * s3
+    return 1.0 + (h / 6.0) * (c0 + 2.0 * c1 * s2 + 2.0 * c1 * s3 + c2 * s4)
+
+
 def evolve(cfg: SystemConfig, grid: TimeGrid, icfg: IntegratorConfig,
            dissipation: bool = True) -> np.ndarray:
     """RK4 trajectory of the dressed density matrix, sampled on the grid.
@@ -113,33 +132,36 @@ def evolve(cfg: SystemConfig, grid: TimeGrid, icfg: IntegratorConfig,
         raise ValueError(
             f"step {icfg.step} violates (omega0 + coupling) * step <= "
             f"{MAX_PHASE_PER_STEP}")
-    times = grid.times
+    n = grid.n_points
     E = dressed_energies(cfg)
-    phase = -1j * (E[:, None] - E[None, :])
-    rho = initial_dressed(cfg)
-    out = [rho]
-    if times.size > 1:
-        dt = grid.dt
-        k = max(1, math.ceil(dt / icfg.step - 1e-9))
-        h = dt / k
-        # rates on the substep half-grid, one vectorized evaluation
-        half_times = np.arange(2 * k * (times.size - 1) + 1) * (h / 2.0)
-        if dissipation:
-            g1 = np.atleast_1d(gamma_closed(cfg.spectral, cfg.omega_1, half_times))
-            g2 = np.atleast_1d(gamma_closed(cfg.spectral, cfg.omega_2, half_times))
-        else:
-            g1 = g2 = np.zeros(half_times.size)
-        idx = 0
-        for _ in range(times.size - 1):
-            for _ in range(k):
-                k1 = _generator(rho, phase, g1[idx], g2[idx])
-                k2 = _generator(rho + 0.5 * h * k1, phase, g1[idx + 1], g2[idx + 1])
-                k3 = _generator(rho + 0.5 * h * k2, phase, g1[idx + 1], g2[idx + 1])
-                k4 = _generator(rho + h * k3, phase, g1[idx + 2], g2[idx + 2])
-                rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                idx += 2
-            out.append(rho)
-    return np.array(out)
+    phase = (-1j * (E[:, None] - E[None, :])).ravel()
+    rho = initial_dressed(cfg).ravel()
+    out = np.empty((n, 9), dtype=complex)
+    out[0] = rho
+    if n > 1:
+        k = max(1, math.ceil(grid.dt / icfg.step - 1e-9))
+        h = grid.dt / k
+        per_chunk = max(1, _CHUNK_SUBSTEPS // k)  # whole grid intervals
+        for i0 in range(0, n - 1, per_chunk):
+            i1 = min(i0 + per_chunk, n - 1)
+            # rates on this chunk's substep half-grid
+            half_times = np.arange(2 * k * i0, 2 * k * i1 + 1) * (h / 2.0)
+            if dissipation:
+                g1 = gamma_closed(cfg.spectral, cfg.omega_1, half_times)
+                g2 = gamma_closed(cfg.spectral, cfg.omega_2, half_times)
+            else:
+                g1 = g2 = np.zeros(half_times.size)
+            c = phase - 0.25 * (g1[:, None] * _DEC1.ravel()
+                                + g2[:, None] * _DEC2.ravel())
+            factor = _rk4_factor(c[:-1:2], c[1::2], c[2::2], h)
+            traj = rho * np.cumprod(factor, axis=0)
+            # rho_00 gains what rho_11 and rho_22 lose in each substep
+            before = np.concatenate((rho[None, _POPS], traj[:-1, _POPS]))
+            feed = np.sum(before * (1.0 - factor[:, _POPS]), axis=1)
+            traj[:, 0] = rho[0] + np.cumsum(feed)
+            out[i0 + 1:i1 + 1] = traj[k - 1::k]
+            rho = traj[-1]
+    return out.reshape(n, 3, 3)
 
 
 def partial_trace_cavity(rho3) -> np.ndarray:

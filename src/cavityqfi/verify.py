@@ -186,7 +186,8 @@ def suite_mesolve_chain(ctx: VerifyContext) -> SuiteResult:
 
     Base step (omega0 + coupling) * h = 0.01 must agree to 1e-6 elementwise;
     halving the step must improve the deviation at least 8x unless already at
-    the 1e-10 accuracy floor.
+    the 1e-10 accuracy floor.  The detail also reports the observed order
+    log2(dev / dev_half) where the deviation is worst.
     """
     tol = 1e-6
     worst = 0.0
@@ -194,10 +195,11 @@ def suite_mesolve_chain(ctx: VerifyContext) -> SuiteResult:
     detail = ""
     for preset, (g,), cfg in _preset_configs(MESOLVE_PRESETS):
         dev, _ = ctx.chain(cfg, preset.t_end, preset.n_points, halve=False)
+        dev_half, _ = ctx.chain(cfg, preset.t_end, preset.n_points, halve=True)
         if dev > worst:
             worst = dev
-            detail = f"{preset.name} coupling={g}"
-        dev_half, _ = ctx.chain(cfg, preset.t_end, preset.n_points, halve=True)
+            order = math.log2(dev / max(dev_half, 1e-300))
+            detail = f"{preset.name} coupling={g}, observed order {order:.2f}"
         if dev_half > 1e-10:  # above the floor the 4th-order ratio must show
             ratio_score = 8.0 * dev_half / max(dev, 1e-300)
             worst_ratio_score = max(worst_ratio_score, ratio_score)

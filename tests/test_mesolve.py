@@ -19,6 +19,8 @@ from cavityqfi import (
     physicality,
     timelocal_residual,
 )
+from cavityqfi import mesolve
+from cavityqfi.presets import make_config
 
 SQ2 = math.sqrt(2.0)
 
@@ -115,6 +117,71 @@ class TestEvolve:
                     * np.exp(2j * cfg.coupling * grid.times)
                     * np.exp(-(b1 + b2) / 4.0))
         np.testing.assert_allclose(traj[:, 1, 2], expected, atol=1e-7)
+
+
+def rk4_reference(rhs, grid, k, rho0):
+    """Plain RK4 loop, k substeps per grid interval; rates read at t, t+h/2, t+h."""
+    h = grid.dt / k
+    rho = rho0
+    out = [rho]
+    for i in range(grid.n_points - 1):
+        for j in range(k):
+            t = (i * k + j) * h
+            k1 = rhs(t, rho)
+            k2 = rhs(t + h / 2, rho + h / 2 * k1)
+            k3 = rhs(t + h / 2, rho + h / 2 * k2)
+            k4 = rhs(t + h, rho + h * k3)
+            rho = rho + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        out.append(rho)
+    return np.array(out)
+
+
+def bare_rhs(cfg):
+    """Right-hand side with both rates forced to zero."""
+    E = mesolve.dressed_energies(cfg)
+    phase = -1j * (E[:, None] - E[None, :])
+    return lambda t, rho: mesolve._generator(rho, phase, 0.0, 0.0)
+
+
+def _chunk_crossing():
+    # 3 substeps per interval, so a chunk holds a whole number of intervals
+    # and the total is neither below nor a multiple of the chunk size
+    intervals = mesolve._CHUNK_SUBSTEPS // 3 + 70
+    return TimeGrid(intervals * 0.024, intervals + 1), 3
+
+
+class TestEvolveMatchesLoop:
+    @pytest.mark.parametrize("cfg, grid, k", [
+        (ohmic_cfg(coupling=1.0, omega_c=0.3), TimeGrid(1.0, 41), 1),
+        (ohmic_cfg(coupling=1.0, omega_c=0.3), TimeGrid(1.0, 41), 3),
+        (lorentz_cfg(coupling=40.0, width=3.0), TimeGrid(0.2, 201), 1),
+        (lorentz_cfg(coupling=40.0, width=3.0), TimeGrid(0.2, 101), 4),
+        (lorentz_cfg(coupling=0.5, width=0.1, theta=1.1), *_chunk_crossing()),
+    ], ids=["ohmic-k1", "ohmic-k3", "lorentz-k1", "lorentz-k4", "chunks"])
+    def test_dissipative(self, cfg, grid, k):
+        traj = evolve(cfg, grid, IntegratorConfig(step=grid.dt / k))
+        ref = rk4_reference(lambda t, rho: generator_apply(cfg, t, rho),
+                            grid, k, initial_dressed(cfg))
+        np.testing.assert_allclose(traj, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_without_dissipation(self, k):
+        cfg = ohmic_cfg(coupling=0.8, theta=1.1)
+        grid = TimeGrid(2.0, 81)
+        traj = evolve(cfg, grid, IntegratorConfig(step=grid.dt / k),
+                      dissipation=False)
+        ref = rk4_reference(bare_rhs(cfg), grid, k, initial_dressed(cfg))
+        np.testing.assert_allclose(traj, ref, rtol=0, atol=1e-12)
+
+    def test_trace_drift_fig4a_strong_coupling(self):
+        # the halved step of the mesolve-chain suite: about 435k substeps
+        cfg = make_config("lorentzian", 40.0, 3.0)
+        grid = TimeGrid(50.0, 12800)
+        k = 2 * math.ceil(grid.dt / (0.01 / (cfg.omega0 + cfg.coupling)) - 1e-9)
+        traj = evolve(cfg, grid, IntegratorConfig(step=grid.dt / k))
+        assert k * (grid.n_points - 1) > 4e5
+        drift = np.max(np.abs(np.trace(traj, axis1=1, axis2=2) - 1.0))
+        assert drift <= 1e-13
 
 
 class TestPartialTrace:

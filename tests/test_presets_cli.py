@@ -250,6 +250,34 @@ class TestCli:
                      "--range", "1;2;3"])
         assert code == 2
 
+    def test_sweep_negative_range_both_forms(self, tmp_path):
+        outs = []
+        for i, form in enumerate((["--range", "-1:1:3"], ["--range=-1:1:3"])):
+            outs.append(tmp_path / f"sweep{i}.csv")
+            assert main(["sweep", "--model", "lorentzian", "--param", "detuning",
+                         *form, "--steps", "5", "--t-end", "2",
+                         "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        _, data = read_csv(outs[0])
+        assert set(np.unique(data[:, 1])) == {-1.0, 0.0, 1.0}
+
+    @pytest.mark.parametrize("form", [
+        ["--range", "-1:x:3"], ["--range=-1:x:3"], ["--range", "-1:1"],
+        ["--range", "-1:1:0"]])
+    def test_sweep_malformed_range_names_flag(self, tmp_path, capsys, form):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--model", "lorentzian", "--param", "detuning",
+                     *form, "--out", str(out)]) == 2
+        assert "--range" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_range_missing_value_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--model", "lorentzian", "--param", "detuning",
+                  "--range"])
+        assert err.value.code == 2
+        assert "--range" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, name", [
         (["run", "fig1a", "--steps", "0"], "n_points"),
         (["run", "fig1a", "--t-end", "0"], "t_end"),
