@@ -19,7 +19,8 @@ import numpy as np
 
 from . import __version__
 from .dynamics import TimeGrid
-# make_config is not called here, but perfbench/tracer.py wraps this binding
+# make_config and quantity_values are not called here, but
+# perfbench/tracer.py wraps these bindings
 from .presets import (  # noqa: F401
     CONTOUR_PRESETS,
     CURVE_PRESETS,
@@ -34,6 +35,7 @@ from .presets import (  # noqa: F401
     make_config,
     preset_grid,
     quantity_values,
+    table_values,
 )
 from .verify import SUITES, run_suites
 
@@ -57,21 +59,46 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _csv_rows(*columns) -> list[str]:
-    """One CSV row per index of equal-length numeric columns, as %.12g."""
-    fmt = ",".join(["%.12g"] * len(columns))
-    rows = zip(*(c.tolist() for c in columns), strict=True)
-    return [fmt % row for row in rows]
+def _fmt_all(values) -> list[str]:
+    return [_fmt(x) for x in np.asarray(values, dtype=float).tolist()]
+
+
+def _csv_block(times_text: list[str], prefix: str, values) -> str:
+    """CSV rows ``t<prefix>,v_1,...,v_k``, one per time, as one string.
+
+    ``times_text`` holds the times already formatted (`_fmt_all`), and
+    ``prefix`` the fields every row shares, formatted, each with its
+    leading comma.  Only ``values``, an (n_t,) or (n_t, k) array, is
+    formatted here, by one %.12g template over the whole block.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 1:
+        values = values[:, None]
+    if values.shape[0] != len(times_text):
+        raise ValueError(f"{values.shape[0]} rows of values for "
+                         f"{len(times_text)} times")
+    row_end = prefix + ",%.12g" * values.shape[1] + "\n"
+    return (row_end.join(times_text) + row_end) % tuple(values.ravel().tolist())
 
 
 def _meta_lines(pairs) -> list[str]:
     return [f"# {k}: {v}" for k, v in pairs]
 
 
-def _write(path: Path, lines) -> None:
+def _write(path: Path, lines, times, prefixes, blocks) -> None:
+    """Write the metadata and header ``lines``, then the rows of each block.
+
+    Block i is an (n_t,) or (n_t, k) array of values; its rows share the
+    formatted fields ``prefixes[i]`` (see `_csv_block`).  Each time is
+    formatted once, and one block is written at a time.  Callers compute
+    and check every value first, so a failing config leaves no file.
+    """
+    times_text = _fmt_all(times)
     try:
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
+            for prefix, values in zip(prefixes, blocks, strict=True):
+                fh.write(_csv_block(times_text, prefix, values))
     except OSError as exc:
         raise OSError(f"cannot write output file {path}: {exc}") from exc
 
@@ -80,7 +107,7 @@ def run_curve_preset(sc: Scenario, preset: CurvePreset | None = None) -> Path:
     """Preset curves as CSV: one column per coupling value."""
     preset = preset or CURVE_PRESETS[sc.preset]
     grid = preset_grid(preset, sc.n_points, sc.t_end)
-    times, columns = curve_table(preset, sc.n_points, sc.t_end, sc.mode)
+    times, values = curve_table(preset, sc.n_points, sc.t_end, sc.mode)
     header = "t," + ",".join(f"value_omega_{g}" for g in preset.couplings)
     meta = _meta_lines([
         ("generator", f"cavityqfi {__version__}"),
@@ -95,8 +122,7 @@ def run_curve_preset(sc: Scenario, preset: CurvePreset | None = None) -> Path:
         ("mode", sc.mode),
         ("time_unit", TIME_UNIT[preset.family]),
     ])
-    rows = _csv_rows(times, *(columns[g] for g in preset.couplings))
-    _write(sc.out, meta + [header] + rows)
+    _write(sc.out, meta + [header], times, [""], [values.T])
     return sc.out
 
 
@@ -119,9 +145,8 @@ def run_contour_preset(sc: Scenario) -> Path:
         ("mode", sc.mode),
         ("row_order", "param-major"),
     ])
-    rows = _csv_rows(np.tile(times, params.size),
-                     np.repeat(params, times.size), values.ravel())
-    _write(sc.out, meta + ["t,param,value"] + rows)
+    _write(sc.out, meta + ["t,param,value"], times,
+           ["," + _fmt(v) for v in params.tolist()], values)
     return sc.out
 
 
@@ -170,11 +195,9 @@ def run_sweep(family: str, params: list[str], ranges: list[str],
         ("fixed", ",".join(f"{k}={v}" for k, v in sorted(fixed)) or "-"),
         ("t_end", _fmt(t_end)), ("points", n_points),
     ])
-    rows = ["t," + ",".join(params) + ",value"]
-    for values, cfg in table:
-        vals = quantity_values(cfg, grid, quantity)
-        rows += _csv_rows(grid.times, *(np.full(n_points, v) for v in values), vals)
-    _write(out, meta + rows)
+    values = table_values([cfg for _, cfg in table], grid, quantity)
+    _write(out, meta + ["t," + ",".join(params) + ",value"], grid.times,
+           ["".join("," + _fmt(v) for v in point) for point, _ in table], values)
     return out
 
 

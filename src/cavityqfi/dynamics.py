@@ -22,12 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# beta_numeric is not called here, but perfbench/tracer.py wraps this binding
+# beta_closed, gamma_closed and beta_numeric are not called here, but
+# perfbench/tracer.py wraps these bindings
 from .spectral import (  # noqa: F401
     SpectralKind,
     SpectralModel,
     beta_closed,
     beta_numeric,
+    closed_rates,
     gamma_closed,
     gamma_numeric,
     integrate_rate,
@@ -37,6 +39,8 @@ logger = logging.getLogger(__name__)
 
 EPS_AMPLITUDE = 1e-9    # slack on |p| <= 1
 EPS_P_SINGULAR = 1e-10  # |p| at or below this flags Gamma/S as singular
+# (config x time) samples per block of a table or residual (bounds memory)
+_BLOCK_SAMPLES = 1 << 14
 
 
 class AmplitudeRangeError(ValueError):
@@ -117,7 +121,11 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class AmplitudeSeries:
-    """p(t), its analytic derivative, and the per-transition rate data."""
+    """p(t), its analytic derivative, and the per-transition rate data.
+
+    From `amplitude` every field is an array over ``times``; from
+    `amplitude_table` every field but ``times`` has one row per config.
+    """
 
     times: np.ndarray
     p: np.ndarray
@@ -127,13 +135,89 @@ class AmplitudeSeries:
     gamma1: np.ndarray
     gamma2: np.ndarray
 
-    def validate(self) -> None:
-        if self.p[0] != 1.0 + 0.0j:
-            raise AmplitudeRangeError(f"p(0) must be exactly 1, got {self.p[0]}")
-        worst = float(np.max(np.abs(self.p)))
-        if worst > 1.0 + EPS_AMPLITUDE:
-            raise AmplitudeRangeError(
-                f"|p| exceeded the physical range: max |p| = {worst}")
+
+def per_row(f, x):
+    """f(x) for one item; for a list or tuple, an (n, 1) column of f(x_i).
+
+    The column broadcasts against an (n, n_t) block with one row per item,
+    and holds exactly the values f gives one item at a time.
+    """
+    if isinstance(x, (list, tuple)):
+        return np.array([f(v) for v in x])[:, None]
+    return f(x)
+
+
+def _describe(cfg: SystemConfig) -> str:
+    m = cfg.spectral
+    if m.kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
+        reservoir = f"omega_c={m.omega_c}"
+    elif m.kind is SpectralKind.LORENTZIAN:
+        reservoir = f"width={m.width}, detuning={m.detuning}"
+    else:
+        reservoir = m.kind.value
+    return f"coupling={cfg.coupling}, {reservoir}, theta={cfg.theta}, phi={cfg.phi}"
+
+
+def _check_amplitude(cfgs, times: np.ndarray, p: np.ndarray) -> None:
+    """Raise AmplitudeRangeError, naming the config, unless every row of p
+    keeps |p| <= 1 + EPS_AMPLITUDE and, where times start at 0, starts at
+    exactly 1."""
+    if times[0] == 0.0:
+        bad = np.flatnonzero(p[:, 0] != 1.0 + 0.0j)
+        if bad.size:
+            i = bad[0]
+            raise AmplitudeRangeError(f"{_describe(cfgs[i])}: p(0) must be "
+                                      f"exactly 1, got {p[i, 0]}")
+    peak = np.max(np.abs(p), axis=1)
+    bad = np.flatnonzero(peak > 1.0 + EPS_AMPLITUDE)
+    if bad.size:
+        i = bad[0]
+        raise AmplitudeRangeError(f"{_describe(cfgs[i])}: |p| exceeded the "
+                                  f"physical range: max |p| = {peak[i]}")
+
+
+def _numeric_rate(model: SpectralModel, omega_j: float, times: np.ndarray):
+    """(gamma_j, beta_j): quadrature samples, integrated by Simpson."""
+    gamma = np.array([gamma_numeric(model, omega_j, t) for t in times])
+    return gamma, integrate_rate(gamma, times)
+
+
+def _rate_table(cfgs, times: np.ndarray, mode: str, dissipation: bool):
+    """(gamma1, beta1, gamma2, beta2), each of shape (len(cfgs), times.size)."""
+    if mode not in ("closed", "numeric"):
+        raise ValueError(f"mode must be 'closed' or 'numeric', got {mode!r}")
+    if not dissipation:
+        zeros = np.zeros((len(cfgs), times.size))
+        return zeros, zeros, zeros, zeros
+    if mode == "closed":
+        models = [c.spectral for c in cfgs]
+        return (*closed_rates(models, [c.omega_1 for c in cfgs], times),
+                *closed_rates(models, [c.omega_2 for c in cfgs], times))
+    rows = [(*_numeric_rate(c.spectral, c.omega_1, times),
+             *_numeric_rate(c.spectral, c.omega_2, times)) for c in cfgs]
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+def amplitude_table(cfgs, times: np.ndarray, mode: str = "closed",
+                    dissipation: bool = True) -> AmplitudeSeries:
+    """Amplitude series of every config at once, one row per config.
+
+    Closed mode evaluates the closed forms once over the (config x time)
+    block; numeric mode integrates each config's quadrature rates, and
+    needs uniform ``times`` from 0.  Row i equals ``amplitude(cfgs[i], ...)``
+    bit for bit.  Every row is checked as `amplitude` checks it, and the
+    error names the config.
+    """
+    g1, b1, g2, b2 = _rate_table(cfgs, times, mode, dissipation)
+    w1 = per_row(lambda c: c.omega_1, cfgs)
+    w2 = per_row(lambda c: c.omega_2, cfgs)
+    e1 = np.exp(-1j * w1 * times - b1 / 4.0)
+    e2 = np.exp(-1j * w2 * times - b2 / 4.0)
+    p = 0.5 * (e1 + e2)
+    p_dot = 0.5 * ((-1j * w1 - g1 / 4.0) * e1 + (-1j * w2 - g2 / 4.0) * e2)
+    _check_amplitude(cfgs, times, p)
+    return AmplitudeSeries(times=times, p=p, p_dot=p_dot,
+                           beta1=b1, beta2=b2, gamma1=g1, gamma2=g2)
 
 
 def amplitude(cfg: SystemConfig, grid: TimeGrid, mode: str = "closed",
@@ -145,52 +229,33 @@ def amplitude(cfg: SystemConfig, grid: TimeGrid, mode: str = "closed",
     the quadrature oracle plus composite Simpson for the exponents.  With
     ``dissipation=False`` the rates are forced to zero (test hook exposing
     the bare vacuum-Rabi dynamics p = e^{-i omega0 t} cos(coupling t)).
+    Raises AmplitudeRangeError unless p(0) = 1 exactly and |p| <= 1 + 1e-9.
     """
-    times = grid.times
-    w1, w2 = cfg.omega_1, cfg.omega_2
-    if not dissipation:
-        zeros = np.zeros_like(times)
-        b1 = b2 = g1 = g2 = zeros
-    elif mode == "closed":
-        b1 = np.atleast_1d(beta_closed(cfg.spectral, w1, times))
-        b2 = np.atleast_1d(beta_closed(cfg.spectral, w2, times))
-        g1 = np.atleast_1d(gamma_closed(cfg.spectral, w1, times))
-        g2 = np.atleast_1d(gamma_closed(cfg.spectral, w2, times))
-    elif mode == "numeric":
-        g1 = np.array([gamma_numeric(cfg.spectral, w1, t) for t in times])
-        g2 = np.array([gamma_numeric(cfg.spectral, w2, t) for t in times])
-        b1, b2 = integrate_rate(g1, times), integrate_rate(g2, times)
-    else:
-        raise ValueError(f"mode must be 'closed' or 'numeric', got {mode!r}")
-
-    e1 = np.exp(-1j * w1 * times - b1 / 4.0)
-    e2 = np.exp(-1j * w2 * times - b2 / 4.0)
-    p = 0.5 * (e1 + e2)
-    p_dot = 0.5 * ((-1j * w1 - g1 / 4.0) * e1 + (-1j * w2 - g2 / 4.0) * e2)
-    series = AmplitudeSeries(times=times, p=p, p_dot=p_dot,
-                             beta1=b1, beta2=b2, gamma1=g1, gamma2=g2)
-    series.validate()
-    return series
+    a = amplitude_table([cfg], grid.times, mode, dissipation)
+    return AmplitudeSeries(a.times, a.p[0], a.p_dot[0], a.beta1[0],
+                           a.beta2[0], a.gamma1[0], a.gamma2[0])
 
 
-def atom_state(cfg: SystemConfig, p):
+def atom_state(cfg, p):
     """Atom density matrix in the {|e>, |g>} basis for amplitude value(s) p.
 
         rho_ee = |p|^2 cos^2(theta/2)
         rho_eg = p e^{-i phi} sin(theta/2) cos(theta/2)
 
     Accepts a scalar or an array of amplitudes; returns shape (..., 2, 2).
+    ``cfg`` may also be a list of configs, one per row of an (n, n_t) ``p``.
     """
     p = np.asarray(p, dtype=complex)
     mag = np.abs(p)
     if np.any(mag > 1.0 + EPS_AMPLITUDE):
         raise AmplitudeRangeError(
             f"|p| = {float(np.max(mag))} exceeds 1 + {EPS_AMPLITUDE}")
-    c = math.cos(cfg.theta / 2.0)
-    s = math.sin(cfg.theta / 2.0)
+    c = per_row(lambda k: math.cos(k.theta / 2.0), cfg)
+    s = per_row(lambda k: math.sin(k.theta / 2.0), cfg)
+    phase = per_row(lambda k: np.exp(-1j * k.phi), cfg)
     rho = np.empty(p.shape + (2, 2), dtype=complex)
     rho[..., 0, 0] = mag ** 2 * c * c
-    rho[..., 0, 1] = p * np.exp(-1j * cfg.phi) * s * c
+    rho[..., 0, 1] = p * phase * s * c
     rho[..., 1, 0] = np.conj(rho[..., 0, 1])
     rho[..., 1, 1] = 1.0 - rho[..., 0, 0]
     return rho

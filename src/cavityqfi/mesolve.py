@@ -31,11 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
+# amplitude is not called here, but perfbench/tracer.py wraps this binding
+from .dynamics import (  # noqa: F401
+    _BLOCK_SAMPLES,
     EPS_P_SINGULAR,
     SystemConfig,
     TimeGrid,
     amplitude,
+    amplitude_table,
     atom_state,
     decoherence_rate,
     lamb_shift,
@@ -192,25 +195,30 @@ def timelocal_residual(cfg: SystemConfig, grid: TimeGrid,
         rhs = -i S/2 [|e><e|, rho] + Gamma (s- rho s+ - 1/2 {|e><e|, rho})
 
     Endpoints and samples flagged by the amplitude-singularity policy are NaN.
+    The grid is taken in blocks of interior points, each evaluated with one
+    neighbour on either side, so memory stays bounded on fine grids.
     """
-    amps = amplitude(cfg, grid, dissipation=dissipation)
-    rho = atom_state(cfg, amps.p)
-    n = grid.n_points
-    if n < 3:
-        return np.full(n, np.nan)
-    h = grid.dt
-    gam = np.asarray(decoherence_rate(amps.p, amps.p_dot))
-    shift = np.asarray(lamb_shift(amps.p, amps.p_dot))
-    fd = (rho[2:] - rho[:-2]) / (2.0 * h)
-    g, s, r = gam[1:-1], shift[1:-1], rho[1:-1]
-    rhs = np.empty_like(r)
-    rhs[:, 0, 0] = -g * r[:, 0, 0].real
-    rhs[:, 1, 1] = g * r[:, 0, 0].real
-    rhs[:, 0, 1] = (-0.5j * s - 0.5 * g) * r[:, 0, 1]
-    rhs[:, 1, 0] = np.conj(rhs[:, 0, 1])
-    resid = np.linalg.norm((fd - rhs).reshape(-1, 4), axis=1)
+    times = grid.times
+    n = times.size
     out = np.full(n, np.nan)
-    out[1:-1] = resid
-    out[1:-1][np.abs(amps.p[1:-1]) <= EPS_P_SINGULAR] = np.nan
+    if n < 3:
+        amplitude_table([cfg], times, dissipation=dissipation)  # the checks
+        return out
+    h = grid.dt
+    for i0 in range(1, n - 1, _BLOCK_SAMPLES):
+        i1 = min(i0 + _BLOCK_SAMPLES, n - 1)
+        amps = amplitude_table([cfg], times[i0 - 1:i1 + 1], dissipation=dissipation)
+        p, p_dot = amps.p[0], amps.p_dot[0]
+        rho = atom_state(cfg, p)
+        gam = decoherence_rate(p[1:-1], p_dot[1:-1])
+        shift = lamb_shift(p[1:-1], p_dot[1:-1])
+        fd = (rho[2:] - rho[:-2]) / (2.0 * h)
+        r = rho[1:-1]
+        rhs = np.empty_like(r)
+        rhs[:, 0, 0] = -gam * r[:, 0, 0].real
+        rhs[:, 1, 1] = gam * r[:, 0, 0].real
+        rhs[:, 0, 1] = (-0.5j * shift - 0.5 * gam) * r[:, 0, 1]
+        rhs[:, 1, 0] = np.conj(rhs[:, 0, 1])
+        resid = np.linalg.norm((fd - rhs).reshape(-1, 4), axis=1)
+        out[i0:i1] = np.where(np.abs(p[1:-1]) <= EPS_P_SINGULAR, np.nan, resid)
     return out
-

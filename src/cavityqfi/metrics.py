@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import EPS_AMPLITUDE, AmplitudeSeries, SystemConfig, atom_state
+from .dynamics import (EPS_AMPLITUDE, AmplitudeSeries, SystemConfig, atom_state,
+                       per_row)
 
 
 class PureStateSingularityError(ValueError):
@@ -45,13 +46,16 @@ class MetricSeries:
     relation_residual: np.ndarray
 
 
-def qfi_closed(p, theta: float):
-    """Closed-form (F_phi, F_theta) for amplitude p and polar angle theta."""
+def qfi_closed(p, theta):
+    """Closed-form (F_phi, F_theta) for amplitude p and polar angle theta.
+
+    ``theta`` may also be a list of angles, one per row of an (n, n_t) ``p``.
+    """
     mag2 = np.abs(np.asarray(p, dtype=complex)) ** 2
     if np.any(np.sqrt(mag2) > 1.0 + EPS_AMPLITUDE):
         raise ValueError(f"|p| exceeds 1 + {EPS_AMPLITUDE}")
     f_theta = mag2
-    f_phi = mag2 * math.sin(theta) ** 2
+    f_phi = mag2 * per_row(lambda th: math.sin(th) ** 2, theta)
     if f_phi.ndim:
         return f_phi, f_theta
     return float(f_phi), float(f_theta)

@@ -19,8 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SystemConfig, TimeGrid, amplitude, decoherence_rate, lamb_shift
-from .metrics import metric_series
+# amplitude and metric_series are not called here, but perfbench/tracer.py
+# wraps these bindings
+from .dynamics import (  # noqa: F401
+    _BLOCK_SAMPLES,
+    SystemConfig,
+    TimeGrid,
+    amplitude,
+    amplitude_table,
+    atom_state,
+    decoherence_rate,
+    lamb_shift,
+)
+from .metrics import coherence_l1, metric_series, qfi_closed  # noqa: F401
 from .spectral import SpectralModel
 
 THETA_DEFAULT = math.pi / 2.0
@@ -155,24 +166,6 @@ def preset_axes(preset: CurvePreset | ContourPreset):
             [(other, preset.fixed)])
 
 
-def quantity_values(cfg: SystemConfig, grid: TimeGrid, quantity: str,
-                    mode: str = "closed") -> np.ndarray:
-    """Evaluate one output quantity on a grid (NaN marks flagged samples)."""
-    amps = amplitude(cfg, grid, mode=mode)
-    if quantity == "decoherence_rate":
-        return np.asarray(decoherence_rate(amps.p, amps.p_dot))
-    if quantity == "lamb_shift":
-        return np.asarray(lamb_shift(amps.p, amps.p_dot))
-    series = metric_series(cfg, amps)
-    if quantity == "qfi_phi":
-        return series.qfi_phi
-    if quantity == "qfi_theta":
-        return series.qfi_theta
-    if quantity == "coherence":
-        return series.coherence_l1
-    raise ValueError(f"unknown quantity {quantity!r}")
-
-
 def preset_grid(preset: CurvePreset | ContourPreset, n_points: int | None = None,
                 t_end: float | None = None) -> TimeGrid:
     """The preset's time grid, with each override that is not None applied."""
@@ -180,19 +173,58 @@ def preset_grid(preset: CurvePreset | ContourPreset, n_points: int | None = None
                     preset.n_points if n_points is None else n_points)
 
 
+def _block_values(cfgs, amps, quantity: str) -> np.ndarray:
+    if quantity == "decoherence_rate":
+        return decoherence_rate(amps.p, amps.p_dot)
+    if quantity == "lamb_shift":
+        return lamb_shift(amps.p, amps.p_dot)
+    if quantity == "coherence":
+        return coherence_l1(atom_state(cfgs, amps.p))
+    f_phi, f_theta = qfi_closed(amps.p, [c.theta for c in cfgs])
+    return f_phi if quantity == "qfi_phi" else f_theta
+
+
+def table_values(cfgs, grid: TimeGrid, quantity: str,
+                 mode: str = "closed") -> np.ndarray:
+    """One quantity for every config on one grid, shape (len(cfgs), n_points).
+
+    Configs go through `amplitude_table` in blocks of at most
+    ``_BLOCK_SAMPLES`` samples, so memory stays bounded however many there
+    are.  Every amplitude is checked before this returns, and a failing
+    check names its config.  Row i equals `amplitude` + `metric_series`
+    (or `decoherence_rate`, `lamb_shift`) of config i bit for bit; NaN marks
+    flagged samples.
+    """
+    if quantity not in QUANTITIES + ("lamb_shift",):
+        raise ValueError(f"unknown quantity {quantity!r}")
+    cfgs, times = list(cfgs), grid.times
+    out = np.empty((len(cfgs), times.size))
+    rows = max(1, _BLOCK_SAMPLES // times.size)
+    for i in range(0, len(cfgs), rows):
+        block = cfgs[i:i + rows]
+        amps = amplitude_table(block, times, mode)
+        out[i:i + len(block)] = _block_values(block, amps, quantity)
+    return out
+
+
+def quantity_values(cfg: SystemConfig, grid: TimeGrid, quantity: str,
+                    mode: str = "closed") -> np.ndarray:
+    """Evaluate one output quantity on a grid (NaN marks flagged samples)."""
+    return table_values([cfg], grid, quantity, mode)[0]
+
+
 def curve_table(preset: CurvePreset, n_points: int | None = None,
                 t_end: float | None = None, mode: str = "closed"):
-    """(times, {coupling: values}) for a curve preset, optionally overridden."""
+    """(times, values[n_coupling, n_t]) for a curve preset, optionally overridden."""
     grid = preset_grid(preset, n_points, t_end)
-    return grid.times, {g: quantity_values(cfg, grid, preset.quantity, mode)
-                        for (g,), cfg in configs(preset.family, *preset_axes(preset))}
+    cfgs = [cfg for _, cfg in configs(preset.family, *preset_axes(preset))]
+    return grid.times, table_values(cfgs, grid, preset.quantity, mode)
 
 
 def contour_table(preset: ContourPreset, n_points: int | None = None,
                   t_end: float | None = None, mode: str = "closed"):
     """(times, params, values[n_param, n_t]) for a contour preset (F_phi)."""
     grid = preset_grid(preset, n_points, t_end)
-    params, values = zip(*[
-        (v, quantity_values(cfg, grid, "qfi_phi", mode))
-        for (v,), cfg in configs(preset.family, *preset_axes(preset))])
-    return grid.times, np.array(params), np.array(values)
+    params, cfgs = zip(*configs(preset.family, *preset_axes(preset)))
+    return (grid.times, np.array([v for v, in params]),
+            table_values(cfgs, grid, "qfi_phi", mode))

@@ -186,6 +186,67 @@ def _scalar_density(model: SpectralModel):
     return lambda w: np.interp(w, freqs, dens, left=0.0, right=0.0)
 
 
+def _ohmic_gamma(wc, wj, t):
+    e = np.exp(-wc * t)
+    return (4.0 * wc * wc / (wj * wj + wc * wc)) * (
+        wj * (1.0 - e * np.cos(wj * t)) - wc * e * np.sin(wj * t))
+
+
+def _ohmic_beta(wc, wj, t):
+    den = wj * wj + wc * wc
+    e = np.exp(-wc * t)
+    return (4.0 * wc * wc / den ** 2) * (
+        den * wj * t
+        + 2.0 * wc * wj * (e * np.cos(wj * t) - 1.0)
+        - (wj * wj - wc * wc) * e * np.sin(wj * t))
+
+
+def _lorentz_gamma(rate, lam, d, t):
+    e = np.exp(-lam * t)
+    return (rate * lam * lam / (d * d + lam * lam)) * (
+        1.0 + ((d / lam) * np.sin(d * t) - np.cos(d * t)) * e)
+
+
+def _lorentz_beta(rate, lam, d, t):
+    den = d * d + lam * lam
+    e = np.exp(-lam * t)
+    return (rate * lam * lam / den) * (
+        t - 2.0 * d * e * np.sin(d * t) / den
+        + (lam * lam - d * d) * (e * np.cos(d * t) - 1.0) / (lam * den))
+
+
+# The closed-form kernels of each family.  A kernel takes the family's
+# parameters (`_kernel_args`) and the times; the parameters are floats, or
+# (n, 1) columns that broadcast against the times.
+_KERNELS = {
+    SpectralKind.OHMIC_LORENTZ_DRUDE: {"gamma": _ohmic_gamma, "beta": _ohmic_beta},
+    SpectralKind.LORENTZIAN: {"gamma": _lorentz_gamma, "beta": _lorentz_beta},
+}
+
+
+def _kernel(kind: SpectralKind, name: str):
+    if kind not in _KERNELS:
+        raise ClosedFormUnavailableError(
+            f"tabulated spectral densities have no closed-form {name}; "
+            f"use {name}_numeric")
+    return _KERNELS[kind][name]
+
+
+def _kernel_args(model: SpectralModel, omega_j: float) -> tuple:
+    if model.kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
+        return model.omega_c, float(omega_j)
+    # Lorentzian: rate, width and the detuning d = omega_j - peak
+    return model.rate, model.width, float(omega_j) - model.lorentz_peak()
+
+
+def _closed(name: str, model: SpectralModel, omega_j: float, t):
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("t must be >= 0")
+    out = _kernel(model.kind, name)(*_kernel_args(model, omega_j), t)
+    return out if out.ndim else float(out)
+
+
 def gamma_closed(model: SpectralModel, omega_j: float, t):
     """Closed-form decay rate gamma_j(t) of the dressed transition omega_j.
 
@@ -196,26 +257,7 @@ def gamma_closed(model: SpectralModel, omega_j: float, t):
 
     May be negative in the non-Markovian regime.  Vectorized over ``t``.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be >= 0")
-    if model.kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
-        wc = model.omega_c
-        wj = float(omega_j)
-        e = np.exp(-wc * t)
-        out = (4.0 * wc * wc / (wj * wj + wc * wc)) * (
-            wj * (1.0 - e * np.cos(wj * t)) - wc * e * np.sin(wj * t))
-    elif model.kind is SpectralKind.LORENTZIAN:
-        lam = model.width
-        d = float(omega_j) - model.lorentz_peak()
-        e = np.exp(-lam * t)
-        out = (model.rate * lam * lam / (d * d + lam * lam)) * (
-            1.0 + ((d / lam) * np.sin(d * t) - np.cos(d * t)) * e)
-    else:
-        raise ClosedFormUnavailableError(
-            "tabulated spectral densities have no closed-form rate; "
-            "use gamma_numeric")
-    return out if out.ndim else float(out)
+    return _closed("gamma", model, omega_j, t)
 
 
 def beta_closed(model: SpectralModel, omega_j: float, t):
@@ -226,31 +268,25 @@ def beta_closed(model: SpectralModel, omega_j: float, t):
                + (lam^2-d^2)(e^{-lam t} cos(d t) - 1)/(lam (d^2+lam^2))]
     which reduces on resonance (d = 0) to R (t + (e^{-lam t} - 1)/lam).
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be >= 0")
-    if model.kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
-        wc = model.omega_c
-        wj = float(omega_j)
-        den = wj * wj + wc * wc
-        e = np.exp(-wc * t)
-        out = (4.0 * wc * wc / den ** 2) * (
-            den * wj * t
-            + 2.0 * wc * wj * (e * np.cos(wj * t) - 1.0)
-            - (wj * wj - wc * wc) * e * np.sin(wj * t))
-    elif model.kind is SpectralKind.LORENTZIAN:
-        lam = model.width
-        d = float(omega_j) - model.lorentz_peak()
-        den = d * d + lam * lam
-        e = np.exp(-lam * t)
-        out = (model.rate * lam * lam / den) * (
-            t - 2.0 * d * e * np.sin(d * t) / den
-            + (lam * lam - d * d) * (e * np.cos(d * t) - 1.0) / (lam * den))
-    else:
-        raise ClosedFormUnavailableError(
-            "tabulated spectral densities have no closed-form exponent; "
-            "use beta_numeric")
-    return out if out.ndim else float(out)
+    return _closed("beta", model, omega_j, t)
+
+
+def closed_rates(models, omega_j, times: np.ndarray):
+    """(gamma, beta) of transition omega_j[i] under models[i], each (n, times.size).
+
+    The same kernels as `gamma_closed` and `beta_closed`, with each model's
+    parameters stacked into (n, 1) columns and broadcast against ``times``,
+    so row i equals the single-model call bit for bit.  All models must be
+    of one closed-form family.
+    """
+    kinds = {m.kind for m in models}
+    if len(kinds) != 1:
+        raise ValueError(f"closed_rates needs one spectral family, got {len(kinds)}")
+    kind = kinds.pop()
+    gamma, beta = _kernel(kind, "gamma"), _kernel(kind, "beta")
+    cols = [np.array(col)[:, None] for col in
+            zip(*(_kernel_args(m, w) for m, w in zip(models, omega_j)))]
+    return gamma(*cols, times), beta(*cols, times)
 
 
 def gamma_long_time(model: SpectralModel, omega_j: float) -> float:

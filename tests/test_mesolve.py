@@ -225,6 +225,15 @@ class TestTimelocalResidual:
         resid = timelocal_residual(cfg, TimeGrid(20.0, 20001))
         assert np.nanmax(resid) <= 1e-5
 
+    @pytest.mark.parametrize("block", [1, 7, 49, 98])
+    def test_blocks_change_no_bit(self, monkeypatch, block):
+        # 99 interior points: blocks of 7 and 49 leave a remainder
+        cfg = lorentz_cfg(coupling=1.0, width=0.1)
+        grid = TimeGrid(10.0, 101)
+        whole = timelocal_residual(cfg, grid)
+        monkeypatch.setattr(mesolve, "_BLOCK_SAMPLES", block)
+        assert np.array_equal(timelocal_residual(cfg, grid), whole, equal_nan=True)
+
     def test_endpoints_are_nan(self):
         resid = timelocal_residual(ohmic_cfg(), TimeGrid(1.0, 51))
         assert math.isnan(resid[0]) and math.isnan(resid[-1])

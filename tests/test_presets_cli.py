@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from cavityqfi import presets
+from cavityqfi import dynamics, presets
 from cavityqfi.cli import (
     Scenario,
-    _csv_rows,
+    _csv_block,
+    _fmt_all,
     main,
     run_contour_preset,
     run_curve_preset,
@@ -355,9 +356,34 @@ def test_rejected_before_any_amplitude(tmp_path, capsys, monkeypatch, argv, text
         raise AssertionError("amplitude computed before the input was rejected")
 
     monkeypatch.setattr(presets, "amplitude", no_amplitude)
+    monkeypatch.setattr(presets, "amplitude_table", no_amplitude)
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 2
     assert text in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failing_block_exits_2_and_writes_no_file(tmp_path, capsys, monkeypatch):
+    # 3 configs to a block, so coupling 1 (the last of 7) fails in the
+    # third block, after two blocks have passed their checks
+    steps = presets._BLOCK_SAMPLES // 3
+    real = dynamics.closed_rates
+    calls = []
+
+    def growing_at_coupling_1(models, omega_j, times):
+        calls.append(len(models))
+        gamma, beta = real(models, omega_j, times)
+        # omega_2 = omega0 + coupling = 2: a negated exponent makes |p| > 1
+        return gamma, np.where(np.array(omega_j)[:, None] == 2.0, -beta, beta)
+
+    monkeypatch.setattr(dynamics, "closed_rates", growing_at_coupling_1)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--model", "ohmic", "--param", "coupling",
+                 "--range", "0:1:7", "--steps", str(steps), "--t-end", "5",
+                 "--out", str(out)]) == 2
+    assert calls == [3, 3, 3, 3, 1, 1]  # omega_1 and omega_2 per block
+    err = capsys.readouterr().err
+    assert "coupling=1.0" in err and "|p| exceeded" in err
     assert not out.exists()
 
 
@@ -370,11 +396,18 @@ def test_csv_rows_match_per_value_format():
     a = np.array(special + randoms)
     b = np.roll(a, 5)
     c = np.roll(a, 17)
+    times_text = _fmt_all(a)
+    assert times_text == [f"{x:.12g}" for x in a]
     for columns in ((a,), (a, b), (a, b, c)):
         want = [",".join(f"{x:.12g}" for x in row) for row in zip(*columns)]
-        assert _csv_rows(*columns) == want
+        values = np.column_stack(columns[1:]) if columns[1:] else np.empty((a.size, 0))
+        assert _csv_block(times_text, "", values) == "\n".join(want) + "\n"
+    # the shared prefix fields sit between the time and the values
+    prefix = "," + ",".join(f"{x:.12g}" for x in special)
+    want = [f"{t:.12g}{prefix},{x:.12g}" for t, x in zip(a, b)]
+    assert _csv_block(times_text, prefix, b) == "\n".join(want) + "\n"
     with pytest.raises(ValueError):
-        _csv_rows(a, b[:-1])
+        _csv_block(times_text, "", b[:-1])
 
 
 # SHA-256 of CLI outputs recorded before the CSV path was vectorised.  The
@@ -390,11 +423,26 @@ GOLDEN = [
       "--range", "0.5:1:3", "--param", "width", "--range", "0.1:3:3",
       "--steps", "11", "--t-end", "5"],
      "3ec98646c5f9b0f79d539323f19a3c9902693653a47943d1dac306421d4a126d"),
+    # recorded before the tables were batched
+    (["sweep", "--model", "ohmic", "--param", "coupling", "--range", "0:1:3",
+      "--fix", "omega_c=0.3", "--fix", "theta=1.0", "--quantity", "lamb_shift",
+      "--steps", "11", "--t-end", "5"],
+     "a5c85f56382137bb3847907254e3c24a6e587016bbe86f0240382e43fa2feedd"),
+    (["sweep", "--model", "ohmic", "--param", "coupling", "--range", "0:1:3",
+      "--fix", "omega_c=0.3", "--fix", "theta=1.0",
+      "--quantity", "decoherence_rate", "--steps", "11", "--t-end", "5"],
+     "69056f372ee11987792922eccfce3322d27fd10fa2fd0c4017ad35846cb192eb"),
+    (["sweep", "--model", "lorentzian", "--param", "width", "--range", "0.1:3:4",
+      "--fix", "coupling=0.7", "--quantity", "coherence", "--steps", "7",
+      "--t-end", "2"],
+     "dd2129a33152d19480692efcc93ad82313522aea0d49572538680d5523388081"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN,
-                         ids=["fig1a", "fig4c", "fig2a", "sweep"])
+                         ids=["fig1a", "fig4c", "fig2a", "sweep",
+                              "sweep-lamb-shift", "sweep-decoherence-rate",
+                              "sweep-coherence"])
 def test_golden_bytes(tmp_path, argv, digest):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 0

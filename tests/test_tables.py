@@ -1,0 +1,246 @@
+"""The batched table path: `presets.table_values` over a (config x time) block.
+
+Each row must equal the one-config route (`amplitude` followed by
+`metric_series`, `decoherence_rate` or `lamb_shift`) bit for bit, however the
+configs fall into blocks.  Property tests cover the valid parameter domain
+and invalid command-line input.
+"""
+
+import contextlib
+import io
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cavityqfi import (
+    AmplitudeRangeError,
+    ClosedFormUnavailableError,
+    SpectralModel,
+    SystemConfig,
+    TimeGrid,
+    amplitude,
+    atom_state,
+    beta_closed,
+    decoherence_rate,
+    gamma_closed,
+    lamb_shift,
+    metric_series,
+    physicality,
+)
+from cavityqfi import dynamics, presets
+from cavityqfi.cli import main
+from cavityqfi.dynamics import amplitude_table
+from cavityqfi.presets import QUANTITIES, configs, table_values
+from cavityqfi.spectral import closed_rates
+
+THETAS = ("theta", (math.pi / 6, math.pi / 3, math.pi / 2))
+AXES = {
+    "ohmic": [("coupling", (0.0, 0.01, 0.5, 1.0)), ("omega_c", (0.3, 3.0)),
+              THETAS],
+    "lorentzian": [("coupling", (0.0, 0.01, 0.5, 1.0, 40.0)),
+                   ("width", (0.1, 3.0)), THETAS],
+}
+
+
+def one_config(cfg, grid, quantity, mode="closed"):
+    """The per-config route the batch must reproduce."""
+    amps = amplitude(cfg, grid, mode=mode)
+    if quantity == "decoherence_rate":
+        return decoherence_rate(amps.p, amps.p_dot)
+    if quantity == "lamb_shift":
+        return lamb_shift(amps.p, amps.p_dot)
+    series = metric_series(cfg, amps)
+    return {"qfi_phi": series.qfi_phi, "qfi_theta": series.qfi_theta,
+            "coherence": series.coherence_l1}[quantity]
+
+
+def assert_rows_bitwise(cfgs, grid, quantity, table, mode="closed"):
+    assert table.shape == (len(cfgs), grid.n_points)
+    for i, cfg in enumerate(cfgs):
+        want = one_config(cfg, grid, quantity, mode)
+        assert np.array_equal(table[i], want, equal_nan=True), (i, cfg)
+
+
+@pytest.mark.parametrize("quantity", QUANTITIES + ("lamb_shift",))
+@pytest.mark.parametrize("family", ["ohmic", "lorentzian"])
+def test_table_equals_per_config_bitwise(family, quantity):
+    cfgs = [cfg for _, cfg in configs(family, AXES[family])]
+    grid = TimeGrid(20.0, 301)
+    assert_rows_bitwise(cfgs, grid, quantity, table_values(cfgs, grid, quantity))
+
+
+def test_blocks_not_a_multiple_of_the_block_size():
+    grid = TimeGrid(20.0, 500)
+    rows = presets._BLOCK_SAMPLES // grid.n_points
+    couplings = np.linspace(0.0, 1.0, 2 * rows + 37)
+    cfgs = [cfg for _, cfg in configs("ohmic", [("coupling", couplings)])]
+    samples = len(cfgs) * grid.n_points
+    assert samples > 2 * presets._BLOCK_SAMPLES
+    assert samples % presets._BLOCK_SAMPLES and len(cfgs) % rows
+    assert_rows_bitwise(cfgs, grid, "qfi_phi", table_values(cfgs, grid, "qfi_phi"))
+
+
+def test_small_blocks_change_no_bit(monkeypatch):
+    cfgs = [cfg for _, cfg in configs("lorentzian", AXES["lorentzian"])]
+    grid = TimeGrid(10.0, 41)
+    whole = table_values(cfgs, grid, "coherence")
+    monkeypatch.setattr(presets, "_BLOCK_SAMPLES", 3 * grid.n_points + 5)
+    assert np.array_equal(table_values(cfgs, grid, "coherence"), whole)
+
+
+@pytest.mark.parametrize("quantity", ["qfi_phi", "decoherence_rate"])
+@pytest.mark.parametrize("family", ["ohmic", "lorentzian"])
+def test_numeric_mode_table_bitwise(family, quantity):
+    cfgs = [cfg for _, cfg in configs(family, [("coupling", (0.5, 1.0))])]
+    grid = TimeGrid(1.0, 4)
+    table = table_values(cfgs, grid, quantity, mode="numeric")
+    assert_rows_bitwise(cfgs, grid, quantity, table, mode="numeric")
+
+
+def test_unknown_quantity_rejected_before_amplitude(monkeypatch):
+    def no_amplitude(*args, **kwargs):
+        raise AssertionError("amplitude computed before the input was rejected")
+
+    monkeypatch.setattr(presets, "amplitude_table", no_amplitude)
+    with pytest.raises(ValueError, match="unknown quantity"):
+        table_values([presets.make_config("ohmic", 0.5, 3.0)],
+                     TimeGrid(1.0, 5), "fidelity")
+
+
+@pytest.mark.parametrize("family, reservoir", [("ohmic", 0.3), ("lorentzian", 0.1)])
+def test_closed_rates_rows_equal_scalar_calls(family, reservoir):
+    cfgs = [presets.make_config(family, g, reservoir) for g in (0.0, 0.3, 1.0)]
+    models = [c.spectral for c in cfgs]
+    times = TimeGrid(20.0, 201).times
+    for omega in ([c.omega_1 for c in cfgs], [c.omega_2 for c in cfgs]):
+        gamma, beta = closed_rates(models, omega, times)
+        for i, (m, w) in enumerate(zip(models, omega)):
+            assert np.array_equal(gamma[i], gamma_closed(m, w, times))
+            assert np.array_equal(beta[i], beta_closed(m, w, times))
+
+
+def test_closed_rates_rejects_mixed_and_tabulated():
+    times = np.linspace(0.0, 1.0, 5)
+    ohmic = SpectralModel.ohmic_lorentz_drude(3.0)
+    lorentz = SpectralModel.lorentzian(1.0, 1.0, detuning=0.0, omega0=1.0)
+    with pytest.raises(ValueError, match="one spectral family"):
+        closed_rates([ohmic, lorentz], [1.0, 1.0], times)
+    tab = SpectralModel.tabulated([0.0, 5.0], [0.0, 1.0])
+    with pytest.raises(ClosedFormUnavailableError):
+        closed_rates([tab], [1.0], times)
+
+
+def test_failed_check_names_the_config(monkeypatch):
+    real = dynamics.closed_rates
+
+    def growing(models, omega_j, times):
+        gamma, beta = real(models, omega_j, times)
+        return gamma, -beta     # |p| grows past 1
+
+    monkeypatch.setattr(dynamics, "closed_rates", growing)
+    cfgs = [presets.make_config("ohmic", g, 0.7) for g in (0.25, 0.75)]
+    with pytest.raises(AmplitudeRangeError, match="coupling=0.25, omega_c=0.7"):
+        amplitude_table(cfgs, TimeGrid(5.0, 11).times)
+
+
+# Valid domain: every value the config constructors accept, within these
+# bounds (omega0 = 1; the Ohmic coupling domain is [0, omega0]).
+valid_table = st.fixed_dictionaries({
+    "family": st.sampled_from(["ohmic", "lorentzian"]),
+    "couplings": st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    "scale": st.floats(1.0, 50.0),      # Lorentzian couplings reach 50 R
+    "reservoir": st.floats(1e-3, 1e3),
+    "theta": st.floats(0.0, math.pi),
+    "phi": st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+    "detuning": st.one_of(st.none(), st.floats(-50.0, 50.0)),
+    "t_end": st.floats(1e-3, 100.0),
+    "n_points": st.integers(1, 300),
+})
+
+
+@given(valid_table)
+@settings(max_examples=150, deadline=None)
+def test_valid_tables_stay_physical(case):
+    family = case["family"]
+    scale = 1.0 if family == "ohmic" else case["scale"]
+    fixed = [(presets.RESERVOIR[family], case["reservoir"]),
+             ("theta", case["theta"]), ("phi", case["phi"])]
+    if family == "lorentzian" and case["detuning"] is not None:
+        fixed.append(("detuning", case["detuning"]))
+    cfgs = [cfg for _, cfg in configs(
+        family, [("coupling", [g * scale for g in case["couplings"]])], fixed)]
+    grid = TimeGrid(case["t_end"], case["n_points"])
+    amps = amplitude_table(cfgs, grid.times)
+    assert np.max(np.abs(amps.p)) <= 1.0 + 1e-9
+    d = physicality(atom_state(cfgs, amps.p))
+    assert d["hermiticity"] <= 1e-12
+    assert d["trace"] <= 1e-12
+    assert d["min_eigenvalue"] >= -1e-9
+    for quantity in ("qfi_phi", "qfi_theta", "coherence"):
+        values = table_values(cfgs, grid, quantity)
+        assert np.all((values >= 0.0) & (values <= 1.0 + 1e-9))
+
+
+BOTH = ("ohmic", "lorentzian")
+NON_POSITIVE = (math.nan, math.inf, -math.inf, -1.0, 0.0)
+# (parameter, word the message must name, rejected values, families)
+INVALID = [
+    ("coupling", "coupling", (math.nan, math.inf, -0.5), BOTH),
+    ("coupling", "coupling", (1.5, 40.0), ("ohmic",)),     # above omega0
+    ("omega_c", "omega_c", NON_POSITIVE, ("ohmic",)),
+    ("width", "width", NON_POSITIVE, ("lorentzian",)),
+    ("theta", "theta", (math.nan, -0.1, 3.2, math.inf), BOTH),
+    ("phi", "phi", (math.nan, -0.1, 2.0 * math.pi, 7.0), BOTH),
+    ("detuning", "detuning", (math.nan, math.inf, -math.inf), ("lorentzian",)),
+    ("steps", "n_points", (0, -3), BOTH),
+    ("t_end", "t_end", NON_POSITIVE, BOTH),
+]
+CUSTOM_FLAGS = ("coupling", "omega_c", "width", "steps", "t_end")
+
+
+def flag(name, value):
+    """The attached form, which argparse also accepts for negative values."""
+    return f"--{name.replace('_', '-')}={value!r}"
+
+
+@st.composite
+def invalid_input(draw):
+    """(argv, word): a `sweep` or `run custom` call with one rejected value."""
+    name, word, values, families = draw(st.sampled_from(INVALID))
+    value = draw(st.sampled_from(values))
+    family = draw(st.sampled_from(families))
+    given_values = {"steps": 5, "t_end": 1.0, "coupling": 0.5,
+                    presets.RESERVOIR[family]: 3.0, name: value}
+    grid_flags = [flag(n, given_values[n]) for n in ("steps", "t_end")]
+    if name in CUSTOM_FLAGS and draw(st.booleans()):
+        return (["run", "custom", "--family", family, *grid_flags]
+                + [flag(n, given_values[n])
+                   for n in ("coupling", presets.RESERVOIR[family])], word)
+    argv = ["sweep", "--model", family, *grid_flags]
+    if name in ("steps", "t_end"):
+        argv += ["--param", "coupling", "--range=0:1:2"]
+    elif draw(st.booleans()):
+        other = "phi" if name == "theta" else "theta"
+        argv += ["--param", other, "--range=0.5:1:2", f"--fix={name}={value!r}"]
+    else:
+        argv += ["--param", name, f"--range={value!r}:{value!r}:1"]
+    return argv, word
+
+
+@given(invalid_input())
+@settings(max_examples=80, deadline=None)
+def test_invalid_input_exits_2_naming_it(case):
+    argv, word = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        out = Path(tmp) / "out.csv"
+        code = main(argv + ["--out", str(out)])
+        wrote = out.exists()
+    assert code == 2, (argv, err.getvalue())
+    assert word in err.getvalue(), (argv, err.getvalue())
+    assert not wrote
