@@ -37,7 +37,6 @@ from .presets import (  # noqa: F401
     quantity_values,
     table_values,
 )
-from .verify import SUITES, run_suites
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -152,6 +151,8 @@ def run_contour_preset(sc: Scenario) -> Path:
 
 def run_verify(suite_names=None, stream=None) -> int:
     """Run verification suites, print one line each, return an exit code."""
+    from .verify import run_suites
+
     stream = stream or sys.stdout
     try:
         results = run_suites(suite_names)
@@ -165,12 +166,15 @@ def run_verify(suite_names=None, stream=None) -> int:
     return EXIT_OK if n_fail == 0 else EXIT_TOLERANCE
 
 
-def _parse_range(text: str) -> np.ndarray:
+def _parse_range(text: str, param: str) -> np.ndarray:
     try:
         a, b, n = text.split(":")
         a, b, n = float(a), float(b), int(n)
     except ValueError:
         raise ValueError(f"--range must look like A:B:N, got {text!r}")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"--range for {param}: endpoints must be finite, "
+                         f"got {text!r}")
     if n < 1:
         raise ValueError("--range count must be >= 1")
     return np.linspace(a, b, n)
@@ -186,7 +190,8 @@ def run_sweep(family: str, params: list[str], ranges: list[str],
     if len(params) != len(ranges):
         raise ValueError("need one --range per --param")
     grid = TimeGrid(t_end, n_points)
-    table = configs(family, list(zip(params, map(_parse_range, ranges))), fixed)
+    table = configs(family, [(p, _parse_range(r, p))
+                             for p, r in zip(params, ranges)], fixed)
 
     meta = _meta_lines([
         ("generator", f"cavityqfi {__version__}"),
@@ -199,6 +204,17 @@ def run_sweep(family: str, params: list[str], ranges: list[str],
     _write(out, meta + ["t," + ",".join(params) + ",value"], grid.times,
            ["".join("," + _fmt(v) for v in point) for point, _ in table], values)
     return out
+
+
+def _suite_name(name: str) -> str:
+    """argparse type of --suite; imports verify (and with it scipy) only
+    when the flag is given."""
+    from .verify import SUITES
+
+    if name not in SUITES:
+        raise argparse.ArgumentTypeError(
+            f"unknown suite {name!r} (choose from {', '.join(sorted(SUITES))})")
+    return name
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--width", type=float, help="custom lorentzian width")
 
     ver = sub.add_parser("verify", help="run oracle/consistency suites")
-    ver.add_argument("--suite", action="append", choices=sorted(SUITES),
-                     help="run only the named suite(s)")
+    ver.add_argument("--suite", action="append", type=_suite_name,
+                     metavar="NAME", help="run only the named suite(s)")
 
     sw = sub.add_parser("sweep", help="generic parameter sweep")
     sw.add_argument("--model", required=True, choices=tuple(RESERVOIR))

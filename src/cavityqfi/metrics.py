@@ -52,7 +52,7 @@ def qfi_closed(p, theta):
     ``theta`` may also be a list of angles, one per row of an (n, n_t) ``p``.
     """
     mag2 = np.abs(np.asarray(p, dtype=complex)) ** 2
-    if np.any(np.sqrt(mag2) > 1.0 + EPS_AMPLITUDE):
+    if not np.all(np.sqrt(mag2) <= 1.0 + EPS_AMPLITUDE):
         raise ValueError(f"|p| exceeds 1 + {EPS_AMPLITUDE}")
     f_theta = mag2
     f_phi = mag2 * per_row(lambda th: math.sin(th) ** 2, theta)

@@ -10,7 +10,9 @@ and an accumulated exponent ``beta_j(t) = int_0^t gamma_j``.  Two families
 have closed forms (Ohmic with a Lorentz-Drude cutoff, and a Lorentzian line);
 both are also evaluated by an independent quadrature oracle so the closed
 forms can be cross-checked.  Frequency integrals run over the full real line,
-including negative frequencies.
+including negative frequencies.  Only the oracle (`gamma_numeric`,
+`integrate_rate`) uses scipy, and it imports it when called, so closed-form
+use never loads it.
 
 Units: hbar = 1, all frequencies and rates share one scale (the atom
 frequency for Ohmic scenarios, the dissipative rate for Lorentzian ones).
@@ -23,7 +25,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, quad
 
 
 class SpectralKind(enum.Enum):
@@ -336,6 +337,8 @@ def gamma_numeric(model: SpectralModel, omega_j: float, t: float,
     Raises QuadratureConvergenceError when the combined error estimate
     exceeds the requested tolerances.
     """
+    from scipy.integrate import quad
+
     t = float(t)
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -410,6 +413,8 @@ def integrate_rate(gamma: np.ndarray, times: np.ndarray) -> np.ndarray:
 
     beta(0) = 0 exactly.
     """
+    from scipy.integrate import cumulative_simpson
+
     if times.size == 1:
         return np.zeros(1)
     return cumulative_simpson(gamma, x=times, initial=0.0)

@@ -12,6 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# every verify run calls the quadrature oracle: load its backend here, at
+# start-up, rather than inside the first suite
+import scipy.integrate  # noqa: F401
 
 from . import mesolve
 from .dynamics import SystemConfig, TimeGrid, amplitude, atom_state, \

@@ -1,0 +1,52 @@
+"""Start-up imports: closed-mode commands never load scipy.
+
+Each check runs in a fresh interpreter, because the test process itself
+has imported scipy through other tests.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import cavityqfi
+
+SRC = str(Path(cavityqfi.__file__).resolve().parents[1])
+
+
+def run_fresh(code: str, cwd) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1])\n"
+         + code, SRC], cwd=cwd, capture_output=True, text=True, timeout=120)
+
+
+def test_closed_commands_do_not_import_scipy(tmp_path):
+    proc = run_fresh("""
+from cavityqfi.cli import build_parser, main
+build_parser()
+assert main(["run", "fig1a", "--steps", "5", "--out", "run.csv"]) == 0
+assert main(["sweep", "--model", "ohmic", "--param", "coupling",
+             "--range", "0:1:3", "--steps", "5", "--out", "sweep.csv"]) == 0
+assert "scipy" not in sys.modules
+""", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "run.csv").exists() and (tmp_path / "sweep.csv").exists()
+
+
+def test_verify_imports_the_quadrature_backend(tmp_path):
+    proc = run_fresh("""
+import cavityqfi.verify
+assert "scipy.integrate" in sys.modules
+""", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_numeric_mode_loads_scipy_on_first_use(tmp_path):
+    proc = run_fresh("""
+from cavityqfi.cli import main
+code = main(["run", "fig1a", "--mode", "numeric", "--steps", "5",
+             "--out", "n.csv"])
+assert code == 0, code
+assert "scipy.integrate" in sys.modules
+""", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "n.csv").exists()

@@ -217,6 +217,12 @@ class TestCli:
             main(["verify", "--suite", "bogus"])
         assert err.value.code == 2
 
+    def test_verify_unknown_suite_names_flag_value_and_choices(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--suite", "bogus"])
+        err = capsys.readouterr().err
+        assert "--suite" in err and "bogus" in err and "gamma-oracle" in err
+
     def test_sweep(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(["sweep", "--model", "ohmic", "--param", "omega_c",
@@ -264,7 +270,7 @@ class TestCli:
 
     @pytest.mark.parametrize("form", [
         ["--range", "-1:x:3"], ["--range=-1:x:3"], ["--range", "-1:1"],
-        ["--range", "-1:1:0"]])
+        ["--range", "-1:1:0"], ["--range=-inf:1:3"], ["--range", "0:nan:3"]])
     def test_sweep_malformed_range_names_flag(self, tmp_path, capsys, form):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--model", "lorentzian", "--param", "detuning",
@@ -294,6 +300,9 @@ class TestCli:
           "--range", "0.5:3:3", "--fix", "coupling=nan"], "coupling"),
         (["sweep", "--model", "ohmic", "--param", "omega_c",
           "--range", "0.5:3:3", "--steps", "0"], "n_points"),
+        # omega_2 t overflows at t = 1e308, so p is NaN there
+        (["run", "fig1a", "--steps", "3", "--t-end", "1e308"],
+         "coupling=1.0, omega_c=3.0"),
     ])
     def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, argv, name):
         out = tmp_path / "out.csv"
