@@ -47,6 +47,7 @@ from .spectral import (
     gamma_closed,
     gamma_long_time,
     gamma_numeric,
+    numeric_rates,
 )
 
 __all__ = [
@@ -77,6 +78,7 @@ __all__ = [
     "initial_dressed",
     "lamb_shift",
     "metric_series",
+    "numeric_rates",
     "partial_trace_cavity",
     "physicality",
     "qfi_closed",

@@ -22,17 +22,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# beta_closed, gamma_closed and beta_numeric are not called here, but
-# perfbench/tracer.py wraps these bindings
+# beta_closed, gamma_closed, beta_numeric and gamma_numeric are not called
+# here, but perfbench/tracer.py wraps these bindings
 from .spectral import (  # noqa: F401
     SpectralKind,
     SpectralModel,
     beta_closed,
     beta_numeric,
+    check_numeric_time,
     closed_rates,
     gamma_closed,
     gamma_numeric,
-    integrate_rate,
+    numeric_rates,
 )
 
 logger = logging.getLogger(__name__)
@@ -121,19 +122,15 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class AmplitudeSeries:
-    """p(t), its analytic derivative, and the per-transition rate data.
+    """p(t) and its analytic derivative.
 
-    From `amplitude` every field is an array over ``times``; from
-    `amplitude_table` every field but ``times`` has one row per config.
+    From `amplitude` both are arrays over ``times``; from `amplitude_table`
+    they have one row per config.
     """
 
     times: np.ndarray
     p: np.ndarray
     p_dot: np.ndarray
-    beta1: np.ndarray
-    beta2: np.ndarray
-    gamma1: np.ndarray
-    gamma2: np.ndarray
 
 
 def per_row(f, x):
@@ -176,12 +173,6 @@ def _check_amplitude(cfgs, times: np.ndarray, p: np.ndarray) -> None:
                                   f"physical range: max |p| = {peak[i]}")
 
 
-def _numeric_rate(model: SpectralModel, omega_j: float, times: np.ndarray):
-    """(gamma_j, beta_j): quadrature samples, integrated by Simpson."""
-    gamma = np.array([gamma_numeric(model, omega_j, t) for t in times])
-    return gamma, integrate_rate(gamma, times)
-
-
 def _rate_table(cfgs, times: np.ndarray, mode: str, dissipation: bool):
     """(gamma1, beta1, gamma2, beta2), each of shape (len(cfgs), times.size)."""
     if mode not in ("closed", "numeric"):
@@ -193,8 +184,12 @@ def _rate_table(cfgs, times: np.ndarray, mode: str, dissipation: bool):
         models = [c.spectral for c in cfgs]
         return (*closed_rates(models, [c.omega_1 for c in cfgs], times),
                 *closed_rates(models, [c.omega_2 for c in cfgs], times))
-    rows = [(*_numeric_rate(c.spectral, c.omega_1, times),
-             *_numeric_rate(c.spectral, c.omega_2, times)) for c in cfgs]
+    if times[-1] > 0.0:  # reject the whole grid before the first quad call
+        for c in cfgs:
+            for wj in (c.omega_1, c.omega_2):
+                check_numeric_time(c.spectral, wj, times[-1], name="t_end")
+    rows = [(*numeric_rates(c.spectral, c.omega_1, times),
+             *numeric_rates(c.spectral, c.omega_2, times)) for c in cfgs]
     return tuple(np.array(col) for col in zip(*rows))
 
 
@@ -204,9 +199,10 @@ def amplitude_table(cfgs, times: np.ndarray, mode: str = "closed",
 
     Closed mode evaluates the closed forms once over the (config x time)
     block; numeric mode integrates each config's quadrature rates, and
-    needs uniform ``times`` from 0.  Row i equals ``amplitude(cfgs[i], ...)``
-    bit for bit.  Every row is checked as `amplitude` checks it, and the
-    error names the config.  A time so large that omega_j t overflows
+    needs uniform ``times`` from 0 whose last time lies in the quadrature's
+    time domain (`check_numeric_time`; a ValueError names ``t_end``).  Row
+    i equals ``amplitude(cfgs[i], ...)`` bit for bit.  Every row is checked
+    as `amplitude` checks it, and the error names the config.  A time so large that omega_j t overflows
     gives a NaN amplitude; the check rejects it, so numpy's overflow
     warnings on the way there are silenced.
     """
@@ -219,8 +215,7 @@ def amplitude_table(cfgs, times: np.ndarray, mode: str = "closed",
         p = 0.5 * (e1 + e2)
         p_dot = 0.5 * ((-1j * w1 - g1 / 4.0) * e1 + (-1j * w2 - g2 / 4.0) * e2)
     _check_amplitude(cfgs, times, p)
-    return AmplitudeSeries(times=times, p=p, p_dot=p_dot,
-                           beta1=b1, beta2=b2, gamma1=g1, gamma2=g2)
+    return AmplitudeSeries(times=times, p=p, p_dot=p_dot)
 
 
 def amplitude(cfg: SystemConfig, grid: TimeGrid, mode: str = "closed",
@@ -235,8 +230,7 @@ def amplitude(cfg: SystemConfig, grid: TimeGrid, mode: str = "closed",
     Raises AmplitudeRangeError unless p(0) = 1 exactly and |p| <= 1 + 1e-9.
     """
     a = amplitude_table([cfg], grid.times, mode, dissipation)
-    return AmplitudeSeries(a.times, a.p[0], a.p_dot[0], a.beta1[0],
-                           a.beta2[0], a.gamma1[0], a.gamma2[0])
+    return AmplitudeSeries(a.times, a.p[0], a.p_dot[0])
 
 
 def atom_state(cfg, p):

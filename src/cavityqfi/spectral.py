@@ -8,11 +8,13 @@ frequency ``omega_j`` acquires a time-dependent rate
 
 and an accumulated exponent ``beta_j(t) = int_0^t gamma_j``.  Two families
 have closed forms (Ohmic with a Lorentz-Drude cutoff, and a Lorentzian line);
-both are also evaluated by an independent quadrature oracle so the closed
-forms can be cross-checked.  Frequency integrals run over the full real line,
+each has one kernel that returns gamma_j and beta_j together.  Both are
+also evaluated by an independent quadrature oracle so the closed forms can
+be cross-checked.  Frequency integrals run over the full real line,
 including negative frequencies.  Only the oracle (`gamma_numeric`,
-`integrate_rate`) uses scipy, and it imports it when called, so closed-form
-use never loads it.
+`integrate_rate`, and `numeric_rates` and `beta_numeric` built on them)
+uses scipy, and it imports it when called, so closed-form use never loads
+it.
 
 Units: hbar = 1, all frequencies and rates share one scale (the atom
 frequency for Ohmic scenarios, the dissipative rate for Lorentzian ones).
@@ -187,50 +189,38 @@ def _scalar_density(model: SpectralModel):
     return lambda w: np.interp(w, freqs, dens, left=0.0, right=0.0)
 
 
-def _ohmic_gamma(wc, wj, t):
-    e = np.exp(-wc * t)
-    return (4.0 * wc * wc / (wj * wj + wc * wc)) * (
-        wj * (1.0 - e * np.cos(wj * t)) - wc * e * np.sin(wj * t))
-
-
-def _ohmic_beta(wc, wj, t):
+def _ohmic_rates(wc, wj, t):
     den = wj * wj + wc * wc
     e = np.exp(-wc * t)
-    return (4.0 * wc * wc / den ** 2) * (
-        den * wj * t
-        + 2.0 * wc * wj * (e * np.cos(wj * t) - 1.0)
-        - (wj * wj - wc * wc) * e * np.sin(wj * t))
+    c, s = np.cos(wj * t), np.sin(wj * t)
+    gamma = (4.0 * wc * wc / den) * (wj * (1.0 - e * c) - wc * e * s)
+    beta = (4.0 * wc * wc / den ** 2) * (
+        den * wj * t + 2.0 * wc * wj * (e * c - 1.0) - (wj * wj - wc * wc) * e * s)
+    return gamma, beta
 
 
-def _lorentz_gamma(rate, lam, d, t):
-    e = np.exp(-lam * t)
-    return (rate * lam * lam / (d * d + lam * lam)) * (
-        1.0 + ((d / lam) * np.sin(d * t) - np.cos(d * t)) * e)
-
-
-def _lorentz_beta(rate, lam, d, t):
+def _lorentz_rates(rate, lam, d, t):
     den = d * d + lam * lam
     e = np.exp(-lam * t)
-    return (rate * lam * lam / den) * (
-        t - 2.0 * d * e * np.sin(d * t) / den
-        + (lam * lam - d * d) * (e * np.cos(d * t) - 1.0) / (lam * den))
+    c, s = np.cos(d * t), np.sin(d * t)
+    gamma = (rate * lam * lam / den) * (1.0 + ((d / lam) * s - c) * e)
+    beta = (rate * lam * lam / den) * (
+        t - 2.0 * d * e * s / den + (lam * lam - d * d) * (e * c - 1.0) / (lam * den))
+    return gamma, beta
 
 
-# The closed-form kernels of each family.  A kernel takes the family's
-# parameters (`_kernel_args`) and the times; the parameters are floats, or
-# (n, 1) columns that broadcast against the times.
-_KERNELS = {
-    SpectralKind.OHMIC_LORENTZ_DRUDE: {"gamma": _ohmic_gamma, "beta": _ohmic_beta},
-    SpectralKind.LORENTZIAN: {"gamma": _lorentz_gamma, "beta": _lorentz_beta},
-}
-
-
-def _kernel(kind: SpectralKind, name: str):
-    if kind not in _KERNELS:
-        raise ClosedFormUnavailableError(
-            f"tabulated spectral densities have no closed-form {name}; "
-            f"use {name}_numeric")
-    return _KERNELS[kind][name]
+def _kernel(kind: SpectralKind):
+    """The closed-form kernel of a family: it takes the family's parameters
+    (`_kernel_args`) and the times and returns (gamma, beta).  The
+    parameters are floats, or (n, 1) columns that broadcast against the
+    times."""
+    if kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
+        return _ohmic_rates
+    if kind is SpectralKind.LORENTZIAN:
+        return _lorentz_rates
+    raise ClosedFormUnavailableError(
+        "tabulated spectral densities have no closed-form rates; use "
+        "gamma_numeric, beta_numeric or numeric_rates")
 
 
 def _kernel_args(model: SpectralModel, omega_j: float) -> tuple:
@@ -240,11 +230,12 @@ def _kernel_args(model: SpectralModel, omega_j: float) -> tuple:
     return model.rate, model.width, float(omega_j) - model.lorentz_peak()
 
 
-def _closed(name: str, model: SpectralModel, omega_j: float, t):
+def _closed(half: int, model: SpectralModel, omega_j: float, t):
+    """Half 0 (gamma) or 1 (beta) of the family kernel at times ``t``."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
-    out = _kernel(model.kind, name)(*_kernel_args(model, omega_j), t)
+    out = _kernel(model.kind)(*_kernel_args(model, omega_j), t)[half]
     return out if out.ndim else float(out)
 
 
@@ -258,7 +249,7 @@ def gamma_closed(model: SpectralModel, omega_j: float, t):
 
     May be negative in the non-Markovian regime.  Vectorized over ``t``.
     """
-    return _closed("gamma", model, omega_j, t)
+    return _closed(0, model, omega_j, t)
 
 
 def beta_closed(model: SpectralModel, omega_j: float, t):
@@ -269,25 +260,24 @@ def beta_closed(model: SpectralModel, omega_j: float, t):
                + (lam^2-d^2)(e^{-lam t} cos(d t) - 1)/(lam (d^2+lam^2))]
     which reduces on resonance (d = 0) to R (t + (e^{-lam t} - 1)/lam).
     """
-    return _closed("beta", model, omega_j, t)
+    return _closed(1, model, omega_j, t)
 
 
 def closed_rates(models, omega_j, times: np.ndarray):
     """(gamma, beta) of transition omega_j[i] under models[i], each (n, times.size).
 
-    The same kernels as `gamma_closed` and `beta_closed`, with each model's
-    parameters stacked into (n, 1) columns and broadcast against ``times``,
-    so row i equals the single-model call bit for bit.  All models must be
-    of one closed-form family.
+    The same kernel as `gamma_closed` and `beta_closed`, called once, with
+    each model's parameters stacked into (n, 1) columns and broadcast
+    against ``times``, so row i equals the single-model call bit for bit.
+    All models must be of one closed-form family.
     """
     kinds = {m.kind for m in models}
     if len(kinds) != 1:
         raise ValueError(f"closed_rates needs one spectral family, got {len(kinds)}")
-    kind = kinds.pop()
-    gamma, beta = _kernel(kind, "gamma"), _kernel(kind, "beta")
+    kernel = _kernel(kinds.pop())
     cols = [np.array(col)[:, None] for col in
             zip(*(_kernel_args(m, w) for m, w in zip(models, omega_j)))]
-    return gamma(*cols, times), beta(*cols, times)
+    return kernel(*cols, times)
 
 
 def gamma_long_time(model: SpectralModel, omega_j: float) -> float:
@@ -320,6 +310,41 @@ def _core_window(model: SpectralModel, omega_j: float, W: float):
     return min(los), max(his), feats, False
 
 
+def check_numeric_time(model: SpectralModel, omega_j: float, t: float,
+                       cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+                       name: str = "t"):
+    """Raise ValueError naming ``name`` unless time t > 0 lies in the
+    domain of `gamma_numeric`; return its sine-weighted segment edges.
+
+    Those segments start at the core radius r0 = 6 pi/t: one list of edges
+    for u in (r0, u_hi) and one for v = -u in (r0, -u_lo), each split at the
+    spectral features, and empty where the window does not reach past r0.
+    Domain: every segment [a, b] must resolve its start against its far end,
+    (b + a) != (b - a) in floating point.  Otherwise quadpack's end node
+    (centr - hlgth) rounds to exactly 0, where J(omega_j + u)/u divides by
+    zero.  r0 falls as t grows, so the check at a grid's last time covers
+    the whole grid.
+    """
+    wj = float(omega_j)
+    lo, hi, feats, _ = _core_window(model, wj, cfg.freq_window)
+    u_lo, u_hi = lo - wj, hi - wj
+    r0 = 6.0 * math.pi / t
+    sides = []
+    for a, b, sign, reach in ((max(r0, u_lo), u_hi, 1.0, u_hi > r0),
+                              (max(r0, -u_hi), -u_lo, -1.0, u_lo < -r0)):
+        bks = [sign * (c - wj) + s * 10.0 * w for c, w in feats for s in (-1, 1)]
+        edges = [a] + [x for x in sorted(bks) if a < x < b] + [b] if reach else []
+        for seg_lo, seg_hi in zip(edges[:-1], edges[1:]):
+            if seg_hi + seg_lo == seg_hi - seg_lo:
+                raise ValueError(
+                    f"{name}={t:g} is outside the numeric-mode time domain: "
+                    f"the core radius 6 pi/{name} = {r0:.3g} is not "
+                    f"resolvable against the quadrature segment end "
+                    f"{seg_hi:.6g} of omega_j={wj:g}")
+        sides.append(edges)
+    return sides
+
+
 def gamma_numeric(model: SpectralModel, omega_j: float, t: float,
                   cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """Decay rate gamma_j(t) by adaptive quadrature, independent of the closed forms.
@@ -334,8 +359,10 @@ def gamma_numeric(model: SpectralModel, omega_j: float, t: float,
     finite window (sine-weighted quadrature, split at spectral features), and
     sine-weighted tail integrals to +-infinity for unbounded families.
 
-    Raises QuadratureConvergenceError when the combined error estimate
-    exceeds the requested tolerances.
+    Time domain: the core radius r0 = 6 pi/t must be resolvable against the
+    frequency window, so very large t raises ValueError naming ``t`` (see
+    `check_numeric_time`).  Raises QuadratureConvergenceError when the
+    combined error estimate exceeds the requested tolerances.
     """
     from scipy.integrate import quad
 
@@ -351,6 +378,7 @@ def gamma_numeric(model: SpectralModel, omega_j: float, t: float,
     u_lo, u_hi = lo - wj, hi - wj
     if bounded and u_lo >= u_hi:
         return 0.0
+    sides = check_numeric_time(model, wj, t, cfg)
 
     limit = cfg.max_subdivisions
     eps_a = cfg.abs_tol / 8.0
@@ -377,21 +405,13 @@ def gamma_numeric(model: SpectralModel, omega_j: float, t: float,
         accumulate(quad(f_near, near_lo, near_hi, points=pts or None,
                         limit=limit, epsabs=eps_a, epsrel=eps_r, full_output=1))
 
-    def oscillatory(g, a, b, bks):
-        edges = [a] + [x for x in sorted(bks) if a < x < b] + [b]
+    g_plus = lambda u: J(wj + u) / u
+    g_minus = lambda v: J(wj - v) / v
+    for g, edges in zip((g_plus, g_minus), sides):
         for seg_lo, seg_hi in zip(edges[:-1], edges[1:]):
             accumulate(quad(g, seg_lo, seg_hi, weight="sin", wvar=t,
                             limit=limit, epsabs=eps_a, epsrel=eps_r,
                             full_output=1))
-
-    g_plus = lambda u: J(wj + u) / u
-    g_minus = lambda v: J(wj - v) / v
-    if u_hi > r0:
-        bks = [c - wj + s * 10.0 * w for c, w in feats for s in (-1, 1)]
-        oscillatory(g_plus, max(r0, u_lo), u_hi, bks)
-    if u_lo < -r0:
-        bks = [wj - c + s * 10.0 * w for c, w in feats for s in (-1, 1)]
-        oscillatory(g_minus, max(r0, -u_hi), -u_lo, bks)
 
     if not bounded:
         for g, a in ((g_plus, u_hi), (g_minus, -u_lo)):
@@ -420,6 +440,14 @@ def integrate_rate(gamma: np.ndarray, times: np.ndarray) -> np.ndarray:
     return cumulative_simpson(gamma, x=times, initial=0.0)
 
 
+def numeric_rates(model: SpectralModel, omega_j: float, times: np.ndarray,
+                  cfg: QuadratureConfig = DEFAULT_QUADRATURE):
+    """(gamma_j, beta_j) on uniform ``times`` from 0: `gamma_numeric`
+    samples, integrated by `integrate_rate`."""
+    gamma = np.array([gamma_numeric(model, omega_j, t, cfg) for t in times])
+    return gamma, integrate_rate(gamma, times)
+
+
 def beta_numeric(model: SpectralModel, omega_j: float, grid,
                  cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> np.ndarray:
     """Cumulative exponent beta_j on a uniform grid from gamma_numeric samples.
@@ -429,5 +457,4 @@ def beta_numeric(model: SpectralModel, omega_j: float, grid,
     times = np.asarray(grid.times, dtype=float)
     if times[0] != 0.0:
         raise ValueError("grid must start at t = 0")
-    return integrate_rate(
-        np.array([gamma_numeric(model, omega_j, t, cfg) for t in times]), times)
+    return numeric_rates(model, omega_j, times, cfg)[1]

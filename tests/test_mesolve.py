@@ -19,7 +19,7 @@ from cavityqfi import (
     physicality,
     timelocal_residual,
 )
-from cavityqfi import mesolve
+from cavityqfi import dynamics, mesolve, spectral
 from cavityqfi.presets import make_config
 
 SQ2 = math.sqrt(2.0)
@@ -182,6 +182,22 @@ class TestEvolveMatchesLoop:
         assert k * (grid.n_points - 1) > 4e5
         drift = np.max(np.abs(np.trace(traj, axis1=1, axis2=2) - 1.0))
         assert drift <= 1e-13
+
+
+def test_rk4_oracle_reads_no_exponent_or_amplitude(monkeypatch):
+    # the RK4 oracle reads only the closed gamma, never beta_closed or p(t)
+    cfg = make_config("lorentzian", 40.0, 3.0)  # a fig4a curve
+    grid, icfg = TimeGrid(2.0, 41), IntegratorConfig(step=0.001)
+    want = evolve(cfg, grid, icfg)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the RK4 oracle read beta_closed or p(t)")
+
+    for module, name in ((spectral, "beta_closed"), (mesolve, "amplitude"),
+                         (mesolve, "amplitude_table"),
+                         (dynamics, "amplitude_table")):
+        monkeypatch.setattr(module, name, forbidden)
+    np.testing.assert_array_equal(evolve(cfg, grid, icfg), want)
 
 
 class TestPartialTrace:

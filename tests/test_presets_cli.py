@@ -456,3 +456,39 @@ def test_golden_bytes(tmp_path, argv, digest):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("preset, t_end", [
+    ("fig1a", "1e17"), ("fig1a", "1e20"), ("fig1a", "1e308"), ("fig4a", "1e16")])
+def test_numeric_time_outside_domain_exits_2(tmp_path, capsys, monkeypatch,
+                                             preset, t_end):
+    # the whole grid is rejected before the first quadrature call
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran before t_end was rejected")
+
+    monkeypatch.setattr(dynamics, "numeric_rates", no_quadrature)
+    out = tmp_path / "out.csv"
+    assert main(["run", preset, "--mode", "numeric", "--steps", "3",
+                 "--t-end", t_end, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "t_end=" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+# SHA-256 of numeric runs at --t-end 1e15 --steps 3, recorded before the
+# numeric time domain was checked; the last decade every preset passes
+NUMERIC_1E15 = {
+    "fig1a": "e9491da45a91498f05d26db245c9fdb9935904689821d34446a3104ac1952720",
+    "fig1b": "4a3fb4c4086c6f3d1898ce14f447d414572483850f0099958ade61213da3577a",
+    "fig4a": "1aa8fbdc5cfa52845372da8bce88b2e12b3e6e21ca58b4f44f39a311ce7a372d",
+    "fig4b": "b2337d0202d4e8cafd73824e7d72aed3cc962bbe7bc57024c362644fe169f533",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(NUMERIC_1E15))
+def test_numeric_time_inside_domain_keeps_bytes(tmp_path, preset):
+    out = tmp_path / "out.csv"
+    assert main(["run", preset, "--mode", "numeric", "--steps", "3",
+                 "--t-end", "1e15", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == NUMERIC_1E15[preset]
+

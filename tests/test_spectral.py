@@ -17,7 +17,9 @@ from cavityqfi import (
     gamma_closed,
     gamma_long_time,
     gamma_numeric,
+    numeric_rates,
 )
+from cavityqfi import spectral
 
 OHMIC = SpectralModel.ohmic_lorentz_drude
 
@@ -207,6 +209,35 @@ class TestGammaNumeric:
         with pytest.raises(QuadratureConvergenceError) as err:
             gamma_numeric(m, 5.0, 3.0, cfg)
         assert err.value.estimate > 0.0
+
+    @pytest.mark.parametrize("t", [1e17, 1e20, 1e308])
+    def test_time_outside_domain_names_t(self, t):
+        # the core radius 6 pi/t vanishes against the segment end 29.01
+        with pytest.raises(ValueError, match=r"^t=\S+ is outside"):
+            gamma_numeric(OHMIC(3.0), 0.99, t)
+
+    def test_last_time_inside_domain(self):
+        # one decade below the first rejected time, still a finite rate
+        assert math.isfinite(gamma_numeric(OHMIC(3.0), 0.99, 1e16))
+
+
+class TestNumericRates:
+    def test_samples_then_integrates(self):
+        m, times = OHMIC(3.0), TimeGrid(2.0, 9).times
+        gamma, beta = numeric_rates(m, 0.5, times)
+        np.testing.assert_array_equal(
+            gamma, [gamma_numeric(m, 0.5, t) for t in times])
+        np.testing.assert_array_equal(beta, beta_numeric(m, 0.5, TimeGrid(2.0, 9)))
+
+    def test_reads_no_closed_form(self, monkeypatch):
+        # the quadrature oracle stays independent of the closed forms
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the quadrature oracle read a closed form")
+
+        for name in ("gamma_closed", "beta_closed", "closed_rates", "_kernel"):
+            monkeypatch.setattr(spectral, name, forbidden)
+        gamma, beta = numeric_rates(lorentz(3.0), 0.5, TimeGrid(2.0, 5).times)
+        assert np.all(np.isfinite(gamma)) and beta[0] == 0.0
 
 
 class TestBetaNumeric:

@@ -9,6 +9,7 @@ and invalid command-line input.
 import contextlib
 import io
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -32,10 +33,10 @@ from cavityqfi import (
     metric_series,
     physicality,
 )
-from cavityqfi import dynamics, presets
+from cavityqfi import dynamics, presets, spectral
 from cavityqfi.cli import main
 from cavityqfi.dynamics import amplitude_table
-from cavityqfi.presets import QUANTITIES, configs, table_values
+from cavityqfi.presets import CURVE_PRESETS, QUANTITIES, configs, table_values
 from cavityqfi.spectral import closed_rates
 
 THETAS = ("theta", (math.pi / 6, math.pi / 3, math.pi / 2))
@@ -122,6 +123,20 @@ def test_closed_rates_rows_equal_scalar_calls(family, reservoir):
         for i, (m, w) in enumerate(zip(models, omega)):
             assert np.array_equal(gamma[i], gamma_closed(m, w, times))
             assert np.array_equal(beta[i], beta_closed(m, w, times))
+
+
+@pytest.mark.parametrize("family, kernel", [("ohmic", "_ohmic_rates"),
+                                            ("lorentzian", "_lorentz_rates")])
+def test_closed_rates_evaluates_the_kernel_once(monkeypatch, family, kernel):
+    # gamma and beta of a whole block come from one kernel evaluation
+    real = getattr(spectral, kernel)
+    calls = []
+    monkeypatch.setattr(spectral, kernel,
+                        lambda *args: calls.append(1) or real(*args))
+    cfgs = [presets.make_config(family, g, 0.3) for g in (0.0, 0.5, 1.0)]
+    closed_rates([c.spectral for c in cfgs], [c.omega_1 for c in cfgs],
+                 TimeGrid(5.0, 11).times)
+    assert len(calls) == 1
 
 
 def test_closed_rates_rejects_mixed_and_tabulated():
@@ -244,3 +259,34 @@ def test_invalid_input_exits_2_naming_it(case):
     assert code == 2, (argv, err.getvalue())
     assert word in err.getvalue(), (argv, err.getvalue())
     assert not wrote
+
+
+@given(t_end=st.floats(1e-300, 1e308), steps=st.integers(1, 64),
+       preset=st.sampled_from(sorted(CURVE_PRESETS)),
+       quantity=st.sampled_from(QUANTITIES + ("lamb_shift",)))
+@settings(max_examples=60, deadline=None)
+def test_extreme_finite_grids_exit_2_or_hold_no_nan(t_end, steps, preset, quantity):
+    # closed mode on a curve preset and on a 2-config sweep: a grid either
+    # is rejected naming the parameter or config, with no file, or gives a
+    # CSV whose only NaNs sit in the two singular quantities
+    grid = ["--t-end", repr(t_end), "--steps", str(steps)]
+    runs = [(["run", preset], CURVE_PRESETS[preset].quantity, steps),
+            (["sweep", "--model", "ohmic", "--param", "coupling",
+              "--range", "0.5:1:2", "--quantity", quantity], quantity, 2 * steps)]
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv, q, rows in runs:
+            out = Path(tmp) / "out.csv"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv + grid + ["--out", str(out)])
+            if code == 2:
+                assert re.search(r"t_end|n_points|coupling=", err.getvalue())
+                assert not out.exists()
+                continue
+            assert code == 0
+            body = [ln for ln in out.read_text().splitlines()
+                    if not ln.startswith("#")]
+            assert len(body) == rows + 1  # the header, then the rows
+            if q not in ("decoherence_rate", "lamb_shift"):
+                assert "nan" not in "\n".join(body)
