@@ -157,7 +157,7 @@ def run_verify(suite_names=None, stream=None) -> int:
     try:
         results = run_suites(suite_names)
     except KeyError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+        print(f"configuration error: --suite: {exc.args[0]}", file=sys.stderr)
         return EXIT_CONFIG
     for r in results:
         print(r.line(), file=stream)

@@ -21,7 +21,10 @@ multiplies each element by its step factor R (the RK4 stability polynomial of
 the rates at t, t + h/2 and t + h), and `evolve` forms the trajectory as a
 cumulative product of these factors, with rho_00 the cumulative sum of
 rho_11 (1 - R_11) + rho_22 (1 - R_22).  This is the same scheme as a substep
-loop over `_generator`, to rounding.
+loop over `_generator`, to rounding.  As c_ba = conj(c_ab), the lower
+triangle is the exact conjugate of the upper one: `evolve` propagates rho_01,
+rho_02 and rho_12 as complex numbers and rho_11 and rho_22 as real ones
+(their rates are real), then fills rho_10, rho_20 and rho_21 by conjugation.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ _DEC1[:, 1] += 1.0
 _DEC2 = np.zeros((3, 3))
 _DEC2[2, :] += 1.0
 _DEC2[:, 2] += 1.0
+_UPPER = [1, 2, 5]  # flat indices of rho_01, rho_02 and rho_12
+_LOWER = [3, 6, 7]  # and of their mirrors rho_10, rho_20 and rho_21
 _POPS = [4, 8]  # flat indices of rho_11 and rho_22
 
 
@@ -114,8 +119,10 @@ def generator_apply(cfg: SystemConfig, t: float, rho3: np.ndarray) -> np.ndarray
     return _generator(rho3, phase, g1, g2)
 
 
-def _rk4_factor(c0, c1, c2, h: float):
-    """Classic RK4 step factor of y' = c(t) y, rates at t, t + h/2 and t + h."""
+def _rk4_factor(c, h: float):
+    """Classic RK4 step factors of y' = c(t) y, with c sampled along its last
+    axis on the substep half-grid: rates at t, t + h/2 and t + h."""
+    c0, c1, c2 = c[..., :-1:2], c[..., 1::2], c[..., 2::2]
     s2 = 1.0 + 0.5 * h * c0
     s3 = 1.0 + 0.5 * h * c1 * s2
     s4 = 1.0 + h * c1 * s3
@@ -137,10 +144,11 @@ def evolve(cfg: SystemConfig, grid: TimeGrid, icfg: IntegratorConfig,
             f"{MAX_PHASE_PER_STEP}")
     n = grid.n_points
     E = dressed_energies(cfg)
-    phase = (-1j * (E[:, None] - E[None, :])).ravel()
-    rho = initial_dressed(cfg).ravel()
+    phase = (-1j * (E[:, None] - E[None, :])).ravel()[_UPPER, None]
     out = np.empty((n, 9), dtype=complex)
-    out[0] = rho
+    out[0] = initial_dressed(cfg).ravel()
+    # one row per element, each running along the substeps
+    r00, up, pops = out[0, 0], out[0, _UPPER, None], out[0, _POPS, None].real
     if n > 1:
         k = max(1, math.ceil(grid.dt / icfg.step - 1e-9))
         h = grid.dt / k
@@ -154,16 +162,21 @@ def evolve(cfg: SystemConfig, grid: TimeGrid, icfg: IntegratorConfig,
                 g2 = gamma_closed(cfg.spectral, cfg.omega_2, half_times)
             else:
                 g1 = g2 = np.zeros(half_times.size)
-            c = phase - 0.25 * (g1[:, None] * _DEC1.ravel()
-                                + g2[:, None] * _DEC2.ravel())
-            factor = _rk4_factor(c[:-1:2], c[1::2], c[2::2], h)
-            traj = rho * np.cumprod(factor, axis=0)
+            # (gamma_1 DEC1 + gamma_2 DEC2) / 4 at _UPPER, then at _POPS
+            dec = 0.25 * np.stack((g1, g2, g1 + g2, 2.0 * g1, 2.0 * g2))
+            f_up = _rk4_factor(phase - dec[:3], h)
+            f_pop = _rk4_factor(-dec[3:], h)
+            up_t = up * np.cumprod(f_up, axis=1)
+            pops_t = pops * np.cumprod(f_pop, axis=1)
             # rho_00 gains what rho_11 and rho_22 lose in each substep
-            before = np.concatenate((rho[None, _POPS], traj[:-1, _POPS]))
-            feed = np.sum(before * (1.0 - factor[:, _POPS]), axis=1)
-            traj[:, 0] = rho[0] + np.cumsum(feed)
-            out[i0 + 1:i1 + 1] = traj[k - 1::k]
-            rho = traj[-1]
+            loss = np.concatenate((pops, pops_t[:, :-1]), axis=1) * (1.0 - f_pop)
+            r00_t = r00 + np.cumsum(loss[0] + loss[1])
+            block = out[i0 + 1:i1 + 1]
+            block[:, 0] = r00_t[k - 1::k]
+            block[:, _UPPER] = up_t[:, k - 1::k].T
+            block[:, _POPS] = pops_t[:, k - 1::k].T
+            r00, up, pops = r00_t[-1], up_t[:, -1:], pops_t[:, -1:]
+    out[1:, _LOWER] = np.conj(out[1:, _UPPER])
     return out.reshape(n, 3, 3)
 
 

@@ -62,29 +62,32 @@ def qfi_closed(p, theta):
 
 
 def qfi_general_2x2(rho: np.ndarray, drho: np.ndarray,
-                    eps_det: float = 1e-12) -> float:
-    """Determinant-formula Fisher information of a single-qubit state.
+                    eps_det: float = 1e-12):
+    """Determinant-formula Fisher information of single-qubit states.
 
     ``drho`` is the derivative of rho with respect to the estimated
-    parameter (Hermitian to 1e-10).  Raises PureStateSingularityError when
-    det(rho) <= eps_det, where the formula loses its mixed-state correction
-    term; the closed forms cover that limit.
+    parameter (Hermitian to 1e-10).  Accepts one 2x2 pair, returning a
+    float, or (..., 2, 2) stacks of equal shape, returning an array.
+    Raises PureStateSingularityError when any det(rho) <= eps_det, where
+    the formula loses its mixed-state correction term; the closed forms
+    cover that limit.
     """
     rho = np.asarray(rho, dtype=complex)
     drho = np.asarray(drho, dtype=complex)
-    if rho.shape != (2, 2) or drho.shape != (2, 2):
-        raise ValueError("expected 2x2 matrices")
-    if np.max(np.abs(drho - drho.conj().T)) > 1e-10:
+    if rho.shape[-2:] != (2, 2) or drho.shape != rho.shape:
+        raise ValueError("expected 2x2 matrices, or stacks of equal shape")
+    if np.any(np.abs(drho - drho.conj().swapaxes(-1, -2)) > 1e-10):
         raise ValueError("drho must be Hermitian to 1e-10")
     det = np.linalg.det(rho).real
-    if det <= eps_det:
+    if np.any(det <= eps_det):
         raise PureStateSingularityError(
-            f"det(rho) = {det:.3e} <= {eps_det:.1e}; state is (near-)pure, "
-            "use qfi_closed")
-    t1 = np.trace(drho @ drho).real
+            f"det(rho) = {np.min(det):.3e} <= {eps_det:.1e}; state is "
+            "(near-)pure, use qfi_closed")
+    t1 = np.trace(drho @ drho, axis1=-2, axis2=-1).real
     m = rho @ drho
-    t2 = np.trace(m @ m).real
-    return float(t1 + t2 / det)
+    t2 = np.trace(m @ m, axis1=-2, axis2=-1).real
+    out = t1 + t2 / det
+    return out if out.ndim else float(out)
 
 
 def coherence_l1(rho) -> float:

@@ -345,6 +345,29 @@ def check_numeric_time(model: SpectralModel, omega_j: float, t: float,
     return sides
 
 
+def _integrands(model: SpectralModel, wj: float, t: float):
+    """The integrands of `gamma_numeric`: J(wj + u) sin(u t)/u on the core,
+    J(wj + u)/u and J(wj - v)/v under the sine weight.  The closed families
+    write J out in the arithmetic of `_scalar_density`, so a quadrature point
+    costs one Python call, not two."""
+    if model.kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
+        wc2 = model.omega_c ** 2
+        return (lambda u: ((2.0 * (w := wj + u) / math.pi) * wc2 / (wc2 + w * w)
+                           * (t if u == 0.0 else math.sin(u * t) / u)),
+                lambda u: (2.0 * (w := wj + u) / math.pi) * wc2 / (wc2 + w * w) / u,
+                lambda v: (2.0 * (w := wj - v) / math.pi) * wc2 / (wc2 + w * w) / v)
+    if model.kind is SpectralKind.LORENTZIAN:
+        peak, lam2 = model.lorentz_peak(), model.width ** 2
+        amp = model.rate * lam2 / (2.0 * math.pi)
+        return (lambda u: (amp / ((peak - (wj + u)) ** 2 + lam2)
+                           * (t if u == 0.0 else math.sin(u * t) / u)),
+                lambda u: amp / ((peak - (wj + u)) ** 2 + lam2) / u,
+                lambda v: amp / ((peak - (wj - v)) ** 2 + lam2) / v)
+    J = _scalar_density(model)
+    return (lambda u: J(wj + u) * (t if u == 0.0 else math.sin(u * t) / u),
+            lambda u: J(wj + u) / u, lambda v: J(wj - v) / v)
+
+
 def gamma_numeric(model: SpectralModel, omega_j: float, t: float,
                   cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """Decay rate gamma_j(t) by adaptive quadrature, independent of the closed forms.
@@ -372,7 +395,6 @@ def gamma_numeric(model: SpectralModel, omega_j: float, t: float,
     if t == 0.0:
         return 0.0
 
-    J = _scalar_density(model)
     wj = float(omega_j)
     lo, hi, feats, bounded = _core_window(model, wj, cfg.freq_window)
     u_lo, u_hi = lo - wj, hi - wj
@@ -397,16 +419,12 @@ def gamma_numeric(model: SpectralModel, omega_j: float, t: float,
     # non-oscillatory core: a few kernel cycles around u = 0
     r0 = 6.0 * math.pi / t
     near_lo, near_hi = max(u_lo, -r0), min(u_hi, r0)
+    f_near, g_plus, g_minus = _integrands(model, wj, t)
     if near_lo < near_hi:
-        def f_near(u):
-            k = t if u == 0.0 else math.sin(u * t) / u
-            return J(wj + u) * k
         pts = sorted(c - wj for c, _ in feats if near_lo < c - wj < near_hi)
         accumulate(quad(f_near, near_lo, near_hi, points=pts or None,
                         limit=limit, epsabs=eps_a, epsrel=eps_r, full_output=1))
 
-    g_plus = lambda u: J(wj + u) / u
-    g_minus = lambda v: J(wj - v) / v
     for g, edges in zip((g_plus, g_minus), sides):
         for seg_lo, seg_hi in zip(edges[:-1], edges[1:]):
             accumulate(quad(g, seg_lo, seg_hi, weight="sin", wvar=t,

@@ -312,20 +312,17 @@ def suite_qfi_oracle(ctx: VerifyContext) -> SuiteResult:
             cfg = make_config(family, g, res, theta=theta, phi=phi0)
             amps = ctx.amps(cfg, t_end, 201)
             f_phi, f_theta = qfi_closed(amps.p, theta)
-            cfg_pp = make_config(family, g, res, theta=theta, phi=phi0 + h)
-            cfg_pm = make_config(family, g, res, theta=theta, phi=phi0 - h)
-            cfg_tp = make_config(family, g, res, theta=theta + h, phi=phi0)
-            cfg_tm = make_config(family, g, res, theta=theta - h, phi=phi0)
-            for i, p in enumerate(amps.p):
-                rho = atom_state(cfg, p)
-                if np.linalg.det(rho).real <= 1e-6:
-                    continue
-                dphi = (atom_state(cfg_pp, p) - atom_state(cfg_pm, p)) / (2 * h)
-                dtheta = (atom_state(cfg_tp, p) - atom_state(cfg_tm, p)) / (2 * h)
-                worst = max(worst,
-                            abs(qfi_general_2x2(rho, dphi) - f_phi[i]) / f_phi[i],
-                            abs(qfi_general_2x2(rho, dtheta) - f_theta[i]) / f_theta[i])
-                checked += 1
+            rho = atom_state(cfg, amps.p)
+            keep = np.linalg.det(rho).real > 1e-6
+            rho, p = rho[keep], amps.p[keep]
+            state = lambda th, ph: atom_state(
+                make_config(family, g, res, theta=th, phi=ph), p)
+            dphi = (state(theta, phi0 + h) - state(theta, phi0 - h)) / (2 * h)
+            dtheta = (state(theta + h, phi0) - state(theta - h, phi0)) / (2 * h)
+            for drho, closed in ((dphi, f_phi[keep]), (dtheta, f_theta[keep])):
+                worst = max(worst, float(np.max(
+                    np.abs(qfi_general_2x2(rho, drho) - closed) / closed)))
+            checked += int(np.count_nonzero(keep))
     return SuiteResult("qfi-oracle", worst <= tol, worst, tol,
                        f"{checked} states checked")
 
@@ -369,11 +366,15 @@ SUITES = {
 
 
 def run_suites(names=None, ctx: VerifyContext | None = None) -> list[SuiteResult]:
-    """Run the named suites (all by default) sharing one cache context."""
+    """Run the named suites (all by default) sharing one cache context;
+    KeyError, before any suite runs, on an unknown or repeated name."""
     if names is None:
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise KeyError(f"unknown suite(s): {', '.join(unknown)}")
+    repeated = sorted({n for i, n in enumerate(names) if n in names[:i]})
+    if repeated:
+        raise KeyError(f"suite(s) given twice: {', '.join(repeated)}")
     ctx = ctx or VerifyContext()
     return [SUITES[n](ctx) for n in names]

@@ -7,7 +7,7 @@ context so the expensive master-equation trajectories are integrated once.
 
 import pytest
 
-from cavityqfi.verify import SUITES, VerifyContext
+from cavityqfi.verify import SUITES, VerifyContext, run_suites
 
 
 @pytest.fixture(scope="module")
@@ -85,3 +85,29 @@ def test_criterion_11_qfi_oracle(ctx):
 def test_criterion_12_physicality(ctx):
     """Every emitted qubit and dressed state meets its type tolerances."""
     _run("physicality", ctx)
+
+
+def test_results_are_builtin_types(ctx):
+    # verify's results feed text and machine-readable output: plain floats
+    # and bools, never numpy scalars
+    results = run_suites(ctx=ctx)
+    assert [r.name for r in results] == list(SUITES)
+    for r in results:
+        assert type(r.worst) is float, r.name
+        assert type(r.passed) is bool, r.name
+
+
+@pytest.mark.parametrize("names, text", [
+    (["physicality", "bogus"], "unknown suite(s): bogus"),
+    (["stable-asymptote", "physicality", "stable-asymptote"],
+     "suite(s) given twice: stable-asymptote"),
+], ids=["unknown", "repeated"])
+def test_run_suites_rejects_names_before_running(monkeypatch, names, text):
+    def no_suite(ctx):
+        raise AssertionError("a suite ran before the names were checked")
+
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, no_suite)
+    with pytest.raises(KeyError) as err:
+        run_suites(names)
+    assert err.value.args[0] == text

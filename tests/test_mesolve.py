@@ -184,6 +184,66 @@ class TestEvolveMatchesLoop:
         assert drift <= 1e-13
 
 
+def nine_column_evolve(cfg, grid, icfg):
+    """`evolve` as it was before it propagated only the upper triangle: all
+    nine elements as complex columns, with rho_00 fed from the populations.
+    Kept as the reference that pins the current `evolve` bit for bit."""
+    n = grid.n_points
+    E = mesolve.dressed_energies(cfg)
+    phase = (-1j * (E[:, None] - E[None, :])).ravel()
+    dec1, dec2 = mesolve._DEC1.ravel(), mesolve._DEC2.ravel()
+    rho = initial_dressed(cfg).ravel()
+    out = np.empty((n, 9), dtype=complex)
+    out[0] = rho
+    k = max(1, math.ceil(grid.dt / icfg.step - 1e-9))
+    h = grid.dt / k
+    per_chunk = max(1, mesolve._CHUNK_SUBSTEPS // k)
+    for i0 in range(0, n - 1, per_chunk):
+        i1 = min(i0 + per_chunk, n - 1)
+        half_times = np.arange(2 * k * i0, 2 * k * i1 + 1) * (h / 2.0)
+        g1 = gamma_closed(cfg.spectral, cfg.omega_1, half_times)
+        g2 = gamma_closed(cfg.spectral, cfg.omega_2, half_times)
+        c = phase - 0.25 * (g1[:, None] * dec1 + g2[:, None] * dec2)
+        c0, c1, c2 = c[:-1:2], c[1::2], c[2::2]
+        s2 = 1.0 + 0.5 * h * c0
+        s3 = 1.0 + 0.5 * h * c1 * s2
+        s4 = 1.0 + h * c1 * s3
+        factor = 1.0 + (h / 6.0) * (c0 + 2.0 * c1 * s2 + 2.0 * c1 * s3 + c2 * s4)
+        traj = rho * np.cumprod(factor, axis=0)
+        before = np.concatenate((rho[None, [4, 8]], traj[:-1, [4, 8]]))
+        feed = np.sum(before * (1.0 - factor[:, [4, 8]]), axis=1)
+        traj[:, 0] = rho[0] + np.cumsum(feed)
+        out[i0 + 1:i1 + 1] = traj[k - 1::k]
+        rho = traj[-1]
+    return out.reshape(n, 3, 3)
+
+
+def _fig4a_across_chunks():
+    # fig4a at coupling 40 with the mesolve-chain base step, on the preset's
+    # first intervals: one whole chunk and part of a second
+    cfg = make_config("lorentzian", 40.0, 3.0)
+    dt = TimeGrid(50.0, 12800).dt
+    k = math.ceil(dt / (0.01 / (cfg.omega0 + cfg.coupling)) - 1e-9)
+    intervals = mesolve._CHUNK_SUBSTEPS // k + 80
+    return cfg, TimeGrid(intervals * dt, intervals + 1), k
+
+
+@pytest.mark.parametrize("cfg, grid, k", [
+    (ohmic_cfg(coupling=1.0, omega_c=0.3), TimeGrid(1.0, 41), 1),
+    (ohmic_cfg(coupling=1.0, omega_c=0.3), TimeGrid(1.0, 41), 3),
+    (lorentz_cfg(coupling=40.0, width=3.0), TimeGrid(0.2, 201), 1),
+    (lorentz_cfg(coupling=40.0, width=3.0), TimeGrid(0.2, 101), 4),
+    (lorentz_cfg(coupling=0.5, width=0.1, theta=1.1), *_chunk_crossing()),
+    _fig4a_across_chunks(),
+], ids=["ohmic-k1", "ohmic-k3", "lorentz-k1", "lorentz-k4", "chunks",
+        "fig4a-coupling40-chunks"])
+def test_upper_triangle_matches_nine_columns_bitwise(cfg, grid, k):
+    icfg = IntegratorConfig(step=grid.dt / k)
+    traj = evolve(cfg, grid, icfg)
+    np.testing.assert_array_equal(traj, nine_column_evolve(cfg, grid, icfg))
+    assert np.array_equal(traj, traj.conj().swapaxes(-1, -2))
+
+
 def test_rk4_oracle_reads_no_exponent_or_amplitude(monkeypatch):
     # the RK4 oracle reads only the closed gamma, never beta_closed or p(t)
     cfg = make_config("lorentzian", 40.0, 3.0)  # a fig4a curve

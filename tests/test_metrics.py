@@ -83,6 +83,45 @@ class TestQfiGeneral:
             qfi_general_2x2(rho, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+    def _stack(self):
+        # mixed states of one config over a decay, with both derivatives
+        h, theta, phi = 1e-6, math.pi / 3, 0.7
+        p = amplitude(cfg_with(theta, phi), TimeGrid(20.0, 41)).p[5:]
+        rho = atom_state(cfg_with(theta, phi), p)
+        dphi = fd_drho(cfg_with(theta, phi + h), cfg_with(theta, phi - h), p, h)
+        dtheta = fd_drho(cfg_with(theta + h, phi), cfg_with(theta - h, phi), p, h)
+        return rho, dphi, dtheta
+
+    def test_stack_equals_per_matrix_calls(self):
+        rho, dphi, dtheta = self._stack()
+        for drho in (dphi, dtheta):
+            got = qfi_general_2x2(rho, drho)
+            assert got.shape == (rho.shape[0],)
+            want = [qfi_general_2x2(r, d) for r, d in zip(rho, drho)]
+            assert all(type(w) is float for w in want)
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+        # a (2, n, 2, 2) stack keeps its leading shape
+        both = qfi_general_2x2(np.stack((rho, rho)), np.stack((dphi, dtheta)))
+        np.testing.assert_allclose(both[1], qfi_general_2x2(rho, dtheta),
+                                   rtol=1e-15, atol=0)
+
+    def test_one_near_pure_state_makes_the_stack_singular(self):
+        rho, dphi, _ = self._stack()
+        rho[3] = atom_state(cfg_with(math.pi / 2), 1.0)
+        with pytest.raises(PureStateSingularityError):
+            qfi_general_2x2(rho, dphi)
+
+    @pytest.mark.parametrize("shape", [(4, 3, 3), (4, 2, 3), (2,), (4, 2)])
+    def test_rejects_stacks_of_other_shapes(self, shape):
+        with pytest.raises(ValueError, match="2x2"):
+            qfi_general_2x2(np.ones(shape), np.zeros(shape))
+
+    def test_rejects_mismatched_stacks(self):
+        rho, dphi, _ = self._stack()
+        with pytest.raises(ValueError, match="2x2"):
+            qfi_general_2x2(rho, dphi[:-1])
+
+
 class TestCoherence:
     def test_maximal(self):
         rho = atom_state(cfg_with(math.pi / 2), 1.0)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cavityqfi import dynamics, presets
+from cavityqfi import dynamics, presets, verify
 from cavityqfi.cli import (
     Scenario,
     _csv_block,
@@ -222,6 +222,17 @@ class TestCli:
             main(["verify", "--suite", "bogus"])
         err = capsys.readouterr().err
         assert "--suite" in err and "bogus" in err and "gamma-oracle" in err
+
+    def test_verify_repeated_suite_exits_2_naming_it(self, capsys, monkeypatch):
+        def no_suite(ctx):
+            raise AssertionError("a suite ran before the repeat was rejected")
+
+        monkeypatch.setitem(verify.SUITES, "stable-asymptote", no_suite)
+        assert main(["verify", "--suite", "stable-asymptote",
+                     "--suite", "stable-asymptote"]) == 2
+        captured = capsys.readouterr()
+        assert "--suite" in captured.err and "stable-asymptote" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_sweep(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -221,6 +221,23 @@ class TestGammaNumeric:
         assert math.isfinite(gamma_numeric(OHMIC(3.0), 0.99, 1e16))
 
 
+@pytest.mark.parametrize("model, wj", [(OHMIC(3.0), 1.0), (OHMIC(0.3), 0.0),
+                                       (lorentz(1.0), 0.5), (lorentz(0.1), 3.0)],
+                         ids=["ohmic", "ohmic-wj0", "lorentzian", "lorentzian-off"])
+def test_inlined_integrands_equal_the_density_closure(model, wj):
+    # each integrand writes J out; it must give the closure's bits exactly
+    t = 2.7
+    J = spectral._scalar_density(model)
+    f_near, g_plus, g_minus = spectral._integrands(model, wj, t)
+    us = np.concatenate(([0.0], np.linspace(-40.0, 40.0, 401), [1e-9, -3e-300]))
+    for u in us.tolist():
+        k = t if u == 0.0 else math.sin(u * t) / u
+        assert f_near(u).hex() == (J(wj + u) * k).hex()  # sign of zero too
+        if u != 0.0:
+            assert g_plus(u).hex() == (J(wj + u) / u).hex()
+            assert g_minus(u).hex() == (J(wj - u) / u).hex()
+
+
 class TestNumericRates:
     def test_samples_then_integrates(self):
         m, times = OHMIC(3.0), TimeGrid(2.0, 9).times
