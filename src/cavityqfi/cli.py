@@ -9,6 +9,7 @@ decoherence rate serialize as `nan`.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import re
 import sys
@@ -33,7 +34,6 @@ from .presets import (  # noqa: F401
     contour_table,
     curve_table,
     make_config,
-    preset_grid,
     quantity_values,
     table_values,
 )
@@ -102,11 +102,18 @@ def _write(path: Path, lines, times, prefixes, blocks) -> None:
         raise OSError(f"cannot write output file {path}: {exc}") from exc
 
 
+def _overridden(preset, sc: Scenario):
+    """The preset with the scenario's --steps/--t-end applied where given."""
+    return dataclasses.replace(
+        preset,
+        t_end=preset.t_end if sc.t_end is None else sc.t_end,
+        n_points=preset.n_points if sc.n_points is None else sc.n_points)
+
+
 def run_curve_preset(sc: Scenario, preset: CurvePreset | None = None) -> Path:
     """Preset curves as CSV: one column per coupling value."""
-    preset = preset or CURVE_PRESETS[sc.preset]
-    grid = preset_grid(preset, sc.n_points, sc.t_end)
-    times, values = curve_table(preset, sc.n_points, sc.t_end, sc.mode)
+    preset = _overridden(preset or CURVE_PRESETS[sc.preset], sc)
+    times, values = curve_table(preset, sc.mode)
     header = "t," + ",".join(f"value_omega_{g}" for g in preset.couplings)
     meta = _meta_lines([
         ("generator", f"cavityqfi {__version__}"),
@@ -116,8 +123,8 @@ def run_curve_preset(sc: Scenario, preset: CurvePreset | None = None) -> Path:
         ("reservoir", f"{RESERVOIR[preset.family]}={_fmt(preset.reservoir)}"),
         ("couplings", ",".join(str(g) for g in preset.couplings)),
         ("theta", _fmt(math.pi / 2)), ("phi", "0"),
-        ("t_end", _fmt(grid.t_end)),
-        ("points", grid.n_points),
+        ("t_end", _fmt(preset.t_end)),
+        ("points", preset.n_points),
         ("mode", sc.mode),
         ("time_unit", TIME_UNIT[preset.family]),
     ])
@@ -127,9 +134,8 @@ def run_curve_preset(sc: Scenario, preset: CurvePreset | None = None) -> Path:
 
 def run_contour_preset(sc: Scenario) -> Path:
     """Preset contour as long-format CSV (t, param, value)."""
-    preset = CONTOUR_PRESETS[sc.preset]
-    grid = preset_grid(preset, sc.n_points, sc.t_end)
-    times, params, values = contour_table(preset, sc.n_points, sc.t_end, sc.mode)
+    preset = _overridden(CONTOUR_PRESETS[sc.preset], sc)
+    times, params, values = contour_table(preset, sc.mode)
     meta = _meta_lines([
         ("generator", f"cavityqfi {__version__}"),
         ("preset", preset.name),
@@ -139,8 +145,8 @@ def run_contour_preset(sc: Scenario) -> Path:
          f" x {preset.n_param}"),
         ("fixed", _fmt(preset.fixed)),
         ("theta", _fmt(math.pi / 2)), ("phi", "0"),
-        ("t_end", _fmt(grid.t_end)),
-        ("points", grid.n_points),
+        ("t_end", _fmt(preset.t_end)),
+        ("points", preset.n_points),
         ("mode", sc.mode),
         ("row_order", "param-major"),
     ])
@@ -149,20 +155,19 @@ def run_contour_preset(sc: Scenario) -> Path:
     return sc.out
 
 
-def run_verify(suite_names=None, stream=None) -> int:
+def run_verify(suite_names=None) -> int:
     """Run verification suites, print one line each, return an exit code."""
     from .verify import run_suites
 
-    stream = stream or sys.stdout
     try:
         results = run_suites(suite_names)
     except KeyError as exc:
         print(f"configuration error: --suite: {exc.args[0]}", file=sys.stderr)
         return EXIT_CONFIG
     for r in results:
-        print(r.line(), file=stream)
+        print(r.line())
     n_fail = sum(not r.passed for r in results)
-    print(f"{len(results) - n_fail}/{len(results)} suites passed", file=stream)
+    print(f"{len(results) - n_fail}/{len(results)} suites passed")
     return EXIT_OK if n_fail == 0 else EXIT_TOLERANCE
 
 
@@ -328,7 +333,11 @@ def main(argv=None) -> int:
                 name, sep, value = item.partition("=")
                 if not sep:
                     raise ValueError(f"--fix expects NAME=VALUE, got {item!r}")
-                fixed.append((name, float(value)))
+                try:
+                    fixed.append((name, float(value)))
+                except ValueError:
+                    raise ValueError(f"--fix {name}: expected a number, "
+                                     f"got {value!r}") from None
             out = args.out or Path("sweep.csv")
             run_sweep(args.model, args.param, args.ranges, args.quantity,
                       args.t_end, args.steps, out, fixed)

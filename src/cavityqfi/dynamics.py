@@ -173,13 +173,10 @@ def _check_amplitude(cfgs, times: np.ndarray, p: np.ndarray) -> None:
                                   f"physical range: max |p| = {peak[i]}")
 
 
-def _rate_table(cfgs, times: np.ndarray, mode: str, dissipation: bool):
+def _rate_table(cfgs, times: np.ndarray, mode: str):
     """(gamma1, beta1, gamma2, beta2), each of shape (len(cfgs), times.size)."""
     if mode not in ("closed", "numeric"):
         raise ValueError(f"mode must be 'closed' or 'numeric', got {mode!r}")
-    if not dissipation:
-        zeros = np.zeros((len(cfgs), times.size))
-        return zeros, zeros, zeros, zeros
     if mode == "closed":
         models = [c.spectral for c in cfgs]
         return (*closed_rates(models, [c.omega_1 for c in cfgs], times),
@@ -193,8 +190,8 @@ def _rate_table(cfgs, times: np.ndarray, mode: str, dissipation: bool):
     return tuple(np.array(col) for col in zip(*rows))
 
 
-def amplitude_table(cfgs, times: np.ndarray, mode: str = "closed",
-                    dissipation: bool = True) -> AmplitudeSeries:
+def amplitude_table(cfgs, times: np.ndarray,
+                    mode: str = "closed") -> AmplitudeSeries:
     """Amplitude series of every config at once, one row per config.
 
     Closed mode evaluates the closed forms once over the (config x time)
@@ -202,12 +199,12 @@ def amplitude_table(cfgs, times: np.ndarray, mode: str = "closed",
     needs uniform ``times`` from 0 whose last time lies in the quadrature's
     time domain (`check_numeric_time`; a ValueError names ``t_end``).  Row
     i equals ``amplitude(cfgs[i], ...)`` bit for bit.  Every row is checked
-    as `amplitude` checks it, and the error names the config.  A time so large that omega_j t overflows
-    gives a NaN amplitude; the check rejects it, so numpy's overflow
-    warnings on the way there are silenced.
+    as `amplitude` checks it, and the error names the config.  A time so
+    large that omega_j t overflows gives a NaN amplitude; the check rejects
+    it, so numpy's overflow warnings on the way there are silenced.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        g1, b1, g2, b2 = _rate_table(cfgs, times, mode, dissipation)
+        g1, b1, g2, b2 = _rate_table(cfgs, times, mode)
         w1 = per_row(lambda c: c.omega_1, cfgs)
         w2 = per_row(lambda c: c.omega_2, cfgs)
         e1 = np.exp(-1j * w1 * times - b1 / 4.0)
@@ -218,18 +215,16 @@ def amplitude_table(cfgs, times: np.ndarray, mode: str = "closed",
     return AmplitudeSeries(times=times, p=p, p_dot=p_dot)
 
 
-def amplitude(cfg: SystemConfig, grid: TimeGrid, mode: str = "closed",
-              dissipation: bool = True) -> AmplitudeSeries:
+def amplitude(cfg: SystemConfig, grid: TimeGrid,
+              mode: str = "closed") -> AmplitudeSeries:
     """Amplitude series on the grid, from closed-form or quadrature rates.
 
     mode="closed" uses the analytic beta_j/gamma_j (raises
     ClosedFormUnavailableError for tabulated reservoirs); mode="numeric" uses
-    the quadrature oracle plus composite Simpson for the exponents.  With
-    ``dissipation=False`` the rates are forced to zero (test hook exposing
-    the bare vacuum-Rabi dynamics p = e^{-i omega0 t} cos(coupling t)).
+    the quadrature oracle plus composite Simpson for the exponents.
     Raises AmplitudeRangeError unless p(0) = 1 exactly and |p| <= 1 + 1e-9.
     """
-    a = amplitude_table([cfg], grid.times, mode, dissipation)
+    a = amplitude_table([cfg], grid.times, mode)
     return AmplitudeSeries(a.times, a.p[0], a.p_dot[0])
 
 
@@ -258,33 +253,33 @@ def atom_state(cfg, p):
     return rho
 
 
-def _log_ratio(p, p_dot, eps_p):
+def _log_ratio(p, p_dot):
     p = np.asarray(p, dtype=complex)
     p_dot = np.asarray(p_dot, dtype=complex)
-    ok = np.abs(p) > eps_p
+    ok = np.abs(p) > EPS_P_SINGULAR
     flagged = int(np.size(ok) - np.count_nonzero(ok))
     if flagged:
         logger.debug("flagged %d singular amplitude samples (|p| <= %g)",
-                     flagged, eps_p)
+                     flagged, EPS_P_SINGULAR)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(ok, p_dot / np.where(ok, p, 1.0),
                          complex(np.nan, np.nan))
     return ratio
 
 
-def decoherence_rate(p, p_dot, eps_p: float = EPS_P_SINGULAR):
+def decoherence_rate(p, p_dot):
     """Gamma(t) = -2 Re(pdot/p); positive while the atom loses information.
 
-    Samples with |p| <= eps_p are flagged as NaN rather than raising, so
-    sweep outputs stay rectangular.
+    Samples with |p| <= EPS_P_SINGULAR are flagged as NaN rather than
+    raising, so sweep outputs stay rectangular.
     """
-    out = -2.0 * np.real(_log_ratio(p, p_dot, eps_p))
+    out = -2.0 * np.real(_log_ratio(p, p_dot))
     return out if out.ndim else float(out)
 
 
-def lamb_shift(p, p_dot, eps_p: float = EPS_P_SINGULAR):
+def lamb_shift(p, p_dot):
     """Time-dependent frequency shift S(t) = -2 Im(pdot/p); NaN where singular."""
-    out = -2.0 * np.imag(_log_ratio(p, p_dot, eps_p))
+    out = -2.0 * np.imag(_log_ratio(p, p_dot))
     return out if out.ndim else float(out)
 
 

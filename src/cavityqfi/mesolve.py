@@ -129,14 +129,12 @@ def _rk4_factor(c, h: float):
     return 1.0 + (h / 6.0) * (c0 + 2.0 * c1 * s2 + 2.0 * c1 * s3 + c2 * s4)
 
 
-def evolve(cfg: SystemConfig, grid: TimeGrid, icfg: IntegratorConfig,
-           dissipation: bool = True) -> np.ndarray:
+def evolve(cfg: SystemConfig, grid: TimeGrid,
+           icfg: IntegratorConfig) -> np.ndarray:
     """RK4 trajectory of the dressed density matrix, sampled on the grid.
 
     Each grid interval is split into equal substeps no longer than
-    ``icfg.step``.  Returns shape (n_points, 3, 3) over ``grid.times``.  With
-    ``dissipation=False`` the rates are forced to zero (bare vacuum-Rabi
-    exchange, test hook).
+    ``icfg.step``.  Returns shape (n_points, 3, 3) over ``grid.times``.
     """
     if (cfg.omega0 + cfg.coupling) * icfg.step > MAX_PHASE_PER_STEP + 1e-12:
         raise ValueError(
@@ -157,11 +155,8 @@ def evolve(cfg: SystemConfig, grid: TimeGrid, icfg: IntegratorConfig,
             i1 = min(i0 + per_chunk, n - 1)
             # rates on this chunk's substep half-grid
             half_times = np.arange(2 * k * i0, 2 * k * i1 + 1) * (h / 2.0)
-            if dissipation:
-                g1 = gamma_closed(cfg.spectral, cfg.omega_1, half_times)
-                g2 = gamma_closed(cfg.spectral, cfg.omega_2, half_times)
-            else:
-                g1 = g2 = np.zeros(half_times.size)
+            g1 = gamma_closed(cfg.spectral, cfg.omega_1, half_times)
+            g2 = gamma_closed(cfg.spectral, cfg.omega_2, half_times)
             # (gamma_1 DEC1 + gamma_2 DEC2) / 4 at _UPPER, then at _POPS
             dec = 0.25 * np.stack((g1, g2, g1 + g2, 2.0 * g1, 2.0 * g2))
             f_up = _rk4_factor(phase - dec[:3], h)
@@ -198,8 +193,7 @@ def partial_trace_cavity(rho3) -> np.ndarray:
     return out
 
 
-def timelocal_residual(cfg: SystemConfig, grid: TimeGrid,
-                       dissipation: bool = True) -> np.ndarray:
+def timelocal_residual(cfg: SystemConfig, grid: TimeGrid) -> np.ndarray:
     """Defect of the analytic state under its own time-local equation.
 
     At each interior grid point, the Frobenius norm of the central-difference
@@ -215,12 +209,12 @@ def timelocal_residual(cfg: SystemConfig, grid: TimeGrid,
     n = times.size
     out = np.full(n, np.nan)
     if n < 3:
-        amplitude_table([cfg], times, dissipation=dissipation)  # the checks
+        amplitude_table([cfg], times)  # the checks
         return out
     h = grid.dt
     for i0 in range(1, n - 1, _BLOCK_SAMPLES):
         i1 = min(i0 + _BLOCK_SAMPLES, n - 1)
-        amps = amplitude_table([cfg], times[i0 - 1:i1 + 1], dissipation=dissipation)
+        amps = amplitude_table([cfg], times[i0 - 1:i1 + 1])
         p, p_dot = amps.p[0], amps.p_dot[0]
         rho = atom_state(cfg, p)
         gam = decoherence_rate(p[1:-1], p_dot[1:-1])

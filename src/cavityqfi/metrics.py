@@ -26,6 +26,9 @@ from .dynamics import (EPS_AMPLITUDE, AmplitudeSeries, SystemConfig, atom_state,
                        per_row)
 
 
+EPS_DET = 1e-12  # qfi_general_2x2 treats det(rho) <= this as (near-)pure
+
+
 class PureStateSingularityError(ValueError):
     """det(rho) too small for the determinant formula; use qfi_closed."""
 
@@ -61,14 +64,13 @@ def qfi_closed(p, theta):
     return float(f_phi), float(f_theta)
 
 
-def qfi_general_2x2(rho: np.ndarray, drho: np.ndarray,
-                    eps_det: float = 1e-12):
+def qfi_general_2x2(rho: np.ndarray, drho: np.ndarray):
     """Determinant-formula Fisher information of single-qubit states.
 
     ``drho`` is the derivative of rho with respect to the estimated
     parameter (Hermitian to 1e-10).  Accepts one 2x2 pair, returning a
     float, or (..., 2, 2) stacks of equal shape, returning an array.
-    Raises PureStateSingularityError when any det(rho) <= eps_det, where
+    Raises PureStateSingularityError when any det(rho) <= EPS_DET, where
     the formula loses its mixed-state correction term; the closed forms
     cover that limit.
     """
@@ -79,9 +81,9 @@ def qfi_general_2x2(rho: np.ndarray, drho: np.ndarray,
     if np.any(np.abs(drho - drho.conj().swapaxes(-1, -2)) > 1e-10):
         raise ValueError("drho must be Hermitian to 1e-10")
     det = np.linalg.det(rho).real
-    if np.any(det <= eps_det):
+    if np.any(det <= EPS_DET):
         raise PureStateSingularityError(
-            f"det(rho) = {np.min(det):.3e} <= {eps_det:.1e}; state is "
+            f"det(rho) = {np.min(det):.3e} <= {EPS_DET:.1e}; state is "
             "(near-)pure, use qfi_closed")
     t1 = np.trace(drho @ drho, axis1=-2, axis2=-1).real
     m = rho @ drho

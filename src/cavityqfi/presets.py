@@ -166,13 +166,6 @@ def preset_axes(preset: CurvePreset | ContourPreset):
             [(other, preset.fixed)])
 
 
-def preset_grid(preset: CurvePreset | ContourPreset, n_points: int | None = None,
-                t_end: float | None = None) -> TimeGrid:
-    """The preset's time grid, with each override that is not None applied."""
-    return TimeGrid(preset.t_end if t_end is None else t_end,
-                    preset.n_points if n_points is None else n_points)
-
-
 def _block_values(cfgs, amps, quantity: str) -> np.ndarray:
     if quantity == "decoherence_rate":
         return decoherence_rate(amps.p, amps.p_dot)
@@ -213,18 +206,16 @@ def quantity_values(cfg: SystemConfig, grid: TimeGrid, quantity: str,
     return table_values([cfg], grid, quantity, mode)[0]
 
 
-def curve_table(preset: CurvePreset, n_points: int | None = None,
-                t_end: float | None = None, mode: str = "closed"):
-    """(times, values[n_coupling, n_t]) for a curve preset, optionally overridden."""
-    grid = preset_grid(preset, n_points, t_end)
+def curve_table(preset: CurvePreset, mode: str = "closed"):
+    """(times, values[n_coupling, n_t]) for a curve preset."""
+    grid = TimeGrid(preset.t_end, preset.n_points)
     cfgs = [cfg for _, cfg in configs(preset.family, *preset_axes(preset))]
     return grid.times, table_values(cfgs, grid, preset.quantity, mode)
 
 
-def contour_table(preset: ContourPreset, n_points: int | None = None,
-                  t_end: float | None = None, mode: str = "closed"):
+def contour_table(preset: ContourPreset, mode: str = "closed"):
     """(times, params, values[n_param, n_t]) for a contour preset (F_phi)."""
-    grid = preset_grid(preset, n_points, t_end)
+    grid = TimeGrid(preset.t_end, preset.n_points)
     params, cfgs = zip(*configs(preset.family, *preset_axes(preset)))
     return (grid.times, np.array([v for v, in params]),
             table_values(cfgs, grid, "qfi_phi", mode))

@@ -1,0 +1,22 @@
+import numpy as np
+import pytest
+
+from cavityqfi import dynamics, mesolve
+
+
+@pytest.fixture
+def zero_rates(monkeypatch):
+    """Force every closed-form decay rate and exponent to zero.
+
+    With no dissipation the atom and the cavity only exchange the excitation
+    (vacuum Rabi): p = e^{-i omega0 t} cos(coupling t).  `amplitude`,
+    `timelocal_residual` and `evolve` see zero rates of the shapes the
+    closed forms return.
+    """
+    def closed_rates(models, omega_j, times):
+        zeros = np.zeros((len(models), np.size(times)))
+        return zeros, zeros
+
+    monkeypatch.setattr(dynamics, "closed_rates", closed_rates)
+    monkeypatch.setattr(mesolve, "gamma_closed",
+                        lambda model, omega_j, t: np.zeros(np.shape(t)))

@@ -124,10 +124,10 @@ class TestAmplitude:
         assert amps.p[0] == 1.0 + 0.0j
         assert amps.p_dot[0] == pytest.approx(-1j * 1.0)  # -i omega0 at t=0
 
-    def test_vacuum_rabi_modulus(self):
+    def test_vacuum_rabi_modulus(self, zero_rates):
         cfg = ohmic_cfg(coupling=0.8)
         grid = TimeGrid(10.0, 500)
-        amps = amplitude(cfg, grid, dissipation=False)
+        amps = amplitude(cfg, grid)
         np.testing.assert_allclose(np.abs(amps.p),
                                    np.abs(np.cos(0.8 * grid.times)), atol=1e-12)
 
@@ -220,10 +220,10 @@ class TestRates:
         assert decoherence_rate(1.0 + 0j, -1j) == pytest.approx(0.0, abs=1e-15)
         assert lamb_shift(1.0 + 0j, -1j) == pytest.approx(2.0)
 
-    def test_vacuum_rabi_rates(self):
+    def test_vacuum_rabi_rates(self, zero_rates):
         om = 0.5
         grid = TimeGrid(2.5, 200)  # stays below the first node at t = pi
-        amps = amplitude(ohmic_cfg(coupling=om), grid, dissipation=False)
+        amps = amplitude(ohmic_cfg(coupling=om), grid)
         gam = decoherence_rate(amps.p, amps.p_dot)
         shift = lamb_shift(amps.p, amps.p_dot)
         np.testing.assert_allclose(gam, 2 * om * np.tan(om * grid.times),

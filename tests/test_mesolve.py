@@ -86,10 +86,10 @@ class TestEvolve:
         traj = evolve(cfg, TimeGrid(1.0, 11), IntegratorConfig(step=0.02))
         np.testing.assert_array_equal(traj[0], initial_dressed(cfg))
 
-    def test_vacuum_rabi_population(self):
+    def test_vacuum_rabi_population(self, zero_rates):
         cfg = ohmic_cfg(coupling=0.8, theta=1.1)
         grid = TimeGrid(10.0, 101)
-        traj = evolve(cfg, grid, IntegratorConfig(step=0.01), dissipation=False)
+        traj = evolve(cfg, grid, IntegratorConfig(step=0.01))
         pop = partial_trace_cavity(traj)[:, 0, 0].real
         expected = math.cos(cfg.theta / 2) ** 2 * np.cos(0.8 * grid.times) ** 2
         np.testing.assert_allclose(pop, expected, atol=1e-8)
@@ -165,11 +165,10 @@ class TestEvolveMatchesLoop:
         np.testing.assert_allclose(traj, ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2])
-    def test_without_dissipation(self, k):
+    def test_without_dissipation(self, zero_rates, k):
         cfg = ohmic_cfg(coupling=0.8, theta=1.1)
         grid = TimeGrid(2.0, 81)
-        traj = evolve(cfg, grid, IntegratorConfig(step=grid.dt / k),
-                      dissipation=False)
+        traj = evolve(cfg, grid, IntegratorConfig(step=grid.dt / k))
         ref = rk4_reference(bare_rhs(cfg), grid, k, initial_dressed(cfg))
         np.testing.assert_allclose(traj, ref, rtol=0, atol=1e-12)
 
@@ -283,10 +282,10 @@ class TestPartialTrace:
 
 
 class TestTimelocalResidual:
-    def test_dissipation_free(self):
+    def test_dissipation_free(self, zero_rates):
         cfg = ohmic_cfg(coupling=0.5)
         grid = TimeGrid(20.0, 20001)  # step 1e-3
-        resid = timelocal_residual(cfg, grid, dissipation=False)
+        resid = timelocal_residual(cfg, grid)
         away = np.abs(np.cos(cfg.coupling * grid.times)) > 1e-2
         away[0] = away[-1] = False
         assert np.nanmax(resid[away]) <= 1e-6

@@ -156,11 +156,11 @@ class TestMetricSeries:
                                                        rel=1e-14)
         assert series.relation_residual[0] <= 1e-12
 
-    def test_vacuum_rabi_information(self):
+    def test_vacuum_rabi_information(self, zero_rates):
         om = 0.5
         cfg = cfg_with(math.pi / 2, coupling=om)
         grid = TimeGrid(10.0, 300)
-        amps = amplitude(cfg, grid, dissipation=False)
+        amps = amplitude(cfg, grid)
         f_phi = metric_series(cfg, amps).qfi_phi
         np.testing.assert_allclose(f_phi, np.cos(om * grid.times) ** 2,
                                    atol=1e-12)

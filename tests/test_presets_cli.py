@@ -343,6 +343,8 @@ class TestCli:
         ("width=2", "--fix width"),     # a Lorentzian parameter only
         ("omega_c=2", "--fix omega_c"),  # also swept
         ("coupling", "NAME=VALUE"),
+        ("omega_c=abc", "--fix omega_c: expected a number, got 'abc'"),
+        ("omega_c=", "--fix omega_c: expected a number, got ''"),
     ])
     def test_sweep_bad_fix_exits_2(self, tmp_path, capsys, fix, text):
         out = tmp_path / "sweep.csv"
@@ -456,13 +458,23 @@ GOLDEN = [
       "--fix", "coupling=0.7", "--quantity", "coherence", "--steps", "7",
       "--t-end", "2"],
      "dd2129a33152d19480692efcc93ad82313522aea0d49572538680d5523388081"),
+    # the --steps/--t-end overrides on a contour, a curve and the custom preset
+    (["run", "fig2b", "--steps", "20", "--t-end", "7.5"],
+     "2966824831241a7626380ce886b034064172bfa590b78c92c56f19f40150c436"),
+    (["run", "fig6b", "--t-end", "4", "--steps", "25"],
+     "98c615f1d4b37984a1c1aef4fbfe9232dc6a925a6eb1ce69bb0ee504f1f7d838"),
+    (["run", "custom", "--family", "lorentzian", "--width", "0.5",
+      "--coupling", "0.3", "--coupling", "1", "--quantity", "coherence",
+      "--steps", "30", "--t-end", "12"],
+     "56acced5bf8c3b63db60470154bf940d7f8d4c827b56d9ec7a402e36154ee9e4"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN,
                          ids=["fig1a", "fig4c", "fig2a", "sweep",
                               "sweep-lamb-shift", "sweep-decoherence-rate",
-                              "sweep-coherence"])
+                              "sweep-coherence", "fig2b-overrides",
+                              "fig6b-overrides", "custom-overrides"])
 def test_golden_bytes(tmp_path, argv, digest):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 0
