@@ -288,10 +288,18 @@ def physicality(rho) -> dict:
 
     Returns {'hermiticity', 'trace', 'min_eigenvalue'} where the first two
     are max absolute deviations.  The tolerances belong to the caller.
+    For 2x2 states the lowest eigenvalue is the closed form
+    (a + d)/2 - hypot((a - d)/2, |rho_10|) over the real diagonal a, d;
+    like `np.linalg.eigvalsh`, which every other size goes through, it reads
+    only the lower triangle.
     """
     rho = np.asarray(rho)
     herm = float(np.max(np.abs(rho - np.conj(np.swapaxes(rho, -1, -2)))))
     tr = float(np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)))
-    eigs = np.linalg.eigvalsh(rho)
-    return {"hermiticity": herm, "trace": tr, "min_eigenvalue": float(eigs.min())}
+    if rho.shape[-2:] == (2, 2):
+        a, d = rho[..., 0, 0].real, rho[..., 1, 1].real
+        low = (a + d) / 2.0 - np.hypot((a - d) / 2.0, np.abs(rho[..., 1, 0]))
+    else:
+        low = np.linalg.eigvalsh(rho)[..., 0]
+    return {"hermiticity": herm, "trace": tr, "min_eigenvalue": float(low.min())}
 

@@ -37,7 +37,8 @@ class PureStateSingularityError(ValueError):
 class MetricSeries:
     """Metrology quantities on every time sample of an amplitude series.
 
-    Each field is an array over the grid times.  relation_residual =
+    Each field is an array over the grid times, or an (n, n_t) block when
+    `metric_series` is given a list of configs.  relation_residual =
     |C_l1^2 - F_phi| monitors the coherence-information identity on every
     emitted sample.
     """
@@ -99,8 +100,14 @@ def coherence_l1(rho) -> float:
     return out if out.ndim else float(out)
 
 
-def metric_series(cfg: SystemConfig, amps: AmplitudeSeries) -> MetricSeries:
-    """The metrology quantities at every grid time of an amplitude series."""
-    f_phi, f_theta = qfi_closed(amps.p, cfg.theta)
+def metric_series(cfg: SystemConfig | list[SystemConfig],
+                  amps: AmplitudeSeries) -> MetricSeries:
+    """The metrology quantities at every grid time of an amplitude series.
+
+    ``cfg`` may also be a list of configs, one per row of an (n, n_t)
+    block from `amplitude_table`; every field then has that shape.
+    """
+    theta = [c.theta for c in cfg] if isinstance(cfg, (list, tuple)) else cfg.theta
+    f_phi, f_theta = qfi_closed(amps.p, theta)
     c = coherence_l1(atom_state(cfg, amps.p))
     return MetricSeries(amps.times, f_phi, f_theta, c, np.abs(c * c - f_phi))

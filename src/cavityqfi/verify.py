@@ -17,8 +17,8 @@ import numpy as np
 import scipy.integrate  # noqa: F401
 
 from . import mesolve
-from .dynamics import SystemConfig, TimeGrid, amplitude, atom_state, \
-    decoherence_rate, physicality
+from .dynamics import AmplitudeSeries, SystemConfig, TimeGrid, amplitude, \
+    amplitude_table, atom_state, decoherence_rate, physicality
 from .metrics import coherence_l1, metric_series, qfi_closed, qfi_general_2x2
 from .presets import CURVE_PRESETS, PRESET_NAMES, PRESETS, configs, make_config, \
     preset_axes
@@ -42,10 +42,15 @@ class SuiteResult:
 
 
 class VerifyContext:
-    """Shared lazy caches so suites reuse amplitude series and trajectories."""
+    """Shared lazy caches so suites reuse amplitude series and trajectories.
+
+    `amps` holds one config's series, `preset_table` one (n_cfg, n_t) block
+    per preset grid and `chain` the traced RK4 trajectories.
+    """
 
     def __init__(self):
         self._amps = {}
+        self._tables = {}
         self._chain = {}
 
     def amps(self, cfg: SystemConfig, t_end: float, n: int):
@@ -53,6 +58,21 @@ class VerifyContext:
         if key not in self._amps:
             self._amps[key] = amplitude(cfg, TimeGrid(t_end, n))
         return self._amps[key]
+
+    def preset_table(self, name: str) -> tuple[list, AmplitudeSeries]:
+        """(cfgs, amplitude block) of a preset: one row per config, in
+        `configs` order, from one `amplitude_table` call on the preset grid.
+
+        The cache key is the configs and the grid, not the name, so presets
+        that differ only in their quantity share one block.
+        """
+        preset = PRESETS[name]
+        cfgs = [cfg for _, cfg in configs(preset.family, *preset_axes(preset))]
+        key = (tuple(cfgs), preset.t_end, preset.n_points)
+        if key not in self._tables:
+            self._tables[key] = amplitude_table(
+                cfgs, TimeGrid(preset.t_end, preset.n_points).times)
+        return cfgs, self._tables[key]
 
     def chain(self, cfg: SystemConfig, t_end: float, n: int, halve: bool):
         """(max deviation of traced RK4 vs analytic state, trajectory)."""
@@ -71,15 +91,11 @@ class VerifyContext:
         return self._chain[key]
 
 
-def _preset_configs(names=PRESET_NAMES, extra_axes=()):
-    """Yield (preset, values, config) for every config of the named presets.
-
-    ``values`` holds the preset's swept value, then one per extra axis.
-    """
+def _preset_configs(names):
+    """Yield (preset, values, config) for every config of the named presets."""
     for name in names:
         preset = PRESETS[name]
-        axes, fixed = preset_axes(preset)
-        for values, cfg in configs(preset.family, axes + list(extra_axes), fixed):
+        for values, cfg in configs(preset.family, *preset_axes(preset)):
             yield preset, values, cfg
 
 
@@ -87,23 +103,26 @@ def suite_relation_coherence_qfi(ctx: VerifyContext) -> SuiteResult:
     """C_l1^2 = F_phi at every point of every preset grid."""
     tol = 1e-12
     worst = 0.0
-    for preset, _, cfg in _preset_configs():
-        amps = ctx.amps(cfg, preset.t_end, preset.n_points)
-        resid = float(np.max(metric_series(cfg, amps).relation_residual))
+    for name in PRESET_NAMES:
+        cfgs, block = ctx.preset_table(name)
+        resid = float(np.max(metric_series(cfgs, block).relation_residual))
         worst = max(worst, resid)
     return SuiteResult("relation-coherence-qfi", worst <= tol, worst, tol)
 
 
 def suite_qfi_theta_identity(ctx: VerifyContext) -> SuiteResult:
-    """F_phi = F_theta sin^2(theta) for theta in {pi/6, pi/3, pi/2}."""
+    """F_phi = F_theta sin^2(theta) for theta in {pi/6, pi/3, pi/2}.
+
+    p(t) does not depend on theta, so every angle reads the same block.
+    """
     tol = 1e-12
     worst = 0.0
-    thetas = ("theta", (math.pi / 6, math.pi / 3, math.pi / 2))
-    for preset, _, cfg in _preset_configs(CURVE_PRESETS, [thetas]):
-        amps = ctx.amps(cfg, preset.t_end, preset.n_points)
-        f_phi, f_theta = qfi_closed(amps.p, cfg.theta)
-        worst = max(worst, float(np.max(np.abs(
-            f_phi - f_theta * math.sin(cfg.theta) ** 2))))
+    for name in CURVE_PRESETS:
+        _, block = ctx.preset_table(name)
+        for theta in (math.pi / 6, math.pi / 3, math.pi / 2):
+            f_phi, f_theta = qfi_closed(block.p, theta)
+            worst = max(worst, float(np.max(np.abs(
+                f_phi - f_theta * math.sin(theta) ** 2))))
     return SuiteResult("closed-form-identity", worst <= tol, worst, tol)
 
 
@@ -335,9 +354,9 @@ def suite_physicality(ctx: VerifyContext) -> SuiteResult:
     tolerated while the rates go negative.
     """
     worst = 0.0
-    for preset, _, cfg in _preset_configs():
-        amps = ctx.amps(cfg, preset.t_end, preset.n_points)
-        d = physicality(atom_state(cfg, amps.p))
+    for name in PRESET_NAMES:
+        cfgs, block = ctx.preset_table(name)
+        d = physicality(atom_state(cfgs, block.p))
         worst = max(worst, d["hermiticity"] / 1e-12, d["trace"] / 1e-12,
                     max(0.0, -d["min_eigenvalue"]) / 1e-9)
     for preset, _, cfg in _preset_configs(MESOLVE_PRESETS):

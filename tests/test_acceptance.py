@@ -5,9 +5,14 @@ line (visible with `pytest -s` or on failure).  The suites share one cache
 context so the expensive master-equation trajectories are integrated once.
 """
 
+import math
+
+import numpy as np
 import pytest
 
-from cavityqfi.verify import SUITES, VerifyContext, run_suites
+from cavityqfi import TimeGrid, amplitude, atom_state, metric_series, qfi_closed
+from cavityqfi.presets import CURVE_PRESETS, PRESETS, configs, preset_axes
+from cavityqfi.verify import MESOLVE_PRESETS, SUITES, VerifyContext, run_suites
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +90,47 @@ def test_criterion_11_qfi_oracle(ctx):
 def test_criterion_12_physicality(ctx):
     """Every emitted qubit and dressed state meets its type tolerances."""
     _run("physicality", ctx)
+
+
+def _eigvalsh_violations(rho, tol_herm_trace, tol_eig):
+    """Worst physicality violation, with LAPACK's eigvalsh for every size."""
+    herm = np.max(np.abs(rho - np.conj(np.swapaxes(rho, -1, -2))))
+    trace = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0))
+    low = np.linalg.eigvalsh(rho).min()
+    return float(max(herm / tol_herm_trace, trace / tol_herm_trace,
+                     max(0.0, -low) / tol_eig))
+
+
+def test_preset_blocks_match_the_per_config_route(ctx):
+    # the three preset-grid suites read one amplitude block per preset; each
+    # config on its own, every theta with its own amplitude, and eigvalsh on
+    # every state must give the same worst values bit for bit
+    relation = identity = phys = 0.0
+    thetas = ("theta", (math.pi / 6, math.pi / 3, math.pi / 2))
+    for name, preset in PRESETS.items():
+        axes, fixed = preset_axes(preset)
+        for _, cfg in configs(preset.family, axes, fixed):
+            amps = ctx.amps(cfg, preset.t_end, preset.n_points)
+            relation = max(relation, float(np.max(
+                metric_series(cfg, amps).relation_residual)))
+            phys = max(phys, _eigvalsh_violations(
+                atom_state(cfg, amps.p), 1e-12, 1e-9))
+        if name not in CURVE_PRESETS:
+            continue
+        for _, cfg in configs(preset.family, axes + [thetas], fixed):
+            amps = amplitude(cfg, TimeGrid(preset.t_end, preset.n_points))
+            f_phi, f_theta = qfi_closed(amps.p, cfg.theta)
+            identity = max(identity, float(np.max(np.abs(
+                f_phi - f_theta * math.sin(cfg.theta) ** 2))))
+    for name in MESOLVE_PRESETS:
+        preset = PRESETS[name]
+        for _, cfg in configs(preset.family, *preset_axes(preset)):
+            _, traj = ctx.chain(cfg, preset.t_end, preset.n_points, halve=False)
+            phys = max(phys, _eigvalsh_violations(traj[::10], 1e-10, 1e-6))
+    want = {"relation-coherence-qfi": relation,
+            "closed-form-identity": identity, "physicality": phys}
+    for suite, worst in want.items():
+        assert SUITES[suite](VerifyContext()).worst == worst, suite
 
 
 def test_results_are_builtin_types(ctx):

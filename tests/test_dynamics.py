@@ -214,6 +214,41 @@ class TestAtomState:
         assert d["min_eigenvalue"] >= -1e-9
 
 
+# real and imaginary parts of the random 2x2 entries
+ENTRY = st.floats(-100.0, 100.0, allow_subnormal=False)
+
+
+class TestPhysicalityClosedForm:
+    """The 2x2 lowest eigenvalue is a closed form; it must agree with
+    LAPACK's eigvalsh, which reads the same lower triangle."""
+
+    @given(st.lists(st.lists(ENTRY, min_size=8, max_size=8),
+                    min_size=1, max_size=6),
+           st.sampled_from(["non-hermitian", "hermitian", "positive"]))
+    @settings(max_examples=300)
+    def test_min_eigenvalue_matches_eigvalsh(self, rows, kind):
+        parts = np.array(rows)
+        m = (parts[:, :4] + 1j * parts[:, 4:]).reshape(-1, 2, 2)
+        mh = np.conj(np.swapaxes(m, -1, -2))
+        rho = {"non-hermitian": m, "hermitian": (m + mh) / 2.0,
+               "positive": m @ mh}[kind]
+        want = float(np.linalg.eigvalsh(rho)[..., 0].min())
+        tol = 8.0 * np.finfo(float).eps * float(np.max(np.abs(rho)))
+        assert abs(physicality(rho)["min_eigenvalue"] - want) <= tol
+
+    def test_non_positive_state_is_caught(self):
+        d = physicality(np.array([[[0.5, 0.6], [0.6, 0.5]]]))
+        assert d["min_eigenvalue"] == pytest.approx(-0.1, abs=1e-15)
+
+    def test_reads_only_the_lower_triangle(self):
+        assert physicality(np.array([[[1.0, 5.0], [0.0, 0.0]]]))[
+            "min_eigenvalue"] == 0.0
+
+    def test_single_state_returns_floats(self):
+        d = physicality(np.array([[0.75, 0.25j], [-0.25j, 0.25]]))
+        assert all(type(v) is float for v in d.values())
+
+
 class TestRates:
     def test_initial_values(self):
         # p = 1, pdot = -i omega0 gives Gamma = 0 and S = 2 omega0

@@ -75,6 +75,19 @@ def test_table_equals_per_config_bitwise(family, quantity):
     assert_rows_bitwise(cfgs, grid, quantity, table_values(cfgs, grid, quantity))
 
 
+@pytest.mark.parametrize("family", ["ohmic", "lorentzian"])
+def test_metric_series_of_a_block_equals_per_config_bitwise(family):
+    cfgs = [cfg for _, cfg in configs(family, AXES[family])]
+    grid = TimeGrid(20.0, 301)
+    block = metric_series(cfgs, amplitude_table(cfgs, grid.times))
+    for i, cfg in enumerate(cfgs):
+        row = metric_series(cfg, amplitude(cfg, grid))
+        for field in ("qfi_phi", "qfi_theta", "coherence_l1",
+                      "relation_residual"):
+            assert np.array_equal(getattr(block, field)[i],
+                                  getattr(row, field)), (i, field)
+
+
 def test_blocks_not_a_multiple_of_the_block_size():
     grid = TimeGrid(20.0, 500)
     rows = presets._BLOCK_SAMPLES // grid.n_points
