@@ -36,7 +36,6 @@ from .metrics import (
     qfi_general_2x2,
 )
 from .spectral import (
-    ClosedFormUnavailableError,
     QuadratureConfig,
     QuadratureConvergenceError,
     SpectralKind,
@@ -53,7 +52,6 @@ from .spectral import (
 __all__ = [
     "AmplitudeRangeError",
     "AmplitudeSeries",
-    "ClosedFormUnavailableError",
     "IntegratorConfig",
     "MetricSeries",
     "PureStateSingularityError",

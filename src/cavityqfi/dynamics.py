@@ -148,10 +148,8 @@ def _describe(cfg: SystemConfig) -> str:
     m = cfg.spectral
     if m.kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
         reservoir = f"omega_c={m.omega_c}"
-    elif m.kind is SpectralKind.LORENTZIAN:
-        reservoir = f"width={m.width}, detuning={m.detuning}"
     else:
-        reservoir = m.kind.value
+        reservoir = f"width={m.width}, detuning={m.detuning}"
     return f"coupling={cfg.coupling}, {reservoir}, theta={cfg.theta}, phi={cfg.phi}"
 
 
@@ -219,9 +217,8 @@ def amplitude(cfg: SystemConfig, grid: TimeGrid,
               mode: str = "closed") -> AmplitudeSeries:
     """Amplitude series on the grid, from closed-form or quadrature rates.
 
-    mode="closed" uses the analytic beta_j/gamma_j (raises
-    ClosedFormUnavailableError for tabulated reservoirs); mode="numeric" uses
-    the quadrature oracle plus composite Simpson for the exponents.
+    mode="closed" uses the analytic beta_j/gamma_j; mode="numeric" uses the
+    quadrature oracle plus composite Simpson for the exponents.
     Raises AmplitudeRangeError unless p(0) = 1 exactly and |p| <= 1 + 1e-9.
     """
     a = amplitude_table([cfg], grid.times, mode)

@@ -6,12 +6,12 @@ frequency ``omega_j`` acquires a time-dependent rate
 
     gamma_j(t) = 2 Re int_0^t dtau int_-inf^+inf domega' e^{i(omega_j - omega')tau} J(omega')
 
-and an accumulated exponent ``beta_j(t) = int_0^t gamma_j``.  Two families
-have closed forms (Ohmic with a Lorentz-Drude cutoff, and a Lorentzian line);
-each has one kernel that returns gamma_j and beta_j together.  Both are
-also evaluated by an independent quadrature oracle so the closed forms can
-be cross-checked.  Frequency integrals run over the full real line,
-including negative frequencies.  Only the oracle (`gamma_numeric`,
+and an accumulated exponent ``beta_j(t) = int_0^t gamma_j``.  There are two
+reservoir families, Ohmic with a Lorentz-Drude cutoff and a Lorentzian line;
+each has one closed-form kernel that returns gamma_j and beta_j together.
+Both are also evaluated by an independent quadrature oracle so the closed
+forms can be cross-checked.  Frequency integrals run over the full real
+line, including negative frequencies.  Only the oracle (`gamma_numeric`,
 `integrate_rate`, and `numeric_rates` and `beta_numeric` built on them)
 uses scipy, and it imports it when called, so closed-form use never loads
 it.
@@ -32,11 +32,13 @@ import numpy as np
 class SpectralKind(enum.Enum):
     OHMIC_LORENTZ_DRUDE = "ohmic_lorentz_drude"
     LORENTZIAN = "lorentzian"
-    TABULATED = "tabulated"
 
 
-class ClosedFormUnavailableError(ValueError):
-    """No closed-form rate exists for this model; use the numeric route."""
+# the fields of the other family, which a model of this family leaves unset
+_FOREIGN_FIELDS = {
+    SpectralKind.OHMIC_LORENTZ_DRUDE: ("rate", "width", "detuning", "omega0"),
+    SpectralKind.LORENTZIAN: ("omega_c",),
+}
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -56,14 +58,13 @@ class SpectralModel:
 
     Ohmic Lorentz-Drude:  J(w) = (2 w / pi) * omega_c^2 / (omega_c^2 + w^2)
     Lorentzian:           J(w) = (R lam^2 / 2 pi) / ((omega0 - w - detuning)^2 + lam^2)
-    Tabulated:            linear interpolation of (frequency, density) samples,
-                          zero outside the sampled range (out-of-range queries
-                          are answered with 0, never an exception).
 
     The Lorentzian peak sits at ``omega0 - detuning``.  Both fields may be
     left ``None`` and are then resolved by the owning system configuration
     (detuning defaults to the atom-cavity coupling, the anchor to the atom
-    frequency); standalone rate evaluation requires them to be set.
+    frequency); standalone rate evaluation requires them to be set.  A field
+    of the other family must be left ``None``; setting one raises ValueError
+    naming it.
     """
 
     kind: SpectralKind
@@ -72,13 +73,17 @@ class SpectralModel:
     width: float | None = None
     detuning: float | None = None
     omega0: float | None = None
-    samples: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
+        for name in _FOREIGN_FIELDS[self.kind]:
+            if getattr(self, name) is not None:
+                raise ValueError(f"{name} is not a parameter of the "
+                                 f"{self.kind.value} family, got "
+                                 f"{name}={getattr(self, name)}")
         if self.kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
             if self.omega_c is None or not 0.0 < self.omega_c < math.inf:
                 raise ValueError(f"omega_c must be finite and > 0, got {self.omega_c}")
-        elif self.kind is SpectralKind.LORENTZIAN:
+        else:
             if self.rate is None or not 0.0 < self.rate < math.inf:
                 raise ValueError(f"rate must be finite and > 0, got {self.rate}")
             if self.width is None or not 0.0 < self.width < math.inf:
@@ -87,14 +92,6 @@ class SpectralModel:
                 value = getattr(self, name)
                 if value is not None and not math.isfinite(value):
                     raise ValueError(f"{name} must be finite, got {value}")
-        elif self.kind is SpectralKind.TABULATED:
-            if not self.samples or len(self.samples) < 2:
-                raise ValueError("tabulated model needs at least two samples")
-            freqs = [f for f, _ in self.samples]
-            if not all(b > a for a, b in zip(freqs, freqs[1:])):
-                raise ValueError("tabulated frequencies must be strictly increasing")
-            if not all(d >= 0 for _, d in self.samples):
-                raise ValueError("tabulated densities must be >= 0")
 
     @classmethod
     def ohmic_lorentz_drude(cls, omega_c: float) -> "SpectralModel":
@@ -107,11 +104,6 @@ class SpectralModel:
         return cls(SpectralKind.LORENTZIAN, rate=float(rate), width=float(width),
                    detuning=None if detuning is None else float(detuning),
                    omega0=None if omega0 is None else float(omega0))
-
-    @classmethod
-    def tabulated(cls, freqs, densities) -> "SpectralModel":
-        pairs = tuple((float(f), float(d)) for f, d in zip(freqs, densities))
-        return cls(SpectralKind.TABULATED, samples=pairs)
 
     def resolved(self, coupling: float, omega0: float) -> "SpectralModel":
         """Fill unresolved Lorentzian defaults from a system configuration."""
@@ -133,12 +125,6 @@ class SpectralModel:
                 "SystemConfig or pass them explicitly")
         return self.omega0 - self.detuning
 
-    def support(self) -> tuple[float, float] | None:
-        """Frequency interval outside which J vanishes (tabulated only)."""
-        if self.kind is SpectralKind.TABULATED:
-            return self.samples[0][0], self.samples[-1][0]
-        return None
-
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -146,7 +132,7 @@ class QuadratureConfig:
 
     ``freq_window`` is the dimensionless half-width multiplier W: the core
     integration window extends W characteristic widths beyond the transition
-    frequency and every spectral feature (oscillatory tails beyond it are
+    frequency and the spectral feature (oscillatory tails beyond it are
     integrated to infinity with sine-weighted quadrature).
     """
 
@@ -179,14 +165,10 @@ def _scalar_density(model: SpectralModel):
     if model.kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
         wc2 = model.omega_c ** 2
         return lambda w: (2.0 * w / math.pi) * wc2 / (wc2 + w * w)
-    if model.kind is SpectralKind.LORENTZIAN:
-        peak = model.lorentz_peak()
-        lam2 = model.width ** 2
-        amp = model.rate * lam2 / (2.0 * math.pi)
-        return lambda w: amp / ((peak - w) ** 2 + lam2)
-    freqs = np.array([f for f, _ in model.samples])
-    dens = np.array([d for _, d in model.samples])
-    return lambda w: np.interp(w, freqs, dens, left=0.0, right=0.0)
+    peak = model.lorentz_peak()
+    lam2 = model.width ** 2
+    amp = model.rate * lam2 / (2.0 * math.pi)
+    return lambda w: amp / ((peak - w) ** 2 + lam2)
 
 
 def _ohmic_rates(wc, wj, t):
@@ -214,13 +196,7 @@ def _kernel(kind: SpectralKind):
     (`_kernel_args`) and the times and returns (gamma, beta).  The
     parameters are floats, or (n, 1) columns that broadcast against the
     times."""
-    if kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
-        return _ohmic_rates
-    if kind is SpectralKind.LORENTZIAN:
-        return _lorentz_rates
-    raise ClosedFormUnavailableError(
-        "tabulated spectral densities have no closed-form rates; use "
-        "gamma_numeric, beta_numeric or numeric_rates")
+    return _ohmic_rates if kind is SpectralKind.OHMIC_LORENTZ_DRUDE else _lorentz_rates
 
 
 def _kernel_args(model: SpectralModel, omega_j: float) -> tuple:
@@ -269,7 +245,7 @@ def closed_rates(models, omega_j, times: np.ndarray):
     The same kernel as `gamma_closed` and `beta_closed`, called once, with
     each model's parameters stacked into (n, 1) columns and broadcast
     against ``times``, so row i equals the single-model call bit for bit.
-    All models must be of one closed-form family.
+    All models must be of one family.
     """
     kinds = {m.kind for m in models}
     if len(kinds) != 1:
@@ -286,28 +262,22 @@ def gamma_long_time(model: SpectralModel, omega_j: float) -> float:
 
 
 def _core_window(model: SpectralModel, omega_j: float, W: float):
-    """Finite integration window and feature list for the numeric rate.
+    """Finite integration window and spectral feature for the numeric rate.
 
-    The window is the hull of the transition window ``omega_j +- W sigma``,
-    its mirror image around zero (the Ohmic pole structure straddles the
-    origin), and a window around each spectral feature.  Returns
-    (lo, hi, features, bounded) with features as (center, width) pairs.
+    The feature is the Ohmic pole pair around 0 with width omega_c, or the
+    Lorentzian peak with width lambda.  The window is the hull of the
+    transition window ``omega_j +- W sigma``, its mirror image around zero
+    (the Ohmic pole structure straddles the origin), and ``center +- W
+    sigma``.  Returns (lo, hi, center, sigma).
     """
-    if model.kind is SpectralKind.TABULATED:
-        lo, hi = model.support()
-        return lo, hi, [], True
     if model.kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
-        sigma = model.omega_c
-        feats = [(0.0, model.omega_c)]
+        center, sigma = 0.0, model.omega_c
     else:
-        sigma = model.width
-        feats = [(model.lorentz_peak(), model.width)]
-    los = [omega_j - W * sigma, -(abs(omega_j) + W * sigma)]
-    his = [omega_j + W * sigma, abs(omega_j) + W * sigma]
-    for c, w in feats:
-        los.append(c - W * max(w, sigma))
-        his.append(c + W * max(w, sigma))
-    return min(los), max(his), feats, False
+        center, sigma = model.lorentz_peak(), model.width
+    r = W * sigma
+    lo = min(omega_j - r, -(abs(omega_j) + r), center - r)
+    hi = max(omega_j + r, abs(omega_j) + r, center + r)
+    return lo, hi, center, sigma
 
 
 def check_numeric_time(model: SpectralModel, omega_j: float, t: float,
@@ -318,7 +288,8 @@ def check_numeric_time(model: SpectralModel, omega_j: float, t: float,
 
     Those segments start at the core radius r0 = 6 pi/t: one list of edges
     for u in (r0, u_hi) and one for v = -u in (r0, -u_lo), each split at the
-    spectral features, and empty where the window does not reach past r0.
+    spectral feature's edges, and empty where the window does not reach past
+    r0.
     Domain: every segment [a, b] must resolve its start against its far end,
     (b + a) != (b - a) in floating point.  Otherwise quadpack's end node
     (centr - hlgth) rounds to exactly 0, where J(omega_j + u)/u divides by
@@ -326,13 +297,13 @@ def check_numeric_time(model: SpectralModel, omega_j: float, t: float,
     the whole grid.
     """
     wj = float(omega_j)
-    lo, hi, feats, _ = _core_window(model, wj, cfg.freq_window)
+    lo, hi, center, sigma = _core_window(model, wj, cfg.freq_window)
     u_lo, u_hi = lo - wj, hi - wj
     r0 = 6.0 * math.pi / t
     sides = []
     for a, b, sign, reach in ((max(r0, u_lo), u_hi, 1.0, u_hi > r0),
                               (max(r0, -u_hi), -u_lo, -1.0, u_lo < -r0)):
-        bks = [sign * (c - wj) + s * 10.0 * w for c, w in feats for s in (-1, 1)]
+        bks = [sign * (center - wj) + s * 10.0 * sigma for s in (-1, 1)]
         edges = [a] + [x for x in sorted(bks) if a < x < b] + [b] if reach else []
         for seg_lo, seg_hi in zip(edges[:-1], edges[1:]):
             if seg_hi + seg_lo == seg_hi - seg_lo:
@@ -347,25 +318,21 @@ def check_numeric_time(model: SpectralModel, omega_j: float, t: float,
 
 def _integrands(model: SpectralModel, wj: float, t: float):
     """The integrands of `gamma_numeric`: J(wj + u) sin(u t)/u on the core,
-    J(wj + u)/u and J(wj - v)/v under the sine weight.  The closed families
-    write J out in the arithmetic of `_scalar_density`, so a quadrature point
-    costs one Python call, not two."""
+    J(wj + u)/u and J(wj - v)/v under the sine weight.  Each family writes J
+    out in the arithmetic of `_scalar_density`, so a quadrature point costs
+    one Python call, not two."""
     if model.kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
         wc2 = model.omega_c ** 2
         return (lambda u: ((2.0 * (w := wj + u) / math.pi) * wc2 / (wc2 + w * w)
                            * (t if u == 0.0 else math.sin(u * t) / u)),
                 lambda u: (2.0 * (w := wj + u) / math.pi) * wc2 / (wc2 + w * w) / u,
                 lambda v: (2.0 * (w := wj - v) / math.pi) * wc2 / (wc2 + w * w) / v)
-    if model.kind is SpectralKind.LORENTZIAN:
-        peak, lam2 = model.lorentz_peak(), model.width ** 2
-        amp = model.rate * lam2 / (2.0 * math.pi)
-        return (lambda u: (amp / ((peak - (wj + u)) ** 2 + lam2)
-                           * (t if u == 0.0 else math.sin(u * t) / u)),
-                lambda u: amp / ((peak - (wj + u)) ** 2 + lam2) / u,
-                lambda v: amp / ((peak - (wj - v)) ** 2 + lam2) / v)
-    J = _scalar_density(model)
-    return (lambda u: J(wj + u) * (t if u == 0.0 else math.sin(u * t) / u),
-            lambda u: J(wj + u) / u, lambda v: J(wj - v) / v)
+    peak, lam2 = model.lorentz_peak(), model.width ** 2
+    amp = model.rate * lam2 / (2.0 * math.pi)
+    return (lambda u: (amp / ((peak - (wj + u)) ** 2 + lam2)
+                       * (t if u == 0.0 else math.sin(u * t) / u)),
+            lambda u: amp / ((peak - (wj + u)) ** 2 + lam2) / u,
+            lambda v: amp / ((peak - (wj - v)) ** 2 + lam2) / v)
 
 
 def gamma_numeric(model: SpectralModel, omega_j: float, t: float,
@@ -379,8 +346,8 @@ def gamma_numeric(model: SpectralModel, omega_j: float, t: float,
 
     The frequency integral is split into a non-oscillatory core around the
     kernel peak (plain adaptive quadrature), oscillatory stretches inside the
-    finite window (sine-weighted quadrature, split at spectral features), and
-    sine-weighted tail integrals to +-infinity for unbounded families.
+    finite window (sine-weighted quadrature, split at the spectral feature),
+    and sine-weighted tails that always run from the window edges to +-infinity.
 
     Time domain: the core radius r0 = 6 pi/t must be resolvable against the
     frequency window, so very large t raises ValueError naming ``t`` (see
@@ -396,10 +363,8 @@ def gamma_numeric(model: SpectralModel, omega_j: float, t: float,
         return 0.0
 
     wj = float(omega_j)
-    lo, hi, feats, bounded = _core_window(model, wj, cfg.freq_window)
+    lo, hi, center, _ = _core_window(model, wj, cfg.freq_window)
     u_lo, u_hi = lo - wj, hi - wj
-    if bounded and u_lo >= u_hi:
-        return 0.0
     sides = check_numeric_time(model, wj, t, cfg)
 
     limit = cfg.max_subdivisions
@@ -421,8 +386,8 @@ def gamma_numeric(model: SpectralModel, omega_j: float, t: float,
     near_lo, near_hi = max(u_lo, -r0), min(u_hi, r0)
     f_near, g_plus, g_minus = _integrands(model, wj, t)
     if near_lo < near_hi:
-        pts = sorted(c - wj for c, _ in feats if near_lo < c - wj < near_hi)
-        accumulate(quad(f_near, near_lo, near_hi, points=pts or None,
+        pts = [center - wj] if near_lo < center - wj < near_hi else None
+        accumulate(quad(f_near, near_lo, near_hi, points=pts,
                         limit=limit, epsabs=eps_a, epsrel=eps_r, full_output=1))
 
     for g, edges in zip((g_plus, g_minus), sides):
@@ -431,11 +396,10 @@ def gamma_numeric(model: SpectralModel, omega_j: float, t: float,
                             limit=limit, epsabs=eps_a, epsrel=eps_r,
                             full_output=1))
 
-    if not bounded:
-        for g, a in ((g_plus, u_hi), (g_minus, -u_lo)):
-            accumulate(quad(g, a, np.inf, weight="sin", wvar=t,
-                            epsabs=max(eps_a, 1e-12), limlst=200,
-                            limit=limit, full_output=1))
+    for g, a in ((g_plus, u_hi), (g_minus, -u_lo)):
+        accumulate(quad(g, a, np.inf, weight="sin", wvar=t,
+                        epsabs=max(eps_a, 1e-12), limlst=200,
+                        limit=limit, full_output=1))
 
     total *= 2.0
     est *= 2.0

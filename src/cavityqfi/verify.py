@@ -45,7 +45,8 @@ class VerifyContext:
     """Shared lazy caches so suites reuse amplitude series and trajectories.
 
     `amps` holds one config's series, `preset_table` one (n_cfg, n_t) block
-    per preset grid and `chain` the traced RK4 trajectories.
+    per preset grid and `chain` the traced RK4 trajectories of preset
+    configs, each checked against its config's row of `preset_table`.
     """
 
     def __init__(self):
@@ -74,29 +75,25 @@ class VerifyContext:
                 cfgs, TimeGrid(preset.t_end, preset.n_points).times)
         return cfgs, self._tables[key]
 
-    def chain(self, cfg: SystemConfig, t_end: float, n: int, halve: bool):
-        """(max deviation of traced RK4 vs analytic state, trajectory)."""
-        key = (cfg, t_end, n, halve)
+    def chain(self, name: str, i: int, halve: bool):
+        """(max deviation of traced RK4 vs row i of `preset_table`, trajectory)
+        of a preset's config i, cached by config and grid for twin presets."""
+        preset = PRESETS[name]
+        cfgs, block = self.preset_table(name)
+        cfg = cfgs[i]
+        key = (cfg, preset.t_end, preset.n_points, halve)
         if key not in self._chain:
-            grid = TimeGrid(t_end, n)
+            grid = TimeGrid(preset.t_end, preset.n_points)
             dt = grid.dt
             k = max(1, math.ceil(dt / (0.01 / (cfg.omega0 + cfg.coupling)) - 1e-9))
             if halve:
                 k *= 2
             icfg = mesolve.IntegratorConfig(step=dt / k)
             traj = mesolve.evolve(cfg, grid, icfg)
-            ana = atom_state(cfg, self.amps(cfg, t_end, n).p)
+            ana = atom_state(cfg, block.p[i])
             dev = float(np.max(np.abs(mesolve.partial_trace_cavity(traj) - ana)))
             self._chain[key] = (dev, traj)
         return self._chain[key]
-
-
-def _preset_configs(names):
-    """Yield (preset, values, config) for every config of the named presets."""
-    for name in names:
-        preset = PRESETS[name]
-        for values, cfg in configs(preset.family, *preset_axes(preset)):
-            yield preset, values, cfg
 
 
 def suite_relation_coherence_qfi(ctx: VerifyContext) -> SuiteResult:
@@ -215,16 +212,18 @@ def suite_mesolve_chain(ctx: VerifyContext) -> SuiteResult:
     worst = 0.0
     worst_ratio_score = 0.0
     detail = ""
-    for preset, (g,), cfg in _preset_configs(MESOLVE_PRESETS):
-        dev, _ = ctx.chain(cfg, preset.t_end, preset.n_points, halve=False)
-        dev_half, _ = ctx.chain(cfg, preset.t_end, preset.n_points, halve=True)
-        if dev > worst:
-            worst = dev
-            order = math.log2(dev / max(dev_half, 1e-300))
-            detail = f"{preset.name} coupling={g}, observed order {order:.2f}"
-        if dev_half > 1e-10:  # above the floor the 4th-order ratio must show
-            ratio_score = 8.0 * dev_half / max(dev, 1e-300)
-            worst_ratio_score = max(worst_ratio_score, ratio_score)
+    for name in MESOLVE_PRESETS:
+        for i, cfg in enumerate(ctx.preset_table(name)[0]):
+            dev, _ = ctx.chain(name, i, halve=False)
+            dev_half, _ = ctx.chain(name, i, halve=True)
+            if dev > worst:
+                worst = dev
+                order = math.log2(dev / max(dev_half, 1e-300))
+                detail = (f"{name} coupling={cfg.coupling}, "
+                          f"observed order {order:.2f}")
+            if dev_half > 1e-10:  # above the floor the 4th-order ratio must show
+                ratio_score = 8.0 * dev_half / max(dev, 1e-300)
+                worst_ratio_score = max(worst_ratio_score, ratio_score)
     passed = worst <= tol and worst_ratio_score <= 1.0
     detail += f"; halving score {worst_ratio_score:.2f} (<=1 means ratio >= 8 or floor)"
     return SuiteResult("mesolve-chain", passed, worst, tol, detail)
@@ -359,11 +358,12 @@ def suite_physicality(ctx: VerifyContext) -> SuiteResult:
         d = physicality(atom_state(cfgs, block.p))
         worst = max(worst, d["hermiticity"] / 1e-12, d["trace"] / 1e-12,
                     max(0.0, -d["min_eigenvalue"]) / 1e-9)
-    for preset, _, cfg in _preset_configs(MESOLVE_PRESETS):
-        _, traj = ctx.chain(cfg, preset.t_end, preset.n_points, halve=False)
-        d = physicality(traj[::10])
-        worst = max(worst, d["hermiticity"] / 1e-10, d["trace"] / 1e-10,
-                    max(0.0, -d["min_eigenvalue"]) / 1e-6)
+    for name in MESOLVE_PRESETS:
+        for i in range(len(ctx.preset_table(name)[0])):
+            _, traj = ctx.chain(name, i, halve=False)
+            d = physicality(traj[::10])
+            worst = max(worst, d["hermiticity"] / 1e-10, d["trace"] / 1e-10,
+                        max(0.0, -d["min_eigenvalue"]) / 1e-6)
     return SuiteResult("physicality", worst <= 1.0, worst, 1.0,
                        "worst violation as fraction of its tolerance")
 

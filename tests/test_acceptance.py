@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from cavityqfi import TimeGrid, amplitude, atom_state, metric_series, qfi_closed
+from cavityqfi import verify
 from cavityqfi.presets import CURVE_PRESETS, PRESETS, configs, preset_axes
-from cavityqfi.verify import MESOLVE_PRESETS, SUITES, VerifyContext, run_suites
+from cavityqfi.verify import MESOLVE_PRESETS, SUITES, VerifyContext, run_suites, \
+    suite_mesolve_chain
 
 
 @pytest.fixture(scope="module")
@@ -123,14 +125,23 @@ def test_preset_blocks_match_the_per_config_route(ctx):
             identity = max(identity, float(np.max(np.abs(
                 f_phi - f_theta * math.sin(cfg.theta) ** 2))))
     for name in MESOLVE_PRESETS:
-        preset = PRESETS[name]
-        for _, cfg in configs(preset.family, *preset_axes(preset)):
-            _, traj = ctx.chain(cfg, preset.t_end, preset.n_points, halve=False)
+        for i in range(len(ctx.preset_table(name)[0])):
+            _, traj = ctx.chain(name, i, halve=False)
             phys = max(phys, _eigvalsh_violations(traj[::10], 1e-10, 1e-6))
     want = {"relation-coherence-qfi": relation,
             "closed-form-identity": identity, "physicality": phys}
     for suite, worst in want.items():
         assert SUITES[suite](VerifyContext()).worst == worst, suite
+
+
+def test_mesolve_chain_reads_preset_rows(monkeypatch):
+    # the analytic state of every checked config is a row of its preset's
+    # block, never a single-config amplitude series
+    def no_amplitude(*args, **kwargs):
+        raise AssertionError("mesolve-chain called amplitude")
+
+    monkeypatch.setattr(verify, "amplitude", no_amplitude)
+    assert suite_mesolve_chain(VerifyContext()).passed
 
 
 def test_results_are_builtin_types(ctx):

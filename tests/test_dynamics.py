@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cavityqfi import (
     AmplitudeRangeError,
-    ClosedFormUnavailableError,
     IntegratorConfig,
     QuadratureConfig,
     SpectralModel,
@@ -66,8 +65,6 @@ NON_FINITE_INPUTS = [
     ("width", lambda: SpectralModel.lorentzian(1.0, NAN)),
     ("detuning", lambda: SpectralModel.lorentzian(1.0, 1.0, detuning=NAN)),
     ("omega0", lambda: SpectralModel.lorentzian(1.0, 1.0, omega0=NAN)),
-    ("frequencies", lambda: SpectralModel.tabulated([0.0, NAN, 2.0], [1.0] * 3)),
-    ("densities", lambda: SpectralModel.tabulated([0.0, 1.0], [1.0, NAN])),
     ("freq_window", lambda: QuadratureConfig(freq_window=NAN)),
     ("tolerances", lambda: QuadratureConfig(abs_tol=NAN)),
     ("step", lambda: IntegratorConfig(step=NAN)),
@@ -163,13 +160,6 @@ class TestAmplitude:
         np.testing.assert_array_equal(
             amps.p, 0.5 * (np.exp(-1j * w1 * t - b1 / 4.0)
                            + np.exp(-1j * w2 * t - b2 / 4.0)))
-
-    def test_closed_mode_needs_closed_form(self):
-        tab = SpectralModel.tabulated([0.0, 5.0], [0.0, 1.0])
-        cfg = SystemConfig(omega0=1.0, coupling=0.5, theta=0.3, phi=0.0,
-                           spectral=tab)
-        with pytest.raises(ClosedFormUnavailableError):
-            amplitude(cfg, TimeGrid(1.0, 5))
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):

@@ -19,6 +19,14 @@ def run_fresh(code: str, cwd) -> subprocess.CompletedProcess:
          + code, SRC], cwd=cwd, capture_output=True, text=True, timeout=120)
 
 
+def test_every_export_resolves():
+    # a name left in __all__ after its object is gone breaks `import *`
+    assert all(hasattr(cavityqfi, name) for name in cavityqfi.__all__)
+    namespace = {}
+    exec("from cavityqfi import *", namespace)
+    assert set(cavityqfi.__all__) <= set(namespace)
+
+
 def test_closed_commands_do_not_import_scipy(tmp_path):
     proc = run_fresh("""
 from cavityqfi.cli import build_parser, main

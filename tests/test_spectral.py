@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavityqfi import (
-    ClosedFormUnavailableError,
     QuadratureConfig,
     QuadratureConvergenceError,
+    SpectralKind,
     SpectralModel,
     TimeGrid,
     beta_closed,
@@ -45,12 +45,6 @@ class TestDensity:
         peak = m.omega0 - m.detuning
         assert eval_density(m, peak) == pytest.approx(1.0 / (2 * math.pi), rel=1e-14)
 
-    def test_tabulated_interpolates_and_clips(self):
-        m = SpectralModel.tabulated([0.0, 1.0, 2.0], [0.0, 2.0, 0.0])
-        assert eval_density(m, 0.5) == pytest.approx(1.0)
-        assert eval_density(m, -3.0) == 0.0
-        assert eval_density(m, 7.0) == 0.0
-
     def test_vectorized(self):
         out = eval_density(OHMIC(2.0), np.array([0.0, 1.0, -1.0]))
         assert out.shape == (3,)
@@ -66,13 +60,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             SpectralModel.lorentzian(1.0, 0.0)
 
-    def test_tabulated_needs_increasing_freqs(self):
-        with pytest.raises(ValueError):
-            SpectralModel.tabulated([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
-
-    def test_tabulated_rejects_negative_density(self):
-        with pytest.raises(ValueError):
-            SpectralModel.tabulated([0.0, 1.0], [1.0, -0.1])
+    @pytest.mark.parametrize("kind, fields, foreign", [
+        (SpectralKind.OHMIC_LORENTZ_DRUDE, {"omega_c": 3.0}, "rate"),
+        (SpectralKind.OHMIC_LORENTZ_DRUDE, {"omega_c": 3.0}, "width"),
+        (SpectralKind.OHMIC_LORENTZ_DRUDE, {"omega_c": 3.0}, "detuning"),
+        (SpectralKind.OHMIC_LORENTZ_DRUDE, {"omega_c": 3.0}, "omega0"),
+        (SpectralKind.LORENTZIAN, {"rate": 1.0, "width": 1.0}, "omega_c"),
+    ], ids=["ohmic-rate", "ohmic-width", "ohmic-detuning", "ohmic-omega0",
+            "lorentzian-omega_c"])
+    def test_field_of_other_family_rejected(self, kind, fields, foreign):
+        with pytest.raises(ValueError, match=f"^{foreign} is not a parameter"):
+            SpectralModel(kind, **fields, **{foreign: 7.0})
 
     def test_quadrature_config_bounds(self):
         with pytest.raises(ValueError):
@@ -102,13 +100,6 @@ class TestGammaClosed:
         m = resonant_lorentz(0.5)
         got = gamma_closed(m, 0.5, 4.0)
         assert got == pytest.approx(0.8646647167633873, rel=1e-12)
-
-    def test_tabulated_has_no_closed_form(self):
-        m = SpectralModel.tabulated([0.0, 1.0], [0.0, 1.0])
-        with pytest.raises(ClosedFormUnavailableError):
-            gamma_closed(m, 1.0, 1.0)
-        with pytest.raises(ClosedFormUnavailableError):
-            beta_closed(m, 1.0, 1.0)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -186,28 +177,11 @@ class TestGammaNumeric:
         m = OHMIC(3.0)
         assert abs(gamma_numeric(m, 0.0, 2.0)) <= 1e-9
 
-    def test_tabulated_path(self):
-        # a dense tabulation of the Lorentzian line reproduces its rate to
-        # within the piecewise-linear interpolation error; tolerances matched
-        # to the data quality since the kinks limit quadrature convergence
-        lam = 1.0
-        ref = resonant_lorentz(lam)
-        freqs = np.linspace(0.5 - 12.0, 0.5 + 12.0, 2401)
-        m = SpectralModel.tabulated(freqs, eval_density(ref, freqs))
-        cfg = QuadratureConfig(freq_window=10.0, abs_tol=1e-6, rel_tol=1e-6)
-        got = gamma_numeric(m, 0.5, 2.0, cfg)
-        want = gamma_closed(ref, 0.5, 2.0)
-        assert got == pytest.approx(want, abs=2e-4)
-
     def test_convergence_failure_raises(self):
-        # jagged tabulated density, tiny tolerances, minimal subdivision budget
-        freqs = np.linspace(0.0, 10.0, 801)
-        dens = 1.0 + 0.9 * np.sign(np.sin(997.0 * freqs))
-        m = SpectralModel.tabulated(freqs, dens)
-        cfg = QuadratureConfig(freq_window=10.0, abs_tol=1e-13, rel_tol=1e-13,
-                               max_subdivisions=100)
+        # tolerances near machine precision with the minimal subdivision budget
+        cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=100)
         with pytest.raises(QuadratureConvergenceError) as err:
-            gamma_numeric(m, 5.0, 3.0, cfg)
+            gamma_numeric(OHMIC(0.3), 1.0, 10.0, cfg)
         assert err.value.estimate > 0.0
 
     @pytest.mark.parametrize("t", [1e17, 1e20, 1e308])

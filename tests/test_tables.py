@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from cavityqfi import (
     AmplitudeRangeError,
-    ClosedFormUnavailableError,
     SpectralModel,
     SystemConfig,
     TimeGrid,
@@ -152,15 +151,12 @@ def test_closed_rates_evaluates_the_kernel_once(monkeypatch, family, kernel):
     assert len(calls) == 1
 
 
-def test_closed_rates_rejects_mixed_and_tabulated():
+def test_closed_rates_rejects_mixed_families():
     times = np.linspace(0.0, 1.0, 5)
     ohmic = SpectralModel.ohmic_lorentz_drude(3.0)
     lorentz = SpectralModel.lorentzian(1.0, 1.0, detuning=0.0, omega0=1.0)
     with pytest.raises(ValueError, match="one spectral family"):
         closed_rates([ohmic, lorentz], [1.0, 1.0], times)
-    tab = SpectralModel.tabulated([0.0, 5.0], [0.0, 1.0])
-    with pytest.raises(ClosedFormUnavailableError):
-        closed_rates([tab], [1.0], times)
 
 
 def test_failed_check_names_the_config(monkeypatch):
