@@ -36,7 +36,6 @@ from .metrics import (
     qfi_general_2x2,
 )
 from .spectral import (
-    QuadratureConfig,
     QuadratureConvergenceError,
     SpectralKind,
     SpectralModel,
@@ -55,7 +54,6 @@ __all__ = [
     "IntegratorConfig",
     "MetricSeries",
     "PureStateSingularityError",
-    "QuadratureConfig",
     "QuadratureConvergenceError",
     "SpectralKind",
     "SpectralModel",

@@ -307,12 +307,22 @@ def _custom_preset(args) -> CurvePreset:
                        tuple(args.coupling), reservoir, 20.0, 2000)
 
 
+def _output_path(out: Path) -> Path:
+    """``out``, unless no file can be created there: then ValueError naming
+    --out, raised before any value is computed."""
+    if out.is_dir():
+        raise ValueError(f"--out {out}: is a directory")
+    if not out.parent.is_dir():
+        raise ValueError(f"--out {out}: directory {out.parent} does not exist")
+    return out
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_attach_negative_ranges(argv))
     try:
         if args.command == "run":
-            out = args.out or Path(f"{args.preset}.csv")
+            out = _output_path(args.out or Path(f"{args.preset}.csv"))
             sc = Scenario(args.preset, out, args.steps, args.t_end, args.mode)
             given = [_flag(d) for d in CUSTOM_ONLY_FLAGS if getattr(args, d) is not None]
             if args.preset == "custom":
@@ -338,7 +348,7 @@ def main(argv=None) -> int:
                 except ValueError:
                     raise ValueError(f"--fix {name}: expected a number, "
                                      f"got {value!r}") from None
-            out = args.out or Path("sweep.csv")
+            out = _output_path(args.out or Path("sweep.csv"))
             run_sweep(args.model, args.param, args.ranges, args.quantity,
                       args.t_end, args.steps, out, fixed)
             print(f"wrote {out}")

@@ -126,31 +126,14 @@ class SpectralModel:
         return self.omega0 - self.detuning
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Controls for the numeric rate oracle.
-
-    ``freq_window`` is the dimensionless half-width multiplier W: the core
-    integration window extends W characteristic widths beyond the transition
-    frequency and the spectral feature (oscillatory tails beyond it are
-    integrated to infinity with sine-weighted quadrature).
-    """
-
-    freq_window: float = 50.0
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_subdivisions: int = 10000
-
-    def __post_init__(self):
-        if not self.freq_window >= 10:
-            raise ValueError(f"freq_window must be >= 10, got {self.freq_window}")
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be > 0")
-        if self.max_subdivisions < 100:
-            raise ValueError("max_subdivisions must be >= 100")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
+# Controls of the numeric rate oracle.  The core integration window reaches
+# FREQ_WINDOW characteristic widths past the transition frequency and the
+# spectral feature; the oscillatory tails beyond it run to infinity under
+# sine-weighted quadrature.
+FREQ_WINDOW = 50.0
+ABS_TOL = 1e-10
+REL_TOL = 1e-8
+MAX_SUBDIVISIONS = 10000
 
 
 def eval_density(model: SpectralModel, omega_prime):
@@ -261,27 +244,26 @@ def gamma_long_time(model: SpectralModel, omega_j: float) -> float:
     return 2.0 * math.pi * float(eval_density(model, omega_j))
 
 
-def _core_window(model: SpectralModel, omega_j: float, W: float):
+def _core_window(model: SpectralModel, omega_j: float):
     """Finite integration window and spectral feature for the numeric rate.
 
     The feature is the Ohmic pole pair around 0 with width omega_c, or the
     Lorentzian peak with width lambda.  The window is the hull of the
     transition window ``omega_j +- W sigma``, its mirror image around zero
     (the Ohmic pole structure straddles the origin), and ``center +- W
-    sigma``.  Returns (lo, hi, center, sigma).
+    sigma``, with W = FREQ_WINDOW.  Returns (lo, hi, center, sigma).
     """
     if model.kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
         center, sigma = 0.0, model.omega_c
     else:
         center, sigma = model.lorentz_peak(), model.width
-    r = W * sigma
+    r = FREQ_WINDOW * sigma
     lo = min(omega_j - r, -(abs(omega_j) + r), center - r)
     hi = max(omega_j + r, abs(omega_j) + r, center + r)
     return lo, hi, center, sigma
 
 
 def check_numeric_time(model: SpectralModel, omega_j: float, t: float,
-                       cfg: QuadratureConfig = DEFAULT_QUADRATURE,
                        name: str = "t"):
     """Raise ValueError naming ``name`` unless time t > 0 lies in the
     domain of `gamma_numeric`; return its sine-weighted segment edges.
@@ -297,7 +279,7 @@ def check_numeric_time(model: SpectralModel, omega_j: float, t: float,
     the whole grid.
     """
     wj = float(omega_j)
-    lo, hi, center, sigma = _core_window(model, wj, cfg.freq_window)
+    lo, hi, center, sigma = _core_window(model, wj)
     u_lo, u_hi = lo - wj, hi - wj
     r0 = 6.0 * math.pi / t
     sides = []
@@ -335,8 +317,7 @@ def _integrands(model: SpectralModel, wj: float, t: float):
             lambda v: amp / ((peak - (wj - v)) ** 2 + lam2) / v)
 
 
-def gamma_numeric(model: SpectralModel, omega_j: float, t: float,
-                  cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def gamma_numeric(model: SpectralModel, omega_j: float, t: float) -> float:
     """Decay rate gamma_j(t) by adaptive quadrature, independent of the closed forms.
 
     The time integral of the double integral has the exact primitive
@@ -363,13 +344,11 @@ def gamma_numeric(model: SpectralModel, omega_j: float, t: float,
         return 0.0
 
     wj = float(omega_j)
-    lo, hi, center, _ = _core_window(model, wj, cfg.freq_window)
+    lo, hi, center, _ = _core_window(model, wj)
     u_lo, u_hi = lo - wj, hi - wj
-    sides = check_numeric_time(model, wj, t, cfg)
+    sides = check_numeric_time(model, wj, t)
 
-    limit = cfg.max_subdivisions
-    eps_a = cfg.abs_tol / 8.0
-    eps_r = cfg.rel_tol
+    eps_a = ABS_TOL / 8.0
     total = 0.0
     est = 0.0
     failed = False
@@ -388,25 +367,26 @@ def gamma_numeric(model: SpectralModel, omega_j: float, t: float,
     if near_lo < near_hi:
         pts = [center - wj] if near_lo < center - wj < near_hi else None
         accumulate(quad(f_near, near_lo, near_hi, points=pts,
-                        limit=limit, epsabs=eps_a, epsrel=eps_r, full_output=1))
+                        limit=MAX_SUBDIVISIONS, epsabs=eps_a, epsrel=REL_TOL,
+                        full_output=1))
 
     for g, edges in zip((g_plus, g_minus), sides):
         for seg_lo, seg_hi in zip(edges[:-1], edges[1:]):
             accumulate(quad(g, seg_lo, seg_hi, weight="sin", wvar=t,
-                            limit=limit, epsabs=eps_a, epsrel=eps_r,
+                            limit=MAX_SUBDIVISIONS, epsabs=eps_a, epsrel=REL_TOL,
                             full_output=1))
 
     for g, a in ((g_plus, u_hi), (g_minus, -u_lo)):
         accumulate(quad(g, a, np.inf, weight="sin", wvar=t,
                         epsabs=max(eps_a, 1e-12), limlst=200,
-                        limit=limit, full_output=1))
+                        limit=MAX_SUBDIVISIONS, full_output=1))
 
     total *= 2.0
     est *= 2.0
-    if failed and est > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+    if failed and est > max(ABS_TOL, REL_TOL * abs(total)):
         raise QuadratureConvergenceError(
             f"rate quadrature did not converge: estimate {est:.3e} exceeds "
-            f"tolerance (abs {cfg.abs_tol:.1e}, rel {cfg.rel_tol:.1e})", est)
+            f"tolerance (abs {ABS_TOL:.1e}, rel {REL_TOL:.1e})", est)
     return total
 
 
@@ -422,16 +402,14 @@ def integrate_rate(gamma: np.ndarray, times: np.ndarray) -> np.ndarray:
     return cumulative_simpson(gamma, x=times, initial=0.0)
 
 
-def numeric_rates(model: SpectralModel, omega_j: float, times: np.ndarray,
-                  cfg: QuadratureConfig = DEFAULT_QUADRATURE):
+def numeric_rates(model: SpectralModel, omega_j: float, times: np.ndarray):
     """(gamma_j, beta_j) on uniform ``times`` from 0: `gamma_numeric`
     samples, integrated by `integrate_rate`."""
-    gamma = np.array([gamma_numeric(model, omega_j, t, cfg) for t in times])
+    gamma = np.array([gamma_numeric(model, omega_j, t) for t in times])
     return gamma, integrate_rate(gamma, times)
 
 
-def beta_numeric(model: SpectralModel, omega_j: float, grid,
-                 cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> np.ndarray:
+def beta_numeric(model: SpectralModel, omega_j: float, grid) -> np.ndarray:
     """Cumulative exponent beta_j on a uniform grid from gamma_numeric samples.
 
     ``grid`` is a TimeGrid (uniform, starting at 0); see integrate_rate.
@@ -439,4 +417,4 @@ def beta_numeric(model: SpectralModel, omega_j: float, grid,
     times = np.asarray(grid.times, dtype=float)
     if times[0] != 0.0:
         raise ValueError("grid must start at t = 0")
-    return numeric_rates(model, omega_j, times, cfg)[1]
+    return numeric_rates(model, omega_j, times)[1]

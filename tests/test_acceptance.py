@@ -13,8 +13,7 @@ import pytest
 from cavityqfi import TimeGrid, amplitude, atom_state, metric_series, qfi_closed
 from cavityqfi import verify
 from cavityqfi.presets import CURVE_PRESETS, PRESETS, configs, preset_axes
-from cavityqfi.verify import MESOLVE_PRESETS, SUITES, VerifyContext, run_suites, \
-    suite_mesolve_chain
+from cavityqfi.verify import MESOLVE_PRESETS, SUITES, VerifyContext, run_suites
 
 
 @pytest.fixture(scope="module")
@@ -134,14 +133,15 @@ def test_preset_blocks_match_the_per_config_route(ctx):
         assert SUITES[suite](VerifyContext()).worst == worst, suite
 
 
-def test_mesolve_chain_reads_preset_rows(monkeypatch):
-    # the analytic state of every checked config is a row of its preset's
-    # block, never a single-config amplitude series
+@pytest.mark.parametrize("suite", ["mesolve-chain", "lorentzian-plateau"])
+def test_mesolve_chain_reads_preset_rows(monkeypatch, suite):
+    # every amplitude these suites check is a row of its preset's block,
+    # never a single-config amplitude series
     def no_amplitude(*args, **kwargs):
-        raise AssertionError("mesolve-chain called amplitude")
+        raise AssertionError(f"{suite} called amplitude")
 
     monkeypatch.setattr(verify, "amplitude", no_amplitude)
-    assert suite_mesolve_chain(VerifyContext()).passed
+    assert SUITES[suite](VerifyContext()).passed
 
 
 def test_results_are_builtin_types(ctx):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cavityqfi import (
     AmplitudeRangeError,
     IntegratorConfig,
-    QuadratureConfig,
     SpectralModel,
     SystemConfig,
     TimeGrid,
@@ -65,8 +64,6 @@ NON_FINITE_INPUTS = [
     ("width", lambda: SpectralModel.lorentzian(1.0, NAN)),
     ("detuning", lambda: SpectralModel.lorentzian(1.0, 1.0, detuning=NAN)),
     ("omega0", lambda: SpectralModel.lorentzian(1.0, 1.0, omega0=NAN)),
-    ("freq_window", lambda: QuadratureConfig(freq_window=NAN)),
-    ("tolerances", lambda: QuadratureConfig(abs_tol=NAN)),
     ("step", lambda: IntegratorConfig(step=NAN)),
 ]
 

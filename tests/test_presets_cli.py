@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cavityqfi import dynamics, presets, verify
+from cavityqfi import cli, dynamics, presets, verify
 from cavityqfi.cli import (
     Scenario,
     _csv_block,
@@ -201,11 +201,32 @@ class TestCli:
                      "--coupling", "1.0"]) == 2
         assert "--omega-c" in capsys.readouterr().err
 
-    def test_unwritable_output_reports_path(self, tmp_path, capsys):
-        bad = tmp_path / "missing_dir" / "out.csv"
-        code = main(["run", "fig1a", "--steps", "8", "--out", str(bad)])
+    def test_unwritable_output_reports_path(self, tmp_path, capsys, monkeypatch):
+        # a bad --out exits 2 before any value is computed
+        def no_values(*args, **kwargs):
+            raise AssertionError("values computed before --out was checked")
+
+        monkeypatch.setattr(cli, "curve_table", no_values)
+        monkeypatch.setattr(cli, "table_values", no_values)
+        run = ["run", "fig1a", "--steps", "8"]
+        sweep = ["sweep", "--model", "ohmic", "--param", "coupling",
+                 "--range", "0:1:2"]
+        missing = tmp_path / "missing_dir" / "out.csv"
+        for command, bad in ((run, missing), (sweep, missing), (run, tmp_path)):
+            assert main(command + ["--out", str(bad)]) == 2, (command, bad)
+            err = capsys.readouterr().err
+            assert "--out" in err and str(bad) in err
+        assert not missing.parent.exists()
+
+    def test_write_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        def no_open(path, mode):
+            raise PermissionError("read-only")
+
+        monkeypatch.setattr(cli, "open", no_open, raising=False)
+        code = main(["run", "fig1a", "--steps", "8",
+                     "--out", str(tmp_path / "out.csv")])
         assert code == 1
-        assert "out.csv" in capsys.readouterr().err
+        assert "i/o error" in capsys.readouterr().err
 
     def test_verify_single_suite(self, capsys):
         assert main(["verify", "--suite", "stable-asymptote"]) == 0

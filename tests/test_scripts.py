@@ -1,9 +1,13 @@
+import hashlib
+import json
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def test_convergence_study_shows_fourth_order(capsys):
@@ -17,3 +21,16 @@ def test_convergence_study_shows_fourth_order(capsys):
     for _, dev, ratio in rows[1:]:
         if float(dev) > 1e-10:  # above the floor the 4th-order ratio must show
             assert float(ratio) >= 8.0
+
+
+def test_reproduce_figures_matches_reference_digests(tmp_path, monkeypatch):
+    # the 16 default preset CSVs, byte for byte, against the digests the
+    # benchmark checks (read only here)
+    want = json.loads((ROOT / "perfbench" / "reference.json").read_text())["presets"]
+    monkeypatch.setattr(sys, "argv", ["reproduce_figures.py", str(tmp_path)])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(SCRIPTS / "reproduce_figures.py"), run_name="__main__")
+    assert done.value.code == 0
+    got = {p.stem: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in tmp_path.glob("*.csv")}
+    assert got == want

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavityqfi import (
-    QuadratureConfig,
     QuadratureConvergenceError,
     SpectralKind,
     SpectralModel,
@@ -71,14 +70,6 @@ class TestValidation:
     def test_field_of_other_family_rejected(self, kind, fields, foreign):
         with pytest.raises(ValueError, match=f"^{foreign} is not a parameter"):
             SpectralModel(kind, **fields, **{foreign: 7.0})
-
-    def test_quadrature_config_bounds(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(freq_window=5.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_subdivisions=10)
 
     def test_unresolved_lorentzian_rejected(self):
         m = SpectralModel.lorentzian(1.0, 1.0)  # no detuning/anchor yet
@@ -177,11 +168,13 @@ class TestGammaNumeric:
         m = OHMIC(3.0)
         assert abs(gamma_numeric(m, 0.0, 2.0)) <= 1e-9
 
-    def test_convergence_failure_raises(self):
-        # tolerances near machine precision with the minimal subdivision budget
-        cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=100)
+    def test_convergence_failure_raises(self, monkeypatch):
+        # tolerances near machine precision with a small subdivision budget
+        monkeypatch.setattr(spectral, "ABS_TOL", 1e-15)
+        monkeypatch.setattr(spectral, "REL_TOL", 1e-15)
+        monkeypatch.setattr(spectral, "MAX_SUBDIVISIONS", 100)
         with pytest.raises(QuadratureConvergenceError) as err:
-            gamma_numeric(OHMIC(0.3), 1.0, 10.0, cfg)
+            gamma_numeric(OHMIC(0.3), 1.0, 10.0)
         assert err.value.estimate > 0.0
 
     @pytest.mark.parametrize("t", [1e17, 1e20, 1e308])
