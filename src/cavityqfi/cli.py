@@ -317,10 +317,21 @@ def _output_path(out: Path) -> Path:
     return out
 
 
+def _check_grid_flags(t_end, steps) -> None:
+    """Name --t-end or --steps (None: the preset's) if it makes no TimeGrid."""
+    for flag, t, n in (("--t-end", t_end, 1), ("--steps", 1.0, steps)):
+        try:
+            TimeGrid(1.0 if t is None else t, 1 if n is None else n)
+        except ValueError as exc:
+            raise ValueError(f"{flag}: {exc}") from None
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_attach_negative_ranges(argv))
     try:
+        if args.command != "verify":
+            _check_grid_flags(args.t_end, args.steps)
         if args.command == "run":
             out = _output_path(args.out or Path(f"{args.preset}.csv"))
             sc = Scenario(args.preset, out, args.steps, args.t_end, args.mode)

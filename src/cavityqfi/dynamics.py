@@ -65,9 +65,19 @@ class TimeGrid:
         if not self.n_points >= 1:
             raise ValueError(f"n_points must be >= 1, got {self.n_points}")
 
+    def window(self, start: int, stop: int) -> np.ndarray:
+        """``times[start:stop]``, 0 <= start <= stop <= n_points, without the
+        rest of the grid; `np.linspace` bit for bit, underflowing step too."""
+        t = np.arange(start, stop, dtype=float)
+        div = max(self.n_points - 1, 1)
+        t = t * (self.t_end / div) if self.t_end / div else t / div * self.t_end
+        if stop == self.n_points > 1 and start < stop:
+            t[-1] = self.t_end
+        return t
+
     @property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_end, self.n_points)
+        return self.window(0, self.n_points)
 
     @property
     def dt(self) -> float:

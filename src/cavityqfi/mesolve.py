@@ -37,14 +37,12 @@ import numpy as np
 # amplitude is not called here, but perfbench/tracer.py wraps this binding
 from .dynamics import (  # noqa: F401
     _BLOCK_SAMPLES,
-    EPS_P_SINGULAR,
     SystemConfig,
     TimeGrid,
+    _log_ratio,
     amplitude,
     amplitude_table,
     atom_state,
-    decoherence_rate,
-    lamb_shift,
 )
 from .spectral import gamma_closed
 
@@ -193,7 +191,7 @@ def partial_trace_cavity(rho3) -> np.ndarray:
     return out
 
 
-def timelocal_residual(cfg: SystemConfig, grid: TimeGrid) -> np.ndarray:
+def timelocal_residual_blocks(cfg: SystemConfig, grid: TimeGrid):
     """Defect of the analytic state under its own time-local equation.
 
     At each interior grid point, the Frobenius norm of the central-difference
@@ -201,31 +199,33 @@ def timelocal_residual(cfg: SystemConfig, grid: TimeGrid) -> np.ndarray:
 
         rhs = -i S/2 [|e><e|, rho] + Gamma (s- rho s+ - 1/2 {|e><e|, rho})
 
-    Endpoints and samples flagged by the amplitude-singularity policy are NaN.
-    The grid is taken in blocks of interior points, each evaluated with one
-    neighbour on either side, so memory stays bounded on fine grids.
+    Samples flagged by the amplitude-singularity policy are NaN.  Yields
+    (start, defect at points start, start + 1, ...) per block of interior
+    points; a block reads only its `TimeGrid.window`, so memory stays bounded.
     """
-    times = grid.times
-    n = times.size
-    out = np.full(n, np.nan)
+    n = grid.n_points
     if n < 3:
-        amplitude_table([cfg], times)  # the checks
-        return out
-    h = grid.dt
+        amplitude_table([cfg], grid.times)  # the checks
     for i0 in range(1, n - 1, _BLOCK_SAMPLES):
         i1 = min(i0 + _BLOCK_SAMPLES, n - 1)
-        amps = amplitude_table([cfg], times[i0 - 1:i1 + 1])
+        amps = amplitude_table([cfg], grid.window(i0 - 1, i1 + 1))
         p, p_dot = amps.p[0], amps.p_dot[0]
         rho = atom_state(cfg, p)
-        gam = decoherence_rate(p[1:-1], p_dot[1:-1])
-        shift = lamb_shift(p[1:-1], p_dot[1:-1])
-        fd = (rho[2:] - rho[:-2]) / (2.0 * h)
+        ratio = _log_ratio(p[1:-1], p_dot[1:-1])  # NaN where p is singular
+        gam, shift = -2.0 * ratio.real, -2.0 * ratio.imag
+        fd = (rho[2:] - rho[:-2]) / (2.0 * grid.dt)
         r = rho[1:-1]
         rhs = np.empty_like(r)
         rhs[:, 0, 0] = -gam * r[:, 0, 0].real
         rhs[:, 1, 1] = gam * r[:, 0, 0].real
         rhs[:, 0, 1] = (-0.5j * shift - 0.5 * gam) * r[:, 0, 1]
         rhs[:, 1, 0] = np.conj(rhs[:, 0, 1])
-        resid = np.linalg.norm((fd - rhs).reshape(-1, 4), axis=1)
-        out[i0:i1] = np.where(np.abs(p[1:-1]) <= EPS_P_SINGULAR, np.nan, resid)
+        yield i0, np.linalg.norm((fd - rhs).reshape(-1, 4), axis=1)
+
+
+def timelocal_residual(cfg: SystemConfig, grid: TimeGrid) -> np.ndarray:
+    """`timelocal_residual_blocks` as one array, NaN at the endpoints."""
+    out = np.full(grid.n_points, np.nan)
+    for start, block in timelocal_residual_blocks(cfg, grid):
+        out[start:start + block.size] = block
     return out

@@ -42,12 +42,12 @@ class SuiteResult:
 
 
 class VerifyContext:
-    """Shared lazy caches so suites reuse amplitude blocks and trajectories.
+    """Shared lazy caches so suites reuse amplitude blocks and RK4 results.
 
     `preset_table` holds one (n_cfg, n_t) block per preset grid and `chain`
-    the traced RK4 trajectories of preset configs, each checked against its
-    config's row of `preset_table`.  `amps` computes one config's series off
-    the preset grids, uncached: no two suites ask for the same one.
+    the RK4 deviations from its rows, with every 10th base-step state for
+    `physicality` but no full trajectory.  `amps` computes one config's
+    series off the preset grids, uncached: no two suites ask for the same one.
     """
 
     def __init__(self):
@@ -73,8 +73,8 @@ class VerifyContext:
         return cfgs, self._tables[key]
 
     def chain(self, name: str, i: int, halve: bool):
-        """(max deviation of traced RK4 vs row i of `preset_table`, trajectory)
-        of a preset's config i, cached by config and grid for twin presets."""
+        """(max deviation of traced RK4 vs row i of `preset_table`, states or
+        None if halved) of a preset's config i, cached by config and grid."""
         preset = PRESETS[name]
         cfgs, block = self.preset_table(name)
         cfg = cfgs[i]
@@ -83,13 +83,11 @@ class VerifyContext:
             grid = TimeGrid(preset.t_end, preset.n_points)
             dt = grid.dt
             k = max(1, math.ceil(dt / (0.01 / (cfg.omega0 + cfg.coupling)) - 1e-9))
-            if halve:
-                k *= 2
-            icfg = mesolve.IntegratorConfig(step=dt / k)
+            icfg = mesolve.IntegratorConfig(step=dt / (2 * k if halve else k))
             traj = mesolve.evolve(cfg, grid, icfg)
             ana = atom_state(cfg, block.p[i])
             dev = float(np.max(np.abs(mesolve.partial_trace_cavity(traj) - ana)))
-            self._chain[key] = (dev, traj)
+            self._chain[key] = (dev, None if halve else traj[::10].copy())
         return self._chain[key]
 
 
@@ -247,8 +245,8 @@ def suite_timelocal_residual(ctx: VerifyContext) -> SuiteResult:
     cases += [("lorentzian", g, 0.1, 10.0) for g in (0.01, 0.5, 1.0)]
     for family, g, res, t_end in cases:
         cfg = make_config(family, g, res)
-        resid = mesolve.timelocal_residual(cfg, _residual_grid(cfg, t_end))
-        mx = float(np.nanmax(resid))
+        mx = max(float(np.nanmax(block, initial=-math.inf)) for _, block
+                 in mesolve.timelocal_residual_blocks(cfg, _residual_grid(cfg, t_end)))
         if mx > worst:
             worst = mx
             detail = f"{family} coupling={g} reservoir={res}"
@@ -361,8 +359,8 @@ def suite_physicality(ctx: VerifyContext) -> SuiteResult:
                     max(0.0, -d["min_eigenvalue"]) / 1e-9)
     for name in MESOLVE_PRESETS:
         for i in range(len(ctx.preset_table(name)[0])):
-            _, traj = ctx.chain(name, i, halve=False)
-            d = physicality(traj[::10])
+            _, states = ctx.chain(name, i, halve=False)
+            d = physicality(states)
             worst = max(worst, d["hermiticity"] / 1e-10, d["trace"] / 1e-10,
                         max(0.0, -d["min_eigenvalue"]) / 1e-6)
     return SuiteResult("physicality", worst <= 1.0, worst, 1.0,

@@ -5,7 +5,9 @@ line (visible with `pytest -s` or on failure).  The suites share one cache
 context so the expensive master-equation trajectories are integrated once.
 """
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,12 +127,44 @@ def test_preset_blocks_match_the_per_config_route(ctx):
                 f_phi - f_theta * math.sin(cfg.theta) ** 2))))
     for name in MESOLVE_PRESETS:
         for i in range(len(ctx.preset_table(name)[0])):
-            _, traj = ctx.chain(name, i, halve=False)
-            phys = max(phys, _eigvalsh_violations(traj[::10], 1e-10, 1e-6))
+            _, states = ctx.chain(name, i, halve=False)
+            phys = max(phys, _eigvalsh_violations(states, 1e-10, 1e-6))
     want = {"relation-coherence-qfi": relation,
             "closed-form-identity": identity, "physicality": phys}
     for suite, worst in want.items():
         assert SUITES[suite](VerifyContext()).worst == worst, suite
+
+
+def _traced(f):
+    """(f(), peak and current bytes that tracemalloc saw while f ran)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = f()
+        gc.collect()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak, current
+
+
+def test_timelocal_residual_holds_one_block():
+    # the finest grid (Lorentzian coupling 40) has 1.3M points, 10.4 MB per
+    # float array; the suite holds one block of it at a time
+    result, peak, _ = _traced(lambda: SUITES["timelocal-residual"](VerifyContext()))
+    assert result.passed
+    assert peak < 12e6
+
+
+def test_mesolve_chain_keeps_no_trajectory():
+    # with the preset blocks already built, what the suite leaves in the
+    # context is the RK4 results: deviations and every 10th base-step state
+    ctx = VerifyContext()
+    for name in MESOLVE_PRESETS:
+        ctx.preset_table(name)
+    result, _, retained = _traced(lambda: SUITES["mesolve-chain"](ctx))
+    assert result.passed
+    assert retained < 3e6
 
 
 @pytest.mark.parametrize("suite", ["mesolve-chain", "lorentzian-plateau"])

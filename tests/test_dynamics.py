@@ -38,6 +38,27 @@ class TestTimeGrid:
     def test_single_point(self):
         np.testing.assert_array_equal(TimeGrid(1.0, 1).times, [0.0])
 
+    @given(st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+           st.integers(1, 3000), st.data())
+    @settings(max_examples=300)
+    def test_window_is_linspace_slice(self, t_end, n, data):
+        a = data.draw(st.integers(0, n))
+        b = data.draw(st.integers(a, n))
+        want = np.linspace(0.0, t_end, n)
+        assert TimeGrid(t_end, n).window(a, b).tobytes() == want[a:b].tobytes()
+
+    @pytest.mark.parametrize("t_end, n", [
+        (1.0, 1), (1.0, 2),
+        (1.0, 4),        # dt = 1/3 is not exactly representable
+        (50.0, 12800),   # fig4a
+        (5e-324, 5),     # t_end / (n - 1) underflows to 0
+    ])
+    def test_window_full_and_empty(self, t_end, n):
+        grid, want = TimeGrid(t_end, n), np.linspace(0.0, t_end, n)
+        assert grid.times.tobytes() == want.tobytes()
+        for a, b in ((0, n), (0, 0), (n, n), (n - 1, n), (0, n - 1)):
+            assert grid.window(a, b).tobytes() == want[a:b].tobytes()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TimeGrid(0.0, 10)

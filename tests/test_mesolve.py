@@ -20,6 +20,7 @@ from cavityqfi import (
     timelocal_residual,
 )
 from cavityqfi import dynamics, mesolve, spectral
+from cavityqfi.mesolve import timelocal_residual_blocks
 from cavityqfi.presets import make_config
 
 SQ2 = math.sqrt(2.0)
@@ -308,6 +309,19 @@ class TestTimelocalResidual:
         whole = timelocal_residual(cfg, grid)
         monkeypatch.setattr(mesolve, "_BLOCK_SAMPLES", block)
         assert np.array_equal(timelocal_residual(cfg, grid), whole, equal_nan=True)
+        # the array form is the blocks laid end to end between the endpoints
+        starts, blocks = zip(*timelocal_residual_blocks(cfg, grid))
+        assert starts == tuple(range(1, 100, block))
+        assert np.array_equal(np.concatenate(blocks), whole[1:-1], equal_nan=True)
+
+    def test_singular_samples_are_nan(self, zero_rates):
+        # p = e^{-i t} cos(t/2) vanishes at t = pi, the middle interior point
+        cfg = ohmic_cfg(coupling=0.5)
+        grid = TimeGrid(2.0 * math.pi, 5)
+        assert abs(amplitude(cfg, grid).p[2]) <= dynamics.EPS_P_SINGULAR
+        resid = timelocal_residual(cfg, grid)
+        assert math.isnan(resid[2])
+        assert np.all(np.isfinite(resid[[1, 3]]))
 
     def test_endpoints_are_nan(self):
         resid = timelocal_residual(ohmic_cfg(), TimeGrid(1.0, 51))

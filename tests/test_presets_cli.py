@@ -392,8 +392,18 @@ OHMIC_DOMAIN = "0 <= coupling <= omega0"
       "--coupling", "1.5", "--steps", "5", "--t-end", "0.5"], OHMIC_DOMAIN),
     (["sweep", "--model", "ohmic", "--param", "coupling",
       "--range", "0.5:1.5:3"], OHMIC_DOMAIN),
+    (["run", "fig1a", "--steps", "0"], "--steps: n_points must be >= 1, got 0"),
+    (["run", "fig2a", "--t-end", "-1"], "--t-end: t_end must be finite and > 0"),
+    (["run", "custom", "--family", "ohmic", "--omega-c", "3",
+      "--coupling", "0.5", "--steps", "-2"], "--steps: n_points"),
+    (["sweep", "--model", "ohmic", "--param", "coupling", "--range", "0:1:3",
+      "--steps", "0"], "--steps: n_points must be >= 1, got 0"),
+    (["sweep", "--model", "ohmic", "--param", "coupling", "--range", "0:1:3",
+      "--t-end", "nan"], "--t-end: t_end must be finite and > 0, got nan"),
 ], ids=["param-twice", "fix-twice", "custom-lorentzian-omega-c",
-        "custom-ohmic-width", "custom-ohmic-coupling", "sweep-ohmic-coupling"])
+        "custom-ohmic-width", "custom-ohmic-coupling", "sweep-ohmic-coupling",
+        "run-steps", "contour-t-end", "custom-steps", "sweep-steps",
+        "sweep-t-end"])
 def test_rejected_before_any_amplitude(tmp_path, capsys, monkeypatch, argv, text):
     def no_amplitude(*args, **kwargs):
         raise AssertionError("amplitude computed before the input was rejected")
