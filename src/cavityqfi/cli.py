@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import TimeGrid
+from .dynamics import _BLOCK_SAMPLES, TimeGrid
 # make_config and quantity_values are not called here, but
 # perfbench/tracer.py wraps these bindings
 from .presets import (  # noqa: F401
@@ -35,7 +37,7 @@ from .presets import (  # noqa: F401
     curve_table,
     make_config,
     quantity_values,
-    table_values,
+    table_blocks,
 )
 
 EXIT_OK = 0
@@ -89,15 +91,28 @@ def _write(path: Path, lines, times, prefixes, blocks) -> None:
 
     Block i is an (n_t,) or (n_t, k) array of values; its rows share the
     formatted fields ``prefixes[i]`` (see `_csv_block`).  Each time is
-    formatted once, and one block is written at a time.  Callers compute
-    and check every value first, so a failing config leaves no file.
+    formatted once, and at most ``_BLOCK_SAMPLES`` values at a time.  The
+    blocks may be computed and checked as they are read: the rows go to a
+    new file beside ``path`` that replaces it once all are written, so any
+    failure, an interrupt too, leaves ``path`` as it was.
     """
     times_text = _fmt_all(times)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-            for prefix, values in zip(prefixes, blocks, strict=True):
-                fh.write(_csv_block(times_text, prefix, values))
+        fh = open(tmp, "x")
+        try:
+            with fh:
+                fh.write("\n".join(lines) + "\n")
+                for prefix, values in zip(prefixes, blocks, strict=True):
+                    width = values.shape[1] if values.ndim == 2 else 1
+                    step = max(1, _BLOCK_SAMPLES // width)
+                    for s in range(0, len(times_text), step):
+                        fh.write(_csv_block(times_text[s:s + step], prefix,
+                                            values[s:s + step]))
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     except OSError as exc:
         raise OSError(f"cannot write output file {path}: {exc}") from exc
 
@@ -135,7 +150,7 @@ def run_curve_preset(sc: Scenario, preset: CurvePreset | None = None) -> Path:
 def run_contour_preset(sc: Scenario) -> Path:
     """Preset contour as long-format CSV (t, param, value)."""
     preset = _overridden(CONTOUR_PRESETS[sc.preset], sc)
-    times, params, values = contour_table(preset, sc.mode)
+    times, params, blocks = contour_table(preset, sc.mode)
     meta = _meta_lines([
         ("generator", f"cavityqfi {__version__}"),
         ("preset", preset.name),
@@ -151,7 +166,8 @@ def run_contour_preset(sc: Scenario) -> Path:
         ("row_order", "param-major"),
     ])
     _write(sc.out, meta + ["t,param,value"], times,
-           ["," + _fmt(v) for v in params.tolist()], values)
+           ["," + _fmt(v) for v in params.tolist()],
+           itertools.chain.from_iterable(blocks))
     return sc.out
 
 
@@ -181,7 +197,7 @@ def _parse_range(text: str, param: str) -> np.ndarray:
         raise ValueError(f"--range for {param}: endpoints must be finite, "
                          f"got {text!r}")
     if n < 1:
-        raise ValueError("--range count must be >= 1")
+        raise ValueError(f"--range for {param}: count must be >= 1, got {text!r}")
     return np.linspace(a, b, n)
 
 
@@ -205,9 +221,10 @@ def run_sweep(family: str, params: list[str], ranges: list[str],
         ("fixed", ",".join(f"{k}={v}" for k, v in sorted(fixed)) or "-"),
         ("t_end", _fmt(t_end)), ("points", n_points),
     ])
-    values = table_values([cfg for _, cfg in table], grid, quantity)
+    blocks = table_blocks([cfg for _, cfg in table], grid, quantity)
     _write(out, meta + ["t," + ",".join(params) + ",value"], grid.times,
-           ["".join("," + _fmt(v) for v in point) for point, _ in table], values)
+           ["".join("," + _fmt(v) for v in point) for point, _ in table],
+           itertools.chain.from_iterable(blocks))
     return out
 
 

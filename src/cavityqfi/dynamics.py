@@ -132,7 +132,7 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class AmplitudeSeries:
-    """p(t) and its analytic derivative.
+    """p(t) and its analytic derivative (None if not asked for).
 
     From `amplitude` both are arrays over ``times``; from `amplitude_table`
     they have one row per config.
@@ -140,7 +140,7 @@ class AmplitudeSeries:
 
     times: np.ndarray
     p: np.ndarray
-    p_dot: np.ndarray
+    p_dot: np.ndarray | None
 
 
 def per_row(f, x):
@@ -198,8 +198,8 @@ def _rate_table(cfgs, times: np.ndarray, mode: str):
     return tuple(np.array(col) for col in zip(*rows))
 
 
-def amplitude_table(cfgs, times: np.ndarray,
-                    mode: str = "closed") -> AmplitudeSeries:
+def amplitude_table(cfgs, times: np.ndarray, mode: str = "closed",
+                    derivative: bool = True) -> AmplitudeSeries:
     """Amplitude series of every config at once, one row per config.
 
     Closed mode evaluates the closed forms once over the (config x time)
@@ -210,6 +210,7 @@ def amplitude_table(cfgs, times: np.ndarray,
     as `amplitude` checks it, and the error names the config.  A time so
     large that omega_j t overflows gives a NaN amplitude; the check rejects
     it, so numpy's overflow warnings on the way there are silenced.
+    ``p_dot`` is None unless ``derivative``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         g1, b1, g2, b2 = _rate_table(cfgs, times, mode)
@@ -218,7 +219,8 @@ def amplitude_table(cfgs, times: np.ndarray,
         e1 = np.exp(-1j * w1 * times - b1 / 4.0)
         e2 = np.exp(-1j * w2 * times - b2 / 4.0)
         p = 0.5 * (e1 + e2)
-        p_dot = 0.5 * ((-1j * w1 - g1 / 4.0) * e1 + (-1j * w2 - g2 / 4.0) * e2)
+        p_dot = (0.5 * ((-1j * w1 - g1 / 4.0) * e1 + (-1j * w2 - g2 / 4.0) * e2)
+                 if derivative else None)
     _check_amplitude(cfgs, times, p)
     return AmplitudeSeries(times=times, p=p, p_dot=p_dot)
 

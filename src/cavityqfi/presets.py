@@ -177,27 +177,32 @@ def _block_values(cfgs, amps, quantity: str) -> np.ndarray:
     return f_phi if quantity == "qfi_phi" else f_theta
 
 
-def table_values(cfgs, grid: TimeGrid, quantity: str,
-                 mode: str = "closed") -> np.ndarray:
-    """One quantity for every config on one grid, shape (len(cfgs), n_points).
+def table_blocks(cfgs, grid: TimeGrid, quantity: str, mode: str = "closed"):
+    """One quantity for every config on one grid, as an iterator of
+    (rows, n_points) blocks in config order.
 
-    Configs go through `amplitude_table` in blocks of at most
-    ``_BLOCK_SAMPLES`` samples, so memory stays bounded however many there
-    are.  Every amplitude is checked before this returns, and a failing
-    check names its config.  Row i equals `amplitude` + `metric_series`
-    (or `decoherence_rate`, `lamb_shift`) of config i bit for bit; NaN marks
-    flagged samples.
+    Each block is one `amplitude_table` call of at most ``_BLOCK_SAMPLES``
+    samples, or of one config, so memory stays bounded however many configs
+    there are.  ``quantity`` is checked on the call, each block's amplitudes
+    before it is yielded, and a failing check names its config.  Row i
+    equals `amplitude` + `metric_series` (or `decoherence_rate`,
+    `lamb_shift`) of config i bit for bit; NaN marks flagged samples.
     """
     if quantity not in QUANTITIES + ("lamb_shift",):
         raise ValueError(f"unknown quantity {quantity!r}")
     cfgs, times = list(cfgs), grid.times
-    out = np.empty((len(cfgs), times.size))
     rows = max(1, _BLOCK_SAMPLES // times.size)
-    for i in range(0, len(cfgs), rows):
-        block = cfgs[i:i + rows]
-        amps = amplitude_table(block, times, mode)
-        out[i:i + len(block)] = _block_values(block, amps, quantity)
-    return out
+    derivative = quantity in ("decoherence_rate", "lamb_shift")  # the p_dot readers
+    blocks = (cfgs[i:i + rows] for i in range(0, len(cfgs), rows))
+    return (_block_values(b, amplitude_table(b, times, mode, derivative), quantity)
+            for b in blocks)
+
+
+def table_values(cfgs, grid: TimeGrid, quantity: str,
+                 mode: str = "closed") -> np.ndarray:
+    """`table_blocks` laid into one array, shape (len(cfgs), n_points)."""
+    return np.concatenate([np.empty((0, grid.n_points)),
+                           *table_blocks(cfgs, grid, quantity, mode)])
 
 
 def quantity_values(cfg: SystemConfig, grid: TimeGrid, quantity: str,
@@ -214,8 +219,8 @@ def curve_table(preset: CurvePreset, mode: str = "closed"):
 
 
 def contour_table(preset: ContourPreset, mode: str = "closed"):
-    """(times, params, values[n_param, n_t]) for a contour preset (F_phi)."""
+    """(times, params, `table_blocks` of F_phi) for a contour preset."""
     grid = TimeGrid(preset.t_end, preset.n_points)
     params, cfgs = zip(*configs(preset.family, *preset_axes(preset)))
     return (grid.times, np.array([v for v, in params]),
-            table_values(cfgs, grid, "qfi_phi", mode))
+            table_blocks(cfgs, grid, "qfi_phi", mode))

@@ -60,6 +60,7 @@ class VerifyContext:
     def preset_table(self, name: str) -> tuple[list, AmplitudeSeries]:
         """(cfgs, amplitude block) of a preset: one row per config, in
         `configs` order, from one `amplitude_table` call on the preset grid.
+        No suite reads ``p_dot``, so the block has none.
 
         The cache key is the configs and the grid, not the name, so presets
         that differ only in their quantity share one block.
@@ -69,7 +70,8 @@ class VerifyContext:
         key = (tuple(cfgs), preset.t_end, preset.n_points)
         if key not in self._tables:
             self._tables[key] = amplitude_table(
-                cfgs, TimeGrid(preset.t_end, preset.n_points).times)
+                cfgs, TimeGrid(preset.t_end, preset.n_points).times,
+                derivative=False)
         return cfgs, self._tables[key]
 
     def chain(self, name: str, i: int, halve: bool):

@@ -156,6 +156,15 @@ def test_timelocal_residual_holds_one_block():
     assert peak < 12e6
 
 
+def test_preset_tables_keep_no_p_dot():
+    # the 16 preset blocks hold 2.6 MB of p and 0.2 MB of times; no suite
+    # reads p_dot, which would add another 2.6 MB
+    ctx = VerifyContext()
+    _, _, retained = _traced(lambda: [ctx.preset_table(name) for name in PRESETS])
+    assert all(ctx.preset_table(name)[1].p_dot is None for name in PRESETS)
+    assert retained < 3.5e6
+
+
 def test_mesolve_chain_keeps_no_trajectory():
     # with the preset blocks already built, what the suite leaves in the
     # context is the RK4 results: deviations and every 10th base-step state

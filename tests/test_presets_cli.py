@@ -161,7 +161,8 @@ class TestContourOutputs:
         # the fig2b parameter grid hits omega_c = 3 exactly; that slice must
         # reproduce the fig1a resonant-coupling curve on the contour grid
         preset = CONTOUR_PRESETS["fig2b"]
-        times, params, values = contour_table(preset)
+        times, params, blocks = contour_table(preset)
+        values = np.concatenate(list(blocks))
         j = int(np.argmin(np.abs(params - 3.0)))
         assert params[j] == 3.0
         cfg = make_config("ohmic", 1.0, 3.0)
@@ -172,7 +173,8 @@ class TestContourOutputs:
     def test_plateau_slice(self):
         # resonant-coupling slice of the strong-coupling contour flattens
         preset = CONTOUR_PRESETS["fig5a"]
-        times, params, values = contour_table(preset)
+        times, params, blocks = contour_table(preset)
+        values = np.concatenate(list(blocks))
         j = int(np.argmin(np.abs(params - 1.0)))
         assert params[j] == 1.0
         window = values[j][times >= 20.0]
@@ -207,7 +209,7 @@ class TestCli:
             raise AssertionError("values computed before --out was checked")
 
         monkeypatch.setattr(cli, "curve_table", no_values)
-        monkeypatch.setattr(cli, "table_values", no_values)
+        monkeypatch.setattr(cli, "table_blocks", no_values)
         run = ["run", "fig1a", "--steps", "8"]
         sweep = ["sweep", "--model", "ohmic", "--param", "coupling",
                  "--range", "0:1:2"]
@@ -400,10 +402,12 @@ OHMIC_DOMAIN = "0 <= coupling <= omega0"
       "--steps", "0"], "--steps: n_points must be >= 1, got 0"),
     (["sweep", "--model", "ohmic", "--param", "coupling", "--range", "0:1:3",
       "--t-end", "nan"], "--t-end: t_end must be finite and > 0, got nan"),
+    (["sweep", "--model", "ohmic", "--param", "omega_c", "--range", "0.1:3:0"],
+     "--range for omega_c: count must be >= 1, got '0.1:3:0'"),
 ], ids=["param-twice", "fix-twice", "custom-lorentzian-omega-c",
         "custom-ohmic-width", "custom-ohmic-coupling", "sweep-ohmic-coupling",
         "run-steps", "contour-t-end", "custom-steps", "sweep-steps",
-        "sweep-t-end"])
+        "sweep-t-end", "sweep-range-count"])
 def test_rejected_before_any_amplitude(tmp_path, capsys, monkeypatch, argv, text):
     def no_amplitude(*args, **kwargs):
         raise AssertionError("amplitude computed before the input was rejected")
@@ -438,6 +442,58 @@ def test_failing_block_exits_2_and_writes_no_file(tmp_path, capsys, monkeypatch)
     err = capsys.readouterr().err
     assert "coupling=1.0" in err and "|p| exceeded" in err
     assert not out.exists()
+
+
+# 4 configs to a block.  At t = 1e308 every coupling >= 0.8 gives a NaN
+# amplitude, so the first bad config (index 32) is in the 9th block, after
+# 8 blocks have been written.
+LATE_BLOCKS = ["sweep", "--model", "ohmic", "--param", "coupling",
+               "--range", "0:1:41", "--steps", "4096"]
+
+
+# the target does not exist, or holds an earlier run's bytes
+WITH_AND_WITHOUT_TARGET = pytest.mark.parametrize(
+    "old", [None, b"# an earlier run\nt,value\n0,1\n"], ids=["new", "existing"])
+
+
+def assert_left_as_was(out, old):
+    """``out`` holds ``old`` (None: does not exist), and nothing else is
+    in its directory: no temporary file was left behind."""
+    assert list(out.parent.iterdir()) == ([out] if old is not None else [])
+    if old is not None:
+        assert out.read_bytes() == old
+
+
+@WITH_AND_WITHOUT_TARGET
+def test_late_block_failure_keeps_the_target(tmp_path, capsys, old):
+    out = tmp_path / "sweep.csv"
+    if old is not None:
+        out.write_bytes(old)
+    assert main(LATE_BLOCKS + ["--t-end", "1e308", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "coupling=0.8, omega_c=3.0" in err and "|p| exceeded" in err
+    assert_left_as_was(out, old)
+
+
+@WITH_AND_WITHOUT_TARGET
+def test_interrupt_keeps_the_target(tmp_path, monkeypatch, old):
+    real = presets.amplitude_table
+    calls = []
+
+    def interrupted_on_third_block(*args, **kwargs):
+        calls.append(len(args[0]))
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(presets, "amplitude_table", interrupted_on_third_block)
+    out = tmp_path / "sweep.csv"
+    if old is not None:
+        out.write_bytes(old)
+    with pytest.raises(KeyboardInterrupt):
+        main(LATE_BLOCKS + ["--out", str(out)])
+    assert calls == [4, 4, 4]
+    assert_left_as_was(out, old)
 
 
 def test_csv_rows_match_per_value_format():
@@ -501,12 +557,24 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("argv, digest", GOLDEN,
-                         ids=["fig1a", "fig4c", "fig2a", "sweep",
-                              "sweep-lamb-shift", "sweep-decoherence-rate",
-                              "sweep-coherence", "fig2b-overrides",
-                              "fig6b-overrides", "custom-overrides"])
+GOLDEN_IDS = ["fig1a", "fig4c", "fig2a", "sweep", "sweep-lamb-shift",
+              "sweep-decoherence-rate", "sweep-coherence", "fig2b-overrides",
+              "fig6b-overrides", "custom-overrides"]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=GOLDEN_IDS)
 def test_golden_bytes(tmp_path, argv, digest):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=GOLDEN_IDS)
+def test_golden_bytes_in_small_blocks(tmp_path, monkeypatch, argv, digest):
+    # one config per table block, and rows formatted 3 values at a time:
+    # 1 row per chunk of a 4-column curve, 3 per chunk of a sweep row
+    monkeypatch.setattr(presets, "_BLOCK_SAMPLES", 1)
+    monkeypatch.setattr(cli, "_BLOCK_SAMPLES", 3)
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -7,10 +7,12 @@ and invalid command-line input.
 """
 
 import contextlib
+import gc
 import io
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,10 +34,11 @@ from cavityqfi import (
     metric_series,
     physicality,
 )
-from cavityqfi import dynamics, presets, spectral
+from cavityqfi import cli, dynamics, presets, spectral
 from cavityqfi.cli import main
 from cavityqfi.dynamics import amplitude_table
-from cavityqfi.presets import CURVE_PRESETS, QUANTITIES, configs, table_values
+from cavityqfi.presets import CURVE_PRESETS, QUANTITIES, configs, table_blocks, \
+    table_values
 from cavityqfi.spectral import closed_rates
 
 THETAS = ("theta", (math.pi / 6, math.pi / 3, math.pi / 2))
@@ -106,6 +109,21 @@ def test_small_blocks_change_no_bit(monkeypatch):
     assert np.array_equal(table_values(cfgs, grid, "coherence"), whole)
 
 
+def test_sweep_streams_in_bounded_memory(tmp_path, monkeypatch):
+    # the whole 1600 x 100 float64 table is 1.28 MB; a sweep holds one
+    # 1024-sample block of it at a time, formatted and written as it comes
+    monkeypatch.setattr(presets, "_BLOCK_SAMPLES", 1024)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cli.run_sweep("ohmic", ["coupling", "omega_c"], ["0:1:40", "0.1:3:40"],
+                      "qfi_phi", 20.0, 100, tmp_path / "sweep.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1600 * 100 * 8
+
+
 @pytest.mark.parametrize("quantity", ["qfi_phi", "decoherence_rate"])
 @pytest.mark.parametrize("family", ["ohmic", "lorentzian"])
 def test_numeric_mode_table_bitwise(family, quantity):
@@ -120,9 +138,12 @@ def test_unknown_quantity_rejected_before_amplitude(monkeypatch):
         raise AssertionError("amplitude computed before the input was rejected")
 
     monkeypatch.setattr(presets, "amplitude_table", no_amplitude)
+    cfgs = [presets.make_config("ohmic", 0.5, 3.0)]
     with pytest.raises(ValueError, match="unknown quantity"):
-        table_values([presets.make_config("ohmic", 0.5, 3.0)],
-                     TimeGrid(1.0, 5), "fidelity")
+        table_values(cfgs, TimeGrid(1.0, 5), "fidelity")
+    # the block form checks on the call, before its first block is read
+    with pytest.raises(ValueError, match="unknown quantity"):
+        table_blocks(cfgs, TimeGrid(1.0, 5), "fidelity")
 
 
 @pytest.mark.parametrize("family, reservoir", [("ohmic", 0.3), ("lorentzian", 0.1)])
