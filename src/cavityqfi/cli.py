@@ -14,6 +14,7 @@ import itertools
 import math
 import os
 import re
+import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -93,23 +94,24 @@ def _write(path: Path, lines, times, prefixes, blocks) -> None:
     formatted fields ``prefixes[i]`` (see `_csv_block`).  Each time is
     formatted once, and at most ``_BLOCK_SAMPLES`` values at a time.  The
     blocks may be computed and checked as they are read: the rows go to a
-    new file beside ``path`` that replaces it once all are written, so any
-    failure, an interrupt too, leaves ``path`` as it was.
+    new file that replaces ``path`` (a symlink: the file it names), keeping
+    its mode, once all are written, so any failure leaves ``path`` as it was.
     """
     times_text = _fmt_all(times)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    real = path.resolve()
+    tmp = real.with_name(f".{real.name}.{os.getpid()}.tmp")
     try:
-        fh = open(tmp, "x")
         try:
-            with fh:
+            with open(tmp, "x") as fh:
                 fh.write("\n".join(lines) + "\n")
                 for prefix, values in zip(prefixes, blocks, strict=True):
-                    width = values.shape[1] if values.ndim == 2 else 1
-                    step = max(1, _BLOCK_SAMPLES // width)
+                    step = max(1, _BLOCK_SAMPLES // values[0].size)  # rows
                     for s in range(0, len(times_text), step):
                         fh.write(_csv_block(times_text[s:s + step], prefix,
                                             values[s:s + step]))
-            os.replace(tmp, path)
+            if real.is_file():
+                shutil.copymode(real, tmp)
+            os.replace(tmp, real)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
@@ -325,10 +327,11 @@ def _custom_preset(args) -> CurvePreset:
 
 
 def _output_path(out: Path) -> Path:
-    """``out``, unless no file can be created there: then ValueError naming
-    --out, raised before any value is computed."""
-    if out.is_dir():
-        raise ValueError(f"--out {out}: is a directory")
+    """``out``, unless it exists and is no writable regular file (a symlink:
+    the file it names) or its directory does not exist: then ValueError
+    naming --out, raised before any value is computed."""
+    if out.exists() and not (out.is_file() and os.access(out, os.W_OK)):
+        raise ValueError(f"--out {out}: not a writable regular file")
     if not out.parent.is_dir():
         raise ValueError(f"--out {out}: directory {out.parent} does not exist")
     return out

@@ -200,9 +200,11 @@ def table_blocks(cfgs, grid: TimeGrid, quantity: str, mode: str = "closed"):
 
 def table_values(cfgs, grid: TimeGrid, quantity: str,
                  mode: str = "closed") -> np.ndarray:
-    """`table_blocks` laid into one array, shape (len(cfgs), n_points)."""
-    return np.concatenate([np.empty((0, grid.n_points)),
-                           *table_blocks(cfgs, grid, quantity, mode)])
+    """`table_blocks` of a config list laid into one array, (len(cfgs), n_points)."""
+    out, i = np.empty((len(cfgs), grid.n_points)), 0
+    for block in table_blocks(cfgs, grid, quantity, mode):
+        out[i:i + len(block)], i = block, i + len(block)
+    return out
 
 
 def quantity_values(cfg: SystemConfig, grid: TimeGrid, quantity: str,

@@ -70,8 +70,7 @@ class VerifyContext:
         key = (tuple(cfgs), preset.t_end, preset.n_points)
         if key not in self._tables:
             self._tables[key] = amplitude_table(
-                cfgs, TimeGrid(preset.t_end, preset.n_points).times,
-                derivative=False)
+                cfgs, TimeGrid(preset.t_end, preset.n_points).times, derivative=False)
         return cfgs, self._tables[key]
 
     def chain(self, name: str, i: int, halve: bool):

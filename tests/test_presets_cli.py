@@ -1,5 +1,7 @@
 import hashlib
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -494,6 +496,63 @@ def test_interrupt_keeps_the_target(tmp_path, monkeypatch, old):
         main(LATE_BLOCKS + ["--out", str(out)])
     assert calls == [4, 4, 4]
     assert_left_as_was(out, old)
+
+
+SMALL_RUN = ["run", "fig1a", "--steps", "8"]
+OLD_BYTES = b"# an earlier run\n"
+
+
+def test_symlinked_target_replaces_the_file_it_names(tmp_path):
+    (tmp_path / "data").mkdir()
+    real, link = tmp_path / "data" / "fig1a.csv", tmp_path / "fig1a.csv"
+    real.write_bytes(OLD_BYTES)
+    link.symlink_to(real)
+    assert main(SMALL_RUN + ["--out", str(link)]) == 0
+    assert main(SMALL_RUN + ["--out", str(tmp_path / "direct.csv")]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_bytes() == (tmp_path / "direct.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [
+        "data", "direct.csv", "fig1a.csv", "fig1a.csv"]
+
+
+@pytest.mark.parametrize("mode", [0o604, 0o640], ids=oct)
+def test_replaced_target_keeps_its_mode(tmp_path, mode):
+    out = tmp_path / "fig1a.csv"
+    out.write_bytes(OLD_BYTES)
+    out.chmod(mode)
+    assert main(SMALL_RUN + ["--out", str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == mode
+    assert out.read_bytes() != OLD_BYTES
+
+
+def test_read_only_target(tmp_path, capsys):
+    # rejected before any value is computed where the user cannot write
+    # it; root can, and then the new file keeps the read-only mode
+    out = tmp_path / "fig1a.csv"
+    out.write_bytes(OLD_BYTES)
+    out.chmod(0o444)
+    if os.access(out, os.W_OK):
+        assert main(SMALL_RUN + ["--out", str(out)]) == 0
+        assert out.read_bytes() != OLD_BYTES
+    else:
+        assert main(SMALL_RUN + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"--out {out}: not a writable regular file" in err
+        assert out.read_bytes() == OLD_BYTES
+    assert stat.S_IMODE(out.stat().st_mode) == 0o444
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_fifo_target_exits_2_and_stays_a_fifo(tmp_path, capsys):
+    out = tmp_path / "fifo.csv"
+    os.mkfifo(out)
+    for command in (SMALL_RUN, ["sweep", "--model", "ohmic", "--param", "coupling",
+                                "--range", "0:1:2"]):
+        assert main(command + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"--out {out}: not a writable regular file" in err
+    assert stat.S_ISFIFO(out.stat().st_mode)
+    assert list(tmp_path.iterdir()) == [out]
 
 
 def test_csv_rows_match_per_value_format():
