@@ -28,13 +28,12 @@ from .mesolve import (
     timelocal_residual,
 )
 from .metrics import (
-    MetricSeries,
     PureStateSingularityError,
     coherence_l1,
-    metric_series,
     qfi_closed,
     qfi_general_2x2,
 )
+from .presets import metric_series
 from .spectral import (
     QuadratureConvergenceError,
     SpectralKind,
@@ -52,7 +51,6 @@ __all__ = [
     "AmplitudeRangeError",
     "AmplitudeSeries",
     "IntegratorConfig",
-    "MetricSeries",
     "PureStateSingularityError",
     "QuadratureConvergenceError",
     "SpectralKind",

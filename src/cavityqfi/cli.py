@@ -23,23 +23,23 @@ import numpy as np
 
 from . import __version__
 from .dynamics import _BLOCK_SAMPLES, TimeGrid
-# make_config and quantity_values are not called here, but
-# perfbench/tracer.py wraps these bindings
-from .presets import (  # noqa: F401
+from .presets import (
     CONTOUR_PRESETS,
     CURVE_PRESETS,
     PRESET_NAMES,
     QUANTITIES,
     RESERVOIR,
+    TABLE_QUANTITIES,
     TIME_UNIT,
     CurvePreset,
     configs,
     contour_table,
     curve_table,
-    make_config,
-    quantity_values,
     table_blocks,
 )
+# make_config and quantity_values are not called here, but
+# perfbench/tracer.py wraps these bindings
+from .presets import make_config, quantity_values  # noqa: F401
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -273,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--param", action="append", required=True)
     sw.add_argument("--range", action="append", required=True,
                     dest="ranges", metavar="A:B:N")
-    sw.add_argument("--quantity", choices=QUANTITIES + ("lamb_shift",),
-                    default="qfi_phi")
+    sw.add_argument("--quantity", choices=TABLE_QUANTITIES, default="qfi_phi")
     sw.add_argument("--t-end", type=float, default=20.0)
     sw.add_argument("--steps", type=int, default=500)
     sw.add_argument("--out", type=Path, default=None)
@@ -327,13 +326,18 @@ def _custom_preset(args) -> CurvePreset:
 
 
 def _output_path(out: Path) -> Path:
-    """``out``, unless it exists and is no writable regular file (a symlink:
-    the file it names) or its directory does not exist: then ValueError
-    naming --out, raised before any value is computed."""
+    """``out``, unless it exists and is no writable regular file, or the
+    directory it would be written in does not exist: then ValueError naming
+    --out, raised before any value is computed.  A symlink is judged by
+    where it leads."""
     if out.exists() and not (out.is_file() and os.access(out, os.W_OK)):
         raise ValueError(f"--out {out}: not a writable regular file")
-    if not out.parent.is_dir():
-        raise ValueError(f"--out {out}: directory {out.parent} does not exist")
+    try:
+        real = out.resolve()
+    except RuntimeError as exc:  # a symlink loop, before Python 3.13
+        raise ValueError(f"--out {out}: {exc}") from None
+    if not real.parent.is_dir():
+        raise ValueError(f"--out {out}: directory {real.parent} does not exist")
     return out
 
 

@@ -22,18 +22,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectral import (
+    SpectralKind,
+    SpectralModel,
+    check_numeric_time,
+    closed_rates,
+    numeric_rates,
+)
 # beta_closed, gamma_closed, beta_numeric and gamma_numeric are not called
 # here, but perfbench/tracer.py wraps these bindings
 from .spectral import (  # noqa: F401
-    SpectralKind,
-    SpectralModel,
     beta_closed,
     beta_numeric,
-    check_numeric_time,
-    closed_rates,
     gamma_closed,
     gamma_numeric,
-    numeric_rates,
 )
 
 logger = logging.getLogger(__name__)

@@ -34,16 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# amplitude is not called here, but perfbench/tracer.py wraps this binding
-from .dynamics import (  # noqa: F401
+from .dynamics import (
     _BLOCK_SAMPLES,
     SystemConfig,
     TimeGrid,
     _log_ratio,
-    amplitude,
     amplitude_table,
     atom_state,
 )
+# amplitude is not called here, but perfbench/tracer.py wraps this binding
+from .dynamics import amplitude  # noqa: F401
 from .spectral import gamma_closed
 
 MAX_PHASE_PER_STEP = 0.05  # (omega0 + coupling) * step bound

@@ -7,7 +7,9 @@ For the amplitude-damped state the estimation metrics close up:
     C_l1    = |p sin(theta)|            (sum of off-diagonal magnitudes)
 
 so C_l1^2 = F_phi: the coherence directly bounds the attainable phase
-precision.  The general 2x2 determinant formula
+precision.  `presets.metric_series` evaluates them on an amplitude block
+for every table, and the `relation-coherence-qfi` verify suite checks the
+identity on those values.  The general 2x2 determinant formula
 
     F = Tr[(d rho)^2] + Tr[(rho d rho)^2] / det(rho)
 
@@ -18,12 +20,10 @@ is kept as an independent evaluation route; it is singular for pure states
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (EPS_AMPLITUDE, AmplitudeSeries, SystemConfig, atom_state,
-                       per_row)
+from .dynamics import EPS_AMPLITUDE, per_row
 
 
 EPS_DET = 1e-12  # qfi_general_2x2 treats det(rho) <= this as (near-)pure
@@ -31,23 +31,6 @@ EPS_DET = 1e-12  # qfi_general_2x2 treats det(rho) <= this as (near-)pure
 
 class PureStateSingularityError(ValueError):
     """det(rho) too small for the determinant formula; use qfi_closed."""
-
-
-@dataclass(frozen=True)
-class MetricSeries:
-    """Metrology quantities on every time sample of an amplitude series.
-
-    Each field is an array over the grid times, or an (n, n_t) block when
-    `metric_series` is given a list of configs.  relation_residual =
-    |C_l1^2 - F_phi| monitors the coherence-information identity on every
-    emitted sample.
-    """
-
-    t: np.ndarray
-    qfi_phi: np.ndarray
-    qfi_theta: np.ndarray
-    coherence_l1: np.ndarray
-    relation_residual: np.ndarray
 
 
 def qfi_closed(p, theta):
@@ -99,15 +82,3 @@ def coherence_l1(rho) -> float:
     out = np.abs(rho[..., 0, 1]) + np.abs(rho[..., 1, 0])
     return out if out.ndim else float(out)
 
-
-def metric_series(cfg: SystemConfig | list[SystemConfig],
-                  amps: AmplitudeSeries) -> MetricSeries:
-    """The metrology quantities at every grid time of an amplitude series.
-
-    ``cfg`` may also be a list of configs, one per row of an (n, n_t)
-    block from `amplitude_table`; every field then has that shape.
-    """
-    theta = [c.theta for c in cfg] if isinstance(cfg, (list, tuple)) else cfg.theta
-    f_phi, f_theta = qfi_closed(amps.p, theta)
-    c = coherence_l1(atom_state(cfg, amps.p))
-    return MetricSeries(amps.times, f_phi, f_theta, c, np.abs(c * c - f_phi))

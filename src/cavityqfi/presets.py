@@ -19,27 +19,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# amplitude and metric_series are not called here, but perfbench/tracer.py
-# wraps these bindings
-from .dynamics import (  # noqa: F401
+from .dynamics import (
     _BLOCK_SAMPLES,
     SystemConfig,
     TimeGrid,
-    amplitude,
     amplitude_table,
     atom_state,
     decoherence_rate,
     lamb_shift,
 )
-from .metrics import coherence_l1, metric_series, qfi_closed  # noqa: F401
+# amplitude is not called here, but perfbench/tracer.py wraps this binding
+from .dynamics import amplitude  # noqa: F401
+from .metrics import coherence_l1, qfi_closed
 from .spectral import SpectralModel
 
 THETA_DEFAULT = math.pi / 2.0
 PHI_DEFAULT = 0.0
 LORENTZ_OMEGA0 = 1.0   # atom frequency in units of R
 LORENTZ_RATE = 1.0
-
-QUANTITIES = ("qfi_phi", "qfi_theta", "coherence", "decoherence_rate")
 
 # The parameter vocabulary every table (curve, contour, sweep) is built from.
 RESERVOIR = {"ohmic": "omega_c", "lorentzian": "width"}
@@ -166,7 +163,22 @@ def preset_axes(preset: CurvePreset | ContourPreset):
             [(other, preset.fixed)])
 
 
-def _block_values(cfgs, amps, quantity: str) -> np.ndarray:
+# The output quantities, each defined once by `metric_series`: presets and
+# `run` offer QUANTITIES, `sweep` every one of TABLE_QUANTITIES, and the
+# RATE_QUANTITIES are the two that read p_dot.
+QUANTITIES = ("qfi_phi", "qfi_theta", "coherence", "decoherence_rate")
+TABLE_QUANTITIES = QUANTITIES + ("lamb_shift",)
+RATE_QUANTITIES = ("decoherence_rate", "lamb_shift")
+
+
+def metric_series(cfgs, amps, quantity: str) -> np.ndarray:
+    """One output quantity of an `amplitude_table` block, (len(cfgs), n_t).
+
+    Row i is config i; the RATE_QUANTITIES read ``amps.p_dot`` and are NaN
+    at flagged samples.  Every table and CSV value comes from here.
+    """
+    if quantity not in TABLE_QUANTITIES:
+        raise ValueError(f"unknown quantity {quantity!r}")
     if quantity == "decoherence_rate":
         return decoherence_rate(amps.p, amps.p_dot)
     if quantity == "lamb_shift":
@@ -179,45 +191,37 @@ def _block_values(cfgs, amps, quantity: str) -> np.ndarray:
 
 def table_blocks(cfgs, grid: TimeGrid, quantity: str, mode: str = "closed"):
     """One quantity for every config on one grid, as an iterator of
-    (rows, n_points) blocks in config order.
+    (rows, n_points) blocks in config order: the one table path.
 
     Each block is one `amplitude_table` call of at most ``_BLOCK_SAMPLES``
-    samples, or of one config, so memory stays bounded however many configs
-    there are.  ``quantity`` is checked on the call, each block's amplitudes
-    before it is yielded, and a failing check names its config.  Row i
-    equals `amplitude` + `metric_series` (or `decoherence_rate`,
-    `lamb_shift`) of config i bit for bit; NaN marks flagged samples.
+    samples, or of one config, and its `metric_series`, so memory stays
+    bounded however many configs there are.  ``quantity`` is checked on the
+    call, each block's amplitudes before it is yielded, and a failing check
+    names its config.  Row i does not depend on the blocking; NaN marks
+    flagged samples.
     """
-    if quantity not in QUANTITIES + ("lamb_shift",):
+    if quantity not in TABLE_QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
     cfgs, times = list(cfgs), grid.times
     rows = max(1, _BLOCK_SAMPLES // times.size)
-    derivative = quantity in ("decoherence_rate", "lamb_shift")  # the p_dot readers
+    derivative = quantity in RATE_QUANTITIES
     blocks = (cfgs[i:i + rows] for i in range(0, len(cfgs), rows))
-    return (_block_values(b, amplitude_table(b, times, mode, derivative), quantity)
+    return (metric_series(b, amplitude_table(b, times, mode, derivative), quantity)
             for b in blocks)
-
-
-def table_values(cfgs, grid: TimeGrid, quantity: str,
-                 mode: str = "closed") -> np.ndarray:
-    """`table_blocks` of a config list laid into one array, (len(cfgs), n_points)."""
-    out, i = np.empty((len(cfgs), grid.n_points)), 0
-    for block in table_blocks(cfgs, grid, quantity, mode):
-        out[i:i + len(block)], i = block, i + len(block)
-    return out
 
 
 def quantity_values(cfg: SystemConfig, grid: TimeGrid, quantity: str,
                     mode: str = "closed") -> np.ndarray:
     """Evaluate one output quantity on a grid (NaN marks flagged samples)."""
-    return table_values([cfg], grid, quantity, mode)[0]
+    return next(table_blocks([cfg], grid, quantity, mode))[0]
 
 
 def curve_table(preset: CurvePreset, mode: str = "closed"):
     """(times, values[n_coupling, n_t]) for a curve preset."""
     grid = TimeGrid(preset.t_end, preset.n_points)
     cfgs = [cfg for _, cfg in configs(preset.family, *preset_axes(preset))]
-    return grid.times, table_values(cfgs, grid, preset.quantity, mode)
+    blocks = table_blocks(cfgs, grid, preset.quantity, mode)
+    return grid.times, np.concatenate(list(blocks))
 
 
 def contour_table(preset: ContourPreset, mode: str = "closed"):

@@ -12,7 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cavityqfi import TimeGrid, amplitude, atom_state, metric_series, qfi_closed
+from cavityqfi import AmplitudeSeries, TimeGrid, amplitude, atom_state, coherence_l1, \
+    metric_series, qfi_closed
 from cavityqfi import verify
 from cavityqfi.presets import CURVE_PRESETS, PRESETS, configs, preset_axes
 from cavityqfi.verify import MESOLVE_PRESETS, SUITES, VerifyContext, run_suites
@@ -114,8 +115,10 @@ def test_preset_blocks_match_the_per_config_route(ctx):
         axes, fixed = preset_axes(preset)
         for _, cfg in configs(preset.family, axes, fixed):
             amps = ctx.amps(cfg, preset.t_end, preset.n_points)
-            relation = max(relation, float(np.max(
-                metric_series(cfg, amps).relation_residual)))
+            row = AmplitudeSeries(amps.times, amps.p[None], None)
+            c = metric_series([cfg], row, "coherence")
+            relation = max(relation, float(np.max(np.abs(
+                c * c - metric_series([cfg], row, "qfi_phi")))))
             phys = max(phys, _eigvalsh_violations(
                 atom_state(cfg, amps.p), 1e-12, 1e-9))
         if name not in CURVE_PRESETS:
@@ -133,6 +136,24 @@ def test_preset_blocks_match_the_per_config_route(ctx):
             "closed-form-identity": identity, "physicality": phys}
     for suite, worst in want.items():
         assert SUITES[suite](VerifyContext()).worst == worst, suite
+
+
+def test_relation_residual_is_the_primitives_bit_for_bit(ctx):
+    # the suite's |C_l1^2 - F_phi| over the metric_series values the CSVs
+    # print equals the residual of qfi_closed and coherence_l1 of atom_state,
+    # config by config, on all 16 preset blocks
+    worst = 0.0
+    for name in PRESETS:
+        cfgs, block = ctx.preset_table(name)
+        c = metric_series(cfgs, block, "coherence")
+        resid = np.abs(c * c - metric_series(cfgs, block, "qfi_phi"))
+        for i, cfg in enumerate(cfgs):
+            ci = coherence_l1(atom_state(cfg, block.p[i]))
+            f_phi, _ = qfi_closed(block.p[i], cfg.theta)
+            assert np.array_equal(resid[i], np.abs(ci * ci - f_phi)), (name, i)
+        worst = max(worst, float(np.max(resid)))
+    assert f"{worst:.3e}" == "4.441e-16"
+    assert SUITES["relation-coherence-qfi"](ctx).worst == worst
 
 
 def _traced(f):

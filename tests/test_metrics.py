@@ -17,6 +17,7 @@ from cavityqfi import (
     qfi_closed,
     qfi_general_2x2,
 )
+from cavityqfi.dynamics import amplitude_table
 
 
 def cfg_with(theta, phi=0.0, coupling=1.0, omega_c=3.0):
@@ -143,38 +144,43 @@ class TestCoherence:
         assert f_phi == pytest.approx(f_theta * math.sin(theta) ** 2, abs=1e-12)
 
 
+def series(cfg, grid, quantity):
+    """`metric_series` of a one-config `amplitude_table` block, as one row."""
+    return metric_series([cfg], amplitude_table([cfg], grid.times), quantity)[0]
+
+
 class TestMetricSeries:
     def test_single_point_grid(self):
         theta = 1.1
         cfg = cfg_with(theta)
-        series = metric_series(cfg, amplitude(cfg, TimeGrid(1.0, 1)))
-        assert len(series.t) == 1
-        assert series.t[0] == 0.0
-        assert series.qfi_phi[0] == pytest.approx(math.sin(theta) ** 2, rel=1e-14)
-        assert series.qfi_theta[0] == pytest.approx(1.0)
-        assert series.coherence_l1[0] == pytest.approx(abs(math.sin(theta)),
-                                                       rel=1e-14)
-        assert series.relation_residual[0] <= 1e-12
+        grid = TimeGrid(1.0, 1)
+        assert grid.times.tolist() == [0.0]
+        f_phi = series(cfg, grid, "qfi_phi")
+        c = series(cfg, grid, "coherence")
+        assert f_phi.shape == c.shape == (1,)
+        assert f_phi[0] == pytest.approx(math.sin(theta) ** 2, rel=1e-14)
+        assert series(cfg, grid, "qfi_theta")[0] == pytest.approx(1.0)
+        assert c[0] == pytest.approx(abs(math.sin(theta)), rel=1e-14)
+        assert abs(c[0] * c[0] - f_phi[0]) <= 1e-12
 
     def test_vacuum_rabi_information(self, zero_rates):
         om = 0.5
         cfg = cfg_with(math.pi / 2, coupling=om)
         grid = TimeGrid(10.0, 300)
-        amps = amplitude(cfg, grid)
-        f_phi = metric_series(cfg, amps).qfi_phi
+        f_phi = series(cfg, grid, "qfi_phi")
         np.testing.assert_allclose(f_phi, np.cos(om * grid.times) ** 2,
                                    atol=1e-12)
 
     def test_weak_coupling_monotone_decay(self):
         cfg = cfg_with(math.pi / 2, coupling=0.01)
-        f_phi = metric_series(cfg, amplitude(cfg, TimeGrid(10.0, 1001))).qfi_phi
+        f_phi = series(cfg, TimeGrid(10.0, 1001), "qfi_phi")
         assert np.all(np.diff(f_phi) <= 1e-12)
         assert f_phi[-1] < 1e-3
 
     def test_orderings_and_bounds(self):
         cfg = cfg_with(math.pi / 2, coupling=1.0, omega_c=0.3)
-        series = metric_series(cfg, amplitude(cfg, TimeGrid(20.0, 800)))
-        f_phi, c = series.qfi_phi, series.coherence_l1
+        grid = TimeGrid(20.0, 800)
+        f_phi, c = series(cfg, grid, "qfi_phi"), series(cfg, grid, "coherence")
         assert np.all((f_phi >= 0) & (f_phi <= 1))
         assert np.all((c >= 0) & (c <= 1))
         # both are monotone images of |p|, so their sample orderings agree

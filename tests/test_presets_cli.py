@@ -555,6 +555,29 @@ def test_fifo_target_exits_2_and_stays_a_fifo(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [out]
 
 
+@pytest.mark.parametrize("target, text", [
+    ("missing/fig4a.csv", "does not exist"),
+    ("loop.csv", "--out"),
+], ids=["dangling", "loop"])
+def test_unresolvable_symlink_exits_2_before_computing(tmp_path, capsys,
+                                                        monkeypatch, target, text):
+    # a symlink into a missing directory, or a link to itself, is judged by
+    # where it leads: rejected naming --out before any amplitude
+    def no_amplitude(*args, **kwargs):
+        raise AssertionError("amplitude computed before --out was rejected")
+
+    monkeypatch.setattr(presets, "amplitude_table", no_amplitude)
+    link = tmp_path / "loop.csv"
+    link.symlink_to(tmp_path / target)
+    for command in (["run", "fig4a"], ["sweep", "--model", "ohmic", "--param",
+                                       "coupling", "--range", "0:1:2"]):
+        assert main(command + ["--out", str(link)]) == 2
+        err = capsys.readouterr().err
+        assert f"--out {link}" in err and text in err
+    assert link.is_symlink() and not link.exists()
+    assert list(tmp_path.iterdir()) == [link]
+
+
 def test_csv_rows_match_per_value_format():
     rng = np.random.default_rng(7)
     special = [float("nan"), math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16,

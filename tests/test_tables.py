@@ -1,9 +1,10 @@
-"""The batched table path: `presets.table_values` over a (config x time) block.
+"""The batched table path: `presets.table_blocks` over a (config x time) block.
 
-Each row must equal the one-config route (`amplitude` followed by
-`metric_series`, `decoherence_rate` or `lamb_shift`) bit for bit, however the
-configs fall into blocks.  Property tests cover the valid parameter domain
-and invalid command-line input.
+Each row must equal the one-config route built from the primitives
+(`amplitude`, then `qfi_closed`, `coherence_l1` of `atom_state`,
+`decoherence_rate` or `lamb_shift`) bit for bit, however the configs fall
+into blocks.  Property tests cover the valid parameter domain and invalid
+command-line input.
 """
 
 import contextlib
@@ -28,17 +29,19 @@ from cavityqfi import (
     amplitude,
     atom_state,
     beta_closed,
+    coherence_l1,
     decoherence_rate,
     gamma_closed,
     lamb_shift,
     metric_series,
     physicality,
+    qfi_closed,
 )
 from cavityqfi import cli, dynamics, presets, spectral
 from cavityqfi.cli import main
 from cavityqfi.dynamics import amplitude_table
-from cavityqfi.presets import CURVE_PRESETS, QUANTITIES, configs, table_blocks, \
-    table_values
+from cavityqfi.presets import CURVE_PRESETS, TABLE_QUANTITIES, configs, \
+    quantity_values, table_blocks
 from cavityqfi.spectral import closed_rates
 
 THETAS = ("theta", (math.pi / 6, math.pi / 3, math.pi / 2))
@@ -51,15 +54,21 @@ AXES = {
 
 
 def one_config(cfg, grid, quantity, mode="closed"):
-    """The per-config route the batch must reproduce."""
+    """The per-config route the batch must reproduce, from the primitives."""
     amps = amplitude(cfg, grid, mode=mode)
     if quantity == "decoherence_rate":
         return decoherence_rate(amps.p, amps.p_dot)
     if quantity == "lamb_shift":
         return lamb_shift(amps.p, amps.p_dot)
-    series = metric_series(cfg, amps)
-    return {"qfi_phi": series.qfi_phi, "qfi_theta": series.qfi_theta,
-            "coherence": series.coherence_l1}[quantity]
+    if quantity == "coherence":
+        return coherence_l1(atom_state(cfg, amps.p))
+    f_phi, f_theta = qfi_closed(amps.p, cfg.theta)
+    return {"qfi_phi": f_phi, "qfi_theta": f_theta}[quantity]
+
+
+def stacked(cfgs, grid, quantity, mode="closed"):
+    """`table_blocks` stacked into one (len(cfgs), n_points) array."""
+    return np.concatenate(list(table_blocks(cfgs, grid, quantity, mode)))
 
 
 def assert_rows_bitwise(cfgs, grid, quantity, table, mode="closed"):
@@ -69,25 +78,31 @@ def assert_rows_bitwise(cfgs, grid, quantity, table, mode="closed"):
         assert np.array_equal(table[i], want, equal_nan=True), (i, cfg)
 
 
-@pytest.mark.parametrize("quantity", QUANTITIES + ("lamb_shift",))
+@pytest.mark.parametrize("quantity", TABLE_QUANTITIES)
 @pytest.mark.parametrize("family", ["ohmic", "lorentzian"])
 def test_table_equals_per_config_bitwise(family, quantity):
     cfgs = [cfg for _, cfg in configs(family, AXES[family])]
     grid = TimeGrid(20.0, 301)
-    assert_rows_bitwise(cfgs, grid, quantity, table_values(cfgs, grid, quantity))
+    assert_rows_bitwise(cfgs, grid, quantity, stacked(cfgs, grid, quantity))
 
 
 @pytest.mark.parametrize("family", ["ohmic", "lorentzian"])
 def test_metric_series_of_a_block_equals_per_config_bitwise(family):
     cfgs = [cfg for _, cfg in configs(family, AXES[family])]
-    grid = TimeGrid(20.0, 301)
-    block = metric_series(cfgs, amplitude_table(cfgs, grid.times))
-    for i, cfg in enumerate(cfgs):
-        row = metric_series(cfg, amplitude(cfg, grid))
-        for field in ("qfi_phi", "qfi_theta", "coherence_l1",
-                      "relation_residual"):
-            assert np.array_equal(getattr(block, field)[i],
-                                  getattr(row, field)), (i, field)
+    times = TimeGrid(20.0, 301).times
+    amps = amplitude_table(cfgs, times)
+    for quantity in TABLE_QUANTITIES:
+        block = metric_series(cfgs, amps, quantity)
+        for i, cfg in enumerate(cfgs):
+            row = metric_series([cfg], amplitude_table([cfg], times), quantity)
+            assert np.array_equal(block[i], row[0], equal_nan=True), (i, quantity)
+
+
+def test_metric_series_rejects_an_unknown_quantity():
+    cfgs = [presets.make_config("ohmic", 0.5, 3.0)]
+    amps = amplitude_table(cfgs, TimeGrid(1.0, 5).times)
+    with pytest.raises(ValueError, match="unknown quantity 'fidelity'"):
+        metric_series(cfgs, amps, "fidelity")
 
 
 def test_blocks_not_a_multiple_of_the_block_size():
@@ -98,15 +113,15 @@ def test_blocks_not_a_multiple_of_the_block_size():
     samples = len(cfgs) * grid.n_points
     assert samples > 2 * presets._BLOCK_SAMPLES
     assert samples % presets._BLOCK_SAMPLES and len(cfgs) % rows
-    assert_rows_bitwise(cfgs, grid, "qfi_phi", table_values(cfgs, grid, "qfi_phi"))
+    assert_rows_bitwise(cfgs, grid, "qfi_phi", stacked(cfgs, grid, "qfi_phi"))
 
 
 def test_small_blocks_change_no_bit(monkeypatch):
     cfgs = [cfg for _, cfg in configs("lorentzian", AXES["lorentzian"])]
     grid = TimeGrid(10.0, 41)
-    whole = table_values(cfgs, grid, "coherence")
+    whole = stacked(cfgs, grid, "coherence")
     monkeypatch.setattr(presets, "_BLOCK_SAMPLES", 3 * grid.n_points + 5)
-    assert np.array_equal(table_values(cfgs, grid, "coherence"), whole)
+    assert np.array_equal(stacked(cfgs, grid, "coherence"), whole)
 
 
 def test_sweep_streams_in_bounded_memory(tmp_path, monkeypatch):
@@ -129,7 +144,7 @@ def test_sweep_streams_in_bounded_memory(tmp_path, monkeypatch):
 def test_numeric_mode_table_bitwise(family, quantity):
     cfgs = [cfg for _, cfg in configs(family, [("coupling", (0.5, 1.0))])]
     grid = TimeGrid(1.0, 4)
-    table = table_values(cfgs, grid, quantity, mode="numeric")
+    table = stacked(cfgs, grid, quantity, mode="numeric")
     assert_rows_bitwise(cfgs, grid, quantity, table, mode="numeric")
 
 
@@ -140,7 +155,7 @@ def test_unknown_quantity_rejected_before_amplitude(monkeypatch):
     monkeypatch.setattr(presets, "amplitude_table", no_amplitude)
     cfgs = [presets.make_config("ohmic", 0.5, 3.0)]
     with pytest.raises(ValueError, match="unknown quantity"):
-        table_values(cfgs, TimeGrid(1.0, 5), "fidelity")
+        quantity_values(cfgs[0], TimeGrid(1.0, 5), "fidelity")
     # the block form checks on the call, before its first block is read
     with pytest.raises(ValueError, match="unknown quantity"):
         table_blocks(cfgs, TimeGrid(1.0, 5), "fidelity")
@@ -227,7 +242,7 @@ def test_valid_tables_stay_physical(case):
     assert d["trace"] <= 1e-12
     assert d["min_eigenvalue"] >= -1e-9
     for quantity in ("qfi_phi", "qfi_theta", "coherence"):
-        values = table_values(cfgs, grid, quantity)
+        values = stacked(cfgs, grid, quantity)
         assert np.all((values >= 0.0) & (values <= 1.0 + 1e-9))
 
 
@@ -293,7 +308,7 @@ def test_invalid_input_exits_2_naming_it(case):
 
 @given(t_end=st.floats(1e-300, 1e308), steps=st.integers(1, 64),
        preset=st.sampled_from(sorted(CURVE_PRESETS)),
-       quantity=st.sampled_from(QUANTITIES + ("lamb_shift",)))
+       quantity=st.sampled_from(TABLE_QUANTITIES))
 @settings(max_examples=60, deadline=None)
 def test_extreme_finite_grids_exit_2_or_hold_no_nan(t_end, steps, preset, quantity):
     # closed mode on a curve preset and on a 2-config sweep: a grid either
@@ -318,5 +333,5 @@ def test_extreme_finite_grids_exit_2_or_hold_no_nan(t_end, steps, preset, quanti
             body = [ln for ln in out.read_text().splitlines()
                     if not ln.startswith("#")]
             assert len(body) == rows + 1  # the header, then the rows
-            if q not in ("decoherence_rate", "lamb_shift"):
+            if q not in presets.RATE_QUANTITIES:
                 assert "nan" not in "\n".join(body)
