@@ -636,12 +636,25 @@ GOLDEN = [
       "--coupling", "0.3", "--coupling", "1", "--quantity", "coherence",
       "--steps", "30", "--t-end", "12"],
      "56acced5bf8c3b63db60470154bf940d7f8d4c827b56d9ec7a402e36154ee9e4"),
+    # 400 thetas x 3 phis: F_phi reads sin(theta)**2 with libm's pow, which
+    # differs from sin(theta) * sin(theta) in the last bit at some angles,
+    # and the coherence reads theta and phi; no other digest varies them
+    (["sweep", "--model", "ohmic", "--param", "theta", "--range", "0:3.14159:400",
+      "--param", "phi", "--range", "0:6.2:3", "--quantity", "qfi_phi",
+      "--steps", "20", "--t-end", "5"],
+     "6521afc032f4c51357c46aad44c1144c05ad1f602b8fff459819276648b6b974"),
+    (["sweep", "--model", "lorentzian", "--param", "theta",
+      "--range", "0:3.14159:400", "--param", "phi", "--range", "0:6.2:3",
+      "--fix", "coupling=0.7", "--quantity", "coherence", "--steps", "20",
+      "--t-end", "5"],
+     "0e26a93a25921ebf8caca6b0e57aa814621f03fa8fe624a0142e6e703aaab268"),
 ]
 
 
 GOLDEN_IDS = ["fig1a", "fig4c", "fig2a", "sweep", "sweep-lamb-shift",
               "sweep-decoherence-rate", "sweep-coherence", "fig2b-overrides",
-              "fig6b-overrides", "custom-overrides"]
+              "fig6b-overrides", "custom-overrides", "sweep-theta-phi-qfi",
+              "sweep-theta-phi-coherence"]
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN, ids=GOLDEN_IDS)
