@@ -32,7 +32,7 @@ from .presets import (
     TABLE_QUANTITIES,
     TIME_UNIT,
     CurvePreset,
-    configs,
+    config_table,
     contour_table,
     curve_table,
     table_blocks,
@@ -83,6 +83,16 @@ def _csv_block(times_text: list[str], prefix: str, values) -> str:
     return (row_end.join(times_text) + row_end) % tuple(values.ravel().tolist())
 
 
+def _prefixes(columns):
+    """The shared fields ``,v_1,...,v_k`` of each row of equal-length
+    ``columns``, as `_csv_block` prefixes, formatted ``_BLOCK_SAMPLES`` rows
+    at a time as they are read."""
+    template = ",%.12g" * len(columns)
+    for s in range(0, len(columns[0]), _BLOCK_SAMPLES):
+        yield from (template % row for row in
+                    zip(*(c[s:s + _BLOCK_SAMPLES].tolist() for c in columns)))
+
+
 def _meta_lines(pairs) -> list[str]:
     return [f"# {k}: {v}" for k, v in pairs]
 
@@ -91,7 +101,7 @@ def _write(path: Path, lines, times, prefixes, blocks) -> None:
     """Write the metadata and header ``lines``, then the rows of each block.
 
     Block i is an (n_t,) or (n_t, k) array of values; its rows share the
-    formatted fields ``prefixes[i]`` (see `_csv_block`).  Each time is
+    formatted fields, the i-th of ``prefixes`` (see `_csv_block`).  Each time is
     formatted once, and at most ``_BLOCK_SAMPLES`` values at a time.  The
     blocks may be computed and checked as they are read: the rows go to a
     new file that replaces ``path`` (a symlink: the file it names), keeping
@@ -167,8 +177,7 @@ def run_contour_preset(sc: Scenario) -> Path:
         ("mode", sc.mode),
         ("row_order", "param-major"),
     ])
-    _write(sc.out, meta + ["t,param,value"], times,
-           ["," + _fmt(v) for v in params.tolist()],
+    _write(sc.out, meta + ["t,param,value"], times, _prefixes([params]),
            itertools.chain.from_iterable(blocks))
     return sc.out
 
@@ -213,8 +222,8 @@ def run_sweep(family: str, params: list[str], ranges: list[str],
     if len(params) != len(ranges):
         raise ValueError("need one --range per --param")
     grid = TimeGrid(t_end, n_points)
-    table = configs(family, [(p, _parse_range(r, p))
-                             for p, r in zip(params, ranges)], fixed)
+    table = config_table(family, [(p, _parse_range(r, p))
+                                  for p, r in zip(params, ranges)], fixed)
 
     meta = _meta_lines([
         ("generator", f"cavityqfi {__version__}"),
@@ -223,10 +232,9 @@ def run_sweep(family: str, params: list[str], ranges: list[str],
         ("fixed", ",".join(f"{k}={v}" for k, v in sorted(fixed)) or "-"),
         ("t_end", _fmt(t_end)), ("points", n_points),
     ])
-    blocks = table_blocks([cfg for _, cfg in table], grid, quantity)
     _write(out, meta + ["t," + ",".join(params) + ",value"], grid.times,
-           ["".join("," + _fmt(v) for v in point) for point, _ in table],
-           itertools.chain.from_iterable(blocks))
+           _prefixes([table.columns[p] for p in params]),
+           itertools.chain.from_iterable(table_blocks(table, grid, quantity)))
     return out
 
 
@@ -317,8 +325,8 @@ def _custom_preset(args) -> CurvePreset:
     reservoir = getattr(args, name)
     if reservoir is None:
         raise ValueError(f"custom {args.family} preset needs {_flag(name)}")
-    # validation of values happens in the model/config constructors
-    configs(args.family, [("coupling", args.coupling)], [(name, reservoir)])
+    # the values are checked as the table of the preset's configs is built
+    config_table(args.family, [("coupling", args.coupling)], [(name, reservoir)])
     # --steps and --t-end reach the grid through the Scenario overrides
     return CurvePreset("custom", args.family,
                        "qfi_phi" if args.quantity is None else args.quantity,

@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .spectral import (
+    MODEL_FIELDS,
     SpectralKind,
     SpectralModel,
+    check_domain,
     check_numeric_time,
     closed_rates,
     numeric_rates,
@@ -88,16 +90,22 @@ class TimeGrid:
         return self.t_end / (self.n_points - 1)
 
 
+class _Dressed:
+    """The dressed transition frequencies, of a config or of table columns."""
+
+    omega_1 = property(lambda self: self.omega0 - self.coupling)
+    omega_2 = property(lambda self: self.omega0 + self.coupling)
+
+
 @dataclass(frozen=True)
-class SystemConfig:
+class SystemConfig(_Dressed):
     """Atom-cavity parameters, initial Bloch angles, and the reservoir model.
 
     theta is the polar angle of the initial pure atom state
     cos(theta/2)|e> + e^{i phi} sin(theta/2)|g>; phi is the estimated phase.
     An attached Lorentzian model with unresolved detuning/anchor is completed
-    here: detuning defaults to the coupling, the anchor to omega0.  An Ohmic
-    model needs coupling <= omega0: under the full-line convention the lower
-    dressed frequency omega0 - coupling, and with it its rate, turns negative.
+    here: detuning defaults to the coupling, the anchor to omega0.  The
+    fields are checked by `spectral.check_domain`.
     """
 
     omega0: float
@@ -107,29 +115,51 @@ class SystemConfig:
     spectral: SpectralModel
 
     def __post_init__(self):
-        if not 0.0 < self.omega0 < math.inf:
-            raise ValueError(f"omega0 must be finite and > 0, got {self.omega0}")
-        if not 0.0 <= self.coupling < math.inf:
-            raise ValueError(f"coupling must be finite and >= 0, got {self.coupling}")
-        if (self.spectral.kind is SpectralKind.OHMIC_LORENTZ_DRUDE
-                and self.coupling > self.omega0):
-            raise ValueError(
-                f"coupling must satisfy 0 <= coupling <= omega0 for an Ohmic "
-                f"reservoir, got coupling={self.coupling}, omega0={self.omega0}")
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        if not 0.0 <= self.phi < 2.0 * math.pi:
-            raise ValueError(f"phi must lie in [0, 2 pi), got {self.phi}")
-        object.__setattr__(
-            self, "spectral", self.spectral.resolved(self.coupling, self.omega0))
+        m = self.spectral
+        check_domain(m.kind, {"omega0": self.omega0, "coupling": self.coupling,
+                              "theta": self.theta, "phi": self.phi})
+        if m.kind is SpectralKind.LORENTZIAN and None in (m.detuning, m.omega0):
+            object.__setattr__(self, "spectral", replace(
+                m, detuning=float(self.coupling) if m.detuning is None else m.detuning,
+                omega0=float(self.omega0) if m.omega0 is None else m.omega0))
 
-    @property
-    def omega_1(self) -> float:
-        return self.omega0 - self.coupling
 
-    @property
-    def omega_2(self) -> float:
-        return self.omega0 + self.coupling
+@dataclass(frozen=True, eq=False)
+class ConfigTable(_Dressed):
+    """Configs of one reservoir family as float64 columns, one row per config.
+
+    ``columns`` maps omega0, coupling, theta and phi, then the family's
+    resolved `MODEL_FIELDS`, to (n,) arrays.  Row i is the config `row(i)`;
+    ``table[a:b]`` holds rows a to b.  `presets.config_table` builds checked
+    tables, and `of` the one-row table of a config.
+    """
+
+    kind: SpectralKind
+    columns: dict
+
+    @classmethod
+    def of(cls, cfg: SystemConfig) -> "ConfigTable":
+        fields = {"omega0": cfg.omega0, "coupling": cfg.coupling,
+                  "theta": cfg.theta, "phi": cfg.phi, **cfg.spectral.fields()}
+        return cls(cfg.spectral.kind,
+                   {k: np.array([v], dtype=float) for k, v in fields.items()})
+
+    def __len__(self) -> int:
+        return len(self.columns["coupling"])
+
+    def __getitem__(self, rows: slice) -> "ConfigTable":
+        return ConfigTable(self.kind, {k: v[rows] for k, v in self.columns.items()})
+
+    omega0 = property(lambda self: self.columns["omega0"])
+    coupling = property(lambda self: self.columns["coupling"])
+    theta = property(lambda self: self.columns["theta"])
+    phi = property(lambda self: self.columns["phi"])
+
+    def row(self, i: int) -> SystemConfig:
+        c = {k: float(v[i]) for k, v in self.columns.items()}
+        model = SpectralModel(self.kind, **{"omega0" if k == "anchor" else k: c[k]
+                                            for k in MODEL_FIELDS[self.kind]})
+        return SystemConfig(c["omega0"], c["coupling"], c["theta"], c["phi"], model)
 
 
 @dataclass(frozen=True)
@@ -145,15 +175,18 @@ class AmplitudeSeries:
     p_dot: np.ndarray | None
 
 
-def per_row(f, x):
-    """f(x) for one item; for a list or tuple, an (n, 1) column of f(x_i).
+def per_value(f, x):
+    """f(x) for a float; for a column, the (n, 1) column of f(x_i), which
+    broadcasts against an (n, n_t) block.
 
-    The column broadcasts against an (n, n_t) block with one row per item,
-    and holds exactly the values f gives one item at a time.
+    f is scalar math (`math.sin`, a float power) whose last bit numpy's
+    array functions need not reproduce, so it runs once per distinct value
+    and every row holds exactly what f gives that value alone.
     """
-    if isinstance(x, (list, tuple)):
-        return np.array([f(v) for v in x])[:, None]
-    return f(x)
+    if np.ndim(x) == 0:
+        return f(x)
+    values, index = np.unique(np.asarray(x).view(np.int64), return_inverse=True)
+    return np.array([f(v) for v in values.view(float).tolist()])[index][:, None]
 
 
 def _describe(cfg: SystemConfig) -> str:
@@ -165,7 +198,7 @@ def _describe(cfg: SystemConfig) -> str:
     return f"coupling={cfg.coupling}, {reservoir}, theta={cfg.theta}, phi={cfg.phi}"
 
 
-def _check_amplitude(cfgs, times: np.ndarray, p: np.ndarray) -> None:
+def _check_amplitude(table: ConfigTable, times: np.ndarray, p: np.ndarray) -> None:
     """Raise AmplitudeRangeError, naming the config, unless every row of p
     keeps |p| <= 1 + EPS_AMPLITUDE and, where times start at 0, starts at
     exactly 1.  A NaN anywhere in a row fails the bound."""
@@ -173,24 +206,25 @@ def _check_amplitude(cfgs, times: np.ndarray, p: np.ndarray) -> None:
         bad = np.flatnonzero(p[:, 0] != 1.0 + 0.0j)
         if bad.size:
             i = bad[0]
-            raise AmplitudeRangeError(f"{_describe(cfgs[i])}: p(0) must be "
+            raise AmplitudeRangeError(f"{_describe(table.row(i))}: p(0) must be "
                                       f"exactly 1, got {p[i, 0]}")
     peak = np.max(np.abs(p), axis=1)
     bad = np.flatnonzero(~(peak <= 1.0 + EPS_AMPLITUDE))
     if bad.size:
         i = bad[0]
-        raise AmplitudeRangeError(f"{_describe(cfgs[i])}: |p| exceeded the "
+        raise AmplitudeRangeError(f"{_describe(table.row(i))}: |p| exceeded the "
                                   f"physical range: max |p| = {peak[i]}")
 
 
-def _rate_table(cfgs, times: np.ndarray, mode: str):
-    """(gamma1, beta1, gamma2, beta2), each of shape (len(cfgs), times.size)."""
+def _rate_table(table: ConfigTable, times: np.ndarray, mode: str):
+    """(gamma1, beta1, gamma2, beta2), each of shape (len(table), times.size)."""
     if mode not in ("closed", "numeric"):
         raise ValueError(f"mode must be 'closed' or 'numeric', got {mode!r}")
     if mode == "closed":
-        models = [c.spectral for c in cfgs]
-        return (*closed_rates(models, [c.omega_1 for c in cfgs], times),
-                *closed_rates(models, [c.omega_2 for c in cfgs], times))
+        fields = {k: v[:, None] for k, v in table.columns.items()}
+        return (*closed_rates(table.kind, fields, table.omega_1[:, None], times),
+                *closed_rates(table.kind, fields, table.omega_2[:, None], times))
+    cfgs = [table.row(i) for i in range(len(table))]
     if times[-1] > 0.0:  # reject the whole grid before the first quad call
         for c in cfgs:
             for wj in (c.omega_1, c.omega_2):
@@ -200,30 +234,29 @@ def _rate_table(cfgs, times: np.ndarray, mode: str):
     return tuple(np.array(col) for col in zip(*rows))
 
 
-def amplitude_table(cfgs, times: np.ndarray, mode: str = "closed",
+def amplitude_table(table: ConfigTable, times: np.ndarray, mode: str = "closed",
                     derivative: bool = True) -> AmplitudeSeries:
-    """Amplitude series of every config at once, one row per config.
+    """Amplitude series of every config of a table at once, one row each.
 
     Closed mode evaluates the closed forms once over the (config x time)
     block; numeric mode integrates each config's quadrature rates, and
     needs uniform ``times`` from 0 whose last time lies in the quadrature's
     time domain (`check_numeric_time`; a ValueError names ``t_end``).  Row
-    i equals ``amplitude(cfgs[i], ...)`` bit for bit.  Every row is checked
+    i equals ``amplitude(table.row(i), ...)`` bit for bit.  Every row is checked
     as `amplitude` checks it, and the error names the config.  A time so
     large that omega_j t overflows gives a NaN amplitude; the check rejects
     it, so numpy's overflow warnings on the way there are silenced.
     ``p_dot`` is None unless ``derivative``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        g1, b1, g2, b2 = _rate_table(cfgs, times, mode)
-        w1 = per_row(lambda c: c.omega_1, cfgs)
-        w2 = per_row(lambda c: c.omega_2, cfgs)
+        g1, b1, g2, b2 = _rate_table(table, times, mode)
+        w1, w2 = table.omega_1[:, None], table.omega_2[:, None]
         e1 = np.exp(-1j * w1 * times - b1 / 4.0)
         e2 = np.exp(-1j * w2 * times - b2 / 4.0)
         p = 0.5 * (e1 + e2)
         p_dot = (0.5 * ((-1j * w1 - g1 / 4.0) * e1 + (-1j * w2 - g2 / 4.0) * e2)
                  if derivative else None)
-    _check_amplitude(cfgs, times, p)
+    _check_amplitude(table, times, p)
     return AmplitudeSeries(times=times, p=p, p_dot=p_dot)
 
 
@@ -235,7 +268,7 @@ def amplitude(cfg: SystemConfig, grid: TimeGrid,
     quadrature oracle plus composite Simpson for the exponents.
     Raises AmplitudeRangeError unless p(0) = 1 exactly and |p| <= 1 + 1e-9.
     """
-    a = amplitude_table([cfg], grid.times, mode)
+    a = amplitude_table(ConfigTable.of(cfg), grid.times, mode)
     return AmplitudeSeries(a.times, a.p[0], a.p_dot[0])
 
 
@@ -246,16 +279,17 @@ def atom_state(cfg, p):
         rho_eg = p e^{-i phi} sin(theta/2) cos(theta/2)
 
     Accepts a scalar or an array of amplitudes; returns shape (..., 2, 2).
-    ``cfg`` may also be a list of configs, one per row of an (n, n_t) ``p``.
+    ``cfg`` may also be a `ConfigTable`, whose theta and phi columns give one
+    angle each per row of an (n, n_t) ``p``.
     """
     p = np.asarray(p, dtype=complex)
     mag = np.abs(p)
     if not np.all(mag <= 1.0 + EPS_AMPLITUDE):
         raise AmplitudeRangeError(
             f"|p| = {float(np.max(mag))} exceeds 1 + {EPS_AMPLITUDE}")
-    c = per_row(lambda k: math.cos(k.theta / 2.0), cfg)
-    s = per_row(lambda k: math.sin(k.theta / 2.0), cfg)
-    phase = per_row(lambda k: np.exp(-1j * k.phi), cfg)
+    c = per_value(lambda th: math.cos(th / 2.0), cfg.theta)
+    s = per_value(lambda th: math.sin(th / 2.0), cfg.theta)
+    phase = per_value(lambda ph: np.exp(-1j * ph), cfg.phi)
     rho = np.empty(p.shape + (2, 2), dtype=complex)
     rho[..., 0, 0] = mag ** 2 * c * c
     rho[..., 0, 1] = p * phase * s * c

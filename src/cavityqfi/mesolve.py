@@ -36,6 +36,7 @@ import numpy as np
 
 from .dynamics import (
     _BLOCK_SAMPLES,
+    ConfigTable,
     SystemConfig,
     TimeGrid,
     _log_ratio,
@@ -203,12 +204,12 @@ def timelocal_residual_blocks(cfg: SystemConfig, grid: TimeGrid):
     (start, defect at points start, start + 1, ...) per block of interior
     points; a block reads only its `TimeGrid.window`, so memory stays bounded.
     """
-    n = grid.n_points
+    n, table = grid.n_points, ConfigTable.of(cfg)
     if n < 3:
-        amplitude_table([cfg], grid.times)  # the checks
+        amplitude_table(table, grid.times)  # the checks
     for i0 in range(1, n - 1, _BLOCK_SAMPLES):
         i1 = min(i0 + _BLOCK_SAMPLES, n - 1)
-        amps = amplitude_table([cfg], grid.window(i0 - 1, i1 + 1))
+        amps = amplitude_table(table, grid.window(i0 - 1, i1 + 1))
         p, p_dot = amps.p[0], amps.p_dot[0]
         rho = atom_state(cfg, p)
         ratio = _log_ratio(p[1:-1], p_dot[1:-1])  # NaN where p is singular

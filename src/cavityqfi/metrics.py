@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .dynamics import EPS_AMPLITUDE, per_row
+from .dynamics import EPS_AMPLITUDE, per_value
 
 
 EPS_DET = 1e-12  # qfi_general_2x2 treats det(rho) <= this as (near-)pure
@@ -36,13 +36,13 @@ class PureStateSingularityError(ValueError):
 def qfi_closed(p, theta):
     """Closed-form (F_phi, F_theta) for amplitude p and polar angle theta.
 
-    ``theta`` may also be a list of angles, one per row of an (n, n_t) ``p``.
+    ``theta`` may also be a column of angles, one per row of an (n, n_t) ``p``.
     """
     mag2 = np.abs(np.asarray(p, dtype=complex)) ** 2
     if not np.all(np.sqrt(mag2) <= 1.0 + EPS_AMPLITUDE):
         raise ValueError(f"|p| exceeds 1 + {EPS_AMPLITUDE}")
     f_theta = mag2
-    f_phi = mag2 * per_row(lambda th: math.sin(th) ** 2, theta)
+    f_phi = mag2 * per_value(lambda th: math.sin(th) ** 2, theta)
     if f_phi.ndim:
         return f_phi, f_theta
     return float(f_phi), float(f_theta)

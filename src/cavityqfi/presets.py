@@ -13,7 +13,6 @@ contour grids default to 200 x 100.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,6 +20,7 @@ import numpy as np
 
 from .dynamics import (
     _BLOCK_SAMPLES,
+    ConfigTable,
     SystemConfig,
     TimeGrid,
     amplitude_table,
@@ -31,7 +31,7 @@ from .dynamics import (
 # amplitude is not called here, but perfbench/tracer.py wraps this binding
 from .dynamics import amplitude  # noqa: F401
 from .metrics import coherence_l1, qfi_closed
-from .spectral import SpectralModel
+from .spectral import MODEL_FIELDS, SpectralKind, check_domain
 
 THETA_DEFAULT = math.pi / 2.0
 PHI_DEFAULT = 0.0
@@ -39,6 +39,8 @@ LORENTZ_OMEGA0 = 1.0   # atom frequency in units of R
 LORENTZ_RATE = 1.0
 
 # The parameter vocabulary every table (curve, contour, sweep) is built from.
+KIND = {"ohmic": SpectralKind.OHMIC_LORENTZ_DRUDE, "lorentzian": SpectralKind.LORENTZIAN}
+OMEGA0 = {"ohmic": 1.0, "lorentzian": LORENTZ_OMEGA0}
 RESERVOIR = {"ohmic": "omega_c", "lorentzian": "width"}
 PARAMS = {
     "ohmic": ("coupling", "omega_c", "theta", "phi"),
@@ -109,30 +111,31 @@ PRESET_NAMES = tuple(PRESETS)
 def make_config(family: str, coupling: float, reservoir: float,
                 theta: float = THETA_DEFAULT, phi: float = PHI_DEFAULT,
                 detuning: float | None = None) -> SystemConfig:
-    """System configuration for one curve of a preset family."""
-    if family == "ohmic":
-        model = SpectralModel.ohmic_lorentz_drude(reservoir)
-        omega0 = 1.0
-    elif family == "lorentzian":
-        model = SpectralModel.lorentzian(LORENTZ_RATE, reservoir,
-                                         detuning=detuning)
-        omega0 = LORENTZ_OMEGA0
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return SystemConfig(omega0=omega0, coupling=coupling, theta=theta,
-                        phi=phi, spectral=model)
+    """System configuration for one curve of a preset family: the one row
+    of its `config_table`."""
+    fixed = [("coupling", coupling), ("theta", theta), ("phi", phi)]
+    if family in RESERVOIR:
+        fixed.append((RESERVOIR[family], reservoir))
+    if detuning is not None:
+        fixed.append(("detuning", detuning))
+    return config_table(family, [], fixed).row(0)
 
 
-def configs(family: str, axes, fixed=()) -> list:
-    """(values, config) over the Cartesian product of the named axes.
+def config_table(family: str, axes, fixed=()) -> ConfigTable:
+    """The checked table of configs over the Cartesian product of named axes.
 
     ``axes`` is a sequence of (name, values) pairs and ``fixed`` one of
     (name, value) pairs; parameters in neither take their ``DEFAULTS``.
-    The last axis varies fastest, as in ``np.meshgrid(..., indexing="ij")``.
-    Every config is built before returning, so a bad combination fails
-    before any computation.  Messages name the `sweep` flags, the general
-    form of every table.
+    Rows run in `itertools.product` order, the last axis fastest, as in
+    ``np.meshgrid(..., indexing="ij")``.  Every row is checked in one pass
+    before returning, and a table with bad rows fails as the config
+    constructors fail on the first of them, so a bad combination fails
+    before any computation.  Messages about the names name the `sweep`
+    flags, the general form of every table.  Columns that no axis sweeps
+    are read-only broadcasts of one value.
     """
+    if family not in PARAMS:
+        raise ValueError(f"unknown family {family!r}")
     allowed = PARAMS[family]
     swept, held = [n for n, _ in axes], [n for n, _ in fixed]
     for flag, names in (("--param", swept), ("--fix", held)):
@@ -144,13 +147,19 @@ def configs(family: str, axes, fixed=()) -> list:
                 raise ValueError(f"{flag} {name}: given twice")
             if flag == "--fix" and name in swept:
                 raise ValueError(f"--fix {name}: also swept by --param {name}")
-    out = []
-    for values in itertools.product(*(map(float, v) for _, v in axes)):
-        kw = {**DEFAULTS, **dict(fixed), **dict(zip(swept, values))}
-        out.append((values, make_config(family, kw["coupling"], kw[RESERVOIR[family]],
-                                        theta=kw["theta"], phi=kw["phi"],
-                                        detuning=kw["detuning"])))
-    return out
+    values = [np.asarray(v, dtype=float) for _, v in axes]
+    shape = tuple(v.size for v in values)
+    point = {"omega0": OMEGA0[family], "rate": LORENTZ_RATE, "anchor": LORENTZ_OMEGA0,
+             **DEFAULTS, **{k: float(v) for k, v in fixed},
+             **{k: np.broadcast_to(g, shape).ravel() for k, g in
+                zip(swept, np.meshgrid(*values, indexing="ij", sparse=True))}}
+    kind = KIND[family]
+    names = ("omega0", "coupling", "theta", "phi", *MODEL_FIELDS[kind])
+    fields = {k: point[k] for k in names if point[k] is not None}
+    check_domain(kind, fields)
+    # an unset Lorentzian detuning is the coupling, as `SystemConfig` resolves it
+    return ConfigTable(kind, {k: np.broadcast_to(np.asarray(
+        fields.get(k, fields["coupling"]), dtype=float), (math.prod(shape),)) for k in names})
 
 
 def preset_axes(preset: CurvePreset | ContourPreset):
@@ -171,11 +180,12 @@ TABLE_QUANTITIES = QUANTITIES + ("lamb_shift",)
 RATE_QUANTITIES = ("decoherence_rate", "lamb_shift")
 
 
-def metric_series(cfgs, amps, quantity: str) -> np.ndarray:
-    """One output quantity of an `amplitude_table` block, (len(cfgs), n_t).
+def metric_series(table: ConfigTable, amps, quantity: str) -> np.ndarray:
+    """One output quantity of an `amplitude_table` block, (len(table), n_t).
 
-    Row i is config i; the RATE_QUANTITIES read ``amps.p_dot`` and are NaN
-    at flagged samples.  Every table and CSV value comes from here.
+    Row i is config i, whose theta and phi the table's columns give; the
+    RATE_QUANTITIES read ``amps.p_dot`` and are NaN at flagged samples.
+    Every table and CSV value comes from here.
     """
     if quantity not in TABLE_QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
@@ -184,28 +194,29 @@ def metric_series(cfgs, amps, quantity: str) -> np.ndarray:
     if quantity == "lamb_shift":
         return lamb_shift(amps.p, amps.p_dot)
     if quantity == "coherence":
-        return coherence_l1(atom_state(cfgs, amps.p))
-    f_phi, f_theta = qfi_closed(amps.p, [c.theta for c in cfgs])
+        return coherence_l1(atom_state(table, amps.p))
+    f_phi, f_theta = qfi_closed(amps.p, table.theta)
     return f_phi if quantity == "qfi_phi" else f_theta
 
 
-def table_blocks(cfgs, grid: TimeGrid, quantity: str, mode: str = "closed"):
-    """One quantity for every config on one grid, as an iterator of
-    (rows, n_points) blocks in config order: the one table path.
+def table_blocks(table: ConfigTable, grid: TimeGrid, quantity: str,
+                 mode: str = "closed"):
+    """One quantity for every config of a table on one grid, as an iterator
+    of (rows, n_points) blocks in row order: the one table path.
 
-    Each block is one `amplitude_table` call of at most ``_BLOCK_SAMPLES``
-    samples, or of one config, and its `metric_series`, so memory stays
-    bounded however many configs there are.  ``quantity`` is checked on the
-    call, each block's amplitudes before it is yielded, and a failing check
-    names its config.  Row i does not depend on the blocking; NaN marks
+    Each block is one `amplitude_table` call on a slice of the table's
+    columns, of at most ``_BLOCK_SAMPLES`` samples or one config, and its
+    `metric_series`, so memory stays bounded however many configs there are.
+    ``quantity`` is checked on the call, each block's amplitudes before it
+    is yielded, and a failing check names its config.  Row i does not depend on the blocking; NaN marks
     flagged samples.
     """
     if quantity not in TABLE_QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
-    cfgs, times = list(cfgs), grid.times
+    times = grid.times
     rows = max(1, _BLOCK_SAMPLES // times.size)
     derivative = quantity in RATE_QUANTITIES
-    blocks = (cfgs[i:i + rows] for i in range(0, len(cfgs), rows))
+    blocks = (table[i:i + rows] for i in range(0, len(table), rows))
     return (metric_series(b, amplitude_table(b, times, mode, derivative), quantity)
             for b in blocks)
 
@@ -213,20 +224,20 @@ def table_blocks(cfgs, grid: TimeGrid, quantity: str, mode: str = "closed"):
 def quantity_values(cfg: SystemConfig, grid: TimeGrid, quantity: str,
                     mode: str = "closed") -> np.ndarray:
     """Evaluate one output quantity on a grid (NaN marks flagged samples)."""
-    return next(table_blocks([cfg], grid, quantity, mode))[0]
+    return next(table_blocks(ConfigTable.of(cfg), grid, quantity, mode))[0]
 
 
 def curve_table(preset: CurvePreset, mode: str = "closed"):
     """(times, values[n_coupling, n_t]) for a curve preset."""
     grid = TimeGrid(preset.t_end, preset.n_points)
-    cfgs = [cfg for _, cfg in configs(preset.family, *preset_axes(preset))]
-    blocks = table_blocks(cfgs, grid, preset.quantity, mode)
+    blocks = table_blocks(config_table(preset.family, *preset_axes(preset)),
+                          grid, preset.quantity, mode)
     return grid.times, np.concatenate(list(blocks))
 
 
 def contour_table(preset: ContourPreset, mode: str = "closed"):
     """(times, params, `table_blocks` of F_phi) for a contour preset."""
     grid = TimeGrid(preset.t_end, preset.n_points)
-    params, cfgs = zip(*configs(preset.family, *preset_axes(preset)))
-    return (grid.times, np.array([v for v, in params]),
-            table_blocks(cfgs, grid, "qfi_phi", mode))
+    table = config_table(preset.family, *preset_axes(preset))
+    return (grid.times, table.columns[preset.sweep],
+            table_blocks(table, grid, "qfi_phi", mode))

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +39,58 @@ _FOREIGN_FIELDS = {
     SpectralKind.OHMIC_LORENTZ_DRUDE: ("rate", "width", "detuning", "omega0"),
     SpectralKind.LORENTZIAN: ("omega_c",),
 }
+# each family's model fields by their config-table names (``anchor`` is a
+# Lorentzian model's omega0); detuning and anchor may be left to a config
+MODEL_FIELDS = {
+    SpectralKind.OHMIC_LORENTZ_DRUDE: ("omega_c",),
+    SpectralKind.LORENTZIAN: ("rate", "width", "detuning", "anchor"),
+}
+
+
+def _positive(x):
+    return (0.0 < x) & (x < np.inf)
+
+
+# The domain of every config field, written once as checks over float
+# columns, in the order the constructors apply them (the reservoir model's
+# fields first): (fields read, family or None for both, holds, message).
+_DOMAIN = [
+    (("omega_c",), None, _positive, "omega_c must be finite and > 0, got {omega_c}"),
+    (("rate",), None, _positive, "rate must be finite and > 0, got {rate}"),
+    (("width",), None, _positive, "width must be finite and > 0, got {width}"),
+    (("detuning",), None, np.isfinite, "detuning must be finite, got {detuning}"),
+    (("anchor",), None, np.isfinite, "omega0 must be finite, got {anchor}"),
+    (("omega0",), None, _positive, "omega0 must be finite and > 0, got {omega0}"),
+    (("coupling",), None, lambda g: (0.0 <= g) & (g < np.inf),
+     "coupling must be finite and >= 0, got {coupling}"),
+    # on the full line the rate at omega0 - coupling < 0 turns negative
+    (("coupling", "omega0"), SpectralKind.OHMIC_LORENTZ_DRUDE, lambda g, w0: ~(g > w0),
+     "coupling must satisfy 0 <= coupling <= omega0 for an Ohmic reservoir, "
+     "got coupling={coupling}, omega0={omega0}"),
+    (("theta",), None, lambda th: (0.0 <= th) & (th <= math.pi),
+     "theta must lie in [0, pi], got {theta}"),
+    (("phi",), None, lambda ph: (0.0 <= ph) & (ph < 2.0 * math.pi),
+     "phi must lie in [0, 2 pi), got {phi}"),
+]
+
+
+def check_domain(kind: SpectralKind, fields: dict) -> None:
+    """Raise ValueError, for the first row and in it the first rule of
+    `_DOMAIN` that fails, unless every row of ``fields`` lies in the domain.
+
+    ``fields`` maps field names to floats or equal-length columns (None
+    reads as NaN); a rule runs when every field it reads is given.
+    """
+    cols = {k: np.asarray(v, dtype=float) for k, v in fields.items()}
+    rules = [(names, message, ~holds(*(cols[n] for n in names)))
+             for names, family, holds, message in _DOMAIN
+             if family in (None, kind) and all(n in cols for n in names)]
+    bad = np.stack(np.broadcast_arrays(*(r[2] for r in rules))).reshape(len(rules), -1)
+    for i in np.flatnonzero(bad.any(axis=0))[:1]:
+        names, message, _ = rules[int(np.argmax(bad[:, i]))]
+        raise ValueError(message.format(**{
+            n: fields[n] if np.ndim(fields[n]) == 0 else float(fields[n][i])
+            for n in names}))
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -80,18 +132,13 @@ class SpectralModel:
                 raise ValueError(f"{name} is not a parameter of the "
                                  f"{self.kind.value} family, got "
                                  f"{name}={getattr(self, name)}")
-        if self.kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
-            if self.omega_c is None or not 0.0 < self.omega_c < math.inf:
-                raise ValueError(f"omega_c must be finite and > 0, got {self.omega_c}")
-        else:
-            if self.rate is None or not 0.0 < self.rate < math.inf:
-                raise ValueError(f"rate must be finite and > 0, got {self.rate}")
-            if self.width is None or not 0.0 < self.width < math.inf:
-                raise ValueError(f"width must be finite and > 0, got {self.width}")
-            for name in ("detuning", "omega0"):
-                value = getattr(self, name)
-                if value is not None and not math.isfinite(value):
-                    raise ValueError(f"{name} must be finite, got {value}")
+        check_domain(self.kind, {n: v for n, v in self.fields().items()
+                                 if v is not None or n not in ("detuning", "anchor")})
+
+    def fields(self) -> dict:
+        """The family's fields by their `MODEL_FIELDS` names, None where unset."""
+        return {n: self.omega0 if n == "anchor" else getattr(self, n)
+                for n in MODEL_FIELDS[self.kind]}
 
     @classmethod
     def ohmic_lorentz_drude(cls, omega_c: float) -> "SpectralModel":
@@ -104,16 +151,6 @@ class SpectralModel:
         return cls(SpectralKind.LORENTZIAN, rate=float(rate), width=float(width),
                    detuning=None if detuning is None else float(detuning),
                    omega0=None if omega0 is None else float(omega0))
-
-    def resolved(self, coupling: float, omega0: float) -> "SpectralModel":
-        """Fill unresolved Lorentzian defaults from a system configuration."""
-        if self.kind is not SpectralKind.LORENTZIAN:
-            return self
-        det = self.detuning if self.detuning is not None else float(coupling)
-        anchor = self.omega0 if self.omega0 is not None else float(omega0)
-        if det == self.detuning and anchor == self.omega0:
-            return self
-        return replace(self, detuning=det, omega0=anchor)
 
     def lorentz_peak(self) -> float:
         """Center frequency of the Lorentzian line, ``omega0 - detuning``."""
@@ -174,19 +211,19 @@ def _lorentz_rates(rate, lam, d, t):
     return gamma, beta
 
 
-def _kernel(kind: SpectralKind):
-    """The closed-form kernel of a family: it takes the family's parameters
-    (`_kernel_args`) and the times and returns (gamma, beta).  The
-    parameters are floats, or (n, 1) columns that broadcast against the
-    times."""
-    return _ohmic_rates if kind is SpectralKind.OHMIC_LORENTZ_DRUDE else _lorentz_rates
+def closed_rates(kind: SpectralKind, fields, omega_j, t):
+    """(gamma_j, beta_j) of transition omega_j at times ``t``, from the one
+    closed-form kernel of the family.
 
-
-def _kernel_args(model: SpectralModel, omega_j: float) -> tuple:
-    if model.kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
-        return model.omega_c, float(omega_j)
-    # Lorentzian: rate, width and the detuning d = omega_j - peak
-    return model.rate, model.width, float(omega_j) - model.lorentz_peak()
+    ``fields`` maps the family's `MODEL_FIELDS` (resolved) to floats, or to
+    (n, 1) columns that, like ``omega_j``, broadcast against ``t``; row i of
+    the result then equals the one-model call bit for bit.
+    """
+    if kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
+        return _ohmic_rates(fields["omega_c"], omega_j, t)
+    # the detuning from the Lorentzian peak at anchor - detuning
+    return _lorentz_rates(fields["rate"], fields["width"],
+                          omega_j - (fields["anchor"] - fields["detuning"]), t)
 
 
 def _closed(half: int, model: SpectralModel, omega_j: float, t):
@@ -194,7 +231,10 @@ def _closed(half: int, model: SpectralModel, omega_j: float, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
-    out = _kernel(model.kind)(*_kernel_args(model, omega_j), t)[half]
+    fields = model.fields()
+    if None in fields.values():
+        model.lorentz_peak()  # raises, naming what is unresolved
+    out = closed_rates(model.kind, fields, float(omega_j), t)[half]
     return out if out.ndim else float(out)
 
 
@@ -220,23 +260,6 @@ def beta_closed(model: SpectralModel, omega_j: float, t):
     which reduces on resonance (d = 0) to R (t + (e^{-lam t} - 1)/lam).
     """
     return _closed(1, model, omega_j, t)
-
-
-def closed_rates(models, omega_j, times: np.ndarray):
-    """(gamma, beta) of transition omega_j[i] under models[i], each (n, times.size).
-
-    The same kernel as `gamma_closed` and `beta_closed`, called once, with
-    each model's parameters stacked into (n, 1) columns and broadcast
-    against ``times``, so row i equals the single-model call bit for bit.
-    All models must be of one family.
-    """
-    kinds = {m.kind for m in models}
-    if len(kinds) != 1:
-        raise ValueError(f"closed_rates needs one spectral family, got {len(kinds)}")
-    kernel = _kernel(kinds.pop())
-    cols = [np.array(col)[:, None] for col in
-            zip(*(_kernel_args(m, w) for m, w in zip(models, omega_j)))]
-    return kernel(*cols, times)
 
 
 def gamma_long_time(model: SpectralModel, omega_j: float) -> float:

@@ -17,11 +17,11 @@ import numpy as np
 import scipy.integrate  # noqa: F401
 
 from . import mesolve
-from .dynamics import AmplitudeSeries, SystemConfig, TimeGrid, amplitude, \
-    amplitude_table, atom_state, decoherence_rate, physicality
+from .dynamics import AmplitudeSeries, ConfigTable, SystemConfig, TimeGrid, \
+    amplitude, amplitude_table, atom_state, decoherence_rate, physicality
 from .metrics import coherence_l1, qfi_closed, qfi_general_2x2
-from .presets import CURVE_PRESETS, PRESET_NAMES, PRESETS, configs, make_config, \
-    metric_series, preset_axes
+from .presets import CURVE_PRESETS, PRESET_NAMES, PRESETS, config_table, \
+    make_config, metric_series, preset_axes
 from .spectral import SpectralModel, beta_closed, beta_numeric, gamma_closed, \
     gamma_numeric
 
@@ -57,28 +57,29 @@ class VerifyContext:
     def amps(self, cfg: SystemConfig, t_end: float, n: int):
         return amplitude(cfg, TimeGrid(t_end, n))
 
-    def preset_table(self, name: str) -> tuple[list, AmplitudeSeries]:
-        """(cfgs, amplitude block) of a preset: one row per config, in
-        `configs` order, from one `amplitude_table` call on the preset grid.
+    def preset_table(self, name: str) -> tuple[ConfigTable, AmplitudeSeries]:
+        """(table, amplitude block) of a preset: one row per config of its
+        `config_table`, from one `amplitude_table` call on the preset grid.
         No suite reads ``p_dot``, so the block has none.
 
-        The cache key is the configs and the grid, not the name, so presets
-        that differ only in their quantity share one block.
+        The cache key is the table's columns and the grid, not the name, so
+        presets that differ only in their quantity share one block.
         """
         preset = PRESETS[name]
-        cfgs = [cfg for _, cfg in configs(preset.family, *preset_axes(preset))]
-        key = (tuple(cfgs), preset.t_end, preset.n_points)
+        table = config_table(preset.family, *preset_axes(preset))
+        key = (table.kind, *(c.tobytes() for c in table.columns.values()),
+               preset.t_end, preset.n_points)
         if key not in self._tables:
-            self._tables[key] = amplitude_table(
-                cfgs, TimeGrid(preset.t_end, preset.n_points).times, derivative=False)
-        return cfgs, self._tables[key]
+            self._tables[key] = table, amplitude_table(
+                table, TimeGrid(preset.t_end, preset.n_points).times, derivative=False)
+        return self._tables[key]
 
     def chain(self, name: str, i: int, halve: bool):
         """(max deviation of traced RK4 vs row i of `preset_table`, states or
         None if halved) of a preset's config i, cached by config and grid."""
         preset = PRESETS[name]
-        cfgs, block = self.preset_table(name)
-        cfg = cfgs[i]
+        table, block = self.preset_table(name)
+        cfg = table.row(i)
         key = (cfg, preset.t_end, preset.n_points, halve)
         if key not in self._chain:
             grid = TimeGrid(preset.t_end, preset.n_points)
@@ -98,9 +99,9 @@ def suite_relation_coherence_qfi(ctx: VerifyContext) -> SuiteResult:
     tol = 1e-12
     worst = 0.0
     for name in PRESET_NAMES:
-        cfgs, block = ctx.preset_table(name)
-        c = metric_series(cfgs, block, "coherence")
-        f_phi = metric_series(cfgs, block, "qfi_phi")
+        table, block = ctx.preset_table(name)
+        c = metric_series(table, block, "coherence")
+        f_phi = metric_series(table, block, "qfi_phi")
         worst = max(worst, float(np.max(np.abs(c * c - f_phi))))
     return SuiteResult("relation-coherence-qfi", worst <= tol, worst, tol)
 
@@ -211,13 +212,14 @@ def suite_mesolve_chain(ctx: VerifyContext) -> SuiteResult:
     worst_ratio_score = 0.0
     detail = ""
     for name in MESOLVE_PRESETS:
-        for i, cfg in enumerate(ctx.preset_table(name)[0]):
+        couplings = ctx.preset_table(name)[0].coupling
+        for i in range(len(couplings)):
             dev, _ = ctx.chain(name, i, halve=False)
             dev_half, _ = ctx.chain(name, i, halve=True)
             if dev > worst:
                 worst = dev
                 order = math.log2(dev / max(dev_half, 1e-300))
-                detail = (f"{name} coupling={cfg.coupling}, "
+                detail = (f"{name} coupling={float(couplings[i])}, "
                           f"observed order {order:.2f}")
             if dev_half > 1e-10:  # above the floor the 4th-order ratio must show
                 ratio_score = 8.0 * dev_half / max(dev, 1e-300)
@@ -300,16 +302,16 @@ def suite_markovian_positivity(ctx: VerifyContext) -> SuiteResult:
 def suite_lorentzian_plateau(ctx: VerifyContext) -> SuiteResult:
     """F_phi flattens to a quasi-stable plateau over Rt in [20, 50].
 
-    The two curves are rows of the fig4b and fig4a preset blocks.
+    The two curves are rows of the fig4b and fig4a preset blocks, found by
+    their coupling.
     """
     tol = 0.05
     worst = 0.0
     detail = []
     for g, name in ((1.0, "fig4b"), (40.0, "fig4a")):
-        cfgs, block = ctx.preset_table(name)
-        cfg = make_config("lorentzian", g, PRESETS[name].reservoir)
-        p = block.p[cfgs.index(cfg)]
-        f_phi, _ = qfi_closed(p, cfg.theta)
+        table, block = ctx.preset_table(name)
+        [i] = np.flatnonzero(table.coupling == g)
+        f_phi, _ = qfi_closed(block.p[i], table.row(i).theta)
         window = f_phi[block.times >= 20.0]
         spread = float(window.max() - window.min())
         worst = max(worst, spread)
@@ -356,8 +358,8 @@ def suite_physicality(ctx: VerifyContext) -> SuiteResult:
     """
     worst = 0.0
     for name in PRESET_NAMES:
-        cfgs, block = ctx.preset_table(name)
-        d = physicality(atom_state(cfgs, block.p))
+        table, block = ctx.preset_table(name)
+        d = physicality(atom_state(table, block.p))
         worst = max(worst, d["hermiticity"] / 1e-12, d["trace"] / 1e-12,
                     max(0.0, -d["min_eigenvalue"]) / 1e-9)
     for name in MESOLVE_PRESETS:

@@ -13,8 +13,8 @@ def zero_rates(monkeypatch):
     `timelocal_residual` and `evolve` see zero rates of the shapes the
     closed forms return.
     """
-    def closed_rates(models, omega_j, times):
-        zeros = np.zeros((len(models), np.size(times)))
+    def closed_rates(kind, fields, omega_j, times):
+        zeros = np.zeros((len(omega_j), np.size(times)))
         return zeros, zeros
 
     monkeypatch.setattr(dynamics, "closed_rates", closed_rates)

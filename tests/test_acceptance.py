@@ -15,7 +15,7 @@ import pytest
 from cavityqfi import AmplitudeSeries, TimeGrid, amplitude, atom_state, coherence_l1, \
     metric_series, qfi_closed
 from cavityqfi import verify
-from cavityqfi.presets import CURVE_PRESETS, PRESETS, configs, preset_axes
+from cavityqfi.presets import CURVE_PRESETS, PRESETS, config_table, preset_axes
 from cavityqfi.verify import MESOLVE_PRESETS, SUITES, VerifyContext, run_suites
 
 
@@ -113,17 +113,20 @@ def test_preset_blocks_match_the_per_config_route(ctx):
     thetas = ("theta", (math.pi / 6, math.pi / 3, math.pi / 2))
     for name, preset in PRESETS.items():
         axes, fixed = preset_axes(preset)
-        for _, cfg in configs(preset.family, axes, fixed):
+        table = config_table(preset.family, axes, fixed)
+        for i in range(len(table)):
+            cfg = table.row(i)
             amps = ctx.amps(cfg, preset.t_end, preset.n_points)
             row = AmplitudeSeries(amps.times, amps.p[None], None)
-            c = metric_series([cfg], row, "coherence")
+            c = metric_series(table[i:i + 1], row, "coherence")
             relation = max(relation, float(np.max(np.abs(
-                c * c - metric_series([cfg], row, "qfi_phi")))))
+                c * c - metric_series(table[i:i + 1], row, "qfi_phi")))))
             phys = max(phys, _eigvalsh_violations(
                 atom_state(cfg, amps.p), 1e-12, 1e-9))
         if name not in CURVE_PRESETS:
             continue
-        for _, cfg in configs(preset.family, axes + [thetas], fixed):
+        table = config_table(preset.family, axes + [thetas], fixed)
+        for cfg in map(table.row, range(len(table))):
             amps = amplitude(cfg, TimeGrid(preset.t_end, preset.n_points))
             f_phi, f_theta = qfi_closed(amps.p, cfg.theta)
             identity = max(identity, float(np.max(np.abs(
@@ -144,10 +147,11 @@ def test_relation_residual_is_the_primitives_bit_for_bit(ctx):
     # config by config, on all 16 preset blocks
     worst = 0.0
     for name in PRESETS:
-        cfgs, block = ctx.preset_table(name)
-        c = metric_series(cfgs, block, "coherence")
-        resid = np.abs(c * c - metric_series(cfgs, block, "qfi_phi"))
-        for i, cfg in enumerate(cfgs):
+        table, block = ctx.preset_table(name)
+        c = metric_series(table, block, "coherence")
+        resid = np.abs(c * c - metric_series(table, block, "qfi_phi"))
+        for i in range(len(table)):
+            cfg = table.row(i)
             ci = coherence_l1(atom_state(cfg, block.p[i]))
             f_phi, _ = qfi_closed(block.p[i], cfg.theta)
             assert np.array_equal(resid[i], np.abs(ci * ci - f_phi)), (name, i)

@@ -17,7 +17,7 @@ from cavityqfi import (
     qfi_closed,
     qfi_general_2x2,
 )
-from cavityqfi.dynamics import amplitude_table
+from cavityqfi.dynamics import ConfigTable, amplitude_table
 
 
 def cfg_with(theta, phi=0.0, coupling=1.0, omega_c=3.0):
@@ -146,7 +146,8 @@ class TestCoherence:
 
 def series(cfg, grid, quantity):
     """`metric_series` of a one-config `amplitude_table` block, as one row."""
-    return metric_series([cfg], amplitude_table([cfg], grid.times), quantity)[0]
+    table = ConfigTable.of(cfg)
+    return metric_series(table, amplitude_table(table, grid.times), quantity)[0]
 
 
 class TestMetricSeries:

@@ -20,7 +20,7 @@ from cavityqfi.presets import (
     CONTOUR_PRESETS,
     CURVE_PRESETS,
     DEFAULTS,
-    configs,
+    config_table,
     contour_table,
     make_config,
     quantity_values,
@@ -76,21 +76,25 @@ class TestPresetParameters:
 class TestConfigs:
     def test_row_order_is_meshgrid_ij(self):
         a, b = np.array([0.1, 0.5, 0.9]), np.array([0.3, 3.0])
-        rows = configs("ohmic", [("coupling", a), ("omega_c", b)])
+        table = config_table("ohmic", [("coupling", a), ("omega_c", b)])
         want = list(zip(*(m.ravel() for m in np.meshgrid(a, b, indexing="ij"))))
-        assert [values for values, _ in rows] == want
-        assert [(c.coupling, c.spectral.omega_c) for _, c in rows] == want
+        assert list(zip(table.coupling, table.columns["omega_c"])) == want
+        rows = [table.row(i) for i in range(len(table))]
+        assert [(c.coupling, c.spectral.omega_c) for c in rows] == want
+        assert rows == [make_config("ohmic", g, wc) for g, wc in want]
 
     def test_defaults_fill_unswept_unfixed(self):
-        [((g,), cfg)] = configs("lorentzian", [("coupling", [0.5])])
-        assert g == 0.5
+        table = config_table("lorentzian", [("coupling", [0.5])])
+        assert len(table) == 1 and table.coupling[0] == 0.5
+        cfg = table.row(0)
         assert cfg.spectral.width == DEFAULTS["width"]
         assert (cfg.theta, cfg.phi) == (DEFAULTS["theta"], DEFAULTS["phi"])
         assert cfg.spectral.detuning == 0.5  # None: resolved to the coupling
+        assert cfg == make_config("lorentzian", 0.5, DEFAULTS["width"])
 
     def test_fixed_overrides_default(self):
-        [(_, cfg)] = configs("lorentzian", [("coupling", [0.5])],
-                             [("width", 0.1), ("theta", 0.3)])
+        cfg = config_table("lorentzian", [("coupling", [0.5])],
+                           [("width", 0.1), ("theta", 0.3)]).row(0)
         assert cfg.spectral.width == 0.1
         assert cfg.theta == 0.3
 
@@ -429,11 +433,11 @@ def test_failing_block_exits_2_and_writes_no_file(tmp_path, capsys, monkeypatch)
     real = dynamics.closed_rates
     calls = []
 
-    def growing_at_coupling_1(models, omega_j, times):
-        calls.append(len(models))
-        gamma, beta = real(models, omega_j, times)
+    def growing_at_coupling_1(kind, fields, omega_j, times):
+        calls.append(len(omega_j))
+        gamma, beta = real(kind, fields, omega_j, times)
         # omega_2 = omega0 + coupling = 2: a negated exponent makes |p| > 1
-        return gamma, np.where(np.array(omega_j)[:, None] == 2.0, -beta, beta)
+        return gamma, np.where(omega_j == 2.0, -beta, beta)
 
     monkeypatch.setattr(dynamics, "closed_rates", growing_at_coupling_1)
     out = tmp_path / "sweep.csv"

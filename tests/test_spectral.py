@@ -218,7 +218,8 @@ class TestNumericRates:
         def forbidden(*args, **kwargs):
             raise AssertionError("the quadrature oracle read a closed form")
 
-        for name in ("gamma_closed", "beta_closed", "closed_rates", "_kernel"):
+        for name in ("gamma_closed", "beta_closed", "closed_rates",
+                     "_ohmic_rates", "_lorentz_rates"):
             monkeypatch.setattr(spectral, name, forbidden)
         gamma, beta = numeric_rates(lorentz(3.0), 0.5, TimeGrid(2.0, 5).times)
         assert np.all(np.isfinite(gamma)) and beta[0] == 0.0

@@ -1,15 +1,16 @@
 """The batched table path: `presets.table_blocks` over a (config x time) block.
 
-Each row must equal the one-config route built from the primitives
-(`amplitude`, then `qfi_closed`, `coherence_l1` of `atom_state`,
-`decoherence_rate` or `lamb_shift`) bit for bit, however the configs fall
-into blocks.  Property tests cover the valid parameter domain and invalid
-command-line input.
+Each row of a `config_table` must equal the one-config route built from the
+primitives (`amplitude`, then `qfi_closed`, `coherence_l1` of `atom_state`,
+`decoherence_rate` or `lamb_shift`) bit for bit, however the rows fall into
+blocks.  Property tests cover the valid parameter domain, and invalid input
+both on the command line and in tables.
 """
 
 import contextlib
 import gc
 import io
+import itertools
 import math
 import re
 import tempfile
@@ -39,9 +40,9 @@ from cavityqfi import (
 )
 from cavityqfi import cli, dynamics, presets, spectral
 from cavityqfi.cli import main
-from cavityqfi.dynamics import amplitude_table
-from cavityqfi.presets import CURVE_PRESETS, TABLE_QUANTITIES, configs, \
-    quantity_values, table_blocks
+from cavityqfi.dynamics import ConfigTable, amplitude_table
+from cavityqfi.presets import CURVE_PRESETS, TABLE_QUANTITIES, config_table, \
+    make_config, quantity_values, table_blocks
 from cavityqfi.spectral import closed_rates
 
 THETAS = ("theta", (math.pi / 6, math.pi / 3, math.pi / 2))
@@ -66,86 +67,98 @@ def one_config(cfg, grid, quantity, mode="closed"):
     return {"qfi_phi": f_phi, "qfi_theta": f_theta}[quantity]
 
 
-def stacked(cfgs, grid, quantity, mode="closed"):
-    """`table_blocks` stacked into one (len(cfgs), n_points) array."""
-    return np.concatenate(list(table_blocks(cfgs, grid, quantity, mode)))
+def rows(table):
+    """The configs of a table, one per row."""
+    return [table.row(i) for i in range(len(table))]
 
 
-def assert_rows_bitwise(cfgs, grid, quantity, table, mode="closed"):
-    assert table.shape == (len(cfgs), grid.n_points)
-    for i, cfg in enumerate(cfgs):
+def stacked(table, grid, quantity, mode="closed"):
+    """`table_blocks` stacked into one (len(table), n_points) array."""
+    return np.concatenate(list(table_blocks(table, grid, quantity, mode)))
+
+
+def assert_rows_bitwise(table, grid, quantity, values, mode="closed"):
+    assert values.shape == (len(table), grid.n_points)
+    for i, cfg in enumerate(rows(table)):
         want = one_config(cfg, grid, quantity, mode)
-        assert np.array_equal(table[i], want, equal_nan=True), (i, cfg)
+        assert np.array_equal(values[i], want, equal_nan=True), (i, cfg)
 
 
 @pytest.mark.parametrize("quantity", TABLE_QUANTITIES)
 @pytest.mark.parametrize("family", ["ohmic", "lorentzian"])
 def test_table_equals_per_config_bitwise(family, quantity):
-    cfgs = [cfg for _, cfg in configs(family, AXES[family])]
+    table = config_table(family, AXES[family])
     grid = TimeGrid(20.0, 301)
-    assert_rows_bitwise(cfgs, grid, quantity, stacked(cfgs, grid, quantity))
+    assert_rows_bitwise(table, grid, quantity, stacked(table, grid, quantity))
 
 
 @pytest.mark.parametrize("family", ["ohmic", "lorentzian"])
 def test_metric_series_of_a_block_equals_per_config_bitwise(family):
-    cfgs = [cfg for _, cfg in configs(family, AXES[family])]
+    table = config_table(family, AXES[family])
     times = TimeGrid(20.0, 301).times
-    amps = amplitude_table(cfgs, times)
+    amps = amplitude_table(table, times)
     for quantity in TABLE_QUANTITIES:
-        block = metric_series(cfgs, amps, quantity)
-        for i, cfg in enumerate(cfgs):
-            row = metric_series([cfg], amplitude_table([cfg], times), quantity)
+        block = metric_series(table, amps, quantity)
+        for i, cfg in enumerate(rows(table)):
+            one = ConfigTable.of(cfg)
+            row = metric_series(one, amplitude_table(one, times), quantity)
             assert np.array_equal(block[i], row[0], equal_nan=True), (i, quantity)
 
 
 def test_metric_series_rejects_an_unknown_quantity():
-    cfgs = [presets.make_config("ohmic", 0.5, 3.0)]
-    amps = amplitude_table(cfgs, TimeGrid(1.0, 5).times)
+    table = ConfigTable.of(make_config("ohmic", 0.5, 3.0))
+    amps = amplitude_table(table, TimeGrid(1.0, 5).times)
     with pytest.raises(ValueError, match="unknown quantity 'fidelity'"):
-        metric_series(cfgs, amps, "fidelity")
+        metric_series(table, amps, "fidelity")
 
 
 def test_blocks_not_a_multiple_of_the_block_size():
     grid = TimeGrid(20.0, 500)
-    rows = presets._BLOCK_SAMPLES // grid.n_points
-    couplings = np.linspace(0.0, 1.0, 2 * rows + 37)
-    cfgs = [cfg for _, cfg in configs("ohmic", [("coupling", couplings)])]
-    samples = len(cfgs) * grid.n_points
+    per_block = presets._BLOCK_SAMPLES // grid.n_points
+    couplings = np.linspace(0.0, 1.0, 2 * per_block + 37)
+    table = config_table("ohmic", [("coupling", couplings)])
+    samples = len(table) * grid.n_points
     assert samples > 2 * presets._BLOCK_SAMPLES
-    assert samples % presets._BLOCK_SAMPLES and len(cfgs) % rows
-    assert_rows_bitwise(cfgs, grid, "qfi_phi", stacked(cfgs, grid, "qfi_phi"))
+    assert samples % presets._BLOCK_SAMPLES and len(table) % per_block
+    assert_rows_bitwise(table, grid, "qfi_phi", stacked(table, grid, "qfi_phi"))
 
 
 def test_small_blocks_change_no_bit(monkeypatch):
-    cfgs = [cfg for _, cfg in configs("lorentzian", AXES["lorentzian"])]
+    table = config_table("lorentzian", AXES["lorentzian"])
     grid = TimeGrid(10.0, 41)
-    whole = stacked(cfgs, grid, "coherence")
+    whole = stacked(table, grid, "coherence")
     monkeypatch.setattr(presets, "_BLOCK_SAMPLES", 3 * grid.n_points + 5)
-    assert np.array_equal(stacked(cfgs, grid, "coherence"), whole)
+    assert np.array_equal(stacked(table, grid, "coherence"), whole)
 
 
 def test_sweep_streams_in_bounded_memory(tmp_path, monkeypatch):
-    # the whole 1600 x 100 float64 table is 1.28 MB; a sweep holds one
-    # 1024-sample block of it at a time, formatted and written as it comes
     monkeypatch.setattr(presets, "_BLOCK_SAMPLES", 1024)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        cli.run_sweep("ohmic", ["coupling", "omega_c"], ["0:1:40", "0.1:3:40"],
-                      "qfi_phi", 20.0, 100, tmp_path / "sweep.csv")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1600 * 100 * 8
+    for ranges, steps, bound in [
+        # the whole 1600 x 100 float64 table is 1.28 MB; a sweep holds one
+        # 1024-sample block of it at a time, formatted and written as it comes
+        (["0:1:40", "0.1:3:40"], 100, 1600 * 100 * 8),
+        # 40000 configs of 2 steps: a list of config objects and their
+        # prefix strings took 18.4 MB; the parameter columns take 0.64 MB
+        (["0:1:200", "0.1:3:200"], 2, 6e6),
+    ]:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cli.run_sweep("ohmic", ["coupling", "omega_c"], ranges,
+                          "qfi_phi", 20.0, steps, tmp_path / "sweep.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (ranges, steps, peak)
 
 
 @pytest.mark.parametrize("quantity", ["qfi_phi", "decoherence_rate"])
 @pytest.mark.parametrize("family", ["ohmic", "lorentzian"])
 def test_numeric_mode_table_bitwise(family, quantity):
-    cfgs = [cfg for _, cfg in configs(family, [("coupling", (0.5, 1.0))])]
+    table = config_table(family, [("coupling", (0.5, 1.0))])
     grid = TimeGrid(1.0, 4)
-    table = stacked(cfgs, grid, quantity, mode="numeric")
-    assert_rows_bitwise(cfgs, grid, quantity, table, mode="numeric")
+    values = stacked(table, grid, quantity, mode="numeric")
+    assert_rows_bitwise(table, grid, quantity, values, mode="numeric")
 
 
 def test_unknown_quantity_rejected_before_amplitude(monkeypatch):
@@ -153,22 +166,28 @@ def test_unknown_quantity_rejected_before_amplitude(monkeypatch):
         raise AssertionError("amplitude computed before the input was rejected")
 
     monkeypatch.setattr(presets, "amplitude_table", no_amplitude)
-    cfgs = [presets.make_config("ohmic", 0.5, 3.0)]
+    cfg = make_config("ohmic", 0.5, 3.0)
     with pytest.raises(ValueError, match="unknown quantity"):
-        quantity_values(cfgs[0], TimeGrid(1.0, 5), "fidelity")
+        quantity_values(cfg, TimeGrid(1.0, 5), "fidelity")
     # the block form checks on the call, before its first block is read
     with pytest.raises(ValueError, match="unknown quantity"):
-        table_blocks(cfgs, TimeGrid(1.0, 5), "fidelity")
+        table_blocks(ConfigTable.of(cfg), TimeGrid(1.0, 5), "fidelity")
+
+
+def columns(table):
+    """The table's columns as (n, 1) arrays, as `amplitude_table` passes them."""
+    return {k: v[:, None] for k, v in table.columns.items()}
 
 
 @pytest.mark.parametrize("family, reservoir", [("ohmic", 0.3), ("lorentzian", 0.1)])
 def test_closed_rates_rows_equal_scalar_calls(family, reservoir):
-    cfgs = [presets.make_config(family, g, reservoir) for g in (0.0, 0.3, 1.0)]
-    models = [c.spectral for c in cfgs]
+    table = config_table(family, [("coupling", (0.0, 0.3, 1.0))],
+                         [(presets.RESERVOIR[family], reservoir)])
     times = TimeGrid(20.0, 201).times
-    for omega in ([c.omega_1 for c in cfgs], [c.omega_2 for c in cfgs]):
-        gamma, beta = closed_rates(models, omega, times)
-        for i, (m, w) in enumerate(zip(models, omega)):
+    for omega in (table.omega_1, table.omega_2):
+        gamma, beta = closed_rates(table.kind, columns(table), omega[:, None], times)
+        for i, cfg in enumerate(rows(table)):
+            m, w = cfg.spectral, float(omega[i])
             assert np.array_equal(gamma[i], gamma_closed(m, w, times))
             assert np.array_equal(beta[i], beta_closed(m, w, times))
 
@@ -181,31 +200,24 @@ def test_closed_rates_evaluates_the_kernel_once(monkeypatch, family, kernel):
     calls = []
     monkeypatch.setattr(spectral, kernel,
                         lambda *args: calls.append(1) or real(*args))
-    cfgs = [presets.make_config(family, g, 0.3) for g in (0.0, 0.5, 1.0)]
-    closed_rates([c.spectral for c in cfgs], [c.omega_1 for c in cfgs],
+    table = config_table(family, [("coupling", (0.0, 0.5, 1.0))],
+                         [(presets.RESERVOIR[family], 0.3)])
+    closed_rates(table.kind, columns(table), table.omega_1[:, None],
                  TimeGrid(5.0, 11).times)
     assert len(calls) == 1
-
-
-def test_closed_rates_rejects_mixed_families():
-    times = np.linspace(0.0, 1.0, 5)
-    ohmic = SpectralModel.ohmic_lorentz_drude(3.0)
-    lorentz = SpectralModel.lorentzian(1.0, 1.0, detuning=0.0, omega0=1.0)
-    with pytest.raises(ValueError, match="one spectral family"):
-        closed_rates([ohmic, lorentz], [1.0, 1.0], times)
 
 
 def test_failed_check_names_the_config(monkeypatch):
     real = dynamics.closed_rates
 
-    def growing(models, omega_j, times):
-        gamma, beta = real(models, omega_j, times)
+    def growing(*args):
+        gamma, beta = real(*args)
         return gamma, -beta     # |p| grows past 1
 
     monkeypatch.setattr(dynamics, "closed_rates", growing)
-    cfgs = [presets.make_config("ohmic", g, 0.7) for g in (0.25, 0.75)]
+    table = config_table("ohmic", [("coupling", (0.25, 0.75))], [("omega_c", 0.7)])
     with pytest.raises(AmplitudeRangeError, match="coupling=0.25, omega_c=0.7"):
-        amplitude_table(cfgs, TimeGrid(5.0, 11).times)
+        amplitude_table(table, TimeGrid(5.0, 11).times)
 
 
 # Valid domain: every value the config constructors accept, within these
@@ -232,17 +244,17 @@ def test_valid_tables_stay_physical(case):
              ("theta", case["theta"]), ("phi", case["phi"])]
     if family == "lorentzian" and case["detuning"] is not None:
         fixed.append(("detuning", case["detuning"]))
-    cfgs = [cfg for _, cfg in configs(
-        family, [("coupling", [g * scale for g in case["couplings"]])], fixed)]
+    table = config_table(
+        family, [("coupling", [g * scale for g in case["couplings"]])], fixed)
     grid = TimeGrid(case["t_end"], case["n_points"])
-    amps = amplitude_table(cfgs, grid.times)
+    amps = amplitude_table(table, grid.times)
     assert np.max(np.abs(amps.p)) <= 1.0 + 1e-9
-    d = physicality(atom_state(cfgs, amps.p))
+    d = physicality(atom_state(table, amps.p))
     assert d["hermiticity"] <= 1e-12
     assert d["trace"] <= 1e-12
     assert d["min_eigenvalue"] >= -1e-9
     for quantity in ("qfi_phi", "qfi_theta", "coherence"):
-        values = stacked(cfgs, grid, quantity)
+        values = stacked(table, grid, quantity)
         assert np.all((values >= 0.0) & (values <= 1.0 + 1e-9))
 
 
@@ -261,6 +273,55 @@ INVALID = [
     ("t_end", "t_end", NON_POSITIVE, BOTH),
 ]
 CUSTOM_FLAGS = ("coupling", "omega_c", "width", "steps", "t_end")
+# values every config accepts, per table parameter (Ohmic coupling <= omega0)
+VALID = {"omega_c": st.floats(1e-3, 1e3), "width": st.floats(1e-3, 1e3),
+         "theta": st.floats(0.0, math.pi),
+         "phi": st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+         "detuning": st.floats(-50.0, 50.0)}
+
+
+def rejected(name, family):
+    """The INVALID values of a table parameter for a family."""
+    return [v for n, _, values, families in INVALID
+            if n == name and family in families for v in values]
+
+
+@st.composite
+def invalid_table(draw):
+    """(family, axes, fixed): 1 to 3 values on each swept parameter, each
+    fixed or default for the rest, and one or more of them rejected."""
+    family = draw(st.sampled_from(BOTH))
+    names = draw(st.permutations(presets.PARAMS[family]))
+    n_swept = draw(st.integers(1, len(names)))
+    n_given = draw(st.integers(n_swept, len(names)))
+    valid = {**VALID, "coupling": st.floats(0.0, 1.0 if family == "ohmic" else 50.0)}
+    value = lambda n: st.one_of(valid[n], st.sampled_from(rejected(n, family)))
+    given = {n: draw(st.lists(value(n), min_size=1, max_size=3)) for n in names[:n_swept]}
+    given.update((n, [draw(value(n))]) for n in names[n_swept:n_given])
+    bad = draw(st.sampled_from(names[:n_given]))
+    given[bad][draw(st.integers(0, len(given[bad]) - 1))] = draw(
+        st.sampled_from(rejected(bad, family)))
+    return (family, [(n, given[n]) for n in names[:n_swept]],
+            [(n, given[n][0]) for n in names[n_swept:n_given]])
+
+
+def first_rejection(family, axes, fixed):
+    """What the `SpectralModel` and `SystemConfig` constructors raise on the
+    first point of the product they reject: the one-config route every
+    table must agree with."""
+    for point in itertools.product(*(values for _, values in axes)):
+        kw = {**presets.DEFAULTS, **dict(fixed), **dict(zip([n for n, _ in axes], point))}
+        try:
+            if family == "ohmic":
+                model = SpectralModel.ohmic_lorentz_drude(kw["omega_c"])
+            else:
+                model = SpectralModel.lorentzian(presets.LORENTZ_RATE, kw["width"],
+                                                 detuning=kw["detuning"])
+            SystemConfig(omega0=presets.OMEGA0[family], coupling=kw["coupling"],
+                         theta=kw["theta"], phi=kw["phi"], spectral=model)
+        except ValueError as exc:
+            return str(exc)
+    raise AssertionError("no point rejected")
 
 
 def flag(name, value):
@@ -270,7 +331,9 @@ def flag(name, value):
 
 @st.composite
 def invalid_input(draw):
-    """(argv, word): a `sweep` or `run custom` call with one rejected value."""
+    """(argv, word, table): a `sweep` or `run custom` call with one rejected
+    value, and an `invalid_table`."""
+    table = draw(invalid_table())
     name, word, values, families = draw(st.sampled_from(INVALID))
     value = draw(st.sampled_from(values))
     family = draw(st.sampled_from(families))
@@ -280,7 +343,7 @@ def invalid_input(draw):
     if name in CUSTOM_FLAGS and draw(st.booleans()):
         return (["run", "custom", "--family", family, *grid_flags]
                 + [flag(n, given_values[n])
-                   for n in ("coupling", presets.RESERVOIR[family])], word)
+                   for n in ("coupling", presets.RESERVOIR[family])], word, table)
     argv = ["sweep", "--model", family, *grid_flags]
     if name in ("steps", "t_end"):
         argv += ["--param", "coupling", "--range=0:1:2"]
@@ -289,13 +352,18 @@ def invalid_input(draw):
         argv += ["--param", other, "--range=0.5:1:2", f"--fix={name}={value!r}"]
     else:
         argv += ["--param", name, f"--range={value!r}:{value!r}:1"]
-    return argv, word
+    return argv, word, table
 
 
 @given(invalid_input())
 @settings(max_examples=80, deadline=None)
 def test_invalid_input_exits_2_naming_it(case):
-    argv, word = case
+    argv, word, (family, axes, fixed) = case
+    # a table fails, in one pass, as the one-config route fails on its
+    # first bad row: same row, same check, same text
+    with pytest.raises(ValueError) as exc:
+        config_table(family, axes, fixed)
+    assert str(exc.value) == first_rejection(family, axes, fixed), (family, axes, fixed)
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
         out = Path(tmp) / "out.csv"
