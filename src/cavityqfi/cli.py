@@ -84,9 +84,8 @@ def _csv_block(times_text: list[str], prefix: str, values) -> str:
 
 
 def _prefixes(columns):
-    """The shared fields ``,v_1,...,v_k`` of each row of equal-length
-    ``columns``, as `_csv_block` prefixes, formatted ``_BLOCK_SAMPLES`` rows
-    at a time as they are read."""
+    """The `_csv_block` prefix ``,v_1,...,v_k`` of each row of ``columns``,
+    formatted ``_BLOCK_SAMPLES`` rows at a time as they are read."""
     template = ",%.12g" * len(columns)
     for s in range(0, len(columns[0]), _BLOCK_SAMPLES):
         yield from (template % row for row in

@@ -126,12 +126,10 @@ class SystemConfig(_Dressed):
 
 @dataclass(frozen=True, eq=False)
 class ConfigTable(_Dressed):
-    """Configs of one reservoir family as float64 columns, one row per config.
-
-    ``columns`` maps omega0, coupling, theta and phi, then the family's
-    resolved `MODEL_FIELDS`, to (n,) arrays.  Row i is the config `row(i)`;
-    ``table[a:b]`` holds rows a to b.  `presets.config_table` builds checked
-    tables, and `of` the one-row table of a config.
+    """Configs of one reservoir family as float64 columns: ``columns`` maps
+    omega0, coupling, theta, phi and the family's resolved `MODEL_FIELDS` to
+    (n,) arrays.  Row i is the config `row(i)`, ``table[a:b]`` rows a to b.
+    `presets.config_table` builds checked tables, `of` a config's one row.
     """
 
     kind: SpectralKind
@@ -176,26 +174,21 @@ class AmplitudeSeries:
 
 
 def per_value(f, x):
-    """f(x) for a float; for a column, the (n, 1) column of f(x_i), which
-    broadcasts against an (n, n_t) block.
-
-    f is scalar math (`math.sin`, a float power) whose last bit numpy's
-    array functions need not reproduce, so it runs once per distinct value
-    and every row holds exactly what f gives that value alone.
-    """
+    """f(x) for a float; for a column, the (n, 1) column of f(x_i).  f is
+    scalar math, whose last bit numpy's array functions need not reproduce,
+    so it runs once per distinct value."""
     if np.ndim(x) == 0:
         return f(x)
-    values, index = np.unique(np.asarray(x).view(np.int64), return_inverse=True)
+    bits = np.asarray(x, dtype=float).view(np.int64)  # tells -0.0 from 0.0
+    values, index = np.unique(bits, return_inverse=True)
     return np.array([f(v) for v in values.view(float).tolist()])[index][:, None]
 
 
-def _describe(cfg: SystemConfig) -> str:
-    m = cfg.spectral
-    if m.kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
-        reservoir = f"omega_c={m.omega_c}"
-    else:
-        reservoir = f"width={m.width}, detuning={m.detuning}"
-    return f"coupling={cfg.coupling}, {reservoir}, theta={cfg.theta}, phi={cfg.phi}"
+def _describe(table: ConfigTable, i: int) -> str:
+    """Row i by its coupling, reservoir and angles, for error messages."""
+    ohmic = table.kind is SpectralKind.OHMIC_LORENTZ_DRUDE
+    names = ("coupling", *(("omega_c",) if ohmic else ("width", "detuning")), "theta", "phi")
+    return ", ".join(f"{n}={float(table.columns[n][i])}" for n in names)
 
 
 def _check_amplitude(table: ConfigTable, times: np.ndarray, p: np.ndarray) -> None:
@@ -206,13 +199,13 @@ def _check_amplitude(table: ConfigTable, times: np.ndarray, p: np.ndarray) -> No
         bad = np.flatnonzero(p[:, 0] != 1.0 + 0.0j)
         if bad.size:
             i = bad[0]
-            raise AmplitudeRangeError(f"{_describe(table.row(i))}: p(0) must be "
+            raise AmplitudeRangeError(f"{_describe(table, i)}: p(0) must be "
                                       f"exactly 1, got {p[i, 0]}")
     peak = np.max(np.abs(p), axis=1)
     bad = np.flatnonzero(~(peak <= 1.0 + EPS_AMPLITUDE))
     if bad.size:
         i = bad[0]
-        raise AmplitudeRangeError(f"{_describe(table.row(i))}: |p| exceeded the "
+        raise AmplitudeRangeError(f"{_describe(table, i)}: |p| exceeded the "
                                   f"physical range: max |p| = {peak[i]}")
 
 

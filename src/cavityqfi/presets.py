@@ -114,7 +114,7 @@ def make_config(family: str, coupling: float, reservoir: float,
     """System configuration for one curve of a preset family: the one row
     of its `config_table`."""
     fixed = [("coupling", coupling), ("theta", theta), ("phi", phi)]
-    if family in RESERVOIR:
+    if family in RESERVOIR:  # config_table names an unknown family
         fixed.append((RESERVOIR[family], reservoir))
     if detuning is not None:
         fixed.append(("detuning", detuning))
@@ -126,13 +126,10 @@ def config_table(family: str, axes, fixed=()) -> ConfigTable:
 
     ``axes`` is a sequence of (name, values) pairs and ``fixed`` one of
     (name, value) pairs; parameters in neither take their ``DEFAULTS``.
-    Rows run in `itertools.product` order, the last axis fastest, as in
-    ``np.meshgrid(..., indexing="ij")``.  Every row is checked in one pass
-    before returning, and a table with bad rows fails as the config
-    constructors fail on the first of them, so a bad combination fails
-    before any computation.  Messages about the names name the `sweep`
-    flags, the general form of every table.  Columns that no axis sweeps
-    are read-only broadcasts of one value.
+    Rows run in `itertools.product` order (the last axis fastest), and are
+    checked in one pass before any computation: bad rows fail as the config
+    constructors fail on the first.  Messages about the names name the
+    `sweep` flags, the general form of every table.
     """
     if family not in PARAMS:
         raise ValueError(f"unknown family {family!r}")
@@ -157,9 +154,10 @@ def config_table(family: str, axes, fixed=()) -> ConfigTable:
     names = ("omega0", "coupling", "theta", "phi", *MODEL_FIELDS[kind])
     fields = {k: point[k] for k in names if point[k] is not None}
     check_domain(kind, fields)
-    # an unset Lorentzian detuning is the coupling, as `SystemConfig` resolves it
-    return ConfigTable(kind, {k: np.broadcast_to(np.asarray(
-        fields.get(k, fields["coupling"]), dtype=float), (math.prod(shape),)) for k in names})
+    fields.setdefault("detuning", fields["coupling"])  # as `SystemConfig` resolves it
+    n = math.prod(shape)
+    return ConfigTable(kind, {k: np.broadcast_to(np.asarray(fields[k], dtype=float), (n,))
+                              for k in names})
 
 
 def preset_axes(preset: CurvePreset | ContourPreset):
@@ -208,8 +206,8 @@ def table_blocks(table: ConfigTable, grid: TimeGrid, quantity: str,
     columns, of at most ``_BLOCK_SAMPLES`` samples or one config, and its
     `metric_series`, so memory stays bounded however many configs there are.
     ``quantity`` is checked on the call, each block's amplitudes before it
-    is yielded, and a failing check names its config.  Row i does not depend on the blocking; NaN marks
-    flagged samples.
+    is yielded, and a failing check names its config.  Row i does not
+    depend on the blocking; NaN marks flagged samples.
     """
     if quantity not in TABLE_QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")

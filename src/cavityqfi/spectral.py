@@ -75,19 +75,19 @@ _DOMAIN = [
 
 
 def check_domain(kind: SpectralKind, fields: dict) -> None:
-    """Raise ValueError, for the first row and in it the first rule of
-    `_DOMAIN` that fails, unless every row of ``fields`` lies in the domain.
-
-    ``fields`` maps field names to floats or equal-length columns (None
-    reads as NaN); a rule runs when every field it reads is given.
-    """
+    """Raise ValueError for the first row of ``fields``, and its first rule
+    of `_DOMAIN`, outside the domain.  ``fields`` maps names to floats or
+    equal-length columns (None reads as NaN); a rule runs when every field
+    it reads is given."""
     cols = {k: np.asarray(v, dtype=float) for k, v in fields.items()}
-    rules = [(names, message, ~holds(*(cols[n] for n in names)))
-             for names, family, holds, message in _DOMAIN
-             if family in (None, kind) and all(n in cols for n in names)]
-    bad = np.stack(np.broadcast_arrays(*(r[2] for r in rules))).reshape(len(rules), -1)
-    for i in np.flatnonzero(bad.any(axis=0))[:1]:
-        names, message, _ = rules[int(np.argmax(bad[:, i]))]
+    failures = []  # (first bad row, rule) of each rule that fails
+    for rule, (names, family, holds, message) in enumerate(_DOMAIN):
+        if family in (None, kind) and all(n in cols for n in names):
+            bad = np.flatnonzero(~holds(*(cols[n] for n in names)))
+            if bad.size:
+                failures.append((bad[0], rule, names, message))
+    if failures:
+        i, _, names, message = min(failures)
         raise ValueError(message.format(**{
             n: fields[n] if np.ndim(fields[n]) == 0 else float(fields[n][i])
             for n in names}))
@@ -212,13 +212,10 @@ def _lorentz_rates(rate, lam, d, t):
 
 
 def closed_rates(kind: SpectralKind, fields, omega_j, t):
-    """(gamma_j, beta_j) of transition omega_j at times ``t``, from the one
-    closed-form kernel of the family.
-
-    ``fields`` maps the family's `MODEL_FIELDS` (resolved) to floats, or to
-    (n, 1) columns that, like ``omega_j``, broadcast against ``t``; row i of
-    the result then equals the one-model call bit for bit.
-    """
+    """(gamma_j, beta_j) of transition omega_j at times ``t`` from the
+    family's closed-form kernel.  ``fields`` maps its resolved `MODEL_FIELDS`
+    to floats, or to (n, 1) columns that, like ``omega_j``, broadcast
+    against ``t``; row i then equals the one-model call bit for bit."""
     if kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
         return _ohmic_rates(fields["omega_c"], omega_j, t)
     # the detuning from the Lorentzian peak at anchor - detuning
