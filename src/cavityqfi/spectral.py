@@ -34,11 +34,6 @@ class SpectralKind(enum.Enum):
     LORENTZIAN = "lorentzian"
 
 
-# the fields of the other family, which a model of this family leaves unset
-_FOREIGN_FIELDS = {
-    SpectralKind.OHMIC_LORENTZ_DRUDE: ("rate", "width", "detuning", "omega0"),
-    SpectralKind.LORENTZIAN: ("omega_c",),
-}
 # each family's model fields by their config-table names (``anchor`` is a
 # Lorentzian model's omega0); detuning and anchor may be left to a config
 MODEL_FIELDS = {
@@ -127,8 +122,9 @@ class SpectralModel:
     omega0: float | None = None
 
     def __post_init__(self):
-        for name in _FOREIGN_FIELDS[self.kind]:
-            if getattr(self, name) is not None:
+        own = ["omega0" if n == "anchor" else n for n in MODEL_FIELDS[self.kind]]
+        for name in ("omega_c", "rate", "width", "detuning", "omega0"):
+            if name not in own and getattr(self, name) is not None:
                 raise ValueError(f"{name} is not a parameter of the "
                                  f"{self.kind.value} family, got "
                                  f"{name}={getattr(self, name)}")
