@@ -273,7 +273,8 @@ INVALID = [
     ("t_end", "t_end", NON_POSITIVE, BOTH),
 ]
 CUSTOM_FLAGS = ("coupling", "omega_c", "width", "steps", "t_end")
-# values every config accepts, per table parameter (Ohmic coupling <= omega0)
+# values every config accepts, per table parameter; the coupling's range
+# depends on the family (an Ohmic coupling is at most omega0 = 1)
 VALID = {"omega_c": st.floats(1e-3, 1e3), "width": st.floats(1e-3, 1e3),
          "theta": st.floats(0.0, math.pi),
          "phi": st.floats(0.0, 2.0 * math.pi, exclude_max=True),
@@ -288,8 +289,8 @@ def rejected(name, family):
 
 @st.composite
 def invalid_table(draw):
-    """(family, axes, fixed): 1 to 3 values on each swept parameter, each
-    fixed or default for the rest, and one or more of them rejected."""
+    """(family, axes, fixed): 1 to 3 values for each swept parameter, one
+    for each fixed one and defaults for the rest, one or more rejected."""
     family = draw(st.sampled_from(BOTH))
     names = draw(st.permutations(presets.PARAMS[family]))
     n_swept = draw(st.integers(1, len(names)))
