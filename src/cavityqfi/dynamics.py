@@ -12,6 +12,8 @@ rate Gamma(t) = -2 Re(pdot/p) and the frequency shift S(t) = -2 Im(pdot/p)
 all follow from p(t).  pdot is always evaluated analytically through the
 closed (or numerically integrated) beta_j and gamma_j, never by numerical
 differentiation; finite differences appear only in tests as oracles.
+A config is one `SystemConfig`, or one row of the float columns of a
+`ConfigTable`, which the amplitude and atom-state functions read whole.
 """
 
 from __future__ import annotations

@@ -14,7 +14,8 @@ forms can be cross-checked.  Frequency integrals run over the full real
 line, including negative frequencies.  Only the oracle (`gamma_numeric`,
 `integrate_rate`, and `numeric_rates` and `beta_numeric` built on them)
 uses scipy, and it imports it when called, so closed-form use never loads
-it.
+it.  `check_domain` holds the domain of every config field, reservoir and
+atom alike, as checks over columns.
 
 Units: hbar = 1, all frequencies and rates share one scale (the atom
 frequency for Ohmic scenarios, the dissipative rate for Lorentzian ones).
