@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import math
 import os
 import re
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import _BLOCK_SAMPLES, TimeGrid
+from .dynamics import TimeGrid
 from .presets import (
     CONTOUR_PRESETS,
     CURVE_PRESETS,
@@ -35,11 +34,12 @@ from .presets import (
     config_table,
     contour_table,
     curve_table,
-    table_blocks,
+    table_tiles,
 )
 # make_config and quantity_values are not called here, but
 # perfbench/tracer.py wraps these bindings
 from .presets import make_config, quantity_values  # noqa: F401
+from .spectral import QuadratureConvergenceError
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -65,67 +65,55 @@ def _fmt_all(values) -> list[str]:
     return [_fmt(x) for x in np.asarray(values, dtype=float).tolist()]
 
 
-def _csv_block(times_text: list[str], prefix: str, values) -> str:
-    """CSV rows ``t<prefix>,v_1,...,v_k``, one per time, as one string.
-
-    ``times_text`` holds the times already formatted (`_fmt_all`), and
-    ``prefix`` the fields every row shares, formatted, each with its
-    leading comma.  Only ``values``, an (n_t,) or (n_t, k) array, is
-    formatted here, by one %.12g template over the whole block.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.ndim == 1:
-        values = values[:, None]
-    if values.shape[0] != len(times_text):
-        raise ValueError(f"{values.shape[0]} rows of values for "
-                         f"{len(times_text)} times")
-    row_end = prefix + ",%.12g" * values.shape[1] + "\n"
-    return (row_end.join(times_text) + row_end) % tuple(values.ravel().tolist())
+def _csv_block(times_text: list[str], prefixes: list[str], values) -> str:
+    """CSV rows ``t<prefix>,v_1,...,v_k``, one per time of each prefix in
+    turn, as one string.  The times and each prefix, its rows' shared fields
+    with leading commas, come formatted; only ``values``, a (len(prefixes),
+    n_t, k) array, is formatted here, by one %.12g template for the tile."""
+    if values.ndim != 3 or values.shape[:2] != (len(prefixes), len(times_text)):
+        raise ValueError(f"values of shape {values.shape} for {len(prefixes)} "
+                         f"prefixes and {len(times_text)} times")
+    row_ends = [prefix + ",%.12g" * values.shape[2] + "\n" for prefix in prefixes]
+    template = "".join(row_end.join(times_text) + row_end for row_end in row_ends)
+    return template % tuple(values.ravel().tolist())
 
 
-def _prefixes(columns):
-    """The `_csv_block` prefix ``,v_1,...,v_k`` of each row of ``columns``,
-    formatted ``_BLOCK_SAMPLES`` rows at a time as they are read."""
+def _config_rows(tiles, columns):
+    """CSV text of config-major `table_tiles`: each value's row holds its
+    time, then its config's fields from ``columns``.  A window's times are
+    formatted once for as long as consecutive tiles repeat it."""
     template = ",%.12g" * len(columns)
-    for s in range(0, len(columns[0]), _BLOCK_SAMPLES):
-        yield from (template % row for row in
-                    zip(*(c[s:s + _BLOCK_SAMPLES].tolist() for c in columns)))
+    last = None
+    for first, times, values in tiles:
+        if last is None or not np.array_equal(times, last):
+            last, times_text = times, _fmt_all(times)
+        rows = zip(*(c[first:first + len(values)].tolist() for c in columns))
+        yield _csv_block(times_text, [template % r for r in rows], values[:, :, None])
 
 
 def _meta_lines(pairs) -> list[str]:
     return [f"# {k}: {v}" for k, v in pairs]
 
 
-def _write(path: Path, lines, times, prefixes, blocks) -> None:
-    """Write the metadata and header ``lines``, then the rows of each block.
-
-    Block i is an (n_t,) or (n_t, k) array of values; its rows share the
-    formatted fields, the i-th of ``prefixes`` (see `_csv_block`).  Each time is
-    formatted once, and at most ``_BLOCK_SAMPLES`` values at a time.  The
-    blocks may be computed and checked as they are read: the rows go to a
-    new file that replaces ``path`` (a symlink: the file it names), keeping
-    its mode, once all are written, so any failure leaves ``path`` as it was.
-    """
-    times_text = _fmt_all(times)
+def _write(path: Path, lines, text) -> None:
+    """Write the metadata and header ``lines``, then the strings of ``text``,
+    which may be computed and checked as they are read, to a new file that
+    replaces ``path`` (a symlink: the file it names), keeping its mode, once
+    all are written, so any failure leaves ``path`` as it was."""
     real = path.resolve()
     tmp = real.with_name(f".{real.name}.{os.getpid()}.tmp")
     try:
-        try:
-            with open(tmp, "x") as fh:
-                fh.write("\n".join(lines) + "\n")
-                for prefix, values in zip(prefixes, blocks, strict=True):
-                    step = max(1, _BLOCK_SAMPLES // values[0].size)  # rows
-                    for s in range(0, len(times_text), step):
-                        fh.write(_csv_block(times_text[s:s + step], prefix,
-                                            values[s:s + step]))
-            if real.is_file():
-                shutil.copymode(real, tmp)
-            os.replace(tmp, real)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-    except OSError as exc:
-        raise OSError(f"cannot write output file {path}: {exc}") from exc
+        with open(tmp, "x") as fh:
+            fh.write("\n".join(lines) + "\n")
+            fh.writelines(text)
+        if real.is_file():
+            shutil.copymode(real, tmp)
+        os.replace(tmp, real)
+    except BaseException as exc:
+        tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise OSError(f"cannot write output file {path}: {exc}") from exc
+        raise
 
 
 def _overridden(preset, sc: Scenario):
@@ -139,7 +127,7 @@ def _overridden(preset, sc: Scenario):
 def run_curve_preset(sc: Scenario, preset: CurvePreset | None = None) -> Path:
     """Preset curves as CSV: one column per coupling value."""
     preset = _overridden(preset or CURVE_PRESETS[sc.preset], sc)
-    times, values = curve_table(preset, sc.mode)
+    tiles = curve_table(preset, sc.mode)
     header = "t," + ",".join(f"value_omega_{g}" for g in preset.couplings)
     meta = _meta_lines([
         ("generator", f"cavityqfi {__version__}"),
@@ -154,14 +142,16 @@ def run_curve_preset(sc: Scenario, preset: CurvePreset | None = None) -> Path:
         ("mode", sc.mode),
         ("time_unit", TIME_UNIT[preset.family]),
     ])
-    _write(sc.out, meta + [header], times, [""], [values.T])
+    # a curve's CSV rows are times, each holding every coupling's value
+    _write(sc.out, meta + [header], (_csv_block(_fmt_all(times), [""], values.T[None])
+                                     for _, times, values in tiles))
     return sc.out
 
 
 def run_contour_preset(sc: Scenario) -> Path:
     """Preset contour as long-format CSV (t, param, value)."""
     preset = _overridden(CONTOUR_PRESETS[sc.preset], sc)
-    times, params, blocks = contour_table(preset, sc.mode)
+    params, tiles = contour_table(preset, sc.mode)
     meta = _meta_lines([
         ("generator", f"cavityqfi {__version__}"),
         ("preset", preset.name),
@@ -176,8 +166,7 @@ def run_contour_preset(sc: Scenario) -> Path:
         ("mode", sc.mode),
         ("row_order", "param-major"),
     ])
-    _write(sc.out, meta + ["t,param,value"], times, _prefixes([params]),
-           itertools.chain.from_iterable(blocks))
+    _write(sc.out, meta + ["t,param,value"], _config_rows(tiles, [params]))
     return sc.out
 
 
@@ -231,9 +220,9 @@ def run_sweep(family: str, params: list[str], ranges: list[str],
         ("fixed", ",".join(f"{k}={v}" for k, v in sorted(fixed)) or "-"),
         ("t_end", _fmt(t_end)), ("points", n_points),
     ])
-    _write(out, meta + ["t," + ",".join(params) + ",value"], grid.times,
-           _prefixes([table.columns[p] for p in params]),
-           itertools.chain.from_iterable(table_blocks(table, grid, quantity)))
+    _write(out, meta + ["t," + ",".join(params) + ",value"],
+           _config_rows(table_tiles(table, grid, quantity),
+                        [table.columns[p] for p in params]))
     return out
 
 
@@ -400,6 +389,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_TOLERANCE
+    except QuadratureConvergenceError as exc:
+        print(f"tolerance error: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
     raise AssertionError("unreachable")
 

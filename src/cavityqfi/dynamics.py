@@ -46,7 +46,7 @@ logger = logging.getLogger(__name__)
 
 EPS_AMPLITUDE = 1e-9    # slack on |p| <= 1
 EPS_P_SINGULAR = 1e-10  # |p| at or below this flags Gamma/S as singular
-# (config x time) samples per block of a table or residual (bounds memory)
+# (config x time) samples per tile of a table or block of the residual (bounds memory)
 _BLOCK_SAMPLES = 1 << 14
 
 

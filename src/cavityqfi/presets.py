@@ -197,45 +197,52 @@ def metric_series(table: ConfigTable, amps, quantity: str) -> np.ndarray:
     return f_phi if quantity == "qfi_phi" else f_theta
 
 
-def table_blocks(table: ConfigTable, grid: TimeGrid, quantity: str,
-                 mode: str = "closed"):
+def table_tiles(table: ConfigTable, grid: TimeGrid, quantity: str,
+                mode: str = "closed", by_time: bool = False):
     """One quantity for every config of a table on one grid, as an iterator
-    of (rows, n_points) blocks in row order: the one table path.
+    of checked (first_row, times, values) tiles: the one table path.
 
-    Each block is one `amplitude_table` call on a slice of the table's
-    columns, of at most ``_BLOCK_SAMPLES`` samples or one config, and its
-    `metric_series`, so memory stays bounded however many configs there are.
-    ``quantity`` is checked on the call, each block's amplitudes before it
-    is yielded, and a failing check names its config.  Row i does not
-    depend on the blocking; NaN marks flagged samples.
+    A tile is the configs from ``first_row`` on times a `TimeGrid.window`,
+    with their `metric_series` from one `amplitude_table` call: at most
+    ``_BLOCK_SAMPLES`` samples, or one time of every config (``by_time``,
+    as a curve's CSV rows are times) or one config's grid (numeric mode).
+    A config range's windows come before the next range's.  ``quantity`` is
+    checked on the call, each tile's amplitudes before it is yielded, and a
+    failing check names its config.  No value depends on the tiling.
     """
     if quantity not in TABLE_QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
-    times = grid.times
-    rows = max(1, _BLOCK_SAMPLES // times.size)
-    derivative = quantity in RATE_QUANTITIES
-    blocks = (table[i:i + rows] for i in range(0, len(table), rows))
-    return (metric_series(b, amplitude_table(b, times, mode, derivative), quantity)
-            for b in blocks)
+    per_tile = max(1, _BLOCK_SAMPLES // len(table)) if by_time else _BLOCK_SAMPLES
+    # numeric beta is a cumulative Simpson integral from t = 0: the whole grid
+    width = grid.n_points if mode == "numeric" else min(grid.n_points, per_tile)
+    rows = len(table) if by_time else max(1, _BLOCK_SAMPLES // width)
+
+    def tiles():
+        for first in range(0, len(table), rows):
+            block = table[first:first + rows]
+            for start in range(0, grid.n_points, width):
+                times = grid.window(start, min(start + width, grid.n_points))
+                amps = amplitude_table(block, times, mode, quantity in RATE_QUANTITIES)
+                yield first, times, metric_series(block, amps, quantity)
+    return tiles()
 
 
 def quantity_values(cfg: SystemConfig, grid: TimeGrid, quantity: str,
                     mode: str = "closed") -> np.ndarray:
     """Evaluate one output quantity on a grid (NaN marks flagged samples)."""
-    return next(table_blocks(ConfigTable.of(cfg), grid, quantity, mode))[0]
+    tiles = table_tiles(ConfigTable.of(cfg), grid, quantity, mode)
+    return np.concatenate([values[0] for _, _, values in tiles])
 
 
 def curve_table(preset: CurvePreset, mode: str = "closed"):
-    """(times, values[n_coupling, n_t]) for a curve preset."""
+    """`table_tiles` of a curve preset, every coupling in each tile."""
     grid = TimeGrid(preset.t_end, preset.n_points)
-    blocks = table_blocks(config_table(preset.family, *preset_axes(preset)),
-                          grid, preset.quantity, mode)
-    return grid.times, np.concatenate(list(blocks))
+    return table_tiles(config_table(preset.family, *preset_axes(preset)),
+                       grid, preset.quantity, mode, by_time=True)
 
 
 def contour_table(preset: ContourPreset, mode: str = "closed"):
-    """(times, params, `table_blocks` of F_phi) for a contour preset."""
+    """(params, `table_tiles` of F_phi) for a contour preset."""
     grid = TimeGrid(preset.t_end, preset.n_points)
     table = config_table(preset.family, *preset_axes(preset))
-    return (grid.times, table.columns[preset.sweep],
-            table_blocks(table, grid, "qfi_phi", mode))
+    return table.columns[preset.sweep], table_tiles(table, grid, "qfi_phi", mode)

@@ -402,8 +402,8 @@ def gamma_numeric(model: SpectralModel, omega_j: float, t: float) -> float:
     est *= 2.0
     if failed and est > max(ABS_TOL, REL_TOL * abs(total)):
         raise QuadratureConvergenceError(
-            f"rate quadrature did not converge: estimate {est:.3e} exceeds "
-            f"tolerance (abs {ABS_TOL:.1e}, rel {REL_TOL:.1e})", est)
+            f"rate quadrature at omega_j={wj}, t={t} did not converge: estimate "
+            f"{est:.3e} exceeds tolerance (abs {ABS_TOL:.1e}, rel {REL_TOL:.1e})", est)
     return total
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import os
 import stat
@@ -167,8 +168,8 @@ class TestContourOutputs:
         # the fig2b parameter grid hits omega_c = 3 exactly; that slice must
         # reproduce the fig1a resonant-coupling curve on the contour grid
         preset = CONTOUR_PRESETS["fig2b"]
-        times, params, blocks = contour_table(preset)
-        values = np.concatenate(list(blocks))
+        params, tiles = contour_table(preset)
+        values = np.concatenate([v for _, _, v in tiles])  # one window each
         j = int(np.argmin(np.abs(params - 3.0)))
         assert params[j] == 3.0
         cfg = make_config("ohmic", 1.0, 3.0)
@@ -179,8 +180,9 @@ class TestContourOutputs:
     def test_plateau_slice(self):
         # resonant-coupling slice of the strong-coupling contour flattens
         preset = CONTOUR_PRESETS["fig5a"]
-        times, params, blocks = contour_table(preset)
-        values = np.concatenate(list(blocks))
+        params, tiles = contour_table(preset)
+        values = np.concatenate([v for _, _, v in tiles])  # one window each
+        times = TimeGrid(preset.t_end, preset.n_points).times
         j = int(np.argmin(np.abs(params - 1.0)))
         assert params[j] == 1.0
         window = values[j][times >= 20.0]
@@ -215,7 +217,7 @@ class TestCli:
             raise AssertionError("values computed before --out was checked")
 
         monkeypatch.setattr(cli, "curve_table", no_values)
-        monkeypatch.setattr(cli, "table_blocks", no_values)
+        monkeypatch.setattr(cli, "table_tiles", no_values)
         run = ["run", "fig1a", "--steps", "8"]
         sweep = ["sweep", "--model", "ohmic", "--param", "coupling",
                  "--range", "0:1:2"]
@@ -589,20 +591,26 @@ def test_csv_rows_match_per_value_format():
     randoms = list(rng.standard_normal(40) * 10.0 ** rng.integers(-20, 20, 40))
     randoms += list(rng.random(40))
     a = np.array(special + randoms)
-    b = np.roll(a, 5)
-    c = np.roll(a, 17)
     times_text = _fmt_all(a)
     assert times_text == [f"{x:.12g}" for x in a]
-    for columns in ((a,), (a, b), (a, b, c)):
-        want = [",".join(f"{x:.12g}" for x in row) for row in zip(*columns)]
-        values = np.column_stack(columns[1:]) if columns[1:] else np.empty((a.size, 0))
-        assert _csv_block(times_text, "", values) == "\n".join(want) + "\n"
-    # the shared prefix fields sit between the time and the values
-    prefix = "," + ",".join(f"{x:.12g}" for x in special)
-    want = [f"{t:.12g}{prefix},{x:.12g}" for t, x in zip(a, b)]
-    assert _csv_block(times_text, prefix, b) == "\n".join(want) + "\n"
-    with pytest.raises(ValueError):
-        _csv_block(times_text, "", b[:-1])
+    # the shared prefix fields sit between the time and the values; every
+    # time of the first prefix comes first, then every time of the next
+    prefixes = ["", "," + ",".join(f"{x:.12g}" for x in special), ",0.5",
+                ",-1e-300,nan,inf"]
+    for n_prefixes, k in itertools.product((1, 2, 4), (0, 1, 3)):
+        values = np.empty((n_prefixes, a.size, k))   # (prefixes, times, k)
+        for i, j in itertools.product(range(n_prefixes), range(k)):
+            values[i, :, j] = np.roll(a, 5 + 17 * i + 31 * j)
+        want = [t + p + "".join(f",{x:.12g}" for x in values[i, r])
+                for i, p in enumerate(prefixes[:n_prefixes])
+                for r, t in enumerate(times_text)]
+        got = _csv_block(times_text, prefixes[:n_prefixes], values)
+        assert got == "\n".join(want) + "\n", (n_prefixes, k)
+    # values must be (len(prefixes), len(times), k)
+    values = np.stack([a, np.roll(a, 5)])[:, :, None]
+    for bad in (values[:, :-1], values[:1], values[:, :, 0], values[None]):
+        with pytest.raises(ValueError, match="values of shape"):
+            _csv_block(times_text, prefixes[:2], bad)
 
 
 # SHA-256 of CLI outputs recorded before the CSV path was vectorised.  The
@@ -670,13 +678,14 @@ def test_golden_bytes(tmp_path, argv, digest):
 
 @pytest.mark.parametrize("argv, digest", GOLDEN, ids=GOLDEN_IDS)
 def test_golden_bytes_in_small_blocks(tmp_path, monkeypatch, argv, digest):
-    # one config per table block, and rows formatted 3 values at a time:
-    # 1 row per chunk of a 4-column curve, 3 per chunk of a sweep row
-    monkeypatch.setattr(presets, "_BLOCK_SAMPLES", 1)
-    monkeypatch.setattr(cli, "_BLOCK_SAMPLES", 3)
+    # tiles of one sample (one time of every coupling of a curve), then of 7:
+    # a window of 7 times of one config where a row is longer, else 7 // n_t
+    # configs, and 7 // k times for a curve of k couplings
     out = tmp_path / "out.csv"
-    assert main(argv + ["--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    for block in (1, 7):
+        monkeypatch.setattr(presets, "_BLOCK_SAMPLES", block)
+        assert main(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, block
 
 
 @pytest.mark.parametrize("preset, t_end", [
@@ -694,6 +703,23 @@ def test_numeric_time_outside_domain_exits_2(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert "t_end=" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@WITH_AND_WITHOUT_TARGET
+def test_quadrature_failure_exits_1_in_one_line(tmp_path, capsys, old):
+    # quadpack misses its tolerance at omega_c = 300 and t = 1e5: a
+    # tolerance failure, one line on stderr naming the point, no traceback,
+    # and the target left as it was, with no temporary file
+    out = tmp_path / "out.csv"
+    if old is not None:
+        out.write_bytes(old)
+    assert main(["run", "custom", "--family", "ohmic", "--omega-c", "300",
+                 "--coupling", "0.5", "--mode", "numeric", "--steps", "2",
+                 "--t-end", "1e5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("tolerance error: ")
+    assert "omega_j=0.5, t=100000.0" in err
+    assert_left_as_was(out, old)
 
 
 # SHA-256 of numeric runs at --t-end 1e15 --steps 3, recorded before the

@@ -176,6 +176,7 @@ class TestGammaNumeric:
         with pytest.raises(QuadratureConvergenceError) as err:
             gamma_numeric(OHMIC(0.3), 1.0, 10.0)
         assert err.value.estimate > 0.0
+        assert "at omega_j=1.0, t=10.0 did not converge" in str(err.value)
 
     @pytest.mark.parametrize("t", [1e17, 1e20, 1e308])
     def test_time_outside_domain_names_t(self, t):

@@ -1,10 +1,11 @@
-"""The batched table path: `presets.table_blocks` over a (config x time) block.
+"""The batched table path: `presets.table_tiles` over (config range x time
+window) tiles.
 
 Each row of a `config_table` must equal the one-config route built from the
 primitives (`amplitude`, then `qfi_closed`, `coherence_l1` of `atom_state`,
-`decoherence_rate` or `lamb_shift`) bit for bit, however the rows fall into
-blocks.  Property tests cover the valid parameter domain, and invalid input
-both on the command line and in tables.
+`decoherence_rate` or `lamb_shift`) bit for bit, however the rows and times
+fall into tiles.  Property tests cover the valid parameter domain, and
+invalid input both on the command line and in tables.
 """
 
 import contextlib
@@ -42,7 +43,7 @@ from cavityqfi import cli, dynamics, presets, spectral
 from cavityqfi.cli import main
 from cavityqfi.dynamics import ConfigTable, amplitude_table
 from cavityqfi.presets import CURVE_PRESETS, TABLE_QUANTITIES, config_table, \
-    make_config, quantity_values, table_blocks
+    CurvePreset, make_config, quantity_values, table_tiles
 from cavityqfi.spectral import closed_rates
 
 THETAS = ("theta", (math.pi / 6, math.pi / 3, math.pi / 2))
@@ -73,8 +74,12 @@ def rows(table):
 
 
 def stacked(table, grid, quantity, mode="closed"):
-    """`table_blocks` stacked into one (len(table), n_points) array."""
-    return np.concatenate(list(table_blocks(table, grid, quantity, mode)))
+    """`table_tiles` laid into one (len(table), n_points) array: each config
+    range's windows side by side, the ranges one under another."""
+    ranges = {}
+    for first, _, values in table_tiles(table, grid, quantity, mode):
+        ranges.setdefault(first, []).append(values)
+    return np.concatenate([np.concatenate(r, axis=1) for r in ranges.values()])
 
 
 def assert_rows_bitwise(table, grid, quantity, values, mode="closed"):
@@ -123,33 +128,77 @@ def test_blocks_not_a_multiple_of_the_block_size():
     assert_rows_bitwise(table, grid, "qfi_phi", stacked(table, grid, "qfi_phi"))
 
 
-def test_small_blocks_change_no_bit(monkeypatch):
-    table = config_table("lorentzian", AXES["lorentzian"])
-    grid = TimeGrid(10.0, 41)
-    whole = stacked(table, grid, "coherence")
-    monkeypatch.setattr(presets, "_BLOCK_SAMPLES", 3 * grid.n_points + 5)
-    assert np.array_equal(stacked(table, grid, "coherence"), whole)
+@given(block=st.integers(1, 1500), family=st.sampled_from(["ohmic", "lorentzian"]),
+       couplings=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+       thetas=st.lists(st.floats(0.0, math.pi), min_size=1, max_size=2),
+       reservoir=st.floats(1e-3, 1e3), t_end=st.floats(1e-3, 100.0),
+       n_points=st.integers(1, 120), quantity=st.sampled_from(TABLE_QUANTITIES),
+       by_time=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_small_blocks_change_no_bit(block, family, couplings, thetas, reservoir,
+                                    t_end, n_points, quantity, by_time):
+    # every tile is its slice of the whole-grid block, bit for bit, and the
+    # tiles cover the table once: each config range's windows in time order,
+    # then the next range
+    table = config_table(family, [("coupling", couplings), ("theta", thetas)],
+                         [(presets.RESERVOIR[family], reservoir)])
+    grid = TimeGrid(t_end, n_points)
+    whole = metric_series(table, amplitude_table(table, grid.times), quantity)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(presets, "_BLOCK_SAMPLES", block)
+        tiles = list(table_tiles(table, grid, quantity, by_time=by_time))
+    row, start = 0, 0   # where the next tile must begin
+    for first, times, values in tiles:
+        rows, width = values.shape
+        assert first == row
+        assert np.array_equal(times, grid.times[start:start + width])
+        assert np.array_equal(values, whole[first:first + rows, start:start + width],
+                              equal_nan=True)
+        if by_time:  # every config, at least one time
+            assert rows == len(table)
+            assert values.size <= block or width == 1
+        else:
+            assert values.size <= block
+        start += width
+        if start == grid.n_points:
+            row, start = row + rows, 0
+    assert (row, start) == (len(table), 0)
 
 
 def test_sweep_streams_in_bounded_memory(tmp_path, monkeypatch):
     monkeypatch.setattr(presets, "_BLOCK_SAMPLES", 1024)
-    for ranges, steps, bound in [
+    out = tmp_path / "out.csv"
+
+    def sweep(params, ranges, steps):
+        return lambda: cli.run_sweep("ohmic", params, ranges, "qfi_phi", 20.0,
+                                     steps, out)
+
+    two_couplings = CurvePreset("custom", "ohmic", "qfi_phi", (0.5, 1.0), 3.0,
+                                20.0, 2000)
+    for name, run, bound in [
         # the whole 1600 x 100 float64 table is 1.28 MB; a sweep holds one
-        # 1024-sample block of it at a time, formatted and written as it comes
-        (["0:1:40", "0.1:3:40"], 100, 1600 * 100 * 8),
+        # 1024-sample tile of it at a time, formatted and written as it comes
+        ("40x40x100", sweep(["coupling", "omega_c"], ["0:1:40", "0.1:3:40"], 100),
+         1600 * 100 * 8),
         # 40000 configs of 2 steps: a list of config objects and their
         # prefix strings took 18.4 MB; the parameter columns take 0.64 MB
-        (["0:1:200", "0.1:3:200"], 2, 6e6),
+        ("200x200x2", sweep(["coupling", "omega_c"], ["0:1:200", "0.1:3:200"], 2),
+         6e6),
+        # 2 configs of 20000 steps, and a curve of 2 couplings: one whole
+        # config row, or the whole curve, and every formatted time took 3.7
+        # and 3.1 MB; a tile of 1024 samples and its times take under 0.3 MB
+        ("sweep-2x20000", sweep(["coupling"], ["0:1:2"], 20000), 1e6),
+        ("curve-2x20000", lambda: cli.run_curve_preset(
+            cli.Scenario("custom", out, n_points=20000), two_couplings), 1e6),
     ]:
         gc.collect()
         tracemalloc.start()
         try:
-            cli.run_sweep("ohmic", ["coupling", "omega_c"], ranges,
-                          "qfi_phi", 20.0, steps, tmp_path / "sweep.csv")
+            run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < bound, (ranges, steps, peak)
+        assert peak < bound, (name, peak)
 
 
 @pytest.mark.parametrize("quantity", ["qfi_phi", "decoherence_rate"])
@@ -169,9 +218,9 @@ def test_unknown_quantity_rejected_before_amplitude(monkeypatch):
     cfg = make_config("ohmic", 0.5, 3.0)
     with pytest.raises(ValueError, match="unknown quantity"):
         quantity_values(cfg, TimeGrid(1.0, 5), "fidelity")
-    # the block form checks on the call, before its first block is read
+    # the tile form checks on the call, before its first tile is read
     with pytest.raises(ValueError, match="unknown quantity"):
-        table_blocks(ConfigTable.of(cfg), TimeGrid(1.0, 5), "fidelity")
+        table_tiles(ConfigTable.of(cfg), TimeGrid(1.0, 5), "fidelity")
 
 
 def columns(table):
