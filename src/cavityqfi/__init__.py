@@ -22,7 +22,6 @@ from .dynamics import (
 from .mesolve import (
     IntegratorConfig,
     evolve,
-    generator_apply,
     initial_dressed,
     partial_trace_cavity,
     timelocal_residual,
@@ -42,7 +41,6 @@ from .spectral import (
     beta_numeric,
     eval_density,
     gamma_closed,
-    gamma_long_time,
     gamma_numeric,
     numeric_rates,
 )
@@ -66,9 +64,7 @@ __all__ = [
     "eval_density",
     "evolve",
     "gamma_closed",
-    "gamma_long_time",
     "gamma_numeric",
-    "generator_apply",
     "initial_dressed",
     "lamb_shift",
     "metric_series",

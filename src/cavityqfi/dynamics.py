@@ -224,6 +224,8 @@ def _rate_table(table: ConfigTable, times: np.ndarray, mode: str):
         for c in cfgs:
             for wj in (c.omega_1, c.omega_2):
                 check_numeric_time(c.spectral, wj, times[-1], name="t_end")
+                check_numeric_time(c.spectral, wj, times[1],
+                                   name=f"t_end/{times.size - 1}")
     rows = [(*numeric_rates(c.spectral, c.omega_1, times),
              *numeric_rates(c.spectral, c.omega_2, times)) for c in cfgs]
     return tuple(np.array(col) for col in zip(*rows))
@@ -235,12 +237,13 @@ def amplitude_table(table: ConfigTable, times: np.ndarray, mode: str = "closed",
 
     Closed mode evaluates the closed forms once over the (config x time)
     block; numeric mode integrates each config's quadrature rates, and
-    needs uniform ``times`` from 0 whose last time lies in the quadrature's
-    time domain (`check_numeric_time`; a ValueError names ``t_end``).  Row
-    i equals ``amplitude(table.row(i), ...)`` bit for bit.  Every row is checked
-    as `amplitude` checks it, and the error names the config.  A time so
-    large that omega_j t overflows gives a NaN amplitude; the check rejects
-    it, so numpy's overflow warnings on the way there are silenced.
+    needs uniform ``times`` from 0 whose first nonzero and last times lie in
+    the quadrature's time domain (`check_numeric_time`; a ValueError names
+    ``t_end``).  Row i equals ``amplitude(table.row(i), ...)`` bit for bit.
+    Every row is checked as `amplitude` checks it, and the error names the
+    config.  A time so large that omega_j t overflows gives a NaN amplitude;
+    the check rejects it, so numpy's overflow warnings on the way there are
+    silenced.
     ``p_dot`` is None unless ``derivative``.
     """
     with np.errstate(over="ignore", invalid="ignore"):

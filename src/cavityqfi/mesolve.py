@@ -15,16 +15,17 @@ tracing out the cavity must reproduce the analytic atom state.  Negative
 instantaneous rates in the non-Markovian regime are integrated as-is.
 
 In this basis the equation scales each element rho_ab by its own rate
-c_ab(t) = -i(E_a - E_b) - (gamma_1 DEC1 + gamma_2 DEC2)_ab / 4, except that
-rho_00 is fed what rho_11 and rho_22 lose.  One RK4 substep therefore
-multiplies each element by its step factor R (the RK4 stability polynomial of
-the rates at t, t + h/2 and t + h), and `evolve` forms the trajectory as a
-cumulative product of these factors, with rho_00 the cumulative sum of
-rho_11 (1 - R_11) + rho_22 (1 - R_22).  This is the same scheme as a substep
-loop over `_generator`, to rounding.  As c_ba = conj(c_ab), the lower
-triangle is the exact conjugate of the upper one: `evolve` propagates rho_01,
-rho_02 and rho_12 as complex numbers and rho_11 and rho_22 as real ones
-(their rates are real), then fills rho_10, rho_20 and rho_21 by conjugation.
+c_ab(t) = -i(E_a - E_b) - (n1 gamma_1 + n2 gamma_2) / 4, with nj the number of
+a and b equal to j, except that rho_00 is fed what rho_11 and rho_22 lose.
+One RK4 substep therefore multiplies each element by its step factor R (the
+RK4 stability polynomial of the rates at t, t + h/2 and t + h), and `evolve`
+forms the trajectory as a cumulative product of these factors, with rho_00
+the cumulative sum of rho_11 (1 - R_11) + rho_22 (1 - R_22).  This is the
+same scheme as a substep loop over the matrix right-hand side in
+`tests/oracles.py`, to rounding.  As c_ba = conj(c_ab), the lower triangle
+is the exact conjugate of the upper one: `evolve` propagates rho_01, rho_02
+and rho_12 as complex numbers and rho_11 and rho_22 as real ones (their
+rates are real), then fills rho_10, rho_20 and rho_21 by conjugation.
 """
 
 from __future__ import annotations
@@ -51,12 +52,6 @@ MAX_PHASE_PER_STEP = 0.05  # (omega0 + coupling) * step bound
 _CHUNK_SUBSTEPS = 2048  # substeps per vectorized block of evolve (bounds memory)
 
 # basis order: (|a0>, |a1->, |a1+>)
-_DEC1 = np.zeros((3, 3))
-_DEC1[1, :] += 1.0
-_DEC1[:, 1] += 1.0
-_DEC2 = np.zeros((3, 3))
-_DEC2[2, :] += 1.0
-_DEC2[:, 2] += 1.0
 _UPPER = [1, 2, 5]  # flat indices of rho_01, rho_02 and rho_12
 _LOWER = [3, 6, 7]  # and of their mirrors rho_10, rho_20 and rho_21
 _POPS = [4, 8]  # flat indices of rho_11 and rho_22
@@ -96,26 +91,6 @@ def dressed_energies(cfg: SystemConfig) -> np.ndarray:
     return np.array([-cfg.omega0 / 2.0,
                      cfg.omega0 / 2.0 - cfg.coupling,
                      cfg.omega0 / 2.0 + cfg.coupling])
-
-
-def _generator(rho3: np.ndarray, phase: np.ndarray,
-               g1: float, g2: float) -> np.ndarray:
-    # phase = -i(E_a - E_b); dissipators act elementwise in this basis
-    d = phase * rho3 - 0.25 * (g1 * _DEC1 + g2 * _DEC2) * rho3
-    d[0, 0] += 0.5 * (g1 * rho3[1, 1] + g2 * rho3[2, 2])
-    return d
-
-
-def generator_apply(cfg: SystemConfig, t: float, rho3: np.ndarray) -> np.ndarray:
-    """Right-hand side of the dressed master equation at time t."""
-    rho3 = np.asarray(rho3, dtype=complex)
-    if rho3.shape != (3, 3):
-        raise ValueError("expected a 3x3 density matrix")
-    E = dressed_energies(cfg)
-    phase = -1j * (E[:, None] - E[None, :])
-    g1 = gamma_closed(cfg.spectral, cfg.omega_1, t)
-    g2 = gamma_closed(cfg.spectral, cfg.omega_2, t)
-    return _generator(rho3, phase, g1, g2)
 
 
 def _rk4_factor(c, h: float):

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .dynamics import EPS_AMPLITUDE, per_value
+from .dynamics import EPS_AMPLITUDE, AmplitudeRangeError, per_value
 
 
 EPS_DET = 1e-12  # qfi_general_2x2 treats det(rho) <= this as (near-)pure
@@ -40,7 +40,7 @@ def qfi_closed(p, theta):
     """
     mag2 = np.abs(np.asarray(p, dtype=complex)) ** 2
     if not np.all(np.sqrt(mag2) <= 1.0 + EPS_AMPLITUDE):
-        raise ValueError(f"|p| exceeds 1 + {EPS_AMPLITUDE}")
+        raise AmplitudeRangeError(f"|p| exceeds 1 + {EPS_AMPLITUDE}")
     f_theta = mag2
     f_phi = mag2 * per_value(lambda th: math.sin(th) ** 2, theta)
     if f_phi.ndim:

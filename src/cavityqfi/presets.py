@@ -109,15 +109,13 @@ PRESET_NAMES = tuple(PRESETS)
 
 
 def make_config(family: str, coupling: float, reservoir: float,
-                theta: float = THETA_DEFAULT, phi: float = PHI_DEFAULT,
-                detuning: float | None = None) -> SystemConfig:
+                theta: float = THETA_DEFAULT,
+                phi: float = PHI_DEFAULT) -> SystemConfig:
     """System configuration for one curve of a preset family: the one row
     of its `config_table`."""
     fixed = [("coupling", coupling), ("theta", theta), ("phi", phi)]
     if family in RESERVOIR:  # config_table names an unknown family
         fixed.append((RESERVOIR[family], reservoir))
-    if detuning is not None:
-        fixed.append(("detuning", detuning))
     return config_table(family, [], fixed).row(0)
 
 

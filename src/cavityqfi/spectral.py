@@ -12,10 +12,10 @@ each has one closed-form kernel that returns gamma_j and beta_j together.
 Both are also evaluated by an independent quadrature oracle so the closed
 forms can be cross-checked.  Frequency integrals run over the full real
 line, including negative frequencies.  Only the oracle (`gamma_numeric`,
-`integrate_rate`, and `numeric_rates` and `beta_numeric` built on them)
-uses scipy, and it imports it when called, so closed-form use never loads
-it.  `check_domain` holds the domain of every config field, reservoir and
-atom alike, as checks over columns.
+and `numeric_rates` and `beta_numeric` built on it) uses scipy, and it
+imports it when called, so closed-form use never loads it.  `check_domain`
+holds the domain of every config field, reservoir and atom alike, as
+checks over columns.
 
 Units: hbar = 1, all frequencies and rates share one scale (the atom
 frequency for Ohmic scenarios, the dissipative rate for Lorentzian ones).
@@ -256,48 +256,48 @@ def beta_closed(model: SpectralModel, omega_j: float, t):
     return _closed(1, model, omega_j, t)
 
 
-def gamma_long_time(model: SpectralModel, omega_j: float) -> float:
-    """Asymptotic (golden-rule) rate 2 pi J(omega_j), the t -> inf limit."""
-    return 2.0 * math.pi * float(eval_density(model, omega_j))
+def check_numeric_time(model: SpectralModel, omega_j: float, t: float,
+                       name: str = "t"):
+    """Raise ValueError naming ``name`` unless time t > 0 lies in the
+    domain of `gamma_numeric`; return its plan (u_lo, u_hi, center, r0,
+    sides): the finite frequency window as offsets u = omega' - omega_j, the
+    spectral feature's center, the core radius r0 = 6 pi/t, and the edges
+    of the sine-weighted segments.
 
-
-def _core_window(model: SpectralModel, omega_j: float):
-    """Finite integration window and spectral feature for the numeric rate.
-
-    The feature is the Ohmic pole pair around 0 with width omega_c, or the
-    Lorentzian peak with width lambda.  The window is the hull of the
-    transition window ``omega_j +- W sigma``, its mirror image around zero
-    (the Ohmic pole structure straddles the origin), and ``center +- W
-    sigma``, with W = FREQ_WINDOW.  Returns (lo, hi, center, sigma).
+    The feature is the Ohmic pole pair around 0 with width sigma = omega_c,
+    or the Lorentzian peak with width sigma = lambda.  The window is the
+    hull of the transition window ``omega_j +- W sigma``, its mirror image
+    around zero (the Ohmic pole structure straddles the origin), and
+    ``center +- W sigma``, with W = FREQ_WINDOW.  The segments start at r0:
+    one list of edges for u in (r0, u_hi) and one for v = -u in (r0, -u_lo),
+    each split at the spectral feature's edges, and empty where the window
+    does not reach past r0.
+    Domain: every segment [a, b] must resolve its start against its far end,
+    (b + a) != (b - a) in floating point.  Otherwise quadpack's end node
+    (centr - hlgth) rounds to exactly 0, where J(omega_j + u)/u divides by
+    zero.  r0 falls as t grows, so the check at a grid's last time covers
+    the grid from above.  The tails step in half-periods pi/t past the
+    window, at most 200 of them (quadpack's limlst), whose ends must stay
+    finite, or quadpack crashes; and a Lorentzian's tails sample up to three,
+    where Python's ``**`` must square their distance from the peak without
+    overflow.  Both reach further as t falls, so the check at a grid's first
+    nonzero time covers the grid from below.
     """
+    wj = float(omega_j)
     if model.kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
         center, sigma = 0.0, model.omega_c
     else:
         center, sigma = model.lorentz_peak(), model.width
     r = FREQ_WINDOW * sigma
-    lo = min(omega_j - r, -(abs(omega_j) + r), center - r)
-    hi = max(omega_j + r, abs(omega_j) + r, center + r)
-    return lo, hi, center, sigma
-
-
-def check_numeric_time(model: SpectralModel, omega_j: float, t: float,
-                       name: str = "t"):
-    """Raise ValueError naming ``name`` unless time t > 0 lies in the
-    domain of `gamma_numeric`; return its sine-weighted segment edges.
-
-    Those segments start at the core radius r0 = 6 pi/t: one list of edges
-    for u in (r0, u_hi) and one for v = -u in (r0, -u_lo), each split at the
-    spectral feature's edges, and empty where the window does not reach past
-    r0.
-    Domain: every segment [a, b] must resolve its start against its far end,
-    (b + a) != (b - a) in floating point.  Otherwise quadpack's end node
-    (centr - hlgth) rounds to exactly 0, where J(omega_j + u)/u divides by
-    zero.  r0 falls as t grows, so the check at a grid's last time covers
-    the whole grid.
-    """
-    wj = float(omega_j)
-    lo, hi, center, sigma = _core_window(model, wj)
-    u_lo, u_hi = lo - wj, hi - wj
+    u_lo = min(wj - r, -(abs(wj) + r), center - r) - wj
+    u_hi = max(wj + r, abs(wj) + r, center + r) - wj
+    edge = max(u_hi, -u_lo)
+    far = abs(center - wj) + edge + 3.0 * math.pi / t
+    if (edge + 200.0 * math.pi / t == math.inf
+            or model.kind is SpectralKind.LORENTZIAN and far * far == math.inf):
+        raise ValueError(f"{name}={t:g} is outside the numeric-mode time domain: "
+                         f"the quadrature tails of omega_j={wj:g}, in half-periods "
+                         f"of {math.pi / t:.3g}, would overflow")
     r0 = 6.0 * math.pi / t
     sides = []
     for a, b, sign, reach in ((max(r0, u_lo), u_hi, 1.0, u_hi > r0),
@@ -312,7 +312,7 @@ def check_numeric_time(model: SpectralModel, omega_j: float, t: float,
                     f"resolvable against the quadrature segment end "
                     f"{seg_hi:.6g} of omega_j={wj:g}")
         sides.append(edges)
-    return sides
+    return u_lo, u_hi, center, r0, sides
 
 
 def _integrands(model: SpectralModel, wj: float, t: float):
@@ -348,9 +348,11 @@ def gamma_numeric(model: SpectralModel, omega_j: float, t: float) -> float:
     and sine-weighted tails that always run from the window edges to +-infinity.
 
     Time domain: the core radius r0 = 6 pi/t must be resolvable against the
-    frequency window, so very large t raises ValueError naming ``t`` (see
-    `check_numeric_time`).  Raises QuadratureConvergenceError when the
-    combined error estimate exceeds the requested tolerances.
+    frequency window, so very large t raises ValueError naming ``t``, as does
+    t below about 7e-154 (Lorentzian) or 3.5e-306 (Ohmic), where the tails
+    leave the float range (see `check_numeric_time`).  Raises
+    QuadratureConvergenceError when the combined error estimate exceeds the
+    requested tolerances.
     """
     from scipy.integrate import quad
 
@@ -361,9 +363,7 @@ def gamma_numeric(model: SpectralModel, omega_j: float, t: float) -> float:
         return 0.0
 
     wj = float(omega_j)
-    lo, hi, center, _ = _core_window(model, wj)
-    u_lo, u_hi = lo - wj, hi - wj
-    sides = check_numeric_time(model, wj, t)
+    u_lo, u_hi, center, r0, sides = check_numeric_time(model, wj, t)
 
     eps_a = ABS_TOL / 8.0
     total = 0.0
@@ -378,7 +378,6 @@ def gamma_numeric(model: SpectralModel, omega_j: float, t: float) -> float:
             failed = True
 
     # non-oscillatory core: a few kernel cycles around u = 0
-    r0 = 6.0 * math.pi / t
     near_lo, near_hi = max(u_lo, -r0), min(u_hi, r0)
     f_near, g_plus, g_minus = _integrands(model, wj, t)
     if near_lo < near_hi:
@@ -407,29 +406,22 @@ def gamma_numeric(model: SpectralModel, omega_j: float, t: float) -> float:
     return total
 
 
-def integrate_rate(gamma: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """beta(t) = int_0^t gamma by composite Simpson on uniform ``times`` from 0.
-
-    beta(0) = 0 exactly.
-    """
-    from scipy.integrate import cumulative_simpson
-
-    if times.size == 1:
-        return np.zeros(1)
-    return cumulative_simpson(gamma, x=times, initial=0.0)
-
-
 def numeric_rates(model: SpectralModel, omega_j: float, times: np.ndarray):
     """(gamma_j, beta_j) on uniform ``times`` from 0: `gamma_numeric`
-    samples, integrated by `integrate_rate`."""
+    samples, and beta(t) = int_0^t gamma by composite Simpson, with
+    beta(0) = 0 exactly."""
+    from scipy.integrate import cumulative_simpson
+
     gamma = np.array([gamma_numeric(model, omega_j, t) for t in times])
-    return gamma, integrate_rate(gamma, times)
+    if times.size == 1:
+        return gamma, np.zeros(1)
+    return gamma, cumulative_simpson(gamma, x=times, initial=0.0)
 
 
 def beta_numeric(model: SpectralModel, omega_j: float, grid) -> np.ndarray:
     """Cumulative exponent beta_j on a uniform grid from gamma_numeric samples.
 
-    ``grid`` is a TimeGrid (uniform, starting at 0); see integrate_rate.
+    ``grid`` is a TimeGrid (uniform, starting at 0); see `numeric_rates`.
     """
     times = np.asarray(grid.times, dtype=float)
     if times[0] != 0.0:

@@ -1,0 +1,42 @@
+"""Test-local reference for the dressed master equation of `cavityqfi.mesolve`.
+
+`generator_apply` is the right-hand side written out as matrices: the
+Hamiltonian phase -i(E_a - E_b) on every element and the two dissipators
+(1/2) gamma_j D[|a0><a_j|], which act elementwise in the dressed basis
+(|a0>, |a1->, |a1+>).  `evolve` hard-codes the same rates row by row; a
+plain RK4 loop over this right-hand side pins it to rounding.
+"""
+
+import numpy as np
+
+from cavityqfi.mesolve import dressed_energies
+from cavityqfi.spectral import gamma_closed
+
+# (gamma_1 _DEC1 + gamma_2 _DEC2) / 4 is the decay rate of each element,
+# in the basis order (|a0>, |a1->, |a1+>)
+_DEC1 = np.zeros((3, 3))
+_DEC1[1, :] += 1.0
+_DEC1[:, 1] += 1.0
+_DEC2 = np.zeros((3, 3))
+_DEC2[2, :] += 1.0
+_DEC2[:, 2] += 1.0
+
+
+def _generator(rho3: np.ndarray, phase: np.ndarray,
+               g1: float, g2: float) -> np.ndarray:
+    # phase = -i(E_a - E_b); dissipators act elementwise in this basis
+    d = phase * rho3 - 0.25 * (g1 * _DEC1 + g2 * _DEC2) * rho3
+    d[0, 0] += 0.5 * (g1 * rho3[1, 1] + g2 * rho3[2, 2])
+    return d
+
+
+def generator_apply(cfg, t: float, rho3: np.ndarray) -> np.ndarray:
+    """Right-hand side of the dressed master equation at time t."""
+    rho3 = np.asarray(rho3, dtype=complex)
+    if rho3.shape != (3, 3):
+        raise ValueError("expected a 3x3 density matrix")
+    E = dressed_energies(cfg)
+    phase = -1j * (E[:, None] - E[None, :])
+    g1 = gamma_closed(cfg.spectral, cfg.omega_1, t)
+    g2 = gamma_closed(cfg.spectral, cfg.omega_2, t)
+    return _generator(rho3, phase, g1, g2)

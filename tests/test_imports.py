@@ -1,9 +1,12 @@
-"""Start-up imports: closed-mode commands never load scipy.
+"""The package's exports, and start-up imports: closed-mode commands never
+load scipy.
 
-Each check runs in a fresh interpreter, because the test process itself
-has imported scipy through other tests.
+Each start-up check runs in a fresh interpreter, because the test process
+itself has imported scipy through other tests.
 """
 
+import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +14,7 @@ from pathlib import Path
 import cavityqfi
 
 SRC = str(Path(cavityqfi.__file__).resolve().parents[1])
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_fresh(code: str, cwd) -> subprocess.CompletedProcess:
@@ -25,6 +29,26 @@ def test_every_export_resolves():
     namespace = {}
     exec("from cavityqfi import *", namespace)
     assert set(cavityqfi.__all__) <= set(namespace)
+
+
+def test_every_export_is_read_or_documented():
+    # an exported name that no package module reads, as a name or an
+    # attribute, must have a README line naming it in backticks
+    read = set()
+    for path in Path(cavityqfi.__file__).parent.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif (isinstance(node, ast.Attribute)
+                      and isinstance(node.ctx, ast.Load)):
+                    read.add(node.attr)
+    prose = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    documented = {word for span in re.findall(r"`([^`]*)`", prose)
+                  for word in re.findall(r"\w+", span)}
+    orphans = [name for name in cavityqfi.__all__
+               if name != "__version__" and name not in read | documented]
+    assert orphans == [], f"exported but neither read nor documented: {orphans}"
 
 
 def test_closed_commands_do_not_import_scipy(tmp_path):

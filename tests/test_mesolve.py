@@ -13,7 +13,6 @@ from cavityqfi import (
     beta_closed,
     evolve,
     gamma_closed,
-    generator_apply,
     initial_dressed,
     partial_trace_cavity,
     physicality,
@@ -22,6 +21,8 @@ from cavityqfi import (
 from cavityqfi import dynamics, mesolve, spectral
 from cavityqfi.mesolve import timelocal_residual_blocks
 from cavityqfi.presets import make_config
+
+import oracles
 
 SQ2 = math.sqrt(2.0)
 
@@ -61,12 +62,12 @@ class TestInitialDressed:
 class TestGenerator:
     def test_ground_state_stationary(self):
         cfg = ohmic_cfg()
-        out = generator_apply(cfg, 2.3, basis_state(0))
+        out = oracles.generator_apply(cfg, 2.3, basis_state(0))
         np.testing.assert_allclose(out, np.zeros((3, 3)), atol=1e-15)
 
     def test_eigenstate_stationary_without_rates(self):
         # rates vanish identically at t = 0
-        out = generator_apply(ohmic_cfg(), 0.0, basis_state(2))
+        out = oracles.generator_apply(ohmic_cfg(), 0.0, basis_state(2))
         np.testing.assert_allclose(out, np.zeros((3, 3)), atol=1e-15)
 
     def test_ground_coherence_channel(self):
@@ -75,7 +76,7 @@ class TestGenerator:
         t = 1.7
         unit = np.zeros((3, 3), dtype=complex)
         unit[1, 0] = 1.0
-        out = generator_apply(cfg, t, unit)
+        out = oracles.generator_apply(cfg, t, unit)
         g1 = gamma_closed(cfg.spectral, cfg.omega_1, t)
         expected = (-1j * cfg.omega_1 - g1 / 4.0) * unit
         np.testing.assert_allclose(out, expected, atol=1e-14)
@@ -141,7 +142,7 @@ def bare_rhs(cfg):
     """Right-hand side with both rates forced to zero."""
     E = mesolve.dressed_energies(cfg)
     phase = -1j * (E[:, None] - E[None, :])
-    return lambda t, rho: mesolve._generator(rho, phase, 0.0, 0.0)
+    return lambda t, rho: oracles._generator(rho, phase, 0.0, 0.0)
 
 
 def _chunk_crossing():
@@ -161,7 +162,7 @@ class TestEvolveMatchesLoop:
     ], ids=["ohmic-k1", "ohmic-k3", "lorentz-k1", "lorentz-k4", "chunks"])
     def test_dissipative(self, cfg, grid, k):
         traj = evolve(cfg, grid, IntegratorConfig(step=grid.dt / k))
-        ref = rk4_reference(lambda t, rho: generator_apply(cfg, t, rho),
+        ref = rk4_reference(lambda t, rho: oracles.generator_apply(cfg, t, rho),
                             grid, k, initial_dressed(cfg))
         np.testing.assert_allclose(traj, ref, rtol=0, atol=1e-12)
 
@@ -191,7 +192,7 @@ def nine_column_evolve(cfg, grid, icfg):
     n = grid.n_points
     E = mesolve.dressed_energies(cfg)
     phase = (-1j * (E[:, None] - E[None, :])).ravel()
-    dec1, dec2 = mesolve._DEC1.ravel(), mesolve._DEC2.ravel()
+    dec1, dec2 = oracles._DEC1.ravel(), oracles._DEC2.ravel()
     rho = initial_dressed(cfg).ravel()
     out = np.empty((n, 9), dtype=complex)
     out[0] = rho

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavityqfi import (
+    AmplitudeRangeError,
     PureStateSingularityError,
     SpectralModel,
     SystemConfig,
@@ -41,6 +42,9 @@ class TestQfiClosed:
     def test_rejects_unphysical_amplitude(self):
         with pytest.raises(ValueError):
             qfi_closed(1.0 + 0.1j, 1.0)
+        # the error atom_state and amplitude_table raise for the same bound
+        with pytest.raises(AmplitudeRangeError):
+            qfi_closed(np.array([0.5, 1.0 + 2e-9]), 1.0)
 
     def test_resonant_asymptote(self):
         cfg = cfg_with(math.pi / 2)

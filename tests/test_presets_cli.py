@@ -689,10 +689,15 @@ def test_golden_bytes_in_small_blocks(tmp_path, monkeypatch, argv, digest):
 
 
 @pytest.mark.parametrize("preset, t_end", [
-    ("fig1a", "1e17"), ("fig1a", "1e20"), ("fig1a", "1e308"), ("fig4a", "1e16")])
+    ("fig1a", "1e17"), ("fig1a", "1e20"), ("fig1a", "1e308"), ("fig4a", "1e16"),
+    # below the domain, where the quadrature tails overflow: at t_end, or
+    # (1e-153 and 6e-306) only at the first grid time t_end/2
+    ("fig4a", "1e-200"), ("fig4a", "1e-153"), ("fig1a", "1e-307"),
+    ("fig1a", "6e-306")])
 def test_numeric_time_outside_domain_exits_2(tmp_path, capsys, monkeypatch,
                                              preset, t_end):
-    # the whole grid is rejected before the first quadrature call
+    # the whole grid is rejected before the first quadrature call, in one
+    # line naming t_end, and no file is left
     def no_quadrature(*args, **kwargs):
         raise AssertionError("quadrature ran before t_end was rejected")
 
@@ -701,8 +706,9 @@ def test_numeric_time_outside_domain_exits_2(tmp_path, capsys, monkeypatch,
     assert main(["run", preset, "--mode", "numeric", "--steps", "3",
                  "--t-end", t_end, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "t_end=" in err and "Traceback" not in err
-    assert not out.exists()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("configuration error: t_end")
+    assert_left_as_was(out, None)
 
 
 @WITH_AND_WITHOUT_TARGET

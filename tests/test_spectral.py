@@ -14,7 +14,6 @@ from cavityqfi import (
     beta_numeric,
     eval_density,
     gamma_closed,
-    gamma_long_time,
     gamma_numeric,
     numeric_rates,
 )
@@ -102,7 +101,8 @@ class TestGammaClosed:
         limit = 4.0 * wc**2 * wj / (wj**2 + wc**2)
         got = gamma_closed(OHMIC(wc), wj, 50.0 / wc)
         assert got == pytest.approx(limit, rel=1e-12)
-        assert gamma_long_time(OHMIC(wc), wj) == pytest.approx(limit, rel=1e-14)
+        golden_rule = 2 * math.pi * eval_density(OHMIC(wc), wj)
+        assert golden_rule == pytest.approx(limit, rel=1e-14)
 
     def test_lorentzian_long_time_limit(self):
         m = resonant_lorentz(1.0, rate=2.5)
@@ -187,6 +187,28 @@ class TestGammaNumeric:
     def test_last_time_inside_domain(self):
         # one decade below the first rejected time, still a finite rate
         assert math.isfinite(gamma_numeric(OHMIC(3.0), 0.99, 1e16))
+
+    @pytest.mark.parametrize("t", [7e-154, 1e-200])
+    def test_lorentzian_time_below_domain_names_t(self, t):
+        # the sine-weighted tails sample 3 pi/t past the window, where
+        # (peak - omega')**2 would overflow
+        with pytest.raises(ValueError, match=r"^t=\S+ is outside"):
+            gamma_numeric(lorentz(1.0), 0.5, t)
+
+    @pytest.mark.parametrize("model, wj, t", [
+        (OHMIC(3.0), 0.99, 3.4e-306), (OHMIC(3.0), 0.99, 1e-307),
+        (OHMIC(0.03), 0.0, 5e-324), (lorentz(1.0), 0.5, 5e-324)],
+        ids=["ohmic-edge", "ohmic", "ohmic-subnormal", "lorentzian-subnormal"])
+    def test_cycle_ends_below_domain_name_t(self, model, wj, t):
+        # the ends of the tails' 200 cycles of pi/t would overflow; checked
+        # without gamma_numeric, which crashed the interpreter there
+        with pytest.raises(ValueError, match=r"^t=\S+ is outside"):
+            spectral.check_numeric_time(model, wj, t)
+
+    def test_first_time_inside_domain(self):
+        # just above each family's lower end, still a finite rate
+        assert math.isfinite(gamma_numeric(lorentz(1.0), 0.5, 1e-150))
+        assert math.isfinite(gamma_numeric(OHMIC(3.0), 0.99, 1e-305))
 
 
 @pytest.mark.parametrize("model, wj", [(OHMIC(3.0), 1.0), (OHMIC(0.3), 0.0),
