@@ -293,7 +293,7 @@ def _attach_negative_ranges(argv: list[str]) -> list[str]:
     return out
 
 
-CUSTOM_ONLY_FLAGS = ("family", "quantity", "coupling", "omega_c", "width")
+CUSTOM_ONLY_FLAGS = ("family", "quantity", "coupling", *RESERVOIR.values())
 
 
 def _flag(name: str) -> str:
@@ -305,6 +305,9 @@ def _custom_preset(args) -> CurvePreset:
         raise ValueError("custom preset needs --family")
     if not args.coupling:
         raise ValueError("custom preset needs at least one --coupling")
+    for i, g in enumerate(args.coupling):
+        if g in args.coupling[:i]:  # two columns of one name
+            raise ValueError(f"--coupling {g}: given twice")
     name = RESERVOIR[args.family]
     for other in RESERVOIR.values():
         if other != name and getattr(args, other) is not None:

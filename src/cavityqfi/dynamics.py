@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,9 +105,8 @@ class SystemConfig(_Dressed):
 
     theta is the polar angle of the initial pure atom state
     cos(theta/2)|e> + e^{i phi} sin(theta/2)|g>; phi is the estimated phase.
-    An attached Lorentzian model with unresolved detuning/anchor is completed
-    here: detuning defaults to the coupling, the anchor to omega0.  The
-    fields are checked by `spectral.check_domain`.
+    The atom fields are checked by `spectral.check_domain`; the model comes
+    complete (`presets.make_config` places the paper's Lorentzian line).
     """
 
     omega0: float
@@ -117,20 +116,15 @@ class SystemConfig(_Dressed):
     spectral: SpectralModel
 
     def __post_init__(self):
-        m = self.spectral
-        check_domain(m.kind, {"omega0": self.omega0, "coupling": self.coupling,
-                              "theta": self.theta, "phi": self.phi})
-        if m.kind is SpectralKind.LORENTZIAN and None in (m.detuning, m.omega0):
-            object.__setattr__(self, "spectral", replace(
-                m, detuning=float(self.coupling) if m.detuning is None else m.detuning,
-                omega0=float(self.omega0) if m.omega0 is None else m.omega0))
+        check_domain(self.spectral.kind, {"omega0": self.omega0, "coupling": self.coupling,
+                                          "theta": self.theta, "phi": self.phi})
 
 
 @dataclass(frozen=True, eq=False)
 class ConfigTable(_Dressed):
     """Configs of one reservoir family as float64 columns: ``columns`` maps
-    omega0, coupling, theta, phi and the family's resolved `MODEL_FIELDS` to
-    (n,) arrays.  Row i is the config `row(i)`, ``table[a:b]`` rows a to b.
+    omega0, coupling, theta, phi and the family's `MODEL_FIELDS` to (n,)
+    arrays.  Row i is the config `row(i)`, ``table[a:b]`` rows a to b.
     `presets.config_table` builds checked tables, `of` a config's one row.
     """
 
@@ -321,7 +315,8 @@ def decoherence_rate(p, p_dot):
 
 
 def lamb_shift(p, p_dot):
-    """Time-dependent frequency shift S(t) = -2 Im(pdot/p); NaN where singular."""
+    """Time-dependent frequency shift S(t) = -2 Im(pdot/p); NaN where singular.
+    It includes the bare transition: 2 omega0 with no reservoir coupling."""
     out = -2.0 * np.imag(_log_ratio(p, p_dot))
     return out if out.ndim else float(out)
 

@@ -112,7 +112,7 @@ def make_config(family: str, coupling: float, reservoir: float,
                 theta: float = THETA_DEFAULT,
                 phi: float = PHI_DEFAULT) -> SystemConfig:
     """System configuration for one curve of a preset family: the one row
-    of its `config_table`."""
+    of its `config_table`, so a Lorentzian line sits at omega0 - coupling."""
     fixed = [("coupling", coupling), ("theta", theta), ("phi", phi)]
     if family in RESERVOIR:  # config_table names an unknown family
         fixed.append((RESERVOIR[family], reservoir))
@@ -152,7 +152,7 @@ def config_table(family: str, axes, fixed=()) -> ConfigTable:
     names = ("omega0", "coupling", "theta", "phi", *MODEL_FIELDS[kind])
     fields = {k: point[k] for k in names if point[k] is not None}
     check_domain(kind, fields)
-    fields.setdefault("detuning", fields["coupling"])  # as `SystemConfig` resolves it
+    fields.setdefault("detuning", fields["coupling"])  # the paper's line, on omega_1
     n = math.prod(shape)
     return ConfigTable(kind, {k: np.broadcast_to(np.asarray(fields[k], dtype=float), (n,))
                               for k in names})

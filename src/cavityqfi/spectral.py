@@ -36,7 +36,7 @@ class SpectralKind(enum.Enum):
 
 
 # each family's model fields by their config-table names (``anchor`` is a
-# Lorentzian model's omega0); detuning and anchor may be left to a config
+# Lorentzian model's omega0)
 MODEL_FIELDS = {
     SpectralKind.OHMIC_LORENTZ_DRUDE: ("omega_c",),
     SpectralKind.LORENTZIAN: ("rate", "width", "detuning", "anchor"),
@@ -107,12 +107,10 @@ class SpectralModel:
     Ohmic Lorentz-Drude:  J(w) = (2 w / pi) * omega_c^2 / (omega_c^2 + w^2)
     Lorentzian:           J(w) = (R lam^2 / 2 pi) / ((omega0 - w - detuning)^2 + lam^2)
 
-    The Lorentzian peak sits at ``omega0 - detuning``.  Both fields may be
-    left ``None`` and are then resolved by the owning system configuration
-    (detuning defaults to the atom-cavity coupling, the anchor to the atom
-    frequency); standalone rate evaluation requires them to be set.  A field
-    of the other family must be left ``None``; setting one raises ValueError
-    naming it.
+    The Lorentzian peak sits at ``omega0 - detuning``.  A model is complete
+    when built: a missing or bad field of its family, or a set field of the
+    other family, raises ValueError naming it.  `presets.config_table` and
+    `presets.make_config` place the paper's line, detuning = coupling.
     """
 
     kind: SpectralKind
@@ -129,11 +127,10 @@ class SpectralModel:
                 raise ValueError(f"{name} is not a parameter of the "
                                  f"{self.kind.value} family, got "
                                  f"{name}={getattr(self, name)}")
-        check_domain(self.kind, {n: v for n, v in self.fields().items()
-                                 if v is not None or n not in ("detuning", "anchor")})
+        check_domain(self.kind, self.fields())
 
     def fields(self) -> dict:
-        """The family's fields by their `MODEL_FIELDS` names, None where unset."""
+        """The family's fields by their `MODEL_FIELDS` names."""
         return {n: self.omega0 if n == "anchor" else getattr(self, n)
                 for n in MODEL_FIELDS[self.kind]}
 
@@ -142,21 +139,15 @@ class SpectralModel:
         return cls(SpectralKind.OHMIC_LORENTZ_DRUDE, omega_c=float(omega_c))
 
     @classmethod
-    def lorentzian(cls, rate: float, width: float,
-                   detuning: float | None = None,
-                   omega0: float | None = None) -> "SpectralModel":
+    def lorentzian(cls, rate: float, width: float, detuning: float,
+                   omega0: float) -> "SpectralModel":
         return cls(SpectralKind.LORENTZIAN, rate=float(rate), width=float(width),
-                   detuning=None if detuning is None else float(detuning),
-                   omega0=None if omega0 is None else float(omega0))
+                   detuning=float(detuning), omega0=float(omega0))
 
     def lorentz_peak(self) -> float:
         """Center frequency of the Lorentzian line, ``omega0 - detuning``."""
         if self.kind is not SpectralKind.LORENTZIAN:
             raise ValueError("peak frequency defined only for Lorentzian models")
-        if self.detuning is None or self.omega0 is None:
-            raise ValueError(
-                "Lorentzian detuning/omega0 unresolved; attach the model to a "
-                "SystemConfig or pass them explicitly")
         return self.omega0 - self.detuning
 
 
@@ -210,9 +201,9 @@ def _lorentz_rates(rate, lam, d, t):
 
 def closed_rates(kind: SpectralKind, fields, omega_j, t):
     """(gamma_j, beta_j) of transition omega_j at times ``t`` from the
-    family's closed-form kernel.  ``fields`` maps its resolved `MODEL_FIELDS`
-    to floats, or to (n, 1) columns that, like ``omega_j``, broadcast
-    against ``t``; row i then equals the one-model call bit for bit."""
+    family's closed-form kernel.  ``fields`` maps its `MODEL_FIELDS` to
+    floats, or to (n, 1) columns that, like ``omega_j``, broadcast against
+    ``t``; row i then equals the one-model call bit for bit."""
     if kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
         return _ohmic_rates(fields["omega_c"], omega_j, t)
     # the detuning from the Lorentzian peak at anchor - detuning
@@ -225,10 +216,7 @@ def _closed(half: int, model: SpectralModel, omega_j: float, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
-    fields = model.fields()
-    if None in fields.values():
-        model.lorentz_peak()  # raises, naming what is unresolved
-    out = closed_rates(model.kind, fields, float(omega_j), t)[half]
+    out = closed_rates(model.kind, model.fields(), float(omega_j), t)[half]
     return out if out.ndim else float(out)
 
 

@@ -19,6 +19,7 @@ from cavityqfi import (
     lamb_shift,
     physicality,
 )
+from cavityqfi.presets import config_table, make_config
 
 OHMIC3 = SpectralModel.ohmic_lorentz_drude(3.0)
 
@@ -81,10 +82,10 @@ NON_FINITE_INPUTS = [
     ("phi", lambda: ohmic_cfg(phi=NAN)),
     ("omega_c", lambda: SpectralModel.ohmic_lorentz_drude(NAN)),
     ("omega_c", lambda: SpectralModel.ohmic_lorentz_drude(math.inf)),
-    ("rate", lambda: SpectralModel.lorentzian(NAN, 1.0)),
-    ("width", lambda: SpectralModel.lorentzian(1.0, NAN)),
-    ("detuning", lambda: SpectralModel.lorentzian(1.0, 1.0, detuning=NAN)),
-    ("omega0", lambda: SpectralModel.lorentzian(1.0, 1.0, omega0=NAN)),
+    ("rate", lambda: SpectralModel.lorentzian(NAN, 1.0, 0.5, 1.0)),
+    ("width", lambda: SpectralModel.lorentzian(1.0, NAN, 0.5, 1.0)),
+    ("detuning", lambda: SpectralModel.lorentzian(1.0, 1.0, NAN, 1.0)),
+    ("omega0", lambda: SpectralModel.lorentzian(1.0, 1.0, 0.5, NAN)),
     ("step", lambda: IntegratorConfig(step=NAN)),
 ]
 
@@ -117,19 +118,19 @@ class TestSystemConfig:
             ohmic_cfg(coupling=1.5)
         assert ohmic_cfg(coupling=1.0).omega_1 == 0.0
         SystemConfig(omega0=1.0, coupling=40.0, theta=0.0, phi=0.0,
-                     spectral=SpectralModel.lorentzian(1.0, 3.0))
+                     spectral=SpectralModel.lorentzian(1.0, 3.0, 40.0, 1.0))
 
     def test_lorentzian_defaults_resolved(self):
-        cfg = SystemConfig(omega0=1.0, coupling=0.7, theta=0.1, phi=0.0,
-                           spectral=SpectralModel.lorentzian(1.0, 0.5))
+        # make_config and config_table place the line; the model is kept as built
+        cfg = make_config("lorentzian", 0.7, 0.5, theta=0.1)
         assert cfg.spectral.detuning == 0.7
         assert cfg.spectral.omega0 == 1.0
         # spectrum centered at omega0 - coupling puts transition 1 on resonance
         assert cfg.spectral.lorentz_peak() == pytest.approx(cfg.omega_1)
 
     def test_explicit_detuning_kept(self):
-        cfg = SystemConfig(omega0=1.0, coupling=0.7, theta=0.1, phi=0.0,
-                           spectral=SpectralModel.lorentzian(1.0, 0.5, detuning=0.2))
+        cfg = config_table("lorentzian", [], [("coupling", 0.7), ("width", 0.5),
+                                              ("theta", 0.1), ("detuning", 0.2)]).row(0)
         assert cfg.spectral.detuning == 0.2
 
 

@@ -33,8 +33,9 @@ def ohmic_cfg(coupling=1.0, omega_c=3.0, theta=math.pi / 2, phi=0.0):
 
 
 def lorentz_cfg(coupling, width, theta=math.pi / 2):
+    # the paper's line, centred on omega_1 = omega0 - coupling
     return SystemConfig(omega0=1.0, coupling=coupling, theta=theta, phi=0.0,
-                        spectral=SpectralModel.lorentzian(1.0, width))
+                        spectral=SpectralModel.lorentzian(1.0, width, coupling, 1.0))
 
 
 def basis_state(i):

@@ -399,6 +399,8 @@ OHMIC_DOMAIN = "0 <= coupling <= omega0"
     (["run", "custom", "--family", "ohmic", "--width", "1",
       "--omega-c", "3", "--coupling", "0.5"], "--width"),
     (["run", "custom", "--family", "ohmic", "--omega-c", "3",
+      "--coupling", "0.5", "--coupling", "0.50"], "--coupling 0.5: given twice"),
+    (["run", "custom", "--family", "ohmic", "--omega-c", "3",
       "--coupling", "1.5", "--steps", "5", "--t-end", "0.5"], OHMIC_DOMAIN),
     (["sweep", "--model", "ohmic", "--param", "coupling",
       "--range", "0.5:1.5:3"], OHMIC_DOMAIN),
@@ -413,7 +415,8 @@ OHMIC_DOMAIN = "0 <= coupling <= omega0"
     (["sweep", "--model", "ohmic", "--param", "omega_c", "--range", "0.1:3:0"],
      "--range for omega_c: count must be >= 1, got '0.1:3:0'"),
 ], ids=["param-twice", "fix-twice", "custom-lorentzian-omega-c",
-        "custom-ohmic-width", "custom-ohmic-coupling", "sweep-ohmic-coupling",
+        "custom-ohmic-width", "custom-coupling-twice", "custom-ohmic-coupling",
+        "sweep-ohmic-coupling",
         "run-steps", "contour-t-end", "custom-steps", "sweep-steps",
         "sweep-t-end", "sweep-range-count"])
 def test_rejected_before_any_amplitude(tmp_path, capsys, monkeypatch, argv, text):

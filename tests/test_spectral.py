@@ -56,7 +56,7 @@ class TestValidation:
 
     def test_bad_width(self):
         with pytest.raises(ValueError):
-            SpectralModel.lorentzian(1.0, 0.0)
+            SpectralModel.lorentzian(1.0, 0.0, 0.5, 1.0)
 
     @pytest.mark.parametrize("kind, fields, foreign", [
         (SpectralKind.OHMIC_LORENTZ_DRUDE, {"omega_c": 3.0}, "rate"),
@@ -70,10 +70,12 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{foreign} is not a parameter"):
             SpectralModel(kind, **fields, **{foreign: 7.0})
 
-    def test_unresolved_lorentzian_rejected(self):
-        m = SpectralModel.lorentzian(1.0, 1.0)  # no detuning/anchor yet
-        with pytest.raises(ValueError):
-            gamma_closed(m, 1.0, 1.0)
+    def test_incomplete_lorentzian_rejected_when_built(self):
+        # the line's place is part of the model, not filled in by a config
+        for fields, missing in (({}, "detuning"), ({"detuning": 0.5}, "omega0"),
+                                ({"omega0": 1.0}, "detuning")):
+            with pytest.raises(ValueError, match=f"^{missing} must be finite, got None"):
+                SpectralModel(SpectralKind.LORENTZIAN, rate=1.0, width=1.0, **fields)
 
 
 class TestGammaClosed:

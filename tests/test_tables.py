@@ -256,7 +256,9 @@ def test_closed_rates_evaluates_the_kernel_once(monkeypatch, family, kernel):
     assert len(calls) == 1
 
 
-def test_failed_check_names_the_config(monkeypatch):
+@pytest.fixture
+def growing_p(monkeypatch):
+    """Negated beta: |p| grows past 1, so every amplitude check fails."""
     real = dynamics.closed_rates
 
     def growing(*args):
@@ -264,9 +266,23 @@ def test_failed_check_names_the_config(monkeypatch):
         return gamma, -beta     # |p| grows past 1
 
     monkeypatch.setattr(dynamics, "closed_rates", growing)
+
+
+def test_failed_check_names_the_config(growing_p):
     table = config_table("ohmic", [("coupling", (0.25, 0.75))], [("omega_c", 0.7)])
     with pytest.raises(AmplitudeRangeError, match="coupling=0.25, omega_c=0.7"):
         amplitude_table(table, TimeGrid(5.0, 11).times)
+
+
+@pytest.mark.parametrize("family", ["ohmic", "lorentzian"])
+def test_failed_check_names_the_family_parameters(growing_p, family):
+    # dynamics cannot import presets, so _describe keeps its own list of names
+    table = config_table(family, [("coupling", (0.25, 0.75))],
+                         [(presets.RESERVOIR[family], 0.7)])
+    with pytest.raises(AmplitudeRangeError) as info:
+        amplitude_table(table, TimeGrid(5.0, 11).times)
+    config = str(info.value).split(": ")[0]
+    assert tuple(re.findall(r"(\w+)=", config)) == presets.PARAMS[family]
 
 
 # Valid domain: every value the config constructors accept, within these
@@ -365,8 +381,11 @@ def first_rejection(family, axes, fixed):
             if family == "ohmic":
                 model = SpectralModel.ohmic_lorentz_drude(kw["omega_c"])
             else:
+                # config_table fills in an unset detuning (the coupling) only
+                # after its checks, so a bad coupling is reported as coupling
+                detuning = 0.0 if kw["detuning"] is None else kw["detuning"]
                 model = SpectralModel.lorentzian(presets.LORENTZ_RATE, kw["width"],
-                                                 detuning=kw["detuning"])
+                                                 detuning, presets.LORENTZ_OMEGA0)
             SystemConfig(omega0=presets.OMEGA0[family], coupling=kw["coupling"],
                          theta=kw["theta"], phi=kw["phi"], spectral=model)
         except ValueError as exc:
