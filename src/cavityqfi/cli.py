@@ -66,16 +66,24 @@ def _fmt_all(values) -> list[str]:
 
 
 def _csv_block(times_text: list[str], prefixes: list[str], values) -> str:
-    """CSV rows ``t<prefix>,v_1,...,v_k``, one per time of each prefix in
-    turn, as one string.  The times and each prefix, its rows' shared fields
-    with leading commas, come formatted; only ``values``, a (len(prefixes),
-    n_t, k) array, is formatted here, by one %.12g template for the tile."""
-    if values.ndim != 3 or values.shape[:2] != (len(prefixes), len(times_text)):
+    """CSV rows ``t<prefix>,v``, one per time of each prefix in turn, as one
+    string.  The times and each prefix, its rows' shared fields with leading
+    commas, come formatted; only ``values``, a (len(prefixes), n_t) array,
+    is formatted here, by one %.12g template for the tile."""
+    if values.shape != (len(prefixes), len(times_text)):
         raise ValueError(f"values of shape {values.shape} for {len(prefixes)} "
                          f"prefixes and {len(times_text)} times")
-    row_ends = [prefix + ",%.12g" * values.shape[2] + "\n" for prefix in prefixes]
+    row_ends = [prefix + ",%.12g\n" for prefix in prefixes]
     template = "".join(row_end.join(times_text) + row_end for row_end in row_ends)
     return template % tuple(values.ravel().tolist())
+
+
+def _curve_block(times, values) -> str:
+    """CSV rows ``t,v_1,...,v_k``, one per time, of a curve tile's (k, n_t)
+    ``values``: times and values by one %.12g template, row by row."""
+    rows = np.column_stack((times, values.T))
+    template = ("%.12g" + ",%.12g" * len(values) + "\n") * len(times)
+    return template % tuple(rows.ravel().tolist())
 
 
 def _config_rows(tiles, columns):
@@ -88,7 +96,7 @@ def _config_rows(tiles, columns):
         if last is None or not np.array_equal(times, last):
             last, times_text = times, _fmt_all(times)
         rows = zip(*(c[first:first + len(values)].tolist() for c in columns))
-        yield _csv_block(times_text, [template % r for r in rows], values[:, :, None])
+        yield _csv_block(times_text, [template % r for r in rows], values)
 
 
 def _meta_lines(pairs) -> list[str]:
@@ -142,8 +150,7 @@ def run_curve_preset(sc: Scenario, preset: CurvePreset | None = None) -> Path:
         ("mode", sc.mode),
         ("time_unit", TIME_UNIT[preset.family]),
     ])
-    # a curve's CSV rows are times, each holding every coupling's value
-    _write(sc.out, meta + [header], (_csv_block(_fmt_all(times), [""], values.T[None])
+    _write(sc.out, meta + [header], (_curve_block(times, values)
                                      for _, times, values in tiles))
     return sc.out
 

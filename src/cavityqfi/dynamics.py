@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,9 @@ class TimeGrid:
     def __post_init__(self):
         if not 0.0 < self.t_end < math.inf:
             raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
+        n = self.n_points
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise ValueError(f"n_points must be an integer, got {n!r}")
         if not self.n_points >= 1:
             raise ValueError(f"n_points must be >= 1, got {self.n_points}")
 

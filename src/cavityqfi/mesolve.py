@@ -187,16 +187,16 @@ def timelocal_residual_blocks(cfg: SystemConfig, grid: TimeGrid):
         amps = amplitude_table(table, grid.window(i0 - 1, i1 + 1))
         p, p_dot = amps.p[0], amps.p_dot[0]
         rho = atom_state(cfg, p)
+        # rho_ge = conj(rho_eg) exactly, so its defect is that of rho_eg
+        ee, gg, eg = rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 0, 1]
         ratio = _log_ratio(p[1:-1], p_dot[1:-1])  # NaN where p is singular
         gam, shift = -2.0 * ratio.real, -2.0 * ratio.imag
-        fd = (rho[2:] - rho[:-2]) / (2.0 * grid.dt)
-        r = rho[1:-1]
-        rhs = np.empty_like(r)
-        rhs[:, 0, 0] = -gam * r[:, 0, 0].real
-        rhs[:, 1, 1] = gam * r[:, 0, 0].real
-        rhs[:, 0, 1] = (-0.5j * shift - 0.5 * gam) * r[:, 0, 1]
-        rhs[:, 1, 0] = np.conj(rhs[:, 0, 1])
-        yield i0, np.linalg.norm((fd - rhs).reshape(-1, 4), axis=1)
+        inv = 1.0 / (2.0 * grid.dt)  # as numpy divides a complex by a real
+        d_ee = (ee[2:] - ee[:-2]) * inv + gam * ee[1:-1]
+        d_gg = (gg[2:] - gg[:-2]) * inv - gam * ee[1:-1]
+        d_eg = (eg[2:] - eg[:-2]) * inv - (-0.5j * shift - 0.5 * gam) * eg[1:-1]
+        yield i0, np.sqrt(d_ee ** 2 + 2.0 * (d_eg.real ** 2 + d_eg.imag ** 2)
+                          + d_gg ** 2)
 
 
 def timelocal_residual(cfg: SystemConfig, grid: TimeGrid) -> np.ndarray:

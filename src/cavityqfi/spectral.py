@@ -74,7 +74,12 @@ def check_domain(kind: SpectralKind, fields: dict) -> None:
     """Raise ValueError for the first row of ``fields``, and its first rule
     of `_DOMAIN`, outside the domain.  ``fields`` maps names to floats or
     equal-length columns (None reads as NaN); a rule runs when every field
-    it reads is given."""
+    it reads is given.  A field that is not a real number, such as a
+    numeric string or a bool, raises ValueError naming it."""
+    for name, v in fields.items():
+        if v is not None and np.asarray(v).dtype.kind not in "fiu":
+            raise ValueError(f"{'omega0' if name == 'anchor' else name} must be "
+                             f"a real number, got {v!r}")
     cols = {k: np.asarray(v, dtype=float) for k, v in fields.items()}
     failures = []  # (first bad row, rule) of each rule that fails
     for rule, (names, family, holds, message) in enumerate(_DOMAIN):

@@ -1,14 +1,19 @@
-"""Test-local reference for the dressed master equation of `cavityqfi.mesolve`.
+"""Test-local references for `cavityqfi.mesolve`.
 
 `generator_apply` is the right-hand side written out as matrices: the
 Hamiltonian phase -i(E_a - E_b) on every element and the two dissipators
 (1/2) gamma_j D[|a0><a_j|], which act elementwise in the dressed basis
 (|a0>, |a1->, |a1+>).  `evolve` hard-codes the same rates row by row; a
 plain RK4 loop over this right-hand side pins it to rounding.
+
+`timelocal_residual_stack` is the time-local residual with the atom's full
+2x2 matrices and their Frobenius norm, which `timelocal_residual_blocks`
+reduces to three matrix elements.
 """
 
 import numpy as np
 
+from cavityqfi.dynamics import ConfigTable, _log_ratio, amplitude_table, atom_state
 from cavityqfi.mesolve import dressed_energies
 from cavityqfi.spectral import gamma_closed
 
@@ -40,3 +45,24 @@ def generator_apply(cfg, t: float, rho3: np.ndarray) -> np.ndarray:
     g1 = gamma_closed(cfg.spectral, cfg.omega_1, t)
     g2 = gamma_closed(cfg.spectral, cfg.omega_2, t)
     return _generator(rho3, phase, g1, g2)
+
+
+def timelocal_residual_stack(cfg, grid) -> np.ndarray:
+    """`mesolve.timelocal_residual` over the whole grid at once, as the
+    norm of (n, 2, 2) stacks of the finite-difference d rho/dt minus the
+    time-local right-hand side; NaN at the endpoints."""
+    amps = amplitude_table(ConfigTable.of(cfg), grid.times)
+    p, p_dot = amps.p[0], amps.p_dot[0]
+    rho = atom_state(cfg, p)
+    ratio = _log_ratio(p[1:-1], p_dot[1:-1])
+    gam, shift = -2.0 * ratio.real, -2.0 * ratio.imag
+    fd = (rho[2:] - rho[:-2]) / (2.0 * grid.dt)
+    r = rho[1:-1]
+    rhs = np.empty_like(r)
+    rhs[:, 0, 0] = -gam * r[:, 0, 0].real
+    rhs[:, 1, 1] = gam * r[:, 0, 0].real
+    rhs[:, 0, 1] = (-0.5j * shift - 0.5 * gam) * r[:, 0, 1]
+    rhs[:, 1, 0] = np.conj(rhs[:, 0, 1])
+    out = np.full(grid.n_points, np.nan)
+    out[1:-1] = np.linalg.norm((fd - rhs).reshape(-1, 4), axis=1)
+    return out

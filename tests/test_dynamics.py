@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cavityqfi import (
     AmplitudeRangeError,
     IntegratorConfig,
+    SpectralKind,
     SpectralModel,
     SystemConfig,
     TimeGrid,
@@ -94,6 +95,32 @@ NON_FINITE_INPUTS = [
                          ids=[name for name, _ in NON_FINITE_INPUTS])
 def test_non_finite_input_rejected(name, build):
     with pytest.raises(ValueError, match=name):
+        build()
+
+
+# a numeric string, a bool or a float sample count is not the number the
+# field holds: rejected when built, naming the field
+NON_NUMERIC_INPUTS = [
+    ("n_points", lambda: TimeGrid(1.0, 2.5)),
+    ("n_points", lambda: TimeGrid(1.0, 3.0)),
+    ("n_points", lambda: TimeGrid(1.0, "3")),
+    ("omega0", lambda: SystemConfig(omega0="1", coupling=0.5, theta=0.0,
+                                    phi=0.0, spectral=OHMIC3)),
+    ("theta", lambda: ohmic_cfg(theta=True)),
+    ("omega_c", lambda: SpectralModel(SpectralKind.OHMIC_LORENTZ_DRUDE, omega_c="3")),
+    ("rate", lambda: SpectralModel(SpectralKind.LORENTZIAN, rate="1", width=1.0,
+                                   detuning=0.5, omega0=1.0)),
+    ("omega0", lambda: SpectralModel(SpectralKind.LORENTZIAN, rate=1.0, width=1.0,
+                                     detuning=0.5, omega0="1")),
+]
+
+
+@pytest.mark.parametrize("name, build", NON_NUMERIC_INPUTS,
+                         ids=["n_points-2.5", "n_points-3.0", "n_points-str",
+                              "omega0-str", "theta-bool", "omega_c-str",
+                              "rate-str", "lorentzian-omega0-str"])
+def test_non_numeric_input_rejected(name, build):
+    with pytest.raises(ValueError, match=f"^{name} must be (a real number|an integer), got"):
         build()
 
 

@@ -316,6 +316,19 @@ class TestTimelocalResidual:
         assert starts == tuple(range(1, 100, block))
         assert np.array_equal(np.concatenate(blocks), whole[1:-1], equal_nan=True)
 
+    @pytest.mark.parametrize("cfg, grid", [
+        (ohmic_cfg(coupling=1.0, omega_c=0.3), TimeGrid(20.0, 20001)),
+        (lorentz_cfg(coupling=40.0, width=3.0), TimeGrid(10.0, 4001)),
+        (SystemConfig(omega0=1.0, coupling=0.3, theta=1.0, phi=2.0,
+                      spectral=SpectralModel.lorentzian(1.0, 0.1, 0.3, 1.0)),
+         TimeGrid(50.0, 3001)),
+    ], ids=["ohmic", "lorentzian-strong", "lorentzian-phase"])
+    def test_matches_stack_form(self, cfg, grid):
+        # three matrix elements give the Frobenius norm of the 2x2 defect
+        np.testing.assert_allclose(timelocal_residual(cfg, grid),
+                                   oracles.timelocal_residual_stack(cfg, grid),
+                                   rtol=1e-15, atol=0.0)
+
     def test_singular_samples_are_nan(self, zero_rates):
         # p = e^{-i t} cos(t/2) vanishes at t = pi, the middle interior point
         cfg = ohmic_cfg(coupling=0.5)

@@ -1,16 +1,18 @@
 import hashlib
-import itertools
 import math
 import os
 import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavityqfi import cli, dynamics, presets, verify
 from cavityqfi.cli import (
     Scenario,
     _csv_block,
+    _curve_block,
     _fmt_all,
     main,
     run_contour_preset,
@@ -587,33 +589,47 @@ def test_unresolvable_symlink_exits_2_before_computing(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == [link]
 
 
+_SPECIAL = [float("nan"), math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, -1e16,
+            1.0, 0.1, 1e-300, 1.7976931348623157e308]
+
+
 def test_csv_rows_match_per_value_format():
     rng = np.random.default_rng(7)
-    special = [float("nan"), math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16,
-               -1e16, 1.0, 0.1, 1e-300, 1.7976931348623157e308]
     randoms = list(rng.standard_normal(40) * 10.0 ** rng.integers(-20, 20, 40))
     randoms += list(rng.random(40))
-    a = np.array(special + randoms)
+    a = np.array(_SPECIAL + randoms)
     times_text = _fmt_all(a)
     assert times_text == [f"{x:.12g}" for x in a]
-    # the shared prefix fields sit between the time and the values; every
+    # the shared prefix fields sit between the time and the value; every
     # time of the first prefix comes first, then every time of the next
-    prefixes = ["", "," + ",".join(f"{x:.12g}" for x in special), ",0.5",
+    prefixes = ["", "," + ",".join(f"{x:.12g}" for x in _SPECIAL), ",0.5",
                 ",-1e-300,nan,inf"]
-    for n_prefixes, k in itertools.product((1, 2, 4), (0, 1, 3)):
-        values = np.empty((n_prefixes, a.size, k))   # (prefixes, times, k)
-        for i, j in itertools.product(range(n_prefixes), range(k)):
-            values[i, :, j] = np.roll(a, 5 + 17 * i + 31 * j)
-        want = [t + p + "".join(f",{x:.12g}" for x in values[i, r])
+    for n_prefixes in (1, 2, 4):
+        values = np.stack([np.roll(a, 5 + 17 * i) for i in range(n_prefixes)])
+        want = [t + p + f",{values[i, r]:.12g}"
                 for i, p in enumerate(prefixes[:n_prefixes])
                 for r, t in enumerate(times_text)]
         got = _csv_block(times_text, prefixes[:n_prefixes], values)
-        assert got == "\n".join(want) + "\n", (n_prefixes, k)
-    # values must be (len(prefixes), len(times), k)
-    values = np.stack([a, np.roll(a, 5)])[:, :, None]
-    for bad in (values[:, :-1], values[:1], values[:, :, 0], values[None]):
+        assert got == "\n".join(want) + "\n", n_prefixes
+    # values must be (len(prefixes), len(times))
+    values = np.stack([a, np.roll(a, 5)])
+    for bad in (values[:, :-1], values[:1], values[:, :, None], values[0]):
         with pytest.raises(ValueError, match="values of shape"):
             _csv_block(times_text, prefixes[:2], bad)
+
+
+_ANY_FLOAT = st.one_of(st.floats(), st.sampled_from(_SPECIAL))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda k: st.lists(
+    st.lists(_ANY_FLOAT, min_size=1 + k, max_size=1 + k), min_size=1, max_size=8)))
+def test_curve_rows_match_per_value_format(rows):
+    # a row is a time and then one value per coupling
+    rows = np.array(rows)
+    want = "".join(f"{r[0]:.12g}," + ",".join(f"{v:.12g}" for v in r[1:]) + "\n"
+                   for r in rows.tolist())
+    assert _curve_block(rows[:, 0], rows[:, 1:].T) == want
 
 
 # SHA-256 of CLI outputs recorded before the CSV path was vectorised.  The
@@ -663,13 +679,18 @@ GOLDEN = [
       "--fix", "coupling=0.7", "--quantity", "coherence", "--steps", "20",
       "--t-end", "5"],
      "0e26a93a25921ebf8caca6b0e57aa814621f03fa8fe624a0142e6e703aaab268"),
+    # 3 couplings x 20000 times: 4 curve tiles of up to 5461 times
+    (["run", "custom", "--family", "lorentzian", "--width", "0.5",
+      "--coupling", "0.3", "--coupling", "1", "--coupling", "2",
+      "--steps", "20000", "--t-end", "12"],
+     "2f9e04c7fbeb2962419863617889c5e06df34673071ae89a6329b97e2acd7391"),
 ]
 
 
 GOLDEN_IDS = ["fig1a", "fig4c", "fig2a", "sweep", "sweep-lamb-shift",
               "sweep-decoherence-rate", "sweep-coherence", "fig2b-overrides",
               "fig6b-overrides", "custom-overrides", "sweep-theta-phi-qfi",
-              "sweep-theta-phi-coherence"]
+              "sweep-theta-phi-coherence", "custom-multi-tile"]
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN, ids=GOLDEN_IDS)
