@@ -29,6 +29,7 @@ from .spectral import (
     MODEL_FIELDS,
     SpectralKind,
     SpectralModel,
+    _check_real,
     check_domain,
     check_numeric_time,
     closed_rates,
@@ -67,6 +68,7 @@ class TimeGrid:
     n_points: int
 
     def __post_init__(self):
+        _check_real("t_end", self.t_end)
         if not 0.0 < self.t_end < math.inf:
             raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
         n = self.n_points
@@ -209,14 +211,14 @@ def _check_amplitude(table: ConfigTable, times: np.ndarray, p: np.ndarray) -> No
                                   f"physical range: max |p| = {peak[i]}")
 
 
-def _rate_table(table: ConfigTable, times: np.ndarray, mode: str):
-    """(gamma1, beta1, gamma2, beta2), each of shape (len(table), times.size)."""
+def _rate_table(table: ConfigTable, times: np.ndarray, mode: str, halves):
+    """(gamma1, beta1, gamma2, beta2) over (row, time); closed mode: only ``halves``."""
     if mode not in ("closed", "numeric"):
         raise ValueError(f"mode must be 'closed' or 'numeric', got {mode!r}")
     if mode == "closed":
         fields = {k: v[:, None] for k, v in table.columns.items()}
-        return (*closed_rates(table.kind, fields, table.omega_1[:, None], times),
-                *closed_rates(table.kind, fields, table.omega_2[:, None], times))
+        return (*closed_rates(table.kind, fields, table.omega_1[:, None], times, halves),
+                *closed_rates(table.kind, fields, table.omega_2[:, None], times, halves))
     cfgs = [table.row(i) for i in range(len(table))]
     if times[-1] > 0.0:  # reject the whole grid before the first quad call
         for c in cfgs:
@@ -242,10 +244,10 @@ def amplitude_table(table: ConfigTable, times: np.ndarray, mode: str = "closed",
     config.  A time so large that omega_j t overflows gives a NaN amplitude;
     the check rejects it, so numpy's overflow warnings on the way there are
     silenced.
-    ``p_dot`` is None unless ``derivative``.
+    ``p_dot`` is None unless ``derivative``; closed mode then evaluates beta alone.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        g1, b1, g2, b2 = _rate_table(table, times, mode)
+        g1, b1, g2, b2 = _rate_table(table, times, mode, (0, 1) if derivative else (1,))
         w1, w2 = table.omega_1[:, None], table.omega_2[:, None]
         e1 = np.exp(-1j * w1 * times - b1 / 4.0)
         e2 = np.exp(-1j * w2 * times - b2 / 4.0)
@@ -268,6 +270,19 @@ def amplitude(cfg: SystemConfig, grid: TimeGrid,
     return AmplitudeSeries(a.times, a.p[0], a.p_dot[0])
 
 
+def _state_elements(cfg, p):
+    """(rho_ee, rho_eg) of `atom_state`; rho_gg = 1 - rho_ee, rho_ge = conj(rho_eg)."""
+    p = np.asarray(p, dtype=complex)
+    mag = np.abs(p)
+    if not np.all(mag <= 1.0 + EPS_AMPLITUDE):
+        raise AmplitudeRangeError(
+            f"|p| = {float(np.max(mag))} exceeds 1 + {EPS_AMPLITUDE}")
+    c = per_value(lambda th: math.cos(th / 2.0), cfg.theta)
+    s = per_value(lambda th: math.sin(th / 2.0), cfg.theta)
+    phase = per_value(lambda ph: np.exp(-1j * ph), cfg.phi)
+    return mag ** 2 * c * c, p * phase * s * c
+
+
 def atom_state(cfg, p):
     """Atom density matrix in the {|e>, |g>} basis for amplitude value(s) p.
 
@@ -278,17 +293,8 @@ def atom_state(cfg, p):
     ``cfg`` may also be a `ConfigTable`, whose theta and phi columns give one
     angle each per row of an (n, n_t) ``p``.
     """
-    p = np.asarray(p, dtype=complex)
-    mag = np.abs(p)
-    if not np.all(mag <= 1.0 + EPS_AMPLITUDE):
-        raise AmplitudeRangeError(
-            f"|p| = {float(np.max(mag))} exceeds 1 + {EPS_AMPLITUDE}")
-    c = per_value(lambda th: math.cos(th / 2.0), cfg.theta)
-    s = per_value(lambda th: math.sin(th / 2.0), cfg.theta)
-    phase = per_value(lambda ph: np.exp(-1j * ph), cfg.phi)
-    rho = np.empty(p.shape + (2, 2), dtype=complex)
-    rho[..., 0, 0] = mag ** 2 * c * c
-    rho[..., 0, 1] = p * phase * s * c
+    rho = np.empty(np.shape(p) + (2, 2), dtype=complex)
+    rho[..., 0, 0], rho[..., 0, 1] = _state_elements(cfg, p)
     rho[..., 1, 0] = np.conj(rho[..., 0, 1])
     rho[..., 1, 1] = 1.0 - rho[..., 0, 0]
     return rho

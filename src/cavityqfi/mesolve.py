@@ -41,12 +41,12 @@ from .dynamics import (
     SystemConfig,
     TimeGrid,
     _log_ratio,
+    _state_elements,
     amplitude_table,
-    atom_state,
 )
 # amplitude is not called here, but perfbench/tracer.py wraps this binding
 from .dynamics import amplitude  # noqa: F401
-from .spectral import gamma_closed
+from .spectral import _check_real, gamma_closed
 
 MAX_PHASE_PER_STEP = 0.05  # (omega0 + coupling) * step bound
 _CHUNK_SUBSTEPS = 2048  # substeps per vectorized block of evolve (bounds memory)
@@ -68,6 +68,7 @@ class IntegratorConfig:
     step: float
 
     def __post_init__(self):
+        _check_real("step", self.step)
         if not 0.0 < self.step < math.inf:
             raise ValueError(f"step must be finite and > 0, got {self.step}")
 
@@ -186,9 +187,9 @@ def timelocal_residual_blocks(cfg: SystemConfig, grid: TimeGrid):
         i1 = min(i0 + _BLOCK_SAMPLES, n - 1)
         amps = amplitude_table(table, grid.window(i0 - 1, i1 + 1))
         p, p_dot = amps.p[0], amps.p_dot[0]
-        rho = atom_state(cfg, p)
         # rho_ge = conj(rho_eg) exactly, so its defect is that of rho_eg
-        ee, gg, eg = rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 0, 1]
+        ee, eg = _state_elements(cfg, p)
+        gg = 1.0 - ee
         ratio = _log_ratio(p[1:-1], p_dot[1:-1])  # NaN where p is singular
         gam, shift = -2.0 * ratio.real, -2.0 * ratio.imag
         inv = 1.0 / (2.0 * grid.dt)  # as numpy divides a complex by a real

@@ -8,7 +8,7 @@ frequency ``omega_j`` acquires a time-dependent rate
 
 and an accumulated exponent ``beta_j(t) = int_0^t gamma_j``.  There are two
 reservoir families, Ohmic with a Lorentz-Drude cutoff and a Lorentzian line;
-each has one closed-form kernel that returns gamma_j and beta_j together.
+each has one closed-form kernel that returns gamma_j, beta_j or both.
 Both are also evaluated by an independent quadrature oracle so the closed
 forms can be cross-checked.  Frequency integrals run over the full real
 line, including negative frequencies.  Only the oracle (`gamma_numeric`,
@@ -70,16 +70,21 @@ _DOMAIN = [
 ]
 
 
+def _check_real(name: str, v) -> None:
+    """Raise ValueError naming ``name`` unless ``v`` is a real number (not a bool or str)."""
+    if np.asarray(v).dtype.kind not in "fiu":
+        raise ValueError(f"{name} must be a real number, got {v!r}")
+
+
 def check_domain(kind: SpectralKind, fields: dict) -> None:
     """Raise ValueError for the first row of ``fields``, and its first rule
     of `_DOMAIN`, outside the domain.  ``fields`` maps names to floats or
     equal-length columns (None reads as NaN); a rule runs when every field
     it reads is given.  A field that is not a real number, such as a
-    numeric string or a bool, raises ValueError naming it."""
+    numeric string or a bool, raises ValueError naming it (`_check_real`)."""
     for name, v in fields.items():
-        if v is not None and np.asarray(v).dtype.kind not in "fiu":
-            raise ValueError(f"{'omega0' if name == 'anchor' else name} must be "
-                             f"a real number, got {v!r}")
+        if v is not None:
+            _check_real("omega0" if name == "anchor" else name, v)
     cols = {k: np.asarray(v, dtype=float) for k, v in fields.items()}
     failures = []  # (first bad row, rule) of each rule that fails
     for rule, (names, family, holds, message) in enumerate(_DOMAIN):
@@ -184,44 +189,47 @@ def _scalar_density(model: SpectralModel):
     return lambda w: amp / ((peak - w) ** 2 + lam2)
 
 
-def _ohmic_rates(wc, wj, t):
+def _ohmic_rates(wc, wj, t, halves):
     den = wj * wj + wc * wc
     e = np.exp(-wc * t)
     c, s = np.cos(wj * t), np.sin(wj * t)
-    gamma = (4.0 * wc * wc / den) * (wj * (1.0 - e * c) - wc * e * s)
-    beta = (4.0 * wc * wc / den ** 2) * (
+    gamma = (4.0 * wc * wc / den) * (wj * (1.0 - e * c) - wc * e * s) if 0 in halves else None
+    beta = ((4.0 * wc * wc / den ** 2) * (
         den * wj * t + 2.0 * wc * wj * (e * c - 1.0) - (wj * wj - wc * wc) * e * s)
+        if 1 in halves else None)
     return gamma, beta
 
 
-def _lorentz_rates(rate, lam, d, t):
+def _lorentz_rates(rate, lam, d, t, halves):
     den = d * d + lam * lam
     e = np.exp(-lam * t)
     c, s = np.cos(d * t), np.sin(d * t)
-    gamma = (rate * lam * lam / den) * (1.0 + ((d / lam) * s - c) * e)
-    beta = (rate * lam * lam / den) * (
+    gamma = (rate * lam * lam / den) * (1.0 + ((d / lam) * s - c) * e) if 0 in halves else None
+    beta = ((rate * lam * lam / den) * (
         t - 2.0 * d * e * s / den + (lam * lam - d * d) * (e * c - 1.0) / (lam * den))
+        if 1 in halves else None)
     return gamma, beta
 
 
-def closed_rates(kind: SpectralKind, fields, omega_j, t):
+def closed_rates(kind: SpectralKind, fields, omega_j, t, halves=(0, 1)):
     """(gamma_j, beta_j) of transition omega_j at times ``t`` from the
-    family's closed-form kernel.  ``fields`` maps its `MODEL_FIELDS` to
-    floats, or to (n, 1) columns that, like ``omega_j``, broadcast against
-    ``t``; row i then equals the one-model call bit for bit."""
+    family's closed-form kernel, None for a half (0 gamma, 1 beta) not in
+    ``halves``.  ``fields`` maps its `MODEL_FIELDS` to floats, or to (n, 1)
+    columns that, like ``omega_j``, broadcast against ``t``; row i then
+    equals the one-model call bit for bit."""
     if kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
-        return _ohmic_rates(fields["omega_c"], omega_j, t)
+        return _ohmic_rates(fields["omega_c"], omega_j, t, halves)
     # the detuning from the Lorentzian peak at anchor - detuning
     return _lorentz_rates(fields["rate"], fields["width"],
-                          omega_j - (fields["anchor"] - fields["detuning"]), t)
+                          omega_j - (fields["anchor"] - fields["detuning"]), t, halves)
 
 
 def _closed(half: int, model: SpectralModel, omega_j: float, t):
-    """Half 0 (gamma) or 1 (beta) of the family kernel at times ``t``."""
+    """Half 0 (gamma) or 1 (beta) of the family kernel at times ``t``, alone."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
-    out = closed_rates(model.kind, model.fields(), float(omega_j), t)[half]
+    out = closed_rates(model.kind, model.fields(), float(omega_j), t, (half,))[half]
     return out if out.ndim else float(out)
 
 

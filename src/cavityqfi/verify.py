@@ -52,6 +52,7 @@ class VerifyContext:
 
     def __init__(self):
         self._tables = {}
+        self._named = {}  # preset name -> its `_tables` entry
         self._chain = {}
 
     def amps(self, cfg: SystemConfig, t_end: float, n: int):
@@ -65,14 +66,20 @@ class VerifyContext:
         The cache key is the table's columns and the grid, not the name, so
         presets that differ only in their quantity share one block.
         """
-        preset = PRESETS[name]
-        table = config_table(preset.family, *preset_axes(preset))
-        key = (table.kind, *(c.tobytes() for c in table.columns.values()),
-               preset.t_end, preset.n_points)
-        if key not in self._tables:
-            self._tables[key] = table, amplitude_table(
-                table, TimeGrid(preset.t_end, preset.n_points).times, derivative=False)
-        return self._tables[key]
+        if name not in self._named:
+            preset = PRESETS[name]
+            table = config_table(preset.family, *preset_axes(preset))
+            key = (table.kind, *(c.tobytes() for c in table.columns.values()),
+                   preset.t_end, preset.n_points)
+            if key not in self._tables:
+                self._tables[key] = table, amplitude_table(
+                    table, TimeGrid(preset.t_end, preset.n_points).times, derivative=False)
+            self._named[name] = self._tables[key]
+        return self._named[name]
+
+    def preset_blocks(self):
+        """Each distinct `preset_table` entry once, in preset order."""
+        yield from {id(e): e for e in map(self.preset_table, PRESET_NAMES)}.values()
 
     def chain(self, name: str, i: int, halve: bool):
         """(max deviation of traced RK4 vs row i of `preset_table`, states or
@@ -98,8 +105,7 @@ def suite_relation_coherence_qfi(ctx: VerifyContext) -> SuiteResult:
     `metric_series` values the CSVs print."""
     tol = 1e-12
     worst = 0.0
-    for name in PRESET_NAMES:
-        table, block = ctx.preset_table(name)
+    for table, block in ctx.preset_blocks():
         c = metric_series(table, block, "coherence")
         f_phi = metric_series(table, block, "qfi_phi")
         worst = max(worst, float(np.max(np.abs(c * c - f_phi))))
@@ -357,8 +363,7 @@ def suite_physicality(ctx: VerifyContext) -> SuiteResult:
     tolerated while the rates go negative.
     """
     worst = 0.0
-    for name in PRESET_NAMES:
-        table, block = ctx.preset_table(name)
+    for table, block in ctx.preset_blocks():
         d = physicality(atom_state(table, block.p))
         worst = max(worst, d["hermiticity"] / 1e-12, d["trace"] / 1e-12,
                     max(0.0, -d["min_eigenvalue"]) / 1e-9)

@@ -160,6 +160,31 @@ def test_relation_residual_is_the_primitives_bit_for_bit(ctx):
     assert SUITES["relation-coherence-qfi"](ctx).worst == worst
 
 
+def test_preset_blocks_cover_every_preset_once(ctx):
+    # relation-coherence-qfi and physicality walk these blocks: each distinct
+    # preset_table entry once, in preset order, and every preset's among them
+    entries = list(ctx.preset_blocks())
+    first = []
+    for name in PRESETS:
+        entry = ctx.preset_table(name)
+        assert any(entry is e for e in entries), name
+        if not any(entry is f for f in first):
+            first.append(entry)
+    assert len(entries) == len(first) == 10
+    assert all(e is f for e, f in zip(entries, first))
+
+
+def test_preset_table_builds_each_presets_table_once(monkeypatch):
+    # chain and the suites look presets up again and again; a name seen
+    # before returns its entry without building its config table
+    real, built = verify.config_table, []
+    monkeypatch.setattr(verify, "config_table", lambda *a: built.append(a) or real(*a))
+    ctx = VerifyContext()
+    entries = [ctx.preset_table(name) for name in [*PRESETS, *PRESETS]]
+    assert len(built) == len(PRESETS)
+    assert all(a is b for a, b in zip(entries, entries[len(PRESETS):]))
+
+
 def _traced(f):
     """(f(), peak and current bytes that tracemalloc saw while f ran)."""
     gc.collect()

@@ -112,13 +112,18 @@ NON_NUMERIC_INPUTS = [
                                    detuning=0.5, omega0=1.0)),
     ("omega0", lambda: SpectralModel(SpectralKind.LORENTZIAN, rate=1.0, width=1.0,
                                      detuning=0.5, omega0="1")),
+    ("t_end", lambda: TimeGrid("1", 3)),
+    ("t_end", lambda: TimeGrid(True, 3)),
+    ("step", lambda: IntegratorConfig(step="0.1")),
+    ("step", lambda: IntegratorConfig(step=True)),
 ]
 
 
 @pytest.mark.parametrize("name, build", NON_NUMERIC_INPUTS,
                          ids=["n_points-2.5", "n_points-3.0", "n_points-str",
                               "omega0-str", "theta-bool", "omega_c-str",
-                              "rate-str", "lorentzian-omega0-str"])
+                              "rate-str", "lorentzian-omega0-str", "t_end-str",
+                              "t_end-bool", "step-str", "step-bool"])
 def test_non_numeric_input_rejected(name, build):
     with pytest.raises(ValueError, match=f"^{name} must be (a real number|an integer), got"):
         build()

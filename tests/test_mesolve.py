@@ -247,13 +247,22 @@ def test_upper_triangle_matches_nine_columns_bitwise(cfg, grid, k):
 
 
 def test_rk4_oracle_reads_no_exponent_or_amplitude(monkeypatch):
-    # the RK4 oracle reads only the closed gamma, never beta_closed or p(t)
+    # the RK4 oracle reads only the closed gamma, never beta_closed or p(t),
+    # and the kernel behind gamma_closed evaluates no beta for it
     cfg = make_config("lorentzian", 40.0, 3.0)  # a fig4a curve
     grid, icfg = TimeGrid(2.0, 41), IntegratorConfig(step=0.001)
     want = evolve(cfg, grid, icfg)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the RK4 oracle read beta_closed or p(t)")
+
+    kernel = spectral._lorentz_rates
+
+    def gamma_only(*args):
+        assert args[-1] == (0,), f"the RK4 oracle asked the kernel for halves {args[-1]}"
+        return kernel(*args)
+
+    monkeypatch.setattr(spectral, "_lorentz_rates", gamma_only)
 
     for module, name in ((spectral, "beta_closed"), (mesolve, "amplitude"),
                          (mesolve, "amplitude_table"),

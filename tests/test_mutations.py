@@ -3,11 +3,13 @@
 Each defect is patched into the package from here, at a point every route
 to the value reads: the closed-form kernels (`spectral._ohmic_rates`,
 `spectral._lorentz_rates`) serve `gamma_closed`, `beta_closed` and the
-table path alike; the lower dressed frequency is patched on every class of
-`dynamics` that defines ``omega_1``; `atom_state` and `amplitude_table` are
-patched under every name a module binds them.  No file of the package
-changes.  Per defect only the named suites run, on a fresh `VerifyContext`,
-so the test stays at a few seconds.
+table path alike, each call evaluating only the halves it asks for; the
+lower dressed frequency is patched on every class of `dynamics` that
+defines ``omega_1``; `dynamics._state_elements`, which `atom_state` and the
+time-local residual read, and `amplitude_table` are patched under every
+name a module binds them.  No file of the package changes.  Per defect
+only the named suites run, on a fresh `VerifyContext`, so the test stays at
+a few seconds.
 
 The table of defects is also a map of where the gate is thin: a 0.1 % error
 in ``p_dot`` is caught by one suite only, and a conjugated coherence by the
@@ -33,12 +35,14 @@ ERROR = 1.001  # every defect is a 0.1 % error
 
 
 def _scaled_kernel(monkeypatch, kernel, half):
-    """Scale gamma (half 0) or beta (half 1) of a family's closed-form kernel."""
+    """Scale gamma (half 0) or beta (half 1) of a family's closed-form
+    kernel, in every call that asks for that half."""
     real = getattr(spectral, kernel)
 
     def defective(*args):
         out = list(real(*args))
-        out[half] = out[half] * ERROR
+        if out[half] is not None:
+            out[half] = out[half] * ERROR
         return tuple(out)
 
     monkeypatch.setattr(spectral, kernel, defective)
@@ -69,8 +73,13 @@ def _rebound(monkeypatch, name, defective):
 
 def conjugated_coherence(monkeypatch):
     # rho_eg = conj(p) e^{+i phi} sin cos: the phase turns the wrong way
-    real = dynamics.atom_state
-    _rebound(monkeypatch, "atom_state", lambda cfg, p: np.conj(real(cfg, p)))
+    real = dynamics._state_elements
+
+    def defective(cfg, p):
+        ee, eg = real(cfg, p)
+        return ee, np.conj(eg)
+
+    _rebound(monkeypatch, "_state_elements", defective)
 
 
 def scaled_p_dot(monkeypatch):

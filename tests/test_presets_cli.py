@@ -440,9 +440,9 @@ def test_failing_block_exits_2_and_writes_no_file(tmp_path, capsys, monkeypatch)
     real = dynamics.closed_rates
     calls = []
 
-    def growing_at_coupling_1(kind, fields, omega_j, times):
+    def growing_at_coupling_1(kind, fields, omega_j, times, halves):
         calls.append(len(omega_j))
-        gamma, beta = real(kind, fields, omega_j, times)
+        gamma, beta = real(kind, fields, omega_j, times, halves)
         # omega_2 = omega0 + coupling = 2: a negated exponent makes |p| > 1
         return gamma, np.where(omega_j == 2.0, -beta, beta)
 

@@ -241,6 +241,34 @@ def test_closed_rates_rows_equal_scalar_calls(family, reservoir):
             assert np.array_equal(beta[i], beta_closed(m, w, times))
 
 
+@pytest.mark.parametrize("family, reservoir", [("ohmic", 0.3), ("lorentzian", 0.1)])
+def test_closed_rates_half_alone_equals_its_half_of_both(family, reservoir):
+    # gamma_closed (and through it the RK4 oracle), beta_closed and
+    # amplitude_table without p_dot ask the kernel for one half only
+    table = config_table(family, [("coupling", (0.0, 0.3, 1.0))],
+                         [(presets.RESERVOIR[family], reservoir)])
+    times = TimeGrid(20.0, 201).times
+    for fields, omega in ((columns(table), table.omega_2[:, None]),
+                          (table.row(2).spectral.fields(), float(table.omega_2[2]))):
+        both = closed_rates(table.kind, fields, omega, times)
+        for half in (0, 1):
+            alone = closed_rates(table.kind, fields, omega, times, (half,))
+            assert alone[1 - half] is None
+            assert np.array_equal(alone[half].view(np.int64), both[half].view(np.int64))
+
+
+def test_state_elements_are_those_of_atom_state():
+    # the time-local residual reads rho_ee and rho_eg without the 2x2 stack
+    table = config_table("lorentzian", [("coupling", (0.0, 0.5, 40.0)), THETAS],
+                         [("width", 0.1), ("phi", 0.7)])
+    p = amplitude_table(table, TimeGrid(10.0, 101).times, derivative=False).p
+    for states, amps in ((table, p), (table.row(4), p[4])):
+        rho = atom_state(states, amps)
+        ee, eg = dynamics._state_elements(states, amps)
+        assert ee.dtype == float and ee.tobytes() == rho[..., 0, 0].real.tobytes()
+        assert eg.tobytes() == rho[..., 0, 1].tobytes()
+
+
 @pytest.mark.parametrize("family, kernel", [("ohmic", "_ohmic_rates"),
                                             ("lorentzian", "_lorentz_rates")])
 def test_closed_rates_evaluates_the_kernel_once(monkeypatch, family, kernel):
