@@ -39,7 +39,7 @@ from .presets import (
 # make_config and quantity_values are not called here, but
 # perfbench/tracer.py wraps these bindings
 from .presets import make_config, quantity_values  # noqa: F401
-from .spectral import QuadratureConvergenceError
+from .spectral import QuadratureConvergenceError, _check
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -202,9 +202,11 @@ def _parse_range(text: str, param: str) -> np.ndarray:
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"--range for {param}: endpoints must be finite, "
                          f"got {text!r}")
-    if n < 1:
-        raise ValueError(f"--range for {param}: count must be >= 1, got {text!r}")
-    return np.linspace(a, b, n)
+    _check("n_points", n, f"--range for {param}: count", repr(text))
+    try:
+        return np.linspace(a, b, n)
+    except (MemoryError, ValueError):  # numpy's errors for too many values
+        raise ValueError(f"--range for {param}: {n} values do not fit in memory") from None
 
 
 def run_sweep(family: str, params: list[str], ranges: list[str],
@@ -348,12 +350,10 @@ def _output_path(out: Path) -> Path:
 
 
 def _check_grid_flags(t_end, steps) -> None:
-    """Name --t-end or --steps (None: the preset's) if it makes no TimeGrid."""
-    for flag, t, n in (("--t-end", t_end, 1), ("--steps", 1.0, steps)):
-        try:
-            TimeGrid(1.0 if t is None else t, 1 if n is None else n)
-        except ValueError as exc:
-            raise ValueError(f"{flag}: {exc}") from None
+    """Name --t-end or --steps (None: the preset's) if it breaks its grid rule."""
+    for flag, field, v in (("--t-end", "t_end", t_end), ("--steps", "n_points", steps)):
+        if v is not None:
+            _check(field, v, f"{flag}: {field}")
 
 
 def main(argv=None) -> int:

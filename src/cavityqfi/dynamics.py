@@ -20,29 +20,15 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (
-    MODEL_FIELDS,
-    SpectralKind,
-    SpectralModel,
-    _check_real,
-    check_domain,
-    check_numeric_time,
-    closed_rates,
-    numeric_rates,
-)
+from .spectral import (MODEL_FIELDS, SpectralKind, SpectralModel, _check, check_domain,
+                       check_numeric_time, closed_rates, numeric_rates)
 # beta_closed, gamma_closed, beta_numeric and gamma_numeric are not called
 # here, but perfbench/tracer.py wraps these bindings
-from .spectral import (  # noqa: F401
-    beta_closed,
-    beta_numeric,
-    gamma_closed,
-    gamma_numeric,
-)
+from .spectral import beta_closed, beta_numeric, gamma_closed, gamma_numeric  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -68,14 +54,8 @@ class TimeGrid:
     n_points: int
 
     def __post_init__(self):
-        _check_real("t_end", self.t_end)
-        if not 0.0 < self.t_end < math.inf:
-            raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
-        n = self.n_points
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-            raise ValueError(f"n_points must be an integer, got {n!r}")
-        if not self.n_points >= 1:
-            raise ValueError(f"n_points must be >= 1, got {self.n_points}")
+        _check("t_end", self.t_end)
+        _check("n_points", self.n_points)
 
     def window(self, start: int, stop: int) -> np.ndarray:
         """``times[start:stop]``, 0 <= start <= stop <= n_points, without the

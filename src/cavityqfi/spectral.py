@@ -13,9 +13,9 @@ Both are also evaluated by an independent quadrature oracle so the closed
 forms can be cross-checked.  Frequency integrals run over the full real
 line, including negative frequencies.  Only the oracle (`gamma_numeric`,
 and `numeric_rates` and `beta_numeric` built on it) uses scipy, and it
-imports it when called, so closed-form use never loads it.  `check_domain`
-holds the domain of every config field, reservoir and atom alike, as
-checks over columns.
+imports it when called, so closed-form use never loads it.  `_DOMAIN`
+states the domain of every numeric input once: `check_domain` applies it to
+config fields as columns, `_check` to one named input such as a rate's t.
 
 Units: hbar = 1, all frequencies and rates share one scale (the atom
 frequency for Ohmic scenarios, the dissipative rate for Lorentzian ones).
@@ -47,33 +47,55 @@ def _positive(x):
     return (0.0 < x) & (x < np.inf)
 
 
-# The domain of every config field, written once as checks over float
-# columns, in the order the constructors apply them (the reservoir model's
-# fields first): (fields read, family or None for both, holds, message).
-_DOMAIN = [
-    (("omega_c",), None, _positive, "omega_c must be finite and > 0, got {omega_c}"),
-    (("rate",), None, _positive, "rate must be finite and > 0, got {rate}"),
-    (("width",), None, _positive, "width must be finite and > 0, got {width}"),
-    (("detuning",), None, np.isfinite, "detuning must be finite, got {detuning}"),
-    (("anchor",), None, np.isfinite, "omega0 must be finite, got {anchor}"),
-    (("omega0",), None, _positive, "omega0 must be finite and > 0, got {omega0}"),
-    (("coupling",), None, lambda g: (0.0 <= g) & (g < np.inf),
-     "coupling must be finite and >= 0, got {coupling}"),
+# The domain of every numeric input, as checks over floats or float columns in
+# the order the constructors apply them: fields -> (family or None, holds, message).
+_DOMAIN = {
+    ("omega_c",): (None, _positive, "{name} must be finite and > 0, got {value}"),
+    ("rate",): (None, _positive, "{name} must be finite and > 0, got {value}"),
+    ("width",): (None, _positive, "{name} must be finite and > 0, got {value}"),
+    ("detuning",): (None, np.isfinite, "{name} must be finite, got {value}"),
+    ("anchor",): (None, np.isfinite, "omega0 must be finite, got {value}"),
+    ("omega0",): (None, _positive, "{name} must be finite and > 0, got {value}"),
+    ("coupling",): (None, lambda g: (0.0 <= g) & (g < np.inf),
+                    "{name} must be finite and >= 0, got {value}"),
     # on the full line the rate at omega0 - coupling < 0 turns negative
-    (("coupling", "omega0"), SpectralKind.OHMIC_LORENTZ_DRUDE, lambda g, w0: ~(g > w0),
-     "coupling must satisfy 0 <= coupling <= omega0 for an Ohmic reservoir, "
-     "got coupling={coupling}, omega0={omega0}"),
-    (("theta",), None, lambda th: (0.0 <= th) & (th <= math.pi),
-     "theta must lie in [0, pi], got {theta}"),
-    (("phi",), None, lambda ph: (0.0 <= ph) & (ph < 2.0 * math.pi),
-     "phi must lie in [0, 2 pi), got {phi}"),
-]
+    ("coupling", "omega0"): (SpectralKind.OHMIC_LORENTZ_DRUDE, lambda g, w0: ~(g > w0),
+                             "coupling must satisfy 0 <= coupling <= omega0 for an "
+                             "Ohmic reservoir, got coupling={0}, omega0={1}"),
+    ("theta",): (None, lambda th: (0.0 <= th) & (th <= math.pi),
+                 "{name} must lie in [0, pi], got {value}"),
+    ("phi",): (None, lambda ph: (0.0 <= ph) & (ph < 2.0 * math.pi),
+               "{name} must lie in [0, 2 pi), got {value}"),
+    ("t_end",): (None, _positive, "{name} must be finite and > 0, got {value}"),
+    ("n_points",): (None, lambda n: n >= 1, "{name} must be >= 1, got {value}"),
+    ("step",): (None, _positive, "{name} must be finite and > 0, got {value}"),
+    ("t",): (None, lambda t: (0.0 <= t) & (t < np.inf),
+             "{name} must be finite and >= 0, got {value}"),
+    ("omega_j",): (None, math.isfinite, "{name} must be finite, got {value}"),  # a scalar
+}
 
 
 def _check_real(name: str, v) -> None:
     """Raise ValueError naming ``name`` unless ``v`` is a real number (not a bool or str)."""
     if np.asarray(v).dtype.kind not in "fiu":
         raise ValueError(f"{name} must be a real number, got {v!r}")
+
+
+def _check(field: str, v, name: str | None = None, got: str | None = None) -> None:
+    """Raise ValueError naming ``name`` (default ``field``), showing ``got`` if
+    given, unless ``v`` (a number or array) has the type and `_DOMAIN` rule of ``field``."""
+    name = name or field
+    if field == "n_points":  # the one integer input
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+    elif not isinstance(v, float):
+        _check_real(name, v)
+        v = np.asarray(v, dtype=float)
+    _, holds, message = _DOMAIN[field,]
+    ok = holds(v)
+    if not (ok if type(ok) is bool else ok.all()):
+        bad = v if np.ndim(v) == 0 else v.flat[np.argmin(ok)]
+        raise ValueError(message.format(name=name, value=bad if got is None else got))
 
 
 def check_domain(kind: SpectralKind, fields: dict) -> None:
@@ -87,16 +109,16 @@ def check_domain(kind: SpectralKind, fields: dict) -> None:
             _check_real("omega0" if name == "anchor" else name, v)
     cols = {k: np.asarray(v, dtype=float) for k, v in fields.items()}
     failures = []  # (first bad row, rule) of each rule that fails
-    for rule, (names, family, holds, message) in enumerate(_DOMAIN):
+    for rule, (names, (family, holds, message)) in enumerate(_DOMAIN.items()):
         if family in (None, kind) and all(n in cols for n in names):
             bad = np.flatnonzero(~holds(*(cols[n] for n in names)))
             if bad.size:
                 failures.append((bad[0], rule, names, message))
     if failures:
         i, _, names, message = min(failures)
-        raise ValueError(message.format(**{
-            n: fields[n] if np.ndim(fields[n]) == 0 else float(fields[n][i])
-            for n in names}))
+        values = [fields[n] if np.ndim(fields[n]) == 0 else float(fields[n][i])
+                  for n in names]
+        raise ValueError(message.format(*values, name=names[0], value=values[0]))
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -225,10 +247,10 @@ def closed_rates(kind: SpectralKind, fields, omega_j, t, halves=(0, 1)):
 
 
 def _closed(half: int, model: SpectralModel, omega_j: float, t):
-    """Half 0 (gamma) or 1 (beta) of the family kernel at times ``t``, alone."""
+    """Half 0 (gamma) or 1 (beta) of the family kernel at times ``t`` >= 0, alone."""
+    _check("t", t)
+    _check("omega_j", omega_j)
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be >= 0")
     out = closed_rates(model.kind, model.fields(), float(omega_j), t, (half,))[half]
     return out if out.ndim else float(out)
 
@@ -259,11 +281,11 @@ def beta_closed(model: SpectralModel, omega_j: float, t):
 
 def check_numeric_time(model: SpectralModel, omega_j: float, t: float,
                        name: str = "t"):
-    """Raise ValueError naming ``name`` unless time t > 0 lies in the
-    domain of `gamma_numeric`; return its plan (u_lo, u_hi, center, r0,
-    sides): the finite frequency window as offsets u = omega' - omega_j, the
-    spectral feature's center, the core radius r0 = 6 pi/t, and the edges
-    of the sine-weighted segments.
+    """Raise ValueError naming ``name`` (or a non-finite omega_j) unless time
+    t > 0 lies in the domain of `gamma_numeric`; return its plan (u_lo, u_hi,
+    center, r0, sides): the finite frequency window as offsets u = omega' -
+    omega_j, the spectral feature's center, the core radius r0 = 6 pi/t, and
+    the edges of the sine-weighted segments.
 
     The feature is the Ohmic pole pair around 0 with width sigma = omega_c,
     or the Lorentzian peak with width sigma = lambda.  The window is the
@@ -284,6 +306,8 @@ def check_numeric_time(model: SpectralModel, omega_j: float, t: float,
     overflow.  Both reach further as t falls, so the check at a grid's first
     nonzero time covers the grid from below.
     """
+    _check("t_end", t, name)  # a grid's time, finite and > 0
+    _check("omega_j", omega_j)
     wj = float(omega_j)
     if model.kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
         center, sigma = 0.0, model.omega_c
@@ -348,22 +372,20 @@ def gamma_numeric(model: SpectralModel, omega_j: float, t: float) -> float:
     finite window (sine-weighted quadrature, split at the spectral feature),
     and sine-weighted tails that always run from the window edges to +-infinity.
 
-    Time domain: the core radius r0 = 6 pi/t must be resolvable against the
-    frequency window, so very large t raises ValueError naming ``t``, as does
-    t below about 7e-154 (Lorentzian) or 3.5e-306 (Ohmic), where the tails
-    leave the float range (see `check_numeric_time`).  Raises
-    QuadratureConvergenceError when the combined error estimate exceeds the
-    requested tolerances.
+    Time domain: t = 0, where gamma is 0, or `check_numeric_time`'s: very
+    large t, t below about 7e-154 (Lorentzian) or 3.5e-306 (Ohmic), a
+    negative or non-finite t and a non-finite omega_j raise ValueError
+    naming it.  Raises QuadratureConvergenceError when the combined error
+    estimate exceeds the requested tolerances.
     """
     from scipy.integrate import quad
 
-    t = float(t)
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check("t", t)
+    _check("omega_j", omega_j)
+    t, wj = float(t), float(omega_j)
     if t == 0.0:
         return 0.0
 
-    wj = float(omega_j)
     u_lo, u_hi, center, r0, sides = check_numeric_time(model, wj, t)
 
     eps_a = ABS_TOL / 8.0
@@ -413,7 +435,7 @@ def numeric_rates(model: SpectralModel, omega_j: float, times: np.ndarray):
     beta(0) = 0 exactly."""
     from scipy.integrate import cumulative_simpson
 
-    gamma = np.array([gamma_numeric(model, omega_j, t) for t in times])
+    gamma = np.array([gamma_numeric(model, omega_j, t) for t in times.tolist()])
     if times.size == 1:
         return gamma, np.zeros(1)
     return gamma, cumulative_simpson(gamma, x=times, initial=0.0)

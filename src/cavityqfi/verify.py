@@ -77,18 +77,19 @@ class VerifyContext:
             self._named[name] = self._tables[key]
         return self._named[name]
 
-    def preset_blocks(self):
-        """Each distinct `preset_table` entry once, in preset order."""
-        yield from {id(e): e for e in map(self.preset_table, PRESET_NAMES)}.values()
+    def preset_blocks(self, names=PRESET_NAMES):
+        """Each distinct `preset_table` entry of the presets ``names`` once, in order."""
+        yield from {id(e): e for e in map(self.preset_table, names)}.values()
 
     def chain(self, name: str, i: int, halve: bool):
         """(max deviation of traced RK4 vs row i of `preset_table`, states or
-        None if halved) of a preset's config i, cached by config and grid."""
-        preset = PRESETS[name]
-        table, block = self.preset_table(name)
-        cfg = table.row(i)
-        key = (cfg, preset.t_end, preset.n_points, halve)
+        None if halved) of a preset's config i, cached by `preset_table` entry
+        and row, so only a miss builds the config."""
+        entry = self.preset_table(name)
+        key = (id(entry), i, halve)
         if key not in self._chain:
+            (table, block), preset = entry, PRESETS[name]
+            cfg = table.row(i)
             grid = TimeGrid(preset.t_end, preset.n_points)
             dt = grid.dt
             k = max(1, math.ceil(dt / (0.01 / (cfg.omega0 + cfg.coupling)) - 1e-9))
@@ -119,8 +120,7 @@ def suite_qfi_theta_identity(ctx: VerifyContext) -> SuiteResult:
     """
     tol = 1e-12
     worst = 0.0
-    for name in CURVE_PRESETS:
-        _, block = ctx.preset_table(name)
+    for _, block in ctx.preset_blocks(CURVE_PRESETS):
         for theta in (math.pi / 6, math.pi / 3, math.pi / 2):
             f_phi, f_theta = qfi_closed(block.p, theta)
             worst = max(worst, float(np.max(np.abs(

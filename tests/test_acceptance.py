@@ -15,6 +15,7 @@ import pytest
 from cavityqfi import AmplitudeSeries, TimeGrid, amplitude, atom_state, coherence_l1, \
     metric_series, qfi_closed
 from cavityqfi import verify
+from cavityqfi.dynamics import ConfigTable
 from cavityqfi.presets import CURVE_PRESETS, PRESETS, config_table, preset_axes
 from cavityqfi.verify import MESOLVE_PRESETS, SUITES, VerifyContext, run_suites
 
@@ -183,6 +184,27 @@ def test_preset_table_builds_each_presets_table_once(monkeypatch):
     entries = [ctx.preset_table(name) for name in [*PRESETS, *PRESETS]]
     assert len(built) == len(PRESETS)
     assert all(a is b for a, b in zip(entries, entries[len(PRESETS):]))
+
+
+def test_chain_builds_a_config_per_cache_miss(monkeypatch):
+    # chain looks its cache up by preset_table entry and row before it builds
+    # the row's config: in one run_suites(), 78 calls and 26 misses build 26
+    # configs, one per miss
+    ctx, built, per_call = VerifyContext(), [], []
+    real_row, real_chain = ConfigTable.row, ctx.chain
+    monkeypatch.setattr(ConfigTable, "row",
+                        lambda table, i: built.append(i) or real_row(table, i))
+
+    def chain(*args, **kwargs):
+        before = len(built)
+        out = real_chain(*args, **kwargs)
+        per_call.append(len(built) - before)
+        return out
+
+    ctx.chain = chain
+    run_suites(ctx=ctx)
+    assert len(per_call) == 78
+    assert sum(per_call) == len(ctx._chain) == 26
 
 
 def _traced(f):

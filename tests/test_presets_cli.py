@@ -477,6 +477,19 @@ def assert_left_as_was(out, old):
         assert out.read_bytes() == old
 
 
+@pytest.mark.parametrize("count", [10 ** 15, 10 ** 20])
+def test_range_count_past_memory_exits_2_in_one_line(tmp_path, capsys, count):
+    # 10**15 values fail to allocate at once (numpy's _ArrayMemoryError),
+    # 10**20 pass numpy's largest array size: each exits 2 with one line
+    # naming --range, and leaves no file
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--model", "ohmic", "--param", "coupling",
+                 "--range", f"0:1:{count}", "--steps", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"configuration error: --range for coupling: {count} values do not fit in memory"]
+    assert_left_as_was(out, None)
+
+
 @WITH_AND_WITHOUT_TARGET
 def test_late_block_failure_keeps_the_target(tmp_path, capsys, old):
     out = tmp_path / "sweep.csv"

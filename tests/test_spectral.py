@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,3 +280,62 @@ class TestBetaNumeric:
         assert t == pytest.approx(1.0)
         want = 1.0 * (t + (math.exp(-lam * t) - 1.0) / lam)
         assert bn[40] == pytest.approx(want, abs=1e-6)
+
+
+# A non-finite t or omega_j lies outside every rate function's domain, as
+# does a negative t: each raises ValueError naming it.  A NaN t reached
+# quadpack, which crashed the interpreter on it, so that case runs in a
+# subprocess below.
+NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+RATE_FUNCTIONS = {"gamma_closed": gamma_closed, "beta_closed": beta_closed,
+                  "check_numeric_time": spectral.check_numeric_time,
+                  "gamma_numeric": gamma_numeric}
+ARGUMENT_CASES = [(f, arg, v) for f in RATE_FUNCTIONS for arg in ("t", "omega_j")
+                  for v in NON_FINITE if (f, arg, v) != ("gamma_numeric", "t", "nan")]
+
+
+@pytest.mark.parametrize("model", [OHMIC(3.0), lorentz(1.0)], ids=["ohmic", "lorentzian"])
+@pytest.mark.parametrize("function, arg, value", ARGUMENT_CASES,
+                         ids=["-".join(case) for case in ARGUMENT_CASES])
+def test_non_finite_rate_argument_names_it(model, function, arg, value):
+    args = {"omega_j": 0.5, "t": 1.0, arg: NON_FINITE[value]}
+    rule = {"t": "t must be finite and >= 0", "omega_j": "omega_j must be finite"}[arg]
+    if (function, arg) == ("check_numeric_time", "t"):  # the domain of a grid time
+        rule = "t must be finite and > 0"
+    with pytest.raises(ValueError, match=f"^{rule}, got {value}$"):
+        RATE_FUNCTIONS[function](model, args["omega_j"], args["t"])
+
+
+@pytest.mark.parametrize("rate", [gamma_closed, beta_closed])
+def test_bad_time_in_an_array_or_a_string_is_named(rate):
+    times = np.array([0.0, 1.0, -2.0, math.nan])
+    with pytest.raises(ValueError, match=r"^t must be finite and >= 0, got -2.0$"):
+        rate(OHMIC(3.0), 0.5, times)
+    with pytest.raises(ValueError, match="^t must be a real number, got '1'$"):
+        rate(OHMIC(3.0), 0.5, "1")
+
+
+def test_numeric_grid_time_named_by_caller():
+    with pytest.raises(ValueError, match="^t_end must be finite and > 0, got nan$"):
+        spectral.check_numeric_time(OHMIC(3.0), 0.5, math.nan, name="t_end")
+    # t = 0 divided by zero in the half-periods pi/t
+    with pytest.raises(ValueError, match="^t must be finite and > 0, got 0.0$"):
+        spectral.check_numeric_time(OHMIC(3.0), 0.5, 0.0)
+
+
+SRC = str(Path(spectral.__file__).resolve().parents[1])
+
+
+@pytest.mark.parametrize("model", ["SpectralModel.ohmic_lorentz_drude(3.0)",
+                                   "SpectralModel.lorentzian(1.0, 1.0, 0.5, 1.0)"],
+                         ids=["ohmic", "lorentzian"])
+def test_nan_time_to_gamma_numeric_raises_and_does_not_crash(model):
+    # quadpack crashed the interpreter (exit 139, SIGSEGV) on a NaN t; in a
+    # subprocess such a crash fails this test, not the test session
+    code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+            "from cavityqfi import SpectralModel, gamma_numeric\n"
+            f"gamma_numeric({model}, 1.0, float('nan'))")
+    proc = subprocess.run([sys.executable, "-c", code, SRC], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 1, (proc.returncode, proc.stderr)
+    assert proc.stderr.splitlines()[-1] == "ValueError: t must be finite and >= 0, got nan"
