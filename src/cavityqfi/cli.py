@@ -25,10 +25,12 @@ from .dynamics import TimeGrid
 from .presets import (
     CONTOUR_PRESETS,
     CURVE_PRESETS,
+    PHI_DEFAULT,
     PRESET_NAMES,
     QUANTITIES,
     RESERVOIR,
     TABLE_QUANTITIES,
+    THETA_DEFAULT,
     TIME_UNIT,
     CurvePreset,
     config_table,
@@ -144,7 +146,7 @@ def run_curve_preset(sc: Scenario, preset: CurvePreset | None = None) -> Path:
         ("quantity", preset.quantity),
         ("reservoir", f"{RESERVOIR[preset.family]}={_fmt(preset.reservoir)}"),
         ("couplings", ",".join(str(g) for g in preset.couplings)),
-        ("theta", _fmt(math.pi / 2)), ("phi", "0"),
+        ("theta", _fmt(THETA_DEFAULT)), ("phi", _fmt(PHI_DEFAULT)),
         ("t_end", _fmt(preset.t_end)),
         ("points", preset.n_points),
         ("mode", sc.mode),
@@ -167,7 +169,7 @@ def run_contour_preset(sc: Scenario) -> Path:
         ("sweep", f"{preset.sweep} in [{_fmt(preset.lo)}, {_fmt(preset.hi)}]"
          f" x {preset.n_param}"),
         ("fixed", _fmt(preset.fixed)),
-        ("theta", _fmt(math.pi / 2)), ("phi", "0"),
+        ("theta", _fmt(THETA_DEFAULT)), ("phi", _fmt(PHI_DEFAULT)),
         ("t_end", _fmt(preset.t_end)),
         ("points", preset.n_points),
         ("mode", sc.mode),
@@ -325,8 +327,6 @@ def _custom_preset(args) -> CurvePreset:
     reservoir = getattr(args, name)
     if reservoir is None:
         raise ValueError(f"custom {args.family} preset needs {_flag(name)}")
-    # the values are checked as the table of the preset's configs is built
-    config_table(args.family, [("coupling", args.coupling)], [(name, reservoir)])
     # --steps and --t-end reach the grid through the Scenario overrides
     return CurvePreset("custom", args.family,
                        "qfi_phi" if args.quantity is None else args.quantity,

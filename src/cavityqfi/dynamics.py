@@ -92,7 +92,7 @@ class SystemConfig(_Dressed):
     theta is the polar angle of the initial pure atom state
     cos(theta/2)|e> + e^{i phi} sin(theta/2)|g>; phi is the estimated phase.
     The atom fields are checked by `spectral.check_domain`; the model comes
-    complete (`presets.make_config` places the paper's Lorentzian line).
+    complete, and a Lorentzian model's omega0 must be the atom's.
     """
 
     omega0: float
@@ -104,6 +104,9 @@ class SystemConfig(_Dressed):
     def __post_init__(self):
         check_domain(self.spectral.kind, {"omega0": self.omega0, "coupling": self.coupling,
                                           "theta": self.theta, "phi": self.phi})
+        if self.spectral.omega0 not in (None, self.omega0):
+            raise ValueError(f"omega0={self.omega0} of the atom differs from the "
+                             f"model's omega0={self.spectral.omega0}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,8 +140,7 @@ class ConfigTable(_Dressed):
 
     def row(self, i: int) -> SystemConfig:
         c = {k: float(v[i]) for k, v in self.columns.items()}
-        model = SpectralModel(self.kind, **{"omega0" if k == "anchor" else k: c[k]
-                                            for k in MODEL_FIELDS[self.kind]})
+        model = SpectralModel(self.kind, **{k: c[k] for k in MODEL_FIELDS[self.kind]})
         return SystemConfig(c["omega0"], c["coupling"], c["theta"], c["phi"], model)
 
 

@@ -126,8 +126,9 @@ def config_table(family: str, axes, fixed=()) -> ConfigTable:
     (name, value) pairs; parameters in neither take their ``DEFAULTS``.
     Rows run in `itertools.product` order (the last axis fastest), and are
     checked in one pass before any computation: bad rows fail as the config
-    constructors fail on the first.  Messages about the names name the
-    `sweep` flags, the general form of every table.
+    constructors fail on the first.  Messages about the names, or about a
+    product too large to allocate, name the `sweep` flags, the general form
+    of every table.
     """
     if family not in PARAMS:
         raise ValueError(f"unknown family {family!r}")
@@ -144,16 +145,20 @@ def config_table(family: str, axes, fixed=()) -> ConfigTable:
                 raise ValueError(f"--fix {name}: also swept by --param {name}")
     values = [np.asarray(v, dtype=float) for _, v in axes]
     shape = tuple(v.size for v in values)
-    point = {"omega0": OMEGA0[family], "rate": LORENTZ_RATE, "anchor": LORENTZ_OMEGA0,
-             **DEFAULTS, **{k: float(v) for k, v in fixed},
-             **{k: np.broadcast_to(g, shape).ravel() for k, g in
-                zip(swept, np.meshgrid(*values, indexing="ij", sparse=True))}}
+    n = math.prod(shape)
+    try:
+        columns = {k: np.broadcast_to(g, shape).ravel() for k, g in
+                   zip(swept, np.meshgrid(*values, indexing="ij", sparse=True))}
+    except (MemoryError, ValueError):  # numpy's errors for too many configs
+        raise ValueError(f"--param {', '.join(swept)}: {n} configs do not fit "
+                         f"in memory") from None
+    point = {"omega0": OMEGA0[family], "rate": LORENTZ_RATE,
+             **DEFAULTS, **{k: float(v) for k, v in fixed}, **columns}
     kind = KIND[family]
     names = ("omega0", "coupling", "theta", "phi", *MODEL_FIELDS[kind])
     fields = {k: point[k] for k in names if point[k] is not None}
     check_domain(kind, fields)
     fields.setdefault("detuning", fields["coupling"])  # the paper's line, on omega_1
-    n = math.prod(shape)
     return ConfigTable(kind, {k: np.broadcast_to(np.asarray(fields[k], dtype=float), (n,))
                               for k in names})
 

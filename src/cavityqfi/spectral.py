@@ -35,11 +35,10 @@ class SpectralKind(enum.Enum):
     LORENTZIAN = "lorentzian"
 
 
-# each family's model fields by their config-table names (``anchor`` is a
-# Lorentzian model's omega0)
+# each family's model fields by their config-table names (omega0 is the atom's)
 MODEL_FIELDS = {
     SpectralKind.OHMIC_LORENTZ_DRUDE: ("omega_c",),
-    SpectralKind.LORENTZIAN: ("rate", "width", "detuning", "anchor"),
+    SpectralKind.LORENTZIAN: ("rate", "width", "detuning", "omega0"),
 }
 
 
@@ -54,7 +53,6 @@ _DOMAIN = {
     ("rate",): (None, _positive, "{name} must be finite and > 0, got {value}"),
     ("width",): (None, _positive, "{name} must be finite and > 0, got {value}"),
     ("detuning",): (None, np.isfinite, "{name} must be finite, got {value}"),
-    ("anchor",): (None, np.isfinite, "omega0 must be finite, got {value}"),
     ("omega0",): (None, _positive, "{name} must be finite and > 0, got {value}"),
     ("coupling",): (None, lambda g: (0.0 <= g) & (g < np.inf),
                     "{name} must be finite and >= 0, got {value}"),
@@ -106,7 +104,7 @@ def check_domain(kind: SpectralKind, fields: dict) -> None:
     numeric string or a bool, raises ValueError naming it (`_check_real`)."""
     for name, v in fields.items():
         if v is not None:
-            _check_real("omega0" if name == "anchor" else name, v)
+            _check_real(name, v)
     cols = {k: np.asarray(v, dtype=float) for k, v in fields.items()}
     failures = []  # (first bad row, rule) of each rule that fails
     for rule, (names, (family, holds, message)) in enumerate(_DOMAIN.items()):
@@ -139,10 +137,10 @@ class SpectralModel:
     Ohmic Lorentz-Drude:  J(w) = (2 w / pi) * omega_c^2 / (omega_c^2 + w^2)
     Lorentzian:           J(w) = (R lam^2 / 2 pi) / ((omega0 - w - detuning)^2 + lam^2)
 
-    The Lorentzian peak sits at ``omega0 - detuning``.  A model is complete
-    when built: a missing or bad field of its family, or a set field of the
-    other family, raises ValueError naming it.  `presets.config_table` and
-    `presets.make_config` place the paper's line, detuning = coupling.
+    The Lorentzian peak sits at ``omega0 - detuning``, omega0 the atom's (a
+    `SystemConfig` rejects another).  A model is complete when built: a missing
+    or bad field of its family, or a set field of the other family, raises
+    ValueError naming it.  `presets.config_table` sets the paper's detuning = coupling.
     """
 
     kind: SpectralKind
@@ -153,9 +151,8 @@ class SpectralModel:
     omega0: float | None = None
 
     def __post_init__(self):
-        own = ["omega0" if n == "anchor" else n for n in MODEL_FIELDS[self.kind]]
         for name in ("omega_c", "rate", "width", "detuning", "omega0"):
-            if name not in own and getattr(self, name) is not None:
+            if name not in MODEL_FIELDS[self.kind] and getattr(self, name) is not None:
                 raise ValueError(f"{name} is not a parameter of the "
                                  f"{self.kind.value} family, got "
                                  f"{name}={getattr(self, name)}")
@@ -163,8 +160,7 @@ class SpectralModel:
 
     def fields(self) -> dict:
         """The family's fields by their `MODEL_FIELDS` names."""
-        return {n: self.omega0 if n == "anchor" else getattr(self, n)
-                for n in MODEL_FIELDS[self.kind]}
+        return {n: getattr(self, n) for n in MODEL_FIELDS[self.kind]}
 
     @classmethod
     def ohmic_lorentz_drude(cls, omega_c: float) -> "SpectralModel":
@@ -241,9 +237,9 @@ def closed_rates(kind: SpectralKind, fields, omega_j, t, halves=(0, 1)):
     equals the one-model call bit for bit."""
     if kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
         return _ohmic_rates(fields["omega_c"], omega_j, t, halves)
-    # the detuning from the Lorentzian peak at anchor - detuning
+    # the detuning from the Lorentzian peak at omega0 - detuning
     return _lorentz_rates(fields["rate"], fields["width"],
-                          omega_j - (fields["anchor"] - fields["detuning"]), t, halves)
+                          omega_j - (fields["omega0"] - fields["detuning"]), t, halves)
 
 
 def _closed(half: int, model: SpectralModel, omega_j: float, t):

@@ -151,6 +151,10 @@ class TestSystemConfig:
         assert ohmic_cfg(coupling=1.0).omega_1 == 0.0
         SystemConfig(omega0=1.0, coupling=40.0, theta=0.0, phi=0.0,
                      spectral=SpectralModel.lorentzian(1.0, 3.0, 40.0, 1.0))
+        # the Lorentzian line is centred relative to the atom's own omega0
+        with pytest.raises(ValueError, match="omega0=1.0 .*omega0=2.0"):
+            SystemConfig(omega0=1.0, coupling=1.0, theta=0.0, phi=0.0,
+                         spectral=SpectralModel.lorentzian(1.0, 1.0, 0.5, omega0=2.0))
 
     def test_lorentzian_defaults_resolved(self):
         # make_config and config_table place the line; the model is kept as built

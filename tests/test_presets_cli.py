@@ -490,6 +490,24 @@ def test_range_count_past_memory_exits_2_in_one_line(tmp_path, capsys, count):
     assert_left_as_was(out, None)
 
 
+@pytest.mark.parametrize("n_axes", [3, 4])
+def test_param_product_past_memory_exits_2_in_one_line(tmp_path, capsys, n_axes):
+    # 10**6 values an axis: the columns of three axes fail to allocate
+    # (numpy's _ArrayMemoryError), four pass numpy's largest array size
+    axes = [("coupling", "0:1"), ("omega_c", "0.1:3"), ("theta", "0:1"),
+            ("phi", "0:1")][:n_axes]
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--model", "ohmic", "--steps", "2", "--out", str(out)]
+    for name, span in axes:
+        argv += ["--param", name, "--range", f"{span}:1000000"]
+    assert main(argv) == 2
+    names = ", ".join(name for name, _ in axes)
+    assert capsys.readouterr().err.splitlines() == [
+        f"configuration error: --param {names}: {10 ** (6 * n_axes)} configs "
+        f"do not fit in memory"]
+    assert_left_as_was(out, None)
+
+
 @WITH_AND_WITHOUT_TARGET
 def test_late_block_failure_keeps_the_target(tmp_path, capsys, old):
     out = tmp_path / "sweep.csv"

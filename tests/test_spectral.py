@@ -75,10 +75,16 @@ class TestValidation:
 
     def test_incomplete_lorentzian_rejected_when_built(self):
         # the line's place is part of the model, not filled in by a config
-        for fields, missing in (({}, "detuning"), ({"detuning": 0.5}, "omega0"),
-                                ({"omega0": 1.0}, "detuning")):
-            with pytest.raises(ValueError, match=f"^{missing} must be finite, got None"):
+        for fields, message in (({}, "detuning must be finite"),
+                                ({"detuning": 0.5}, "omega0 must be finite and > 0"),
+                                ({"omega0": 1.0}, "detuning must be finite")):
+            with pytest.raises(ValueError, match=f"^{message}, got None"):
                 SpectralModel(SpectralKind.LORENTZIAN, rate=1.0, width=1.0, **fields)
+
+    @pytest.mark.parametrize("omega0", [0.0, -1.0])
+    def test_lorentzian_omega0_takes_the_atom_domain(self, omega0):
+        with pytest.raises(ValueError, match=f"^omega0 must be finite and > 0, got {omega0}"):
+            lorentz(1.0, omega0=omega0)
 
 
 class TestGammaClosed:

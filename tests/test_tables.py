@@ -328,6 +328,10 @@ valid_table = st.fixed_dictionaries({
 })
 
 
+COLUMNS = {"ohmic": ["omega0", "coupling", "theta", "phi", "omega_c"],
+           "lorentzian": ["omega0", "coupling", "theta", "phi", "rate", "width", "detuning"]}
+
+
 @given(valid_table)
 @settings(max_examples=150, deadline=None)
 def test_valid_tables_stay_physical(case):
@@ -339,6 +343,10 @@ def test_valid_tables_stay_physical(case):
         fixed.append(("detuning", case["detuning"]))
     table = config_table(
         family, [("coupling", [g * scale for g in case["couplings"]])], fixed)
+    # one omega0 column, the atom's, which a Lorentzian line shares
+    assert list(table.columns) == COLUMNS[family]
+    cfg = table.row(0)
+    assert ConfigTable.of(cfg).row(0) == cfg
     grid = TimeGrid(case["t_end"], case["n_points"])
     amps = amplitude_table(table, grid.times)
     assert np.max(np.abs(amps.p)) <= 1.0 + 1e-9
