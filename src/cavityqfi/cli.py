@@ -63,36 +63,37 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _fmt_all(values) -> list[str]:
-    return [_fmt(x) for x in np.asarray(values, dtype=float).tolist()]
+def _fmt_all(values) -> list[bytes]:
+    return [b"%.12g" % x for x in np.asarray(values, dtype=float).tolist()]
 
 
-def _csv_block(times_text: list[str], prefixes: list[str], values) -> str:
+def _csv_block(times_text: list[bytes], prefixes: list[bytes], values) -> bytes:
     """CSV rows ``t<prefix>,v``, one per time of each prefix in turn, as one
-    string.  The times and each prefix, its rows' shared fields with leading
-    commas, come formatted; only ``values``, a (len(prefixes), n_t) array,
-    is formatted here, by one %.12g template for the tile."""
+    ASCII bytes string.  The times and each prefix, its rows' shared fields
+    with leading commas, come formatted; only ``values``, a (len(prefixes),
+    n_t) array, is formatted here, by one bytes %.12g template for the tile."""
     if values.shape != (len(prefixes), len(times_text)):
         raise ValueError(f"values of shape {values.shape} for {len(prefixes)} "
                          f"prefixes and {len(times_text)} times")
-    row_ends = [prefix + ",%.12g\n" for prefix in prefixes]
-    template = "".join(row_end.join(times_text) + row_end for row_end in row_ends)
+    row_ends = [prefix + b",%.12g\n" for prefix in prefixes]
+    template = b"".join(row_end.join(times_text) + row_end for row_end in row_ends)
     return template % tuple(values.ravel().tolist())
 
 
-def _curve_block(times, values) -> str:
+def _curve_block(times, values) -> bytes:
     """CSV rows ``t,v_1,...,v_k``, one per time, of a curve tile's (k, n_t)
-    ``values``: times and values by one %.12g template, row by row."""
+    ``values`` as ASCII bytes: times and values by one bytes %.12g template,
+    row by row."""
     rows = np.column_stack((times, values.T))
-    template = ("%.12g" + ",%.12g" * len(values) + "\n") * len(times)
+    template = (b"%.12g" + b",%.12g" * len(values) + b"\n") * len(times)
     return template % tuple(rows.ravel().tolist())
 
 
 def _config_rows(tiles, columns):
-    """CSV text of config-major `table_tiles`: each value's row holds its
+    """CSV bytes of config-major `table_tiles`: each value's row holds its
     time, then its config's fields from ``columns``.  A window's times are
     formatted once for as long as consecutive tiles repeat it."""
-    template = ",%.12g" * len(columns)
+    template = b",%.12g" * len(columns)
     last = None
     for first, times, values in tiles:
         if last is None or not np.array_equal(times, last):
@@ -105,17 +106,19 @@ def _meta_lines(pairs) -> list[str]:
     return [f"# {k}: {v}" for k, v in pairs]
 
 
-def _write(path: Path, lines, text) -> None:
-    """Write the metadata and header ``lines``, then the strings of ``text``,
+def _write(path: Path, lines, blocks) -> None:
+    """Write the metadata and header ``lines``, then the bytes of ``blocks``,
     which may be computed and checked as they are read, to a new file that
     replaces ``path`` (a symlink: the file it names), keeping its mode, once
-    all are written, so any failure leaves ``path`` as it was."""
+    all are written, so any failure leaves ``path`` as it was.  The file is
+    written in binary mode: its line ends are ``\\n`` on every OS, and no
+    locale encoding is involved."""
     real = path.resolve()
     tmp = real.with_name(f".{real.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "x") as fh:
-            fh.write("\n".join(lines) + "\n")
-            fh.writelines(text)
+        with open(tmp, "xb") as fh:
+            fh.write(("\n".join(lines) + "\n").encode())
+            fh.writelines(blocks)
         if real.is_file():
             shutil.copymode(real, tmp)
         os.replace(tmp, real)

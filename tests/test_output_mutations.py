@@ -88,13 +88,13 @@ def unchecked_amplitudes(monkeypatch):
 
 
 def eleven_digit_values(monkeypatch):
-    _mutate(monkeypatch, cli, "_csv_block", '",%.12g\\n"', '",%.11g\\n"',
+    _mutate(monkeypatch, cli, "_csv_block", 'b",%.12g\\n"', 'b",%.11g\\n"',
             modules=(test_presets_cli,))
 
 
 def eleven_digit_curve_values(monkeypatch):
-    _mutate(monkeypatch, cli, "_curve_block", '",%.12g" * len(values)',
-            '",%.11g" * len(values)', modules=(test_presets_cli,))
+    _mutate(monkeypatch, cli, "_curve_block", 'b",%.12g" * len(values)',
+            'b",%.11g" * len(values)', modules=(test_presets_cli,))
 
 
 def golden(case, small_blocks=False):

@@ -2,6 +2,9 @@ import hashlib
 import math
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -630,18 +633,18 @@ def test_csv_rows_match_per_value_format():
     randoms += list(rng.random(40))
     a = np.array(_SPECIAL + randoms)
     times_text = _fmt_all(a)
-    assert times_text == [f"{x:.12g}" for x in a]
+    assert times_text == [f"{x:.12g}".encode() for x in a]
     # the shared prefix fields sit between the time and the value; every
     # time of the first prefix comes first, then every time of the next
-    prefixes = ["", "," + ",".join(f"{x:.12g}" for x in _SPECIAL), ",0.5",
-                ",-1e-300,nan,inf"]
+    prefixes = [b"", ("," + ",".join(f"{x:.12g}" for x in _SPECIAL)).encode(),
+                b",0.5", b",-1e-300,nan,inf"]
     for n_prefixes in (1, 2, 4):
         values = np.stack([np.roll(a, 5 + 17 * i) for i in range(n_prefixes)])
-        want = [t + p + f",{values[i, r]:.12g}"
+        want = [t + p + f",{values[i, r]:.12g}".encode()
                 for i, p in enumerate(prefixes[:n_prefixes])
                 for r, t in enumerate(times_text)]
         got = _csv_block(times_text, prefixes[:n_prefixes], values)
-        assert got == "\n".join(want) + "\n", n_prefixes
+        assert got == b"\n".join(want) + b"\n", n_prefixes
     # values must be (len(prefixes), len(times))
     values = np.stack([a, np.roll(a, 5)])
     for bad in (values[:, :-1], values[:1], values[:, :, None], values[0]):
@@ -660,7 +663,7 @@ def test_curve_rows_match_per_value_format(rows):
     rows = np.array(rows)
     want = "".join(f"{r[0]:.12g}," + ",".join(f"{v:.12g}" for v in r[1:]) + "\n"
                    for r in rows.tolist())
-    assert _curve_block(rows[:, 0], rows[:, 1:].T) == want
+    assert _curve_block(rows[:, 0], rows[:, 1:].T) == want.encode()
 
 
 # SHA-256 of CLI outputs recorded before the CSV path was vectorised.  The
@@ -741,6 +744,26 @@ def test_golden_bytes_in_small_blocks(tmp_path, monkeypatch, argv, digest):
         monkeypatch.setattr(presets, "_BLOCK_SAMPLES", block)
         assert main(argv + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, block
+
+
+@pytest.mark.parametrize("case", ["fig1a", "sweep"])
+def test_bytes_independent_of_locale_encoding(tmp_path, case):
+    # a file opened in text mode with no encoding would take the locale's,
+    # which -X warn_default_encoding reports, here as an error; the CSV is
+    # ASCII bytes written in binary mode, with \n line ends on every OS
+    argv, digest = dict(zip(GOLDEN_IDS, GOLDEN))[case]
+    out = tmp_path / "out.csv"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-m", "cavityqfi.cli", *argv, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    data = out.read_bytes()
+    assert b"\r" not in data
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 @pytest.mark.parametrize("preset, t_end", [
