@@ -207,6 +207,8 @@ def _parse_range(text: str, param: str) -> np.ndarray:
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"--range for {param}: endpoints must be finite, "
                          f"got {text!r}")
+    if not math.isfinite(b - a):  # np.linspace would step by inf
+        raise ValueError(f"--range for {param}: B - A overflows, got {text!r}")
     _check("n_points", n, f"--range for {param}: count", repr(text))
     try:
         return np.linspace(a, b, n)

@@ -157,12 +157,16 @@ class AmplitudeSeries:
     p_dot: np.ndarray | None
 
 
-def per_value(f, x):
-    """f(x) for a float; for a column, the (n, 1) column of f(x_i).  f is
-    scalar math, whose last bit numpy's array functions need not reproduce,
-    so it runs once per distinct value."""
+def per_value(f, x, p, name):
+    """f(x) for a float; for a 1-D array of angles ``name``, one per row of
+    a 2-D ``p``, the (n, 1) column of f(x_i), else ValueError.  f is scalar
+    math, whose last bit numpy's array functions need not reproduce, so it
+    runs once per distinct value."""
     if np.ndim(x) == 0:
         return f(x)
+    if np.ndim(x) != 1 or np.ndim(p) != 2 or len(x) != len(p):
+        raise ValueError(f"{name} of shape {np.shape(x)} needs a 2-D p with one "
+                         f"row per angle, got p of shape {np.shape(p)}")
     bits = np.asarray(x, dtype=float).view(np.int64)  # tells -0.0 from 0.0
     values, index = np.unique(bits, return_inverse=True)
     return np.array([f(v) for v in values.view(float).tolist()])[index][:, None]
@@ -259,9 +263,9 @@ def _state_elements(cfg, p):
     if not np.all(mag <= 1.0 + EPS_AMPLITUDE):
         raise AmplitudeRangeError(
             f"|p| = {float(np.max(mag))} exceeds 1 + {EPS_AMPLITUDE}")
-    c = per_value(lambda th: math.cos(th / 2.0), cfg.theta)
-    s = per_value(lambda th: math.sin(th / 2.0), cfg.theta)
-    phase = per_value(lambda ph: np.exp(-1j * ph), cfg.phi)
+    c = per_value(lambda th: math.cos(th / 2.0), cfg.theta, p, "theta")
+    s = per_value(lambda th: math.sin(th / 2.0), cfg.theta, p, "theta")
+    phase = per_value(lambda ph: np.exp(-1j * ph), cfg.phi, p, "phi")
     return mag ** 2 * c * c, p * phase * s * c
 
 

@@ -36,13 +36,14 @@ class PureStateSingularityError(ValueError):
 def qfi_closed(p, theta):
     """Closed-form (F_phi, F_theta) for amplitude p and polar angle theta.
 
-    ``theta`` may also be a column of angles, one per row of an (n, n_t) ``p``.
+    ``theta`` may also be a 1-D array of angles, one per row of an (n, n_t)
+    ``p``; with any other ``p`` that raises ValueError naming theta.
     """
     mag2 = np.abs(np.asarray(p, dtype=complex)) ** 2
     if not np.all(np.sqrt(mag2) <= 1.0 + EPS_AMPLITUDE):
         raise AmplitudeRangeError(f"|p| exceeds 1 + {EPS_AMPLITUDE}")
     f_theta = mag2
-    f_phi = mag2 * per_value(lambda th: math.sin(th) ** 2, theta)
+    f_phi = mag2 * per_value(lambda th: math.sin(th) ** 2, theta, mag2, "theta")
     if f_phi.ndim:
         return f_phi, f_theta
     return float(f_phi), float(f_theta)

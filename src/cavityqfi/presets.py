@@ -163,14 +163,18 @@ def config_table(family: str, axes, fixed=()) -> ConfigTable:
                               for k in names})
 
 
-def preset_axes(preset: CurvePreset | ContourPreset):
-    """(axes, fixed) of a preset: its couplings, or a contour's swept axis."""
+def preset_configs(preset: CurvePreset | ContourPreset) -> tuple[ConfigTable, TimeGrid]:
+    """(config table, time grid) of a preset, the grid checked first: a
+    curve's couplings, or a contour's swept axis, over the preset's grid."""
+    grid = TimeGrid(preset.t_end, preset.n_points)
     if isinstance(preset, CurvePreset):
-        return ([("coupling", preset.couplings)],
-                [(RESERVOIR[preset.family], preset.reservoir)])
-    other = RESERVOIR[preset.family] if preset.sweep == "coupling" else "coupling"
-    return ([(preset.sweep, np.linspace(preset.lo, preset.hi, preset.n_param))],
-            [(other, preset.fixed)])
+        axes = [("coupling", preset.couplings)]
+        fixed = [(RESERVOIR[preset.family], preset.reservoir)]
+    else:
+        other = RESERVOIR[preset.family] if preset.sweep == "coupling" else "coupling"
+        axes = [(preset.sweep, np.linspace(preset.lo, preset.hi, preset.n_param))]
+        fixed = [(other, preset.fixed)]
+    return config_table(preset.family, axes, fixed), grid
 
 
 # The output quantities, each defined once by `metric_series`: presets and
@@ -239,13 +243,10 @@ def quantity_values(cfg: SystemConfig, grid: TimeGrid, quantity: str,
 
 def curve_table(preset: CurvePreset, mode: str = "closed"):
     """`table_tiles` of a curve preset, every coupling in each tile."""
-    grid = TimeGrid(preset.t_end, preset.n_points)
-    return table_tiles(config_table(preset.family, *preset_axes(preset)),
-                       grid, preset.quantity, mode, by_time=True)
+    return table_tiles(*preset_configs(preset), preset.quantity, mode, by_time=True)
 
 
 def contour_table(preset: ContourPreset, mode: str = "closed"):
     """(params, `table_tiles` of F_phi) for a contour preset."""
-    grid = TimeGrid(preset.t_end, preset.n_points)
-    table = config_table(preset.family, *preset_axes(preset))
+    table, grid = preset_configs(preset)
     return table.columns[preset.sweep], table_tiles(table, grid, "qfi_phi", mode)

@@ -196,8 +196,9 @@ def eval_density(model: SpectralModel, omega_prime):
 
 
 def _scalar_density(model: SpectralModel):
-    """Density closure: plain float math for quadrature callbacks, and
-    elementwise on arrays for `eval_density`."""
+    """Density closure, elementwise on arrays, behind `eval_density`.  The
+    quadrature integrands (`_integrands`) write J out inline; a test pins
+    their bits to this closure's."""
     if model.kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
         wc2 = model.omega_c ** 2
         return lambda w: (2.0 * w / math.pi) * wc2 / (wc2 + w * w)

@@ -20,8 +20,8 @@ from . import mesolve
 from .dynamics import AmplitudeSeries, ConfigTable, SystemConfig, TimeGrid, \
     amplitude, amplitude_table, atom_state, decoherence_rate, physicality
 from .metrics import coherence_l1, qfi_closed, qfi_general_2x2
-from .presets import CURVE_PRESETS, PRESET_NAMES, PRESETS, config_table, \
-    make_config, metric_series, preset_axes
+from .presets import CURVE_PRESETS, PRESET_NAMES, PRESETS, make_config, \
+    metric_series, preset_configs
 from .spectral import SpectralModel, beta_closed, beta_numeric, gamma_closed, \
     gamma_numeric
 
@@ -41,6 +41,11 @@ class SuiteResult:
                 f"(tolerance {self.tolerance:.1e}){extra}")
 
 
+def _block_key(name: str) -> tuple:
+    """What a preset's amplitude block depends on: its fields but name and quantity."""
+    return tuple(v for k, v in vars(PRESETS[name]).items() if k not in ("name", "quantity"))
+
+
 class VerifyContext:
     """Shared lazy caches so suites reuse amplitude blocks and RK4 results.
 
@@ -52,7 +57,6 @@ class VerifyContext:
 
     def __init__(self):
         self._tables = {}
-        self._named = {}  # preset name -> its `_tables` entry
         self._chain = {}
 
     def amps(self, cfg: SystemConfig, t_end: float, n: int):
@@ -60,35 +64,26 @@ class VerifyContext:
 
     def preset_table(self, name: str) -> tuple[ConfigTable, AmplitudeSeries]:
         """(table, amplitude block) of a preset: one row per config of its
-        `config_table`, from one `amplitude_table` call on the preset grid.
-        No suite reads ``p_dot``, so the block has none.
-
-        The cache key is the table's columns and the grid, not the name, so
-        presets that differ only in their quantity share one block.
-        """
-        if name not in self._named:
-            preset = PRESETS[name]
-            table = config_table(preset.family, *preset_axes(preset))
-            key = (table.kind, *(c.tobytes() for c in table.columns.values()),
-                   preset.t_end, preset.n_points)
-            if key not in self._tables:
-                self._tables[key] = table, amplitude_table(
-                    table, TimeGrid(preset.t_end, preset.n_points).times, derivative=False)
-            self._named[name] = self._tables[key]
-        return self._named[name]
+        `preset_configs` table, from one `amplitude_table` call on its grid,
+        cached by `_block_key`, so presets that differ only in their quantity
+        share it.  No suite reads ``p_dot``, so the block has none."""
+        key = _block_key(name)
+        if key not in self._tables:
+            table, grid = preset_configs(PRESETS[name])
+            self._tables[key] = table, amplitude_table(table, grid.times, derivative=False)
+        return self._tables[key]
 
     def preset_blocks(self, names=PRESET_NAMES):
         """Each distinct `preset_table` entry of the presets ``names`` once, in order."""
-        yield from {id(e): e for e in map(self.preset_table, names)}.values()
+        yield from {_block_key(n): self.preset_table(n) for n in names}.values()
 
     def chain(self, name: str, i: int, halve: bool):
         """(max deviation of traced RK4 vs row i of `preset_table`, states or
-        None if halved) of a preset's config i, cached by `preset_table` entry
-        and row, so only a miss builds the config."""
-        entry = self.preset_table(name)
-        key = (id(entry), i, halve)
+        None if halved) of a preset's config i, cached by `_block_key` and
+        row, so only a miss builds the config."""
+        key = (_block_key(name), i, halve)
         if key not in self._chain:
-            (table, block), preset = entry, PRESETS[name]
+            (table, block), preset = self.preset_table(name), PRESETS[name]
             cfg = table.row(i)
             grid = TimeGrid(preset.t_end, preset.n_points)
             dt = grid.dt
@@ -317,7 +312,7 @@ def suite_lorentzian_plateau(ctx: VerifyContext) -> SuiteResult:
     for g, name in ((1.0, "fig4b"), (40.0, "fig4a")):
         table, block = ctx.preset_table(name)
         [i] = np.flatnonzero(table.coupling == g)
-        f_phi, _ = qfi_closed(block.p[i], table.row(i).theta)
+        f_phi, _ = qfi_closed(block.p[i], table.theta[i])
         window = f_phi[block.times >= 20.0]
         spread = float(window.max() - window.min())
         worst = max(worst, spread)

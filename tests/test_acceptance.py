@@ -14,9 +14,10 @@ import pytest
 
 from cavityqfi import AmplitudeSeries, TimeGrid, amplitude, atom_state, coherence_l1, \
     metric_series, qfi_closed
-from cavityqfi import verify
+from cavityqfi import presets, verify
 from cavityqfi.dynamics import ConfigTable
-from cavityqfi.presets import CURVE_PRESETS, PRESETS, config_table, preset_axes
+from cavityqfi.presets import CURVE_PRESETS, PRESETS, RESERVOIR, config_table, \
+    preset_configs
 from cavityqfi.verify import MESOLVE_PRESETS, SUITES, VerifyContext, run_suites
 
 
@@ -113,8 +114,7 @@ def test_preset_blocks_match_the_per_config_route(ctx):
     relation = identity = phys = 0.0
     thetas = ("theta", (math.pi / 6, math.pi / 3, math.pi / 2))
     for name, preset in PRESETS.items():
-        axes, fixed = preset_axes(preset)
-        table = config_table(preset.family, axes, fixed)
+        table, _ = preset_configs(preset)
         for i in range(len(table)):
             cfg = table.row(i)
             amps = ctx.amps(cfg, preset.t_end, preset.n_points)
@@ -126,7 +126,8 @@ def test_preset_blocks_match_the_per_config_route(ctx):
                 atom_state(cfg, amps.p), 1e-12, 1e-9))
         if name not in CURVE_PRESETS:
             continue
-        table = config_table(preset.family, axes + [thetas], fixed)
+        table = config_table(preset.family, [("coupling", preset.couplings), thetas],
+                             [(RESERVOIR[preset.family], preset.reservoir)])
         for cfg in map(table.row, range(len(table))):
             amps = amplitude(cfg, TimeGrid(preset.t_end, preset.n_points))
             f_phi, f_theta = qfi_closed(amps.p, cfg.theta)
@@ -176,13 +177,15 @@ def test_preset_blocks_cover_every_preset_once(ctx):
 
 
 def test_preset_table_builds_each_presets_table_once(monkeypatch):
-    # chain and the suites look presets up again and again; a name seen
-    # before returns its entry without building its config table
-    real, built = verify.config_table, []
-    monkeypatch.setattr(verify, "config_table", lambda *a: built.append(a) or real(*a))
+    # chain and the suites look presets up again and again; the 16 presets
+    # have 10 distinct blocks, and a lookup that hits one builds no table
+    real, built = presets.config_table, []
+    monkeypatch.setattr(presets, "config_table", lambda *a: built.append(a) or real(*a))
     ctx = VerifyContext()
-    entries = [ctx.preset_table(name) for name in [*PRESETS, *PRESETS]]
-    assert len(built) == len(PRESETS)
+    entries = [ctx.preset_table(name) for name in PRESETS]
+    assert len(built) == 10
+    entries += [ctx.preset_table(name) for name in PRESETS]
+    assert len(built) == 10
     assert all(a is b for a, b in zip(entries, entries[len(PRESETS):]))
 
 

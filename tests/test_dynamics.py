@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -245,6 +246,18 @@ class TestAtomState:
     def test_rejects_unphysical_amplitude(self):
         with pytest.raises(AmplitudeRangeError):
             atom_state(ohmic_cfg(), 1.1)
+
+    def test_angle_columns_need_one_row_of_p_per_angle(self):
+        # a table's angles are columns, one per row of a 2-D p; any other p
+        # is a ValueError naming the angle, not a broadcast error
+        table = config_table("ohmic", [("coupling", (0.1, 0.5, 1.0))])
+        for p in (np.full(3, 0.5 + 0j), np.full((2, 3), 0.5 + 0j)):
+            with pytest.raises(ValueError, match="^theta of shape"):
+                atom_state(table, p)
+        angles = types.SimpleNamespace(theta=1.0, phi=np.array([0.1, 0.2]))
+        with pytest.raises(ValueError, match="^phi of shape"):
+            atom_state(angles, np.full(2, 0.5 + 0j))
+        assert atom_state(angles, np.full((2, 4), 0.5 + 0j)).shape == (2, 4, 2, 2)
 
     @given(st.floats(0.0, math.pi), st.floats(0.0, 6.28),
            st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi))

@@ -46,6 +46,18 @@ class TestQfiClosed:
         with pytest.raises(AmplitudeRangeError):
             qfi_closed(np.array([0.5, 1.0 + 2e-9]), 1.0)
 
+    @pytest.mark.parametrize("p_shape, theta_shape",
+                             [((4,), (4,)), ((3, 5), (4,)), ((4, 5, 1), (4,)),
+                              ((3, 5), (3, 1))],
+                             ids=["1-D", "rows-differ", "3-D", "theta-2-D"])
+    def test_angle_array_needs_one_row_of_p_per_angle(self, p_shape, theta_shape):
+        # an array theta is one angle per row of a 2-D p; a 1-D p of its
+        # length, or a (3, 1) theta, used to give F_phi an outer product
+        p = np.full(p_shape, 0.5 + 0.0j)
+        theta = np.linspace(0.1, 1.0, math.prod(theta_shape)).reshape(theta_shape)
+        with pytest.raises(ValueError, match="^theta of shape"):
+            qfi_closed(p, theta)
+
     def test_resonant_asymptote(self):
         cfg = cfg_with(math.pi / 2)
         amps = amplitude(cfg, TimeGrid(200.0, 401))

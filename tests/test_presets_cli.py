@@ -493,6 +493,19 @@ def test_range_count_past_memory_exits_2_in_one_line(tmp_path, capsys, count):
     assert_left_as_was(out, None)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("span", ["-1e308:1e308:3", "1.5e308:-1e308:1"])
+def test_range_span_overflow_exits_2_in_one_line(tmp_path, capsys, span):
+    # finite endpoints whose difference overflows: np.linspace would warn
+    # and give NaN; the range is rejected before it runs, naming --range
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--model", "lorentzian", "--param", "detuning",
+                 f"--range={span}", "--steps", "2", "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("configuration error: --range for detuning: ")
+    assert_left_as_was(out, None)
+
+
 @pytest.mark.parametrize("n_axes", [3, 4])
 def test_param_product_past_memory_exits_2_in_one_line(tmp_path, capsys, n_axes):
     # 10**6 values an axis: the columns of three axes fail to allocate
