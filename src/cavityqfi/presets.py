@@ -23,14 +23,14 @@ from .dynamics import (
     ConfigTable,
     SystemConfig,
     TimeGrid,
+    _state_elements,
     amplitude_table,
-    atom_state,
     decoherence_rate,
     lamb_shift,
 )
 # amplitude is not called here, but perfbench/tracer.py wraps this binding
 from .dynamics import amplitude  # noqa: F401
-from .metrics import coherence_l1, qfi_closed
+from .metrics import qfi_closed
 from .spectral import MODEL_FIELDS, SpectralKind, check_domain
 
 THETA_DEFAULT = math.pi / 2.0
@@ -199,7 +199,10 @@ def metric_series(table: ConfigTable, amps, quantity: str) -> np.ndarray:
     if quantity == "lamb_shift":
         return lamb_shift(amps.p, amps.p_dot)
     if quantity == "coherence":
-        return coherence_l1(atom_state(table, amps.p))
+        # coherence_l1 of atom_state, |rho_eg| + |rho_ge|, without the 2x2
+        # stack: |conj(z)| equals |z| bit for bit
+        a = np.abs(_state_elements(table, amps.p)[1])
+        return a + a
     f_phi, f_theta = qfi_closed(amps.p, table.theta)
     return f_phi if quantity == "qfi_phi" else f_theta
 

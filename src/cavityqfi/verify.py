@@ -17,8 +17,8 @@ import numpy as np
 import scipy.integrate  # noqa: F401
 
 from . import mesolve
-from .dynamics import AmplitudeSeries, ConfigTable, SystemConfig, TimeGrid, \
-    amplitude, amplitude_table, atom_state, decoherence_rate, physicality
+from .dynamics import _BLOCK_SAMPLES, AmplitudeSeries, ConfigTable, SystemConfig, \
+    TimeGrid, amplitude, amplitude_table, atom_state, decoherence_rate, physicality
 from .metrics import coherence_l1, qfi_closed, qfi_general_2x2
 from .presets import CURVE_PRESETS, PRESET_NAMES, PRESETS, make_config, \
     metric_series, preset_configs
@@ -51,8 +51,11 @@ class VerifyContext:
 
     `preset_table` holds one (n_cfg, n_t) block per preset grid and `chain`
     the RK4 deviations from its rows, with every 10th base-step state for
-    `physicality` but no full trajectory.  `amps` computes one config's
-    series off the preset grids, uncached: no two suites ask for the same one.
+    `physicality` but no full trajectory.  `preset_tiles` walks the blocks
+    a few rows at a time, so the suites that read every preset grid build
+    their state stacks one tile, not one block, at a time.  `amps` computes
+    one config's series off the preset grids, uncached: no two suites ask
+    for the same one.
     """
 
     def __init__(self):
@@ -73,9 +76,14 @@ class VerifyContext:
             self._tables[key] = table, amplitude_table(table, grid.times, derivative=False)
         return self._tables[key]
 
-    def preset_blocks(self, names=PRESET_NAMES):
-        """Each distinct `preset_table` entry of the presets ``names`` once, in order."""
-        yield from {_block_key(n): self.preset_table(n) for n in names}.values()
+    def preset_tiles(self, names=PRESET_NAMES):
+        """Each distinct `preset_table` entry of the presets ``names`` once, in
+        order, as (table[a:b], block rows a to b) tiles of at most
+        ``_BLOCK_SAMPLES`` samples, or one row, the rule of `table_tiles`."""
+        for table, block in {_block_key(n): self.preset_table(n) for n in names}.values():
+            rows = max(1, _BLOCK_SAMPLES // len(block.times))
+            for a in range(0, len(table), rows):
+                yield table[a:a + rows], AmplitudeSeries(block.times, block.p[a:a + rows], None)
 
     def chain(self, name: str, i: int, halve: bool):
         """(max deviation of traced RK4 vs row i of `preset_table`, states or
@@ -101,7 +109,7 @@ def suite_relation_coherence_qfi(ctx: VerifyContext) -> SuiteResult:
     `metric_series` values the CSVs print."""
     tol = 1e-12
     worst = 0.0
-    for table, block in ctx.preset_blocks():
+    for table, block in ctx.preset_tiles():
         c = metric_series(table, block, "coherence")
         f_phi = metric_series(table, block, "qfi_phi")
         worst = max(worst, float(np.max(np.abs(c * c - f_phi))))
@@ -115,7 +123,7 @@ def suite_qfi_theta_identity(ctx: VerifyContext) -> SuiteResult:
     """
     tol = 1e-12
     worst = 0.0
-    for _, block in ctx.preset_blocks(CURVE_PRESETS):
+    for _, block in ctx.preset_tiles(CURVE_PRESETS):
         for theta in (math.pi / 6, math.pi / 3, math.pi / 2):
             f_phi, f_theta = qfi_closed(block.p, theta)
             worst = max(worst, float(np.max(np.abs(
@@ -358,7 +366,7 @@ def suite_physicality(ctx: VerifyContext) -> SuiteResult:
     tolerated while the rates go negative.
     """
     worst = 0.0
-    for table, block in ctx.preset_blocks():
+    for table, block in ctx.preset_tiles():
         d = physicality(atom_state(table, block.p))
         worst = max(worst, d["hermiticity"] / 1e-12, d["trace"] / 1e-12,
                     max(0.0, -d["min_eigenvalue"]) / 1e-9)

@@ -162,18 +162,43 @@ def test_relation_residual_is_the_primitives_bit_for_bit(ctx):
     assert SUITES["relation-coherence-qfi"](ctx).worst == worst
 
 
-def test_preset_blocks_cover_every_preset_once(ctx):
-    # relation-coherence-qfi and physicality walk these blocks: each distinct
-    # preset_table entry once, in preset order, and every preset's among them
-    entries = list(ctx.preset_blocks())
+def test_preset_tiles_cover_every_preset_once(ctx):
+    # relation-coherence-qfi and physicality walk these tiles: the rows of
+    # each distinct preset_table entry once, in preset order, every preset's
+    # entry among them, and no tile above _BLOCK_SAMPLES unless it is one row
     first = []
     for name in PRESETS:
         entry = ctx.preset_table(name)
-        assert any(entry is e for e in entries), name
         if not any(entry is f for f in first):
             first.append(entry)
-    assert len(entries) == len(first) == 10
-    assert all(e is f for e, f in zip(entries, first))
+    assert len(first) == 10
+    tiles = list(ctx.preset_tiles())
+    walk = iter(tiles)
+    for table, block in first:
+        row = 0
+        while row < len(table):
+            part, tile = next(walk)
+            rows = len(part)
+            assert rows == 1 or rows * len(block.times) <= verify._BLOCK_SAMPLES
+            assert tile.times is block.times and tile.p_dot is None
+            assert np.shares_memory(tile.p, block.p)
+            assert np.array_equal(tile.p, block.p[row:row + rows])
+            for k, column in table.columns.items():
+                assert np.array_equal(part.columns[k], column[row:row + rows]), k
+            row += rows
+        assert row == len(table)
+    assert next(walk, None) is None
+    # fig4a's 12800-point rows are one tile each, a contour block two tiles
+    assert len(tiles) == 17
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_preset_suites_independent_of_tile_size(ctx, monkeypatch, block):
+    # tiles of one row: no value depends on the tiling
+    names = ("relation-coherence-qfi", "closed-form-identity", "physicality")
+    want = [(r.worst, r.detail) for r in run_suites(names, ctx)]
+    monkeypatch.setattr(verify, "_BLOCK_SAMPLES", block)
+    assert [(r.worst, r.detail) for r in run_suites(names, ctx)] == want
 
 
 def test_preset_table_builds_each_presets_table_once(monkeypatch):
@@ -228,7 +253,22 @@ def test_timelocal_residual_holds_one_block():
     # float array; the suite holds one block of it at a time
     result, peak, _ = _traced(lambda: SUITES["timelocal-residual"](VerifyContext()))
     assert result.passed
-    assert peak < 12e6
+    assert peak < 6e6
+
+
+def test_preset_suites_hold_one_tile(ctx):
+    # with the 16 preset blocks and the chain built, the suites that walk
+    # every preset grid hold one tile's 2x2 states at a time; fig4a's whole
+    # block of them would be 3.3 MB, and physicality's working arrays triple it
+    for name in PRESETS:
+        ctx.preset_table(name)
+    for name in MESOLVE_PRESETS:
+        for i in range(len(ctx.preset_table(name)[0])):
+            ctx.chain(name, i, halve=False)
+    for suite, bound in (("relation-coherence-qfi", 3e6), ("physicality", 5e6)):
+        result, peak, _ = _traced(lambda: SUITES[suite](ctx))
+        assert result.passed, suite
+        assert peak < bound, (suite, peak)
 
 
 def test_preset_tables_keep_no_p_dot():
