@@ -166,7 +166,7 @@ def partial_trace_cavity(rho3) -> np.ndarray:
     return out
 
 
-def timelocal_residual_blocks(cfg: SystemConfig, grid: TimeGrid):
+def timelocal_residual_blocks(cfg: SystemConfig | ConfigTable, grid: TimeGrid):
     """Defect of the analytic state under its own time-local equation.
 
     At each interior grid point, the Frobenius norm of the central-difference
@@ -177,8 +177,9 @@ def timelocal_residual_blocks(cfg: SystemConfig, grid: TimeGrid):
     Samples flagged by the amplitude-singularity policy are NaN.  Yields
     (start, defect at points start, start + 1, ...) per block of interior
     points; a block reads only its `TimeGrid.window`, so memory stays bounded.
+    ``cfg`` may also be a one-row `ConfigTable`.
     """
-    n, table = grid.n_points, ConfigTable.of(cfg)
+    n, table = grid.n_points, cfg if isinstance(cfg, ConfigTable) else ConfigTable.of(cfg)
     if n < 3:
         amplitude_table(table, grid.times)  # the checks
     for i0 in range(1, n - 1, _BLOCK_SAMPLES):
@@ -186,7 +187,7 @@ def timelocal_residual_blocks(cfg: SystemConfig, grid: TimeGrid):
         amps = amplitude_table(table, grid.window(i0 - 1, i1 + 1))
         p, p_dot = amps.p[0], amps.p_dot[0]
         # rho_ge = conj(rho_eg) exactly, so its defect is that of rho_eg
-        ee, eg = _state_elements(cfg, p)
+        (ee,), (eg,) = _state_elements(table, amps.p)
         gg = 1.0 - ee
         ratio = _log_ratio(p[1:-1], p_dot[1:-1])  # NaN where p is singular
         gam, shift = -2.0 * ratio.real, -2.0 * ratio.imag

@@ -17,10 +17,12 @@ import numpy as np
 import scipy.integrate  # noqa: F401
 
 from . import mesolve
-from .dynamics import _BLOCK_SAMPLES, AmplitudeSeries, ConfigTable, SystemConfig, \
-    TimeGrid, amplitude, amplitude_table, atom_state, decoherence_rate, physicality
-from .metrics import coherence_l1, qfi_closed, qfi_general_2x2
-from .presets import CURVE_PRESETS, PRESET_NAMES, PRESETS, make_config, \
+from .dynamics import _BLOCK_SAMPLES, AmplitudeSeries, ConfigTable, TimeGrid, \
+    amplitude_table, atom_state, physicality
+# amplitude is not called here, but perfbench/tracer.py wraps this binding
+from .dynamics import amplitude  # noqa: F401
+from .metrics import qfi_closed, qfi_general_2x2
+from .presets import CURVE_PRESETS, PRESET_NAMES, PRESETS, RESERVOIR, config_table, \
     metric_series, preset_configs
 from .spectral import SpectralModel, beta_closed, beta_numeric, gamma_closed, \
     gamma_numeric
@@ -54,16 +56,16 @@ class VerifyContext:
     `physicality` but no full trajectory.  `preset_tiles` walks the blocks
     a few rows at a time, so the suites that read every preset grid build
     their state stacks one tile, not one block, at a time.  `amps` computes
-    one config's series off the preset grids, uncached: no two suites ask
-    for the same one.
+    the block of a suite's own `config_table` off the preset grids,
+    uncached: no two suites ask for the same one.
     """
 
     def __init__(self):
         self._tables = {}
         self._chain = {}
 
-    def amps(self, cfg: SystemConfig, t_end: float, n: int):
-        return amplitude(cfg, TimeGrid(t_end, n))
+    def amps(self, table: ConfigTable, grid: TimeGrid, derivative: bool = False):
+        return amplitude_table(table, grid.times, derivative=derivative)
 
     def preset_table(self, name: str) -> tuple[ConfigTable, AmplitudeSeries]:
         """(table, amplitude block) of a preset: one row per config of its
@@ -193,8 +195,7 @@ def suite_beta_consistency(ctx: VerifyContext) -> SuiteResult:
 
     worst_num = 0.0
     grid = TimeGrid(10.0, 401)
-    for model, wj in (( _oracle_models("ohmic", 3.0), 1.0),
-                      (_oracle_models("lorentzian", 1.0), 0.5)):
+    for model, wj in cases[::2]:
         bn = beta_numeric(model, wj, grid)
         bc = beta_closed(model, wj, grid.times)
         worst_num = max(worst_num, float(np.max(np.abs(bn - bc))))
@@ -238,42 +239,37 @@ def suite_mesolve_chain(ctx: VerifyContext) -> SuiteResult:
     return SuiteResult("mesolve-chain", passed, worst, tol, detail)
 
 
-def _residual_grid(cfg: SystemConfig, t_end: float) -> TimeGrid:
-    # central-difference error ~ h^2 M3 / 6 with M3 the fastest rate cubed;
-    # the reservoir scale enters through the e^{-omega_c t} transients
-    res = cfg.spectral.omega_c or cfg.spectral.width
-    m3 = max(cfg.omega0 + cfg.coupling, 2.0 * cfg.coupling, res) ** 3
-    h = min(math.sqrt(3e-5 / m3), 2e-3)
-    return TimeGrid(t_end, int(round(t_end / h)) + 1)
-
-
 def suite_timelocal_residual(ctx: VerifyContext) -> SuiteResult:
     """Analytic state satisfies its time-local equation to 1e-5 (Frobenius)."""
     tol = 1e-5
     worst = 0.0
     detail = ""
-    cases = []
-    for wc in (3.0, 0.3):
-        cases += [("ohmic", g, wc, 20.0) for g in (0.01, 0.5, 1.0)]
-    cases += [("lorentzian", g, 3.0, 10.0) for g in (0.01, 0.5, 1.0, 40.0)]
-    cases += [("lorentzian", g, 0.1, 10.0) for g in (0.01, 0.5, 1.0)]
-    for family, g, res, t_end in cases:
-        cfg = make_config(family, g, res)
-        mx = max(float(np.nanmax(block, initial=-math.inf)) for _, block
-                 in mesolve.timelocal_residual_blocks(cfg, _residual_grid(cfg, t_end)))
-        if mx > worst:
-            worst = mx
-            detail = f"{family} coupling={g} reservoir={res}"
+    for family, t_end, axes in (
+            ("ohmic", 20.0, [("omega_c", (3.0, 0.3)), ("coupling", (0.01, 0.5, 1.0))]),
+            ("lorentzian", 10.0, [("width", (3.0,)), ("coupling", (0.01, 0.5, 1.0, 40.0))]),
+            ("lorentzian", 10.0, [("width", (0.1,)), ("coupling", (0.01, 0.5, 1.0))])):
+        table = config_table(family, axes)
+        for i in range(len(table)):
+            g, res = float(table.coupling[i]), float(table.columns[RESERVOIR[family]][i])
+            # central-difference error ~ h^2 M3 / 6 with M3 the fastest rate cubed;
+            # the reservoir scale enters through the e^{-omega_c t} transients
+            h = min(math.sqrt(3e-5 / max(float(table.omega_2[i]), 2.0 * g, res) ** 3), 2e-3)
+            grid = TimeGrid(t_end, int(round(t_end / h)) + 1)
+            mx = max(float(np.nanmax(block, initial=-math.inf)) for _, block
+                     in mesolve.timelocal_residual_blocks(table[i:i + 1], grid))
+            if mx > worst:
+                worst = mx
+                detail = f"{family} coupling={g} reservoir={res}"
     return SuiteResult("timelocal-residual", worst <= tol, worst, tol, detail)
 
 
 def suite_stable_asymptote(ctx: VerifyContext) -> SuiteResult:
     """Ohmic resonant coupling pins F_phi -> 1/4 and C_l1 -> 1/2 at late times."""
     tol = 1e-3
-    cfg = make_config("ohmic", 1.0, 3.0)
-    amps = ctx.amps(cfg, 200.0, 4001)
-    f_phi, _ = qfi_closed(amps.p[-1], cfg.theta)
-    c = coherence_l1(atom_state(cfg, amps.p[-1]))
+    table = config_table("ohmic", [], [("coupling", 1.0), ("omega_c", 3.0)])
+    amps = ctx.amps(table, TimeGrid(200.0, 4001))
+    f_phi = float(metric_series(table, amps, "qfi_phi")[0, -1])
+    c = float(metric_series(table, amps, "coherence")[0, -1])
     worst = max(abs(f_phi - 0.25), abs(c - 0.5))
     return SuiteResult("stable-asymptote", worst <= tol, worst, tol,
                        f"F_phi(200)={f_phi:.6f}, C(200)={c:.6f}")
@@ -281,9 +277,8 @@ def suite_stable_asymptote(ctx: VerifyContext) -> SuiteResult:
 
 def suite_weak_coupling_decay(ctx: VerifyContext) -> SuiteResult:
     """Weak-coupling F_phi decays monotonically and is < 1e-3 by t = 10."""
-    cfg = make_config("ohmic", 0.01, 3.0)
-    amps = ctx.amps(cfg, 10.0, 2001)
-    f_phi, _ = qfi_closed(amps.p, cfg.theta)
+    table = config_table("ohmic", [], [("coupling", 0.01), ("omega_c", 3.0)])
+    [f_phi] = metric_series(table, ctx.amps(table, TimeGrid(10.0, 2001)), "qfi_phi")
     rise = float(np.max(np.diff(f_phi)))
     final = float(f_phi[-1])
     passed = rise <= 1e-12 and final < 1e-3
@@ -295,12 +290,12 @@ def suite_markovian_positivity(ctx: VerifyContext) -> SuiteResult:
     """Gamma(t) >= -1e-9 in the weak-coupling (Markovian) regimes."""
     floor = -1e-9
     worst = 0.0
-    cases = [("ohmic", 0.01, 3.0, 20.0), ("ohmic", 0.5, 3.0, 20.0),
-             ("lorentzian", 0.01, 3.0, 10.0)]
-    for family, g, res, t_end in cases:
-        cfg = make_config(family, g, res)
-        amps = ctx.amps(cfg, t_end, 4001)
-        gam = decoherence_rate(amps.p, amps.p_dot)
+    for family, couplings, t_end in (("ohmic", (0.01, 0.5), 20.0),
+                                     ("lorentzian", (0.01,), 10.0)):
+        table = config_table(family, [("coupling", couplings)],
+                             [(RESERVOIR[family], 3.0)])
+        amps = ctx.amps(table, TimeGrid(t_end, 4001), derivative=True)
+        gam = metric_series(table, amps, "decoherence_rate")
         if np.any(~np.isfinite(gam)):
             return SuiteResult("markovian-positivity", False, math.inf, -floor,
                                "unexpected singular samples")
@@ -334,26 +329,29 @@ def suite_qfi_oracle(ctx: VerifyContext) -> SuiteResult:
     the closed forms to 1e-5 relative wherever det(rho) > 1e-6."""
     tol = 1e-5
     h = 1e-6
+    steps = np.array([0.0, h, -h])
     phi0 = 0.7
     worst = 0.0
     checked = 0
     for family, g, res, t_end in (("ohmic", 1.0, 3.0, 20.0),
                                   ("lorentzian", 1.0, 0.1, 50.0)):
-        for theta in (math.pi / 6, math.pi / 3, math.pi / 2):
-            cfg = make_config(family, g, res, theta=theta, phi=phi0)
-            amps = ctx.amps(cfg, t_end, 201)
-            f_phi, f_theta = qfi_closed(amps.p, theta)
-            rho = atom_state(cfg, amps.p)
-            keep = np.linalg.det(rho).real > 1e-6
-            rho, p = rho[keep], amps.p[keep]
-            state = lambda th, ph: atom_state(
-                make_config(family, g, res, theta=th, phi=ph), p)
-            dphi = (state(theta, phi0 + h) - state(theta, phi0 - h)) / (2 * h)
-            dtheta = (state(theta + h, phi0) - state(theta - h, phi0)) / (2 * h)
-            for drho, closed in ((dphi, f_phi[keep]), (dtheta, f_theta[keep])):
-                worst = max(worst, float(np.max(
-                    np.abs(qfi_general_2x2(rho, drho) - closed) / closed)))
-            checked += int(np.count_nonzero(keep))
+        # one table of each theta and theta +- h at phi0 and phi0 +- h: p(t)
+        # does not depend on the angles, and atom_state reads only a row's
+        thetas = np.add.outer((math.pi / 6, math.pi / 3, math.pi / 2), steps)
+        table = config_table(family, [("theta", thetas.ravel()), ("phi", phi0 + steps)],
+                             [("coupling", g), (RESERVOIR[family], res)])
+        amps = ctx.amps(table, TimeGrid(t_end, 201))
+        # axes (theta, theta step, phi step, t), steps 0, +h, -h: rows 0, 9, 18 unshifted
+        states = atom_state(table, amps.p).reshape(3, 3, 3, -1, 2, 2)
+        rho = states[:, 0, 0]
+        keep = np.linalg.det(rho).real > 1e-6
+        f_phi, f_theta = qfi_closed(amps.p[::9], thetas[:, 0])
+        dphi = (states[:, 0, 1] - states[:, 0, 2]) / (2 * h)
+        dtheta = (states[:, 1, 0] - states[:, 2, 0]) / (2 * h)
+        for drho, closed in ((dphi, f_phi[keep]), (dtheta, f_theta[keep])):
+            worst = max(worst, float(np.max(
+                np.abs(qfi_general_2x2(rho[keep], drho[keep]) - closed) / closed)))
+        checked += int(np.count_nonzero(keep))
     return SuiteResult("qfi-oracle", worst <= tol, worst, tol,
                        f"{checked} states checked")
 

@@ -6,8 +6,10 @@ context so the expensive master-equation trajectories are integrated once.
 """
 
 import gc
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from cavityqfi.dynamics import ConfigTable
 from cavityqfi.presets import CURVE_PRESETS, PRESETS, RESERVOIR, config_table, \
     preset_configs
 from cavityqfi.verify import MESOLVE_PRESETS, SUITES, VerifyContext, run_suites
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +121,7 @@ def test_preset_blocks_match_the_per_config_route(ctx):
         table, _ = preset_configs(preset)
         for i in range(len(table)):
             cfg = table.row(i)
-            amps = ctx.amps(cfg, preset.t_end, preset.n_points)
+            amps = amplitude(cfg, TimeGrid(preset.t_end, preset.n_points))
             row = AmplitudeSeries(amps.times, amps.p[None], None)
             c = metric_series(table[i:i + 1], row, "coherence")
             relation = max(relation, float(np.max(np.abs(
@@ -214,6 +218,28 @@ def test_preset_table_builds_each_presets_table_once(monkeypatch):
     assert all(a is b for a, b in zip(entries, entries[len(PRESETS):]))
 
 
+def test_suites_build_their_cases_as_config_tables(monkeypatch):
+    # one run_suites() enumerates its configs as config tables: the 10
+    # preset tables and one per family and grid of the other suites, with
+    # no one-config route; the only configs built are chain's 26 RK4 rows
+    real, built = presets.config_table, []
+    counted = lambda *a: built.append(a) or real(*a)
+    monkeypatch.setattr(presets, "config_table", counted)
+    monkeypatch.setattr(verify, "config_table", counted)
+    real_row, rows = ConfigTable.row, []
+    monkeypatch.setattr(ConfigTable, "row", lambda t, i: rows.append(i) or real_row(t, i))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a suite built a config or a series one at a time")
+
+    monkeypatch.setattr(presets, "make_config", forbidden)
+    monkeypatch.setattr(verify, "amplitude", forbidden)
+    assert not hasattr(verify, "make_config")
+    assert all(r.passed for r in run_suites(ctx=VerifyContext()))
+    assert len(built) <= 20
+    assert len(rows) <= 36
+
+
 def test_chain_builds_a_config_per_cache_miss(monkeypatch):
     # chain looks its cache up by preset_table entry and row before it builds
     # the row's config: in one run_suites(), 78 calls and 26 misses build 26
@@ -300,6 +326,17 @@ def test_mesolve_chain_reads_preset_rows(monkeypatch, suite):
 
     monkeypatch.setattr(verify, "amplitude", no_amplitude)
     assert SUITES[suite](VerifyContext()).passed
+
+
+def test_worst_values_match_the_benchmark_reference(ctx):
+    # the benchmark's verify workload fails an op unless the suites are the
+    # reference's and each worst lies within its suite's tolerance of the
+    # recorded value; the same rule, on the file the benchmark reads
+    want = json.loads(REFERENCE.read_text())["verify"]
+    results = run_suites(ctx=ctx)
+    assert sorted(r.name for r in results) == sorted(want)
+    for r in results:
+        assert abs(r.worst - want[r.name]) <= r.tolerance, r.line()
 
 
 def test_results_are_builtin_types(ctx):
