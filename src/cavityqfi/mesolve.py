@@ -166,8 +166,8 @@ def partial_trace_cavity(rho3) -> np.ndarray:
     return out
 
 
-def timelocal_residual_blocks(cfg: SystemConfig | ConfigTable, grid: TimeGrid):
-    """Defect of the analytic state under its own time-local equation.
+def timelocal_residual_blocks(table: ConfigTable, grid: TimeGrid):
+    """Defect of the analytic state of a one-row table under its time-local equation.
 
     At each interior grid point, the Frobenius norm of the central-difference
     d rho/dt minus the generator built from the shift S(t) and rate Gamma(t):
@@ -177,9 +177,8 @@ def timelocal_residual_blocks(cfg: SystemConfig | ConfigTable, grid: TimeGrid):
     Samples flagged by the amplitude-singularity policy are NaN.  Yields
     (start, defect at points start, start + 1, ...) per block of interior
     points; a block reads only its `TimeGrid.window`, so memory stays bounded.
-    ``cfg`` may also be a one-row `ConfigTable`.
     """
-    n, table = grid.n_points, cfg if isinstance(cfg, ConfigTable) else ConfigTable.of(cfg)
+    n = grid.n_points
     if n < 3:
         amplitude_table(table, grid.times)  # the checks
     for i0 in range(1, n - 1, _BLOCK_SAMPLES):
@@ -202,6 +201,6 @@ def timelocal_residual_blocks(cfg: SystemConfig | ConfigTable, grid: TimeGrid):
 def timelocal_residual(cfg: SystemConfig, grid: TimeGrid) -> np.ndarray:
     """`timelocal_residual_blocks` as one array, NaN at the endpoints."""
     out = np.full(grid.n_points, np.nan)
-    for start, block in timelocal_residual_blocks(cfg, grid):
+    for start, block in timelocal_residual_blocks(ConfigTable.of(cfg), grid):
         out[start:start + block.size] = block
     return out

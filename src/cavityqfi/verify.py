@@ -56,16 +56,16 @@ class VerifyContext:
     `physicality` but no full trajectory.  `preset_tiles` walks the blocks
     a few rows at a time, so the suites that read every preset grid build
     their state stacks one tile, not one block, at a time.  `amps` computes
-    the block of a suite's own `config_table` off the preset grids,
-    uncached: no two suites ask for the same one.
+    the block, with `p_dot`, of a suite's own `config_table` off the
+    preset grids, uncached: no two suites ask for the same one.
     """
 
     def __init__(self):
         self._tables = {}
         self._chain = {}
 
-    def amps(self, table: ConfigTable, grid: TimeGrid, derivative: bool = False):
-        return amplitude_table(table, grid.times, derivative=derivative)
+    def amps(self, table: ConfigTable, grid: TimeGrid) -> AmplitudeSeries:
+        return amplitude_table(table, grid.times)
 
     def preset_table(self, name: str) -> tuple[ConfigTable, AmplitudeSeries]:
         """(table, amplitude block) of a preset: one row per config of its
@@ -294,7 +294,7 @@ def suite_markovian_positivity(ctx: VerifyContext) -> SuiteResult:
                                      ("lorentzian", (0.01,), 10.0)):
         table = config_table(family, [("coupling", couplings)],
                              [(RESERVOIR[family], 3.0)])
-        amps = ctx.amps(table, TimeGrid(t_end, 4001), derivative=True)
+        amps = ctx.amps(table, TimeGrid(t_end, 4001))
         gam = metric_series(table, amps, "decoherence_rate")
         if np.any(~np.isfinite(gam)):
             return SuiteResult("markovian-positivity", False, math.inf, -floor,
@@ -329,25 +329,25 @@ def suite_qfi_oracle(ctx: VerifyContext) -> SuiteResult:
     the closed forms to 1e-5 relative wherever det(rho) > 1e-6."""
     tol = 1e-5
     h = 1e-6
-    steps = np.array([0.0, h, -h])
+    steps = np.array([0.0, h, -h])  # a step index is at, up or down
+    at, up, down = 0, 1, 2
     phi0 = 0.7
-    worst = 0.0
-    checked = 0
+    worst, checked = 0.0, 0
     for family, g, res, t_end in (("ohmic", 1.0, 3.0, 20.0),
                                   ("lorentzian", 1.0, 0.1, 50.0)):
-        # one table of each theta and theta +- h at phi0 and phi0 +- h: p(t)
-        # does not depend on the angles, and atom_state reads only a row's
+        # one table holds each theta and its steps, at each step of phi0;
+        # atom_state reads only a row's angles, and every row has the same p
         thetas = np.add.outer((math.pi / 6, math.pi / 3, math.pi / 2), steps)
         table = config_table(family, [("theta", thetas.ravel()), ("phi", phi0 + steps)],
                              [("coupling", g), (RESERVOIR[family], res)])
         amps = ctx.amps(table, TimeGrid(t_end, 201))
-        # axes (theta, theta step, phi step, t), steps 0, +h, -h: rows 0, 9, 18 unshifted
-        states = atom_state(table, amps.p).reshape(3, 3, 3, -1, 2, 2)
-        rho = states[:, 0, 0]
+        shape = (len(thetas), len(steps), len(steps), -1)  # theta, its step, phi step, t
+        states = atom_state(table, amps.p).reshape(*shape, 2, 2)
+        rho = states[:, at, at]
         keep = np.linalg.det(rho).real > 1e-6
-        f_phi, f_theta = qfi_closed(amps.p[::9], thetas[:, 0])
-        dphi = (states[:, 0, 1] - states[:, 0, 2]) / (2 * h)
-        dtheta = (states[:, 1, 0] - states[:, 2, 0]) / (2 * h)
+        f_phi, f_theta = qfi_closed(amps.p.reshape(shape)[:, at, at], thetas[:, at])
+        dphi = (states[:, at, up] - states[:, at, down]) / (2 * h)
+        dtheta = (states[:, up, at] - states[:, down, at]) / (2 * h)
         for drho, closed in ((dphi, f_phi[keep]), (dtheta, f_theta[keep])):
             worst = max(worst, float(np.max(
                 np.abs(qfi_general_2x2(rho[keep], drho[keep]) - closed) / closed)))

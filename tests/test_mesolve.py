@@ -19,6 +19,7 @@ from cavityqfi import (
     timelocal_residual,
 )
 from cavityqfi import dynamics, mesolve, spectral
+from cavityqfi.dynamics import ConfigTable
 from cavityqfi.mesolve import timelocal_residual_blocks
 from cavityqfi.presets import make_config
 
@@ -321,7 +322,7 @@ class TestTimelocalResidual:
         monkeypatch.setattr(mesolve, "_BLOCK_SAMPLES", block)
         assert np.array_equal(timelocal_residual(cfg, grid), whole, equal_nan=True)
         # the array form is the blocks laid end to end between the endpoints
-        starts, blocks = zip(*timelocal_residual_blocks(cfg, grid))
+        starts, blocks = zip(*timelocal_residual_blocks(ConfigTable.of(cfg), grid))
         assert starts == tuple(range(1, 100, block))
         assert np.array_equal(np.concatenate(blocks), whole[1:-1], equal_nan=True)
 
