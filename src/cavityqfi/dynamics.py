@@ -232,7 +232,7 @@ def amplitude_table(table: ConfigTable, times: np.ndarray, mode: str = "closed",
     silenced.
     ``p_dot`` is None unless ``derivative``; closed mode then evaluates beta alone.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         g1, b1, g2, b2 = _rate_table(table, times, mode, (0, 1) if derivative else (1,))
         w1, w2 = table.omega_1[:, None], table.omega_2[:, None]
         e1 = np.exp(-1j * w1 * times - b1 / 4.0)

@@ -2,9 +2,6 @@ import hashlib
 import math
 import os
 import stat
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -757,26 +754,6 @@ def test_golden_bytes_in_small_blocks(tmp_path, monkeypatch, argv, digest):
         monkeypatch.setattr(presets, "_BLOCK_SAMPLES", block)
         assert main(argv + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, block
-
-
-@pytest.mark.parametrize("case", ["fig1a", "sweep"])
-def test_bytes_independent_of_locale_encoding(tmp_path, case):
-    # a file opened in text mode with no encoding would take the locale's,
-    # which -X warn_default_encoding reports, here as an error; the CSV is
-    # ASCII bytes written in binary mode, with \n line ends on every OS
-    argv, digest = dict(zip(GOLDEN_IDS, GOLDEN))[case]
-    out = tmp_path / "out.csv"
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run(
-        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
-         "-m", "cavityqfi.cli", *argv, "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    data = out.read_bytes()
-    assert b"\r" not in data
-    assert hashlib.sha256(data).hexdigest() == digest
 
 
 @pytest.mark.parametrize("preset, t_end", [
