@@ -18,7 +18,6 @@ A config is one `SystemConfig`, or one row of the float columns of a
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -29,8 +28,6 @@ from .spectral import (MODEL_FIELDS, SpectralKind, SpectralModel, _check, check_
 # beta_closed, gamma_closed, beta_numeric and gamma_numeric are not called
 # here, but perfbench/tracer.py wraps these bindings
 from .spectral import beta_closed, beta_numeric, gamma_closed, gamma_numeric  # noqa: F401
-
-logger = logging.getLogger(__name__)
 
 EPS_AMPLITUDE = 1e-9    # slack on |p| <= 1
 EPS_P_SINGULAR = 1e-10  # |p| at or below this flags Gamma/S as singular
@@ -290,10 +287,6 @@ def _log_ratio(p, p_dot):
     p = np.asarray(p, dtype=complex)
     p_dot = np.asarray(p_dot, dtype=complex)
     ok = np.abs(p) > EPS_P_SINGULAR
-    flagged = int(np.size(ok) - np.count_nonzero(ok))
-    if flagged:
-        logger.debug("flagged %d singular amplitude samples (|p| <= %g)",
-                     flagged, EPS_P_SINGULAR)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(ok, p_dot / np.where(ok, p, 1.0),
                          complex(np.nan, np.nan))

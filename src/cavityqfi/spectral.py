@@ -302,14 +302,21 @@ def check_numeric_time(model: SpectralModel, omega_j: float, t: float,
     where Python's ``**`` must square their distance from the peak without
     overflow.  Both reach further as t falls, so the check at a grid's first
     nonzero time covers the grid from below.
+    Each tail starts at the window edge a = u_hi or -u_lo and runs in cycles
+    of (2 floor(t) + 1) half-periods, at most 3 pi long.  From t = 1 on,
+    quadpack's rule for a cycle evaluates its end node, so a must resolve
+    against a + 3 pi, as a segment's start against its end: a tail start of
+    exactly 0 (the window collapsed onto omega_j) names the family's width,
+    and a nonzero one names ``name``.  Below t = 1 no end node is evaluated,
+    so the check at a grid's last time covers the grid.
     """
     _check("t_end", t, name)  # a grid's time, finite and > 0
     _check("omega_j", omega_j)
     wj = float(omega_j)
     if model.kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
-        center, sigma = 0.0, model.omega_c
+        center, sigma, width = 0.0, model.omega_c, "omega_c"
     else:
-        center, sigma = model.lorentz_peak(), model.width
+        center, sigma, width = model.lorentz_peak(), model.width, "width"
     r = FREQ_WINDOW * sigma
     u_lo = min(wj - r, -(abs(wj) + r), center - r) - wj
     u_hi = max(wj + r, abs(wj) + r, center + r) - wj
@@ -320,6 +327,15 @@ def check_numeric_time(model: SpectralModel, omega_j: float, t: float,
         raise ValueError(f"{name}={t:g} is outside the numeric-mode time domain: "
                          f"the quadrature tails of omega_j={wj:g}, in half-periods "
                          f"of {math.pi / t:.3g}, would overflow")
+    if t >= 1.0:  # quadpack evaluates the end node of each tail's first cycle
+        for a in (u_hi, -u_lo):
+            if a == 0.0:
+                raise ValueError(f"{width}={sigma:g} is outside the numeric-mode domain: "
+                                 f"the quadrature window of omega_j={wj:g} collapses onto it")
+            if (a + 3.0 * math.pi) + a == (a + 3.0 * math.pi) - a:
+                raise ValueError(f"{name}={t:g} is outside the numeric-mode time domain: "
+                                 f"the quadrature tail start {a:.3g} of omega_j={wj:g} is "
+                                 f"not resolvable against its first cycle of up to 3 pi")
     r0 = 6.0 * math.pi / t
     sides = []
     for a, b, sign, reach in ((max(r0, u_lo), u_hi, 1.0, u_hi > r0),
@@ -372,8 +388,9 @@ def gamma_numeric(model: SpectralModel, omega_j: float, t: float) -> float:
     Time domain: t = 0, where gamma is 0, or `check_numeric_time`'s: very
     large t, t below about 7e-154 (Lorentzian) or 3.5e-306 (Ohmic), a
     negative or non-finite t and a non-finite omega_j raise ValueError
-    naming it.  Raises QuadratureConvergenceError when the combined error
-    estimate exceeds the requested tolerances.
+    naming it; from t = 1 on, so does a width too small to show against
+    omega_j, naming the width or t.  Raises QuadratureConvergenceError when
+    the combined error estimate exceeds the requested tolerances.
     """
     from scipy.integrate import quad
 

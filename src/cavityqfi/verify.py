@@ -51,13 +51,13 @@ def _block_key(name: str) -> tuple:
 class VerifyContext:
     """Shared lazy caches so suites reuse amplitude blocks and RK4 results.
 
-    `preset_table` holds one (n_cfg, n_t) block per preset grid and `chain`
-    the RK4 deviations from its rows, with every 10th base-step state for
-    `physicality` but no full trajectory.  `preset_tiles` walks the blocks
-    a few rows at a time, so the suites that read every preset grid build
-    their state stacks one tile, not one block, at a time.  `amps` computes
-    the block, with `p_dot`, of a suite's own `config_table` off the
-    preset grids, uncached: no two suites ask for the same one.
+    `preset_table` holds one (n_cfg, n_t) block per preset grid, and `chain`,
+    per block row and from one miss, the RK4 deviations at a base step and at
+    half of it and every 10th base-step state for `physicality`.
+    `preset_tiles` walks the blocks a few rows at a time, so the suites that
+    read every preset grid build their state stacks one tile, not one block, at
+    a time.  `amps` computes, uncached, the block with `p_dot` of a suite's own
+    `config_table` off the preset grids: no two suites ask for the same one.
     """
 
     def __init__(self):
@@ -87,22 +87,23 @@ class VerifyContext:
             for a in range(0, len(table), rows):
                 yield table[a:a + rows], AmplitudeSeries(block.times, block.p[a:a + rows], None)
 
-    def chain(self, name: str, i: int, halve: bool):
-        """(max deviation of traced RK4 vs row i of `preset_table`, states or
-        None if halved) of a preset's config i, cached by `_block_key` and
-        row, so only a miss builds the config."""
-        key = (_block_key(name), i, halve)
+    def chain(self, name: str, i: int):
+        """(RK4 vs row i of `preset_table`: max deviation at the base step, at half
+        of it, every 10th base-step state), cached by `_block_key` and row, so only
+        a miss builds the row's config and analytic state, once for both runs."""
+        key = (_block_key(name), i)
         if key not in self._chain:
             (table, block), preset = self.preset_table(name), PRESETS[name]
             cfg = table.row(i)
             grid = TimeGrid(preset.t_end, preset.n_points)
-            dt = grid.dt
-            k = max(1, math.ceil(dt / (0.01 / (cfg.omega0 + cfg.coupling)) - 1e-9))
-            icfg = mesolve.IntegratorConfig(step=dt / (2 * k if halve else k))
-            traj = mesolve.evolve(cfg, grid, icfg)
-            ana = atom_state(cfg, block.p[i])
-            dev = float(np.max(np.abs(mesolve.partial_trace_cavity(traj) - ana)))
-            self._chain[key] = (dev, None if halve else traj[::10].copy())
+            k = max(1, math.ceil(grid.dt / (0.01 / (cfg.omega0 + cfg.coupling)) - 1e-9))
+            ana, devs = atom_state(cfg, block.p[i]), []
+            for substeps in (k, 2 * k):  # per grid interval, one trajectory at a time
+                traj = mesolve.evolve(cfg, grid, mesolve.IntegratorConfig(step=grid.dt / substeps))
+                devs.append(float(np.max(np.abs(mesolve.partial_trace_cavity(traj) - ana))))
+                states = traj[::10].copy() if substeps == k else states
+                del traj
+            self._chain[key] = (*devs, states)
         return self._chain[key]
 
 
@@ -224,8 +225,7 @@ def suite_mesolve_chain(ctx: VerifyContext) -> SuiteResult:
     for name in MESOLVE_PRESETS:
         couplings = ctx.preset_table(name)[0].coupling
         for i in range(len(couplings)):
-            dev, _ = ctx.chain(name, i, halve=False)
-            dev_half, _ = ctx.chain(name, i, halve=True)
+            dev, dev_half, _ = ctx.chain(name, i)
             if dev > worst:
                 worst = dev
                 order = math.log2(dev / max(dev_half, 1e-300))
@@ -370,7 +370,7 @@ def suite_physicality(ctx: VerifyContext) -> SuiteResult:
                     max(0.0, -d["min_eigenvalue"]) / 1e-9)
     for name in MESOLVE_PRESETS:
         for i in range(len(ctx.preset_table(name)[0])):
-            _, states = ctx.chain(name, i, halve=False)
+            _, _, states = ctx.chain(name, i)
             d = physicality(states)
             worst = max(worst, d["hermiticity"] / 1e-10, d["trace"] / 1e-10,
                         max(0.0, -d["min_eigenvalue"]) / 1e-6)

@@ -139,7 +139,7 @@ def test_preset_blocks_match_the_per_config_route(ctx):
                 f_phi - f_theta * math.sin(cfg.theta) ** 2))))
     for name in MESOLVE_PRESETS:
         for i in range(len(ctx.preset_table(name)[0])):
-            _, states = ctx.chain(name, i, halve=False)
+            _, _, states = ctx.chain(name, i)
             phys = max(phys, _eigvalsh_violations(states, 1e-10, 1e-6))
     want = {"relation-coherence-qfi": relation,
             "closed-form-identity": identity, "physicality": phys}
@@ -221,7 +221,7 @@ def test_preset_table_builds_each_presets_table_once(monkeypatch):
 def test_suites_build_their_cases_as_config_tables(monkeypatch):
     # one run_suites() enumerates its configs as config tables: the 10
     # preset tables and one per family and grid of the other suites, with
-    # no one-config route; the only configs built are chain's 26 RK4 rows
+    # no one-config route; the only configs built are chain's 13 RK4 rows
     real, built = presets.config_table, []
     counted = lambda *a: built.append(a) or real(*a)
     monkeypatch.setattr(presets, "config_table", counted)
@@ -242,8 +242,8 @@ def test_suites_build_their_cases_as_config_tables(monkeypatch):
 
 def test_chain_builds_a_config_per_cache_miss(monkeypatch):
     # chain looks its cache up by preset_table entry and row before it builds
-    # the row's config: in one run_suites(), 78 calls and 26 misses build 26
-    # configs, one per miss
+    # the row's config: in one run_suites(), 52 calls and 13 misses, one per
+    # distinct row, build 13 configs, each serving both RK4 runs
     ctx, built, per_call = VerifyContext(), [], []
     real_row, real_chain = ConfigTable.row, ctx.chain
     monkeypatch.setattr(ConfigTable, "row",
@@ -257,8 +257,8 @@ def test_chain_builds_a_config_per_cache_miss(monkeypatch):
 
     ctx.chain = chain
     run_suites(ctx=ctx)
-    assert len(per_call) == 78
-    assert sum(per_call) == len(ctx._chain) == 26
+    assert len(per_call) == 52
+    assert sum(per_call) == len(ctx._chain) == 13
 
 
 def _traced(f):
@@ -290,7 +290,7 @@ def test_preset_suites_hold_one_tile(ctx):
         ctx.preset_table(name)
     for name in MESOLVE_PRESETS:
         for i in range(len(ctx.preset_table(name)[0])):
-            ctx.chain(name, i, halve=False)
+            ctx.chain(name, i)
     for suite, bound in (("relation-coherence-qfi", 3e6), ("physicality", 5e6)):
         result, peak, _ = _traced(lambda: SUITES[suite](ctx))
         assert result.passed, suite

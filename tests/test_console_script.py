@@ -58,6 +58,11 @@ ROWS = {
                          digest="2e97b4a71275e0a48f82e21c19ab744c8cfb28b11a994bc17606d552f6775ce3"),
     "locale-fig1a": golden("fig1a"),
     "locale-sweep": golden("sweep"),
+    # --steps/--t-end on a contour preset and on run custom, and a curve of
+    # 3 couplings x 20000 times in 4 tiles
+    "fig2b-overrides": golden("fig2b-overrides"),
+    "custom-overrides": golden("custom-overrides"),
+    "custom-multi-tile": golden("custom-multi-tile"),
     "locale-ohmic": Row(cli("sweep --model ohmic --param coupling --range 0:1:3 --steps 11"),
                         digest="a797d46eb2c9c19693d774a7766e552c43975763b2fef27c4d3d43b0d1e4bdbe",
                         flags=NO_LOCALE),
@@ -68,6 +73,14 @@ ROWS = {
                              2, 1, ERR + "t_end="),
     "t-end-below-domain": Row(cli("run fig4a --mode numeric --steps 3 --t-end 1e-200"),
                               2, 1, ERR + "t_end="),
+    # a width so small that a quadrature tail starts at, or too near, omega_j
+    "collapsed-ohmic": Row(cli("run custom --family ohmic --omega-c 1e-150 --coupling 0.5 "
+                               "--mode numeric --steps 3"), 2, 1, ERR + "omega_c=1e-150 "),
+    "collapsed-lorentzian": Row(cli("run custom --family lorentzian --width 1e-150 "
+                                    "--coupling 0.5 --mode numeric --steps 3"),
+                                2, 1, ERR + "width=1e-150 "),
+    "collapsed-ohmic-wj0": Row(cli("run custom --family ohmic --omega-c 1e-100 --coupling 1.0 "
+                                   "--mode numeric --steps 3"), 2, 1, ERR + "t_end="),
     "repeated-coupling": Row(cli("run custom --family ohmic --omega-c 3 --coupling 0.5 "
                                  "--coupling 0.5"), 2, 1, ERR + "--coupling 0.5: "),
     # 10^15 values, and 10^18 configs, that cannot be allocated

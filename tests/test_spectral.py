@@ -221,6 +221,20 @@ class TestGammaNumeric:
         assert math.isfinite(gamma_numeric(lorentz(1.0), 0.5, 1e-150))
         assert math.isfinite(gamma_numeric(OHMIC(3.0), 0.99, 1e-305))
 
+    @pytest.mark.parametrize("model, wj, rule", [
+        (OHMIC(1e-150), 0.5, "omega_c=1e-150"), (lorentz(1e-150), 0.5, "width=1e-150"),
+        (lorentz(1e-150), -1.5, "width=1e-150"),
+        # nonzero tail starts: 5e-99, and 4.4e-16, which pi would resolve
+        (OHMIC(1e-100), 0.0, "t=1"), (OHMIC(1e-17), 1.0, "t=1")],
+        ids=["ohmic", "lorentzian", "lorentzian-lower-tail", "ohmic-wj0", "ohmic-ulp"])
+    def test_collapsed_window_is_named(self, model, wj, rule):
+        # the tails' first cycle would end on a node at u = 0, where their
+        # integrands divide by zero; rejected before quadpack runs
+        with pytest.raises(ValueError, match=f"^{rule} is outside"):
+            gamma_numeric(model, wj, 1.0)
+        # below t = 1 the tails never evaluate a cycle's end node
+        assert math.isfinite(gamma_numeric(model, wj, 0.5))
+
 
 @pytest.mark.parametrize("model, wj", [(OHMIC(3.0), 1.0), (OHMIC(0.3), 0.0),
                                        (lorentz(1.0), 0.5), (lorentz(0.1), 3.0)],
