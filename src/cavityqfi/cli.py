@@ -63,23 +63,6 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _fmt_all(values) -> list[bytes]:
-    return [b"%.12g" % x for x in np.asarray(values, dtype=float).tolist()]
-
-
-def _csv_block(times_text: list[bytes], prefixes: list[bytes], values) -> bytes:
-    """CSV rows ``t<prefix>,v``, one per time of each prefix in turn, as one
-    ASCII bytes string.  The times and each prefix, its rows' shared fields
-    with leading commas, come formatted; only ``values``, a (len(prefixes),
-    n_t) array, is formatted here, by one bytes %.12g template for the tile."""
-    if values.shape != (len(prefixes), len(times_text)):
-        raise ValueError(f"values of shape {values.shape} for {len(prefixes)} "
-                         f"prefixes and {len(times_text)} times")
-    row_ends = [prefix + b",%.12g\n" for prefix in prefixes]
-    template = b"".join(row_end.join(times_text) + row_end for row_end in row_ends)
-    return template % tuple(values.ravel().tolist())
-
-
 def _curve_block(times, values) -> bytes:
     """CSV rows ``t,v_1,...,v_k``, one per time, of a curve tile's (k, n_t)
     ``values`` as ASCII bytes: times and values by one bytes %.12g template,
@@ -90,16 +73,23 @@ def _curve_block(times, values) -> bytes:
 
 
 def _config_rows(tiles, columns):
-    """CSV bytes of config-major `table_tiles`: each value's row holds its
-    time, then its config's fields from ``columns``.  A window's times are
-    formatted once for as long as consecutive tiles repeat it."""
+    """CSV bytes of config-major `table_tiles`: rows ``t,f_1,...,f_k,v``, one
+    per time of each config in turn, the fields its entries in ``columns``.
+    A window's times are formatted once for as long as consecutive tiles
+    repeat it, each config's fields once per tile, and a tile's (configs,
+    times) ``values`` by one bytes %.12g template."""
     template = b",%.12g" * len(columns)
     last = None
     for first, times, values in tiles:
         if last is None or not np.array_equal(times, last):
-            last, times_text = times, _fmt_all(times)
+            last, times_text = times, [b"%.12g" % t for t in times.tolist()]
         rows = zip(*(c[first:first + len(values)].tolist() for c in columns))
-        yield _csv_block(times_text, [template % r for r in rows], values)
+        row_ends = [template % r + b",%.12g\n" for r in rows]
+        if values.shape != (len(row_ends), len(times_text)):
+            raise ValueError(f"values of shape {values.shape} for {len(row_ends)} "
+                             f"configs and {len(times_text)} times")
+        tile = b"".join(row_end.join(times_text) + row_end for row_end in row_ends)
+        yield tile % tuple(values.ravel().tolist())
 
 
 def _meta_lines(pairs) -> list[str]:

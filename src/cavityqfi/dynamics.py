@@ -194,10 +194,14 @@ def _check_amplitude(table: ConfigTable, times: np.ndarray, p: np.ndarray) -> No
                                   f"physical range: max |p| = {peak[i]}")
 
 
-def _rate_table(table: ConfigTable, times: np.ndarray, mode: str, halves):
-    """(gamma1, beta1, gamma2, beta2) over (row, time); closed mode: only ``halves``."""
+def _check_mode(mode: str) -> None:
     if mode not in ("closed", "numeric"):
         raise ValueError(f"mode must be 'closed' or 'numeric', got {mode!r}")
+
+
+def _rate_table(table: ConfigTable, times: np.ndarray, mode: str, halves):
+    """(gamma1, beta1, gamma2, beta2) over (row, time); closed mode: only ``halves``."""
+    _check_mode(mode)
     if mode == "closed":
         fields = {k: v[:, None] for k, v in table.columns.items()}
         return (*closed_rates(table.kind, fields, table.omega_1[:, None], times, halves),

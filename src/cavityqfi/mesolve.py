@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dynamics
 from .dynamics import (
-    _BLOCK_SAMPLES,
     ConfigTable,
     SystemConfig,
     TimeGrid,
@@ -181,8 +181,9 @@ def timelocal_residual_blocks(table: ConfigTable, grid: TimeGrid):
     n = grid.n_points
     if n < 3:
         amplitude_table(table, grid.times)  # the checks
-    for i0 in range(1, n - 1, _BLOCK_SAMPLES):
-        i1 = min(i0 + _BLOCK_SAMPLES, n - 1)
+    samples = dynamics._BLOCK_SAMPLES
+    for i0 in range(1, n - 1, samples):
+        i1 = min(i0 + samples, n - 1)
         amps = amplitude_table(table, grid.window(i0 - 1, i1 + 1))
         p, p_dot = amps.p[0], amps.p_dot[0]
         # rho_ge = conj(rho_eg) exactly, so its defect is that of rho_eg

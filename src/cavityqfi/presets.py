@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dynamics
 from .dynamics import (
-    _BLOCK_SAMPLES,
     ConfigTable,
     SystemConfig,
     TimeGrid,
+    _check_mode,
     _state_elements,
     amplitude_table,
     decoherence_rate,
@@ -214,18 +215,21 @@ def table_tiles(table: ConfigTable, grid: TimeGrid, quantity: str,
 
     A tile is the configs from ``first_row`` on times a `TimeGrid.window`,
     with their `metric_series` from one `amplitude_table` call: at most
-    ``_BLOCK_SAMPLES`` samples, or one time of every config (``by_time``,
-    as a curve's CSV rows are times) or one config's grid (numeric mode).
-    A config range's windows come before the next range's.  ``quantity`` is
-    checked on the call, each tile's amplitudes before it is yielded, and a
-    failing check names its config.  No value depends on the tiling.
+    ``dynamics._BLOCK_SAMPLES`` samples, or one time of every config
+    (``by_time``, as a curve's CSV rows are times) or one config's grid
+    (numeric mode).  A config range's windows come before the next range's.
+    ``quantity`` and ``mode`` are checked on the call, each tile's
+    amplitudes before it is yielded, and a failing check names its config.
+    No value depends on the tiling.
     """
     if quantity not in TABLE_QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
-    per_tile = max(1, _BLOCK_SAMPLES // len(table)) if by_time else _BLOCK_SAMPLES
+    _check_mode(mode)
+    samples = dynamics._BLOCK_SAMPLES
+    per_tile = max(1, samples // len(table)) if by_time else samples
     # numeric beta is a cumulative Simpson integral from t = 0: the whole grid
     width = grid.n_points if mode == "numeric" else min(grid.n_points, per_tile)
-    rows = len(table) if by_time else max(1, _BLOCK_SAMPLES // width)
+    rows = len(table) if by_time else max(1, samples // width)
 
     def tiles():
         for first in range(0, len(table), rows):

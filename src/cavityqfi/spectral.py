@@ -187,6 +187,8 @@ FREQ_WINDOW = 50.0
 ABS_TOL = 1e-10
 REL_TOL = 1e-8
 MAX_SUBDIVISIONS = 10000
+# float spacings of the tails' start that a half-period pi/t must span
+TAIL_SPACINGS = 1.0 / REL_TOL
 
 
 def eval_density(model: SpectralModel, omega_prime):
@@ -309,6 +311,13 @@ def check_numeric_time(model: SpectralModel, omega_j: float, t: float,
     exactly 0 (the window collapsed onto omega_j) names the family's width,
     and a nonzero one names ``name``.  Below t = 1 no end node is evaluated,
     so the check at a grid's last time covers the grid.
+    The tails' nodes are floats near the window edge max(u_hi, -u_lo), so
+    the sine weight's phase u t is known only to t times their spacing: a
+    half-period pi/t must span at least TAIL_SPACINGS = 1/REL_TOL spacings
+    of the edge, or quadpack fails or silently returns values about 2e-4
+    off, relative.  That puts the top at t = 1.1e6 for an edge of about 150
+    (Ohmic omega_c = 3, or width 3), and as pi/t falls with t, the check at
+    a grid's last time covers the grid from above.
     """
     _check("t_end", t, name)  # a grid's time, finite and > 0
     _check("omega_j", omega_j)
@@ -350,6 +359,11 @@ def check_numeric_time(model: SpectralModel, omega_j: float, t: float,
                     f"resolvable against the quadrature segment end "
                     f"{seg_hi:.6g} of omega_j={wj:g}")
         sides.append(edges)
+    if math.pi / t < TAIL_SPACINGS * math.ulp(edge):
+        raise ValueError(f"{name}={t:g} is outside the numeric-mode time domain: "
+                         f"the quadrature tails' half-period pi/{name} = "
+                         f"{math.pi / t:.3g} spans fewer than {TAIL_SPACINGS:.0e} "
+                         f"float spacings of their start {edge:.6g} of omega_j={wj:g}")
     return u_lo, u_hi, center, r0, sides
 
 

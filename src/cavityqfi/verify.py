@@ -16,8 +16,8 @@ import numpy as np
 # start-up, rather than inside the first suite
 import scipy.integrate  # noqa: F401
 
-from . import mesolve
-from .dynamics import _BLOCK_SAMPLES, AmplitudeSeries, ConfigTable, TimeGrid, \
+from . import dynamics, mesolve
+from .dynamics import AmplitudeSeries, ConfigTable, TimeGrid, \
     amplitude_table, atom_state, physicality
 # amplitude is not called here, but perfbench/tracer.py wraps this binding
 from .dynamics import amplitude  # noqa: F401
@@ -81,9 +81,10 @@ class VerifyContext:
     def preset_tiles(self, names=PRESET_NAMES):
         """Each distinct `preset_table` entry of the presets ``names`` once, in
         order, as (table[a:b], block rows a to b) tiles of at most
-        ``_BLOCK_SAMPLES`` samples, or one row, the rule of `table_tiles`."""
+        ``dynamics._BLOCK_SAMPLES`` samples, or one row, the rule of
+        `table_tiles`."""
         for table, block in {_block_key(n): self.preset_table(n) for n in names}.values():
-            rows = max(1, _BLOCK_SAMPLES // len(block.times))
+            rows = max(1, dynamics._BLOCK_SAMPLES // len(block.times))
             for a in range(0, len(table), rows):
                 yield table[a:a + rows], AmplitudeSeries(block.times, block.p[a:a + rows], None)
 

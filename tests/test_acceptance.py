@@ -16,7 +16,7 @@ import pytest
 
 from cavityqfi import AmplitudeSeries, TimeGrid, amplitude, atom_state, coherence_l1, \
     metric_series, qfi_closed
-from cavityqfi import presets, verify
+from cavityqfi import dynamics, presets, verify
 from cavityqfi.dynamics import ConfigTable
 from cavityqfi.presets import CURVE_PRESETS, PRESETS, RESERVOIR, config_table, \
     preset_configs
@@ -183,7 +183,7 @@ def test_preset_tiles_cover_every_preset_once(ctx):
         while row < len(table):
             part, tile = next(walk)
             rows = len(part)
-            assert rows == 1 or rows * len(block.times) <= verify._BLOCK_SAMPLES
+            assert rows == 1 or rows * len(block.times) <= dynamics._BLOCK_SAMPLES
             assert tile.times is block.times and tile.p_dot is None
             assert np.shares_memory(tile.p, block.p)
             assert np.array_equal(tile.p, block.p[row:row + rows])
@@ -201,7 +201,7 @@ def test_preset_suites_independent_of_tile_size(ctx, monkeypatch, block):
     # tiles of one row: no value depends on the tiling
     names = ("relation-coherence-qfi", "closed-form-identity", "physicality")
     want = [(r.worst, r.detail) for r in run_suites(names, ctx)]
-    monkeypatch.setattr(verify, "_BLOCK_SAMPLES", block)
+    monkeypatch.setattr(dynamics, "_BLOCK_SAMPLES", block)
     assert [(r.worst, r.detail) for r in run_suites(names, ctx)] == want
 
 

@@ -96,8 +96,8 @@ ROWS = {
                                      flags=W_ERROR),
     # a NaN time must raise before quadpack, which crashes on it (exit 139)
     "nan-time-gamma-numeric": Row(["-c", NAN_TIME], 1, 1, "ValueError: t must be finite"),
-    "quadrature-tolerance": Row(cli("run custom --family ohmic --omega-c 300 --coupling 0.5 "
-                                    "--mode numeric --steps 2 --t-end 1e5"),
+    "quadrature-tolerance": Row(cli("run custom --family ohmic --omega-c 3e5 --coupling 0.5 "
+                                    "--mode numeric --steps 2 --t-end 1"),
                                 1, 1, "tolerance error: "),
     # a NaN amplitude from coupling 0.8 on, in the 9th block
     "late-block-nan": Row(cli("sweep --model ohmic --param coupling --range 0:1:41 "

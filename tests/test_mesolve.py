@@ -319,7 +319,7 @@ class TestTimelocalResidual:
         cfg = lorentz_cfg(coupling=1.0, width=0.1)
         grid = TimeGrid(10.0, 101)
         whole = timelocal_residual(cfg, grid)
-        monkeypatch.setattr(mesolve, "_BLOCK_SAMPLES", block)
+        monkeypatch.setattr(dynamics, "_BLOCK_SAMPLES", block)
         assert np.array_equal(timelocal_residual(cfg, grid), whole, equal_nan=True)
         # the array form is the blocks laid end to end between the endpoints
         starts, blocks = zip(*timelocal_residual_blocks(ConfigTable.of(cfg), grid))

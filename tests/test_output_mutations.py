@@ -18,7 +18,7 @@ The defects:
   drops a grid's last window where it is shorter than the others;
 - `dynamics.amplitude_table` returns its block unchecked, so a tile with a
   NaN amplitude is written;
-- `cli._csv_block` (sweep and contour rows) or `cli._curve_block` (curve
+- `cli._config_rows` (sweep and contour rows) or `cli._curve_block` (curve
   rows) formats values with ``%.11g``.
 
 A dropped grid end moves only fig4a's and fig4c's last time (50 after
@@ -88,7 +88,7 @@ def unchecked_amplitudes(monkeypatch):
 
 
 def eleven_digit_values(monkeypatch):
-    _mutate(monkeypatch, cli, "_csv_block", 'b",%.12g\\n"', 'b",%.11g\\n"',
+    _mutate(monkeypatch, cli, "_config_rows", 'b",%.12g\\n"', 'b",%.11g\\n"',
             modules=(test_presets_cli,))
 
 

@@ -196,8 +196,14 @@ class TestGammaNumeric:
             gamma_numeric(OHMIC(3.0), 0.99, t)
 
     def test_last_time_inside_domain(self):
-        # one decade below the first rejected time, still a finite rate
-        assert math.isfinite(gamma_numeric(OHMIC(3.0), 0.99, 1e16))
+        # just below the first rejected time, 1.106e6 for the tails' start
+        # 151.98: still a finite rate, and the closed-form one
+        m = OHMIC(3.0)
+        assert math.isfinite(gamma_numeric(m, 0.99, 1.1e6))
+        assert gamma_numeric(m, 0.99, 1.1e6) == pytest.approx(
+            gamma_closed(m, 0.99, 1.1e6), rel=1e-6)
+        with pytest.raises(ValueError, match=r"^t=1.2e\+06 is outside"):
+            gamma_numeric(m, 0.99, 1.2e6)
 
     @pytest.mark.parametrize("t", [7e-154, 1e-200])
     def test_lorentzian_time_below_domain_names_t(self, t):
@@ -234,6 +240,25 @@ class TestGammaNumeric:
             gamma_numeric(model, wj, 1.0)
         # below t = 1 the tails never evaluate a cycle's end node
         assert math.isfinite(gamma_numeric(model, wj, 0.5))
+
+
+@pytest.mark.parametrize("model, wj", [
+    (OHMIC(3.0), 0.99), (OHMIC(3.0), 0.5), (OHMIC(0.3), 1.5), (OHMIC(300.0), 0.5),
+    (lorentz(1.0, detuning=0.0), 1.0), (lorentz(0.1, detuning=0.0), 1.5),
+    (lorentz(3.0, detuning=0.0), 0.5), (lorentz(300.0, detuning=0.0), 1.0)],
+    ids=["ohmic", "ohmic-wj0.5", "ohmic-narrow", "ohmic-wide", "lorentzian",
+         "lorentzian-narrow", "lorentzian-wj0.5", "lorentzian-wide"])
+def test_numeric_rate_is_closed_or_rejected_at_every_decade(model, wj):
+    # from 1e-3 to 1e16: quadpack's rate is the closed form, or t lies past
+    # the numeric-mode domain; never a value that missed its tolerance
+    for k in range(-3, 17):
+        t = 10.0 ** k
+        try:
+            got = gamma_numeric(model, wj, t)
+        except ValueError as exc:
+            assert str(exc).startswith(f"t={t:g} is outside"), (t, exc)
+            continue
+        assert got == pytest.approx(gamma_closed(model, wj, t), rel=1e-6), t
 
 
 @pytest.mark.parametrize("model, wj", [(OHMIC(3.0), 1.0), (OHMIC(0.3), 0.0),

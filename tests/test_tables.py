@@ -39,7 +39,7 @@ from cavityqfi import (
     physicality,
     qfi_closed,
 )
-from cavityqfi import cli, dynamics, presets, spectral
+from cavityqfi import cli, dynamics, mesolve, presets, spectral, verify
 from cavityqfi.cli import main
 from cavityqfi.dynamics import ConfigTable, amplitude_table
 from cavityqfi.presets import CURVE_PRESETS, TABLE_QUANTITIES, config_table, \
@@ -119,12 +119,12 @@ def test_metric_series_rejects_an_unknown_quantity():
 
 def test_blocks_not_a_multiple_of_the_block_size():
     grid = TimeGrid(20.0, 500)
-    per_block = presets._BLOCK_SAMPLES // grid.n_points
+    per_block = dynamics._BLOCK_SAMPLES // grid.n_points
     couplings = np.linspace(0.0, 1.0, 2 * per_block + 37)
     table = config_table("ohmic", [("coupling", couplings)])
     samples = len(table) * grid.n_points
-    assert samples > 2 * presets._BLOCK_SAMPLES
-    assert samples % presets._BLOCK_SAMPLES and len(table) % per_block
+    assert samples > 2 * dynamics._BLOCK_SAMPLES
+    assert samples % dynamics._BLOCK_SAMPLES and len(table) % per_block
     assert_rows_bitwise(table, grid, "qfi_phi", stacked(table, grid, "qfi_phi"))
 
 
@@ -145,7 +145,7 @@ def test_small_blocks_change_no_bit(block, family, couplings, thetas, reservoir,
     grid = TimeGrid(t_end, n_points)
     whole = metric_series(table, amplitude_table(table, grid.times), quantity)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(presets, "_BLOCK_SAMPLES", block)
+        mp.setattr(dynamics, "_BLOCK_SAMPLES", block)
         tiles = list(table_tiles(table, grid, quantity, by_time=by_time))
     row, start = 0, 0   # where the next tile must begin
     for first, times, values in tiles:
@@ -166,7 +166,7 @@ def test_small_blocks_change_no_bit(block, family, couplings, thetas, reservoir,
 
 
 def test_sweep_streams_in_bounded_memory(tmp_path, monkeypatch):
-    monkeypatch.setattr(presets, "_BLOCK_SAMPLES", 1024)
+    monkeypatch.setattr(dynamics, "_BLOCK_SAMPLES", 1024)
     out = tmp_path / "out.csv"
 
     def sweep(params, ranges, steps):
@@ -221,6 +221,21 @@ def test_unknown_quantity_rejected_before_amplitude(monkeypatch):
     # the tile form checks on the call, before its first tile is read
     with pytest.raises(ValueError, match="unknown quantity"):
         table_tiles(ConfigTable.of(cfg), TimeGrid(1.0, 5), "fidelity")
+
+
+def test_unknown_mode_rejected_on_the_call():
+    # as the quantity: before the iterator exists, so before a tile width
+    # is picked for it
+    table = ConfigTable.of(make_config("ohmic", 0.5, 3.0))
+    with pytest.raises(ValueError, match="mode must be 'closed' or 'numeric', got 'Numeric'"):
+        table_tiles(table, TimeGrid(1.0, 5), "qfi_phi", mode="Numeric")
+
+
+def test_one_block_size_binding():
+    # every blocked loop reads dynamics._BLOCK_SAMPLES when it runs, so a
+    # patch of that one name reaches them all
+    for module in (cli, mesolve, presets, verify):
+        assert not hasattr(module, "_BLOCK_SAMPLES"), module.__name__
 
 
 def columns(table):
