@@ -201,7 +201,10 @@ def _parse_range(text: str, param: str) -> np.ndarray:
         raise ValueError(f"--range for {param}: B - A overflows, got {text!r}")
     _check("n_points", n, f"--range for {param}: count", repr(text))
     try:
-        return np.linspace(a, b, n)
+        # with B - A finite only the last value can overflow, and linspace
+        # sets that one to B
+        with np.errstate(over="ignore"):
+            return np.linspace(a, b, n)
     except (MemoryError, ValueError):  # numpy's errors for too many values
         raise ValueError(f"--range for {param}: {n} values do not fit in memory") from None
 

@@ -294,7 +294,10 @@ def check_numeric_time(model: SpectralModel, omega_j: float, t: float,
     one list of edges for u in (r0, u_hi) and one for v = -u in (r0, -u_lo),
     each split at the spectral feature's edges, and empty where the window
     does not reach past r0.
-    Domain: every segment [a, b] must resolve its start against its far end,
+    Domain: the width sigma must have a nonzero square, or the integrands'
+    density is 0/0 at the feature, where quadpack may place a node; the
+    error names the width.
+    Every segment [a, b] must resolve its start against its far end,
     (b + a) != (b - a) in floating point.  Otherwise quadpack's end node
     (centr - hlgth) rounds to exactly 0, where J(omega_j + u)/u divides by
     zero.  r0 falls as t grows, so the check at a grid's last time covers
@@ -326,6 +329,9 @@ def check_numeric_time(model: SpectralModel, omega_j: float, t: float,
         center, sigma, width = 0.0, model.omega_c, "omega_c"
     else:
         center, sigma, width = model.lorentz_peak(), model.width, "width"
+    if sigma * sigma == 0.0:  # the integrands' density is 0/0 at the feature
+        raise ValueError(f"{width}={sigma:g} is outside the numeric-mode domain: "
+                         f"its square underflows to 0")
     r = FREQ_WINDOW * sigma
     u_lo = min(wj - r, -(abs(wj) + r), center - r) - wj
     u_hi = max(wj + r, abs(wj) + r, center + r) - wj
@@ -402,9 +408,10 @@ def gamma_numeric(model: SpectralModel, omega_j: float, t: float) -> float:
     Time domain: t = 0, where gamma is 0, or `check_numeric_time`'s: very
     large t, t below about 7e-154 (Lorentzian) or 3.5e-306 (Ohmic), a
     negative or non-finite t and a non-finite omega_j raise ValueError
-    naming it; from t = 1 on, so does a width too small to show against
-    omega_j, naming the width or t.  Raises QuadratureConvergenceError when
-    the combined error estimate exceeds the requested tolerances.
+    naming it; so does a width whose square underflows, and from t = 1 on a
+    width too small to show against omega_j, naming the width or t.  Raises
+    QuadratureConvergenceError when the combined error estimate exceeds the
+    requested tolerances.
     """
     from scipy.integrate import quad
 

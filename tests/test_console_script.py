@@ -47,6 +47,8 @@ def golden(case):
 
 # numpy warns on the way to the NaN these reject, so they also run with -W error
 SPAN = cli("sweep --model lorentzian --param detuning --range=-1e308:1e308:3")
+# B - A is finite, but linspace overflows on the way to B = DBL_MAX
+TOP = cli("sweep --model ohmic --param coupling --range=0:1.7976931348623157e308:4 --steps 2")
 UNDERFLOW = cli("sweep --model ohmic --param omega_c --range 1e-150:1e-149:2 "
                 "--fix coupling=1 --steps 3")
 NAN_TIME = ("import sys; sys.tracebacklimit = 0; "  # the error line alone
@@ -79,6 +81,13 @@ ROWS = {
     "collapsed-lorentzian": Row(cli("run custom --family lorentzian --width 1e-150 "
                                     "--coupling 0.5 --mode numeric --steps 3"),
                                 2, 1, ERR + "width=1e-150 "),
+    # a width whose square underflows: the density is 0/0 at its feature
+    "underflow-width-ohmic": Row(cli("run custom --family ohmic --omega-c 1e-170 --coupling 1 "
+                                     "--mode numeric --steps 3 --t-end 0.5"),
+                                 2, 1, ERR + "omega_c=1e-170 "),
+    "underflow-width-lorentzian": Row(cli("run custom --family lorentzian --width 1e-300 "
+                                          "--coupling 40 --mode numeric --steps 3 --t-end 0.5"),
+                                      2, 1, ERR + "width=1e-300 "),
     "collapsed-ohmic-wj0": Row(cli("run custom --family ohmic --omega-c 1e-100 --coupling 1.0 "
                                    "--mode numeric --steps 3"), 2, 1, ERR + "t_end="),
     "repeated-coupling": Row(cli("run custom --family ohmic --omega-c 3 --coupling 0.5 "
@@ -91,6 +100,8 @@ ROWS = {
                              "--steps 2"), 2, 1, ERR + "--param "),
     "range-span": Row(SPAN, 2, 1, ERR + "--range for detuning"),
     "range-span-W-error": Row(SPAN, 2, 1, ERR + "--range for detuning", flags=W_ERROR),
+    "range-top": Row(TOP, 2, 1, ERR + "coupling must satisfy"),
+    "range-top-W-error": Row(TOP, 2, 1, ERR + "coupling must satisfy", flags=W_ERROR),
     "omega-c-underflow": Row(UNDERFLOW, 2, 1, ERR + "coupling=1.0, omega_c=1e-150"),
     "omega-c-underflow-W-error": Row(UNDERFLOW, 2, 1, ERR + "coupling=1.0, omega_c=1e-150",
                                      flags=W_ERROR),

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import stat
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavityqfi import cli, dynamics, presets, verify
+from cavityqfi import cli, dynamics, presets, spectral, verify
 from cavityqfi.cli import (
     Scenario,
     _config_rows,
@@ -780,6 +781,21 @@ def test_numeric_time_outside_domain_exits_2(tmp_path, capsys, monkeypatch,
     assert len(err.splitlines()) == 1
     assert err.startswith("configuration error: t_end")
     assert_left_as_was(out, None)
+
+
+@pytest.mark.parametrize("preset, top, past", [
+    ("fig1a", 1e6, 2e6), ("fig4a", 1e6, 2e6), ("fig4b", 1e7, 2e7)])
+def test_numeric_time_tops_of_the_presets(preset, top, past):
+    # the tops README quotes: --t-end `top` passes the domain check of every
+    # row's two transitions, and `past` fails it, with no quadrature run
+    table, _ = presets.preset_configs(presets.PRESETS[preset])
+    cfgs = [table.row(i) for i in range(len(table))]
+    checks = [(c.spectral, wj) for c in cfgs for wj in (c.omega_1, c.omega_2)]
+    for model, wj in checks:
+        spectral.check_numeric_time(model, wj, top, name="t_end")
+    with pytest.raises(ValueError, match="^" + re.escape(f"t_end={past:g} is outside")):
+        for model, wj in checks:
+            spectral.check_numeric_time(model, wj, past, name="t_end")
 
 
 @WITH_AND_WITHOUT_TARGET
