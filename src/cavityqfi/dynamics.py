@@ -199,6 +199,19 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be 'closed' or 'numeric', got {mode!r}")
 
 
+def _check_numeric_grid(table: ConfigTable, times: np.ndarray) -> None:
+    """Raise `check_numeric_time`'s ValueError, a time named ``t_end`` or
+    ``t_end/(n - 1)``, unless uniform ``times`` from 0 lie in its domain on
+    both transitions of every row.  Its accepted times are one interval, so
+    the last and first nonzero times decide."""
+    if times[-1] > 0.0:
+        t_end, first = float(times[-1]), float(times[1])
+        for c in map(table.row, range(len(table))):
+            for wj in (c.omega_1, c.omega_2):
+                check_numeric_time(c.spectral, wj, t_end, name="t_end")
+                check_numeric_time(c.spectral, wj, first, name=f"t_end/{times.size - 1}")
+
+
 def _rate_table(table: ConfigTable, times: np.ndarray, mode: str, halves):
     """(gamma1, beta1, gamma2, beta2) over (row, time); closed mode: only ``halves``."""
     _check_mode(mode)
@@ -206,15 +219,10 @@ def _rate_table(table: ConfigTable, times: np.ndarray, mode: str, halves):
         fields = {k: v[:, None] for k, v in table.columns.items()}
         return (*closed_rates(table.kind, fields, table.omega_1[:, None], times, halves),
                 *closed_rates(table.kind, fields, table.omega_2[:, None], times, halves))
-    cfgs = [table.row(i) for i in range(len(table))]
-    if times[-1] > 0.0:  # reject the whole grid before the first quad call
-        for c in cfgs:
-            for wj in (c.omega_1, c.omega_2):
-                check_numeric_time(c.spectral, wj, times[-1], name="t_end")
-                check_numeric_time(c.spectral, wj, times[1],
-                                   name=f"t_end/{times.size - 1}")
+    _check_numeric_grid(table, times)  # the whole grid, before the first quad call
     rows = [(*numeric_rates(c.spectral, c.omega_1, times),
-             *numeric_rates(c.spectral, c.omega_2, times)) for c in cfgs]
+             *numeric_rates(c.spectral, c.omega_2, times))
+            for c in map(table.row, range(len(table)))]
     return tuple(np.array(col) for col in zip(*rows))
 
 
@@ -224,9 +232,8 @@ def amplitude_table(table: ConfigTable, times: np.ndarray, mode: str = "closed",
 
     Closed mode evaluates the closed forms once over the (config x time)
     block; numeric mode integrates each config's quadrature rates, and
-    needs uniform ``times`` from 0 whose first nonzero and last times lie in
-    the quadrature's time domain (`check_numeric_time`; a ValueError names
-    ``t_end``).  Row i equals ``amplitude(table.row(i), ...)`` bit for bit.
+    needs uniform ``times`` from 0 in `check_numeric_time`'s domain (a
+    ValueError names ``t_end``).  Row i equals ``amplitude(table.row(i), ...)`` bit for bit.
     Every row is checked as `amplitude` checks it, and the error names the
     config.  A time so large that omega_j t overflows gives a NaN amplitude;
     the check rejects it, so numpy's overflow warnings on the way there are

@@ -24,6 +24,7 @@ from .dynamics import (
     SystemConfig,
     TimeGrid,
     _check_mode,
+    _check_numeric_grid,
     _state_elements,
     amplitude_table,
     decoherence_rate,
@@ -218,13 +219,15 @@ def table_tiles(table: ConfigTable, grid: TimeGrid, quantity: str,
     ``dynamics._BLOCK_SAMPLES`` samples, or one time of every config
     (``by_time``, as a curve's CSV rows are times) or one config's grid
     (numeric mode).  A config range's windows come before the next range's.
-    ``quantity`` and ``mode`` are checked on the call, each tile's
-    amplitudes before it is yielded, and a failing check names its config.
-    No value depends on the tiling.
+    ``quantity``, ``mode`` and a numeric grid of every row are checked on
+    the call, each tile's amplitudes before it is yielded, and a failing
+    check names its config.  No value depends on the tiling.
     """
     if quantity not in TABLE_QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
     _check_mode(mode)
+    if mode == "numeric":
+        _check_numeric_grid(table, grid.times)
     samples = dynamics._BLOCK_SAMPLES
     per_tile = max(1, samples // len(table)) if by_time else samples
     # numeric beta is a cumulative Simpson integral from t = 0: the whole grid

@@ -280,47 +280,30 @@ def beta_closed(model: SpectralModel, omega_j: float, t):
 
 def check_numeric_time(model: SpectralModel, omega_j: float, t: float,
                        name: str = "t"):
-    """Raise ValueError naming ``name`` (or a non-finite omega_j) unless time
-    t > 0 lies in the domain of `gamma_numeric`; return its plan (u_lo, u_hi,
-    center, r0, sides): the finite frequency window as offsets u = omega' -
-    omega_j, the spectral feature's center, the core radius r0 = 6 pi/t, and
-    the edges of the sine-weighted segments.
+    """Return `gamma_numeric`'s quadrature plan at omega_j and time t, or raise
+    ValueError naming the input at fault (a t that is not finite and > 0, ``name``).
 
-    The feature is the Ohmic pole pair around 0 with width sigma = omega_c,
-    or the Lorentzian peak with width sigma = lambda.  The window is the
-    hull of the transition window ``omega_j +- W sigma``, its mirror image
-    around zero (the Ohmic pole structure straddles the origin), and
-    ``center +- W sigma``, with W = FREQ_WINDOW.  The segments start at r0:
-    one list of edges for u in (r0, u_hi) and one for v = -u in (r0, -u_lo),
-    each split at the spectral feature's edges, and empty where the window
-    does not reach past r0.
-    Domain: the width sigma must have a nonzero square, or the integrands'
-    density is 0/0 at the feature, where quadpack may place a node; the
-    error names the width.
-    Every segment [a, b] must resolve its start against its far end,
-    (b + a) != (b - a) in floating point.  Otherwise quadpack's end node
-    (centr - hlgth) rounds to exactly 0, where J(omega_j + u)/u divides by
-    zero.  r0 falls as t grows, so the check at a grid's last time covers
-    the grid from above.  The tails step in half-periods pi/t past the
-    window, at most 200 of them (quadpack's limlst), whose ends must stay
-    finite, or quadpack crashes; and a Lorentzian's tails sample up to three,
-    where Python's ``**`` must square their distance from the peak without
-    overflow.  Both reach further as t falls, so the check at a grid's first
-    nonzero time covers the grid from below.
-    Each tail starts at the window edge a = u_hi or -u_lo and runs in cycles
-    of (2 floor(t) + 1) half-periods, at most 3 pi long.  From t = 1 on,
-    quadpack's rule for a cycle evaluates its end node, so a must resolve
-    against a + 3 pi, as a segment's start against its end: a tail start of
-    exactly 0 (the window collapsed onto omega_j) names the family's width,
-    and a nonzero one names ``name``.  Below t = 1 no end node is evaluated,
-    so the check at a grid's last time covers the grid.
-    The tails' nodes are floats near the window edge max(u_hi, -u_lo), so
-    the sine weight's phase u t is known only to t times their spacing: a
-    half-period pi/t must span at least TAIL_SPACINGS = 1/REL_TOL spacings
-    of the edge, or quadpack fails or silently returns values about 2e-4
-    off, relative.  That puts the top at t = 1.1e6 for an edge of about 150
-    (Ohmic omega_c = 3, or width 3), and as pi/t falls with t, the check at
-    a grid's last time covers the grid from above.
+    The plan (u_lo, u_hi, center, r0, sides): the feature is the Ohmic pole
+    pair at center 0 with width sigma = omega_c, or the Lorentzian peak with
+    sigma = lambda.  The window [u_lo, u_hi] of u = omega' - omega_j, edge
+    max(u_hi, -u_lo), is the hull of omega_j +- W sigma, its mirror and center
+    +- W sigma (W = FREQ_WINDOW).  A core covers |u| < r0 = 6 pi/t, ``sides``
+    the sine-weighted segments from r0 on to u_hi and (in v = -u) -u_lo, split
+    at center +- 10 sigma, and sine-weighted tails the rest.
+
+    The domain, one rule each; the first that fails raises:
+    - width square: sigma**2 > 0, else J is 0/0 at the feature.  Names the width.
+    - tails' overflow: 200 half-periods pi/t past the edge (quadpack's limlst),
+      and a Lorentzian's squared distance from its peak 3 past it, are finite.
+      Names ``name``, or the width when no t passes.
+    - tail start, from t = 1 on: each start a resolves against a + 3 pi, its
+      first cycle's end node, or an integrand divides by zero at u = 0.
+      Names the width if a = 0 (a window collapsed onto omega_j), else ``name``.
+    - tail spacing: pi/t spans at least TAIL_SPACINGS float spacings of the
+      edge, or quadpack loses the sine's phase and fails or is silently off.
+      Names ``name``.  Every segment starts past r0 and ends inside the edge,
+      so this also resolves each segment's start against its end.
+    Each rule rejects every t or none, small t or large t: one interval passes.
     """
     _check("t_end", t, name)  # a grid's time, finite and > 0
     _check("omega_j", omega_j)
@@ -329,47 +312,36 @@ def check_numeric_time(model: SpectralModel, omega_j: float, t: float,
         center, sigma, width = 0.0, model.omega_c, "omega_c"
     else:
         center, sigma, width = model.lorentz_peak(), model.width, "width"
-    if sigma * sigma == 0.0:  # the integrands' density is 0/0 at the feature
-        raise ValueError(f"{width}={sigma:g} is outside the numeric-mode domain: "
-                         f"its square underflows to 0")
+
+    def outside(at_width: bool, why: str) -> ValueError:
+        who = f"{width}={sigma:g}" if at_width else f"{name}={t:g}"
+        return ValueError(f"{who} is outside the numeric-mode domain at omega_j={wj:g}: {why}")
+
+    if sigma * sigma == 0.0:
+        raise outside(True, "its square underflows to 0")
     r = FREQ_WINDOW * sigma
     u_lo = min(wj - r, -(abs(wj) + r), center - r) - wj
     u_hi = max(wj + r, abs(wj) + r, center + r) - wj
     edge = max(u_hi, -u_lo)
-    far = abs(center - wj) + edge + 3.0 * math.pi / t
-    if (edge + 200.0 * math.pi / t == math.inf
-            or model.kind is SpectralKind.LORENTZIAN and far * far == math.inf):
-        raise ValueError(f"{name}={t:g} is outside the numeric-mode time domain: "
-                         f"the quadrature tails of omega_j={wj:g}, in half-periods "
-                         f"of {math.pi / t:.3g}, would overflow")
-    if t >= 1.0:  # quadpack evaluates the end node of each tail's first cycle
-        for a in (u_hi, -u_lo):
-            if a == 0.0:
-                raise ValueError(f"{width}={sigma:g} is outside the numeric-mode domain: "
-                                 f"the quadrature window of omega_j={wj:g} collapses onto it")
-            if (a + 3.0 * math.pi) + a == (a + 3.0 * math.pi) - a:
-                raise ValueError(f"{name}={t:g} is outside the numeric-mode time domain: "
-                                 f"the quadrature tail start {a:.3g} of omega_j={wj:g} is "
-                                 f"not resolvable against its first cycle of up to 3 pi")
-    r0 = 6.0 * math.pi / t
-    sides = []
-    for a, b, sign, reach in ((max(r0, u_lo), u_hi, 1.0, u_hi > r0),
-                              (max(r0, -u_hi), -u_lo, -1.0, u_lo < -r0)):
-        bks = [sign * (center - wj) + s * 10.0 * sigma for s in (-1, 1)]
-        edges = [a] + [x for x in sorted(bks) if a < x < b] + [b] if reach else []
-        for seg_lo, seg_hi in zip(edges[:-1], edges[1:]):
-            if seg_hi + seg_lo == seg_hi - seg_lo:
-                raise ValueError(
-                    f"{name}={t:g} is outside the numeric-mode time domain: "
-                    f"the core radius 6 pi/{name} = {r0:.3g} is not "
-                    f"resolvable against the quadrature segment end "
-                    f"{seg_hi:.6g} of omega_j={wj:g}")
-        sides.append(edges)
+
+    def tails_overflow(s):  # s = inf: as t grows without bound
+        far = abs(center - wj) + edge + 3.0 * math.pi / s
+        return (edge + 200.0 * math.pi / s == math.inf
+                or model.kind is SpectralKind.LORENTZIAN and far * far == math.inf)
+
+    if tails_overflow(t):
+        raise outside(tails_overflow(math.inf), f"the quadrature tails from {edge:.3g}, "
+                      f"in half-periods of {math.pi / t:.3g}, would overflow")
+    for a in (u_hi, -u_lo) if t >= 1.0 else ():  # quadpack evaluates a + 3 pi
+        if (a + 3.0 * math.pi) + a == (a + 3.0 * math.pi) - a:
+            raise outside(a == 0.0, f"the quadrature tail start {a:.3g} is not "
+                          f"resolvable against its first cycle of up to 3 pi")
     if math.pi / t < TAIL_SPACINGS * math.ulp(edge):
-        raise ValueError(f"{name}={t:g} is outside the numeric-mode time domain: "
-                         f"the quadrature tails' half-period pi/{name} = "
-                         f"{math.pi / t:.3g} spans fewer than {TAIL_SPACINGS:.0e} "
-                         f"float spacings of their start {edge:.6g} of omega_j={wj:g}")
+        raise outside(False, f"the tails' half-period pi/{name} = {math.pi / t:.3g} spans "
+                      f"fewer than {TAIL_SPACINGS:.0e} float spacings of their start {edge:.6g}")
+    r0 = 6.0 * math.pi / t
+    sides = [[r0] + [x for x in (c - 10.0 * sigma, c + 10.0 * sigma) if r0 < x < b] + [b]
+             if b > r0 else [] for b, c in ((u_hi, center - wj), (-u_lo, wj - center))]
     return u_lo, u_hi, center, r0, sides
 
 
@@ -405,13 +377,9 @@ def gamma_numeric(model: SpectralModel, omega_j: float, t: float) -> float:
     finite window (sine-weighted quadrature, split at the spectral feature),
     and sine-weighted tails that always run from the window edges to +-infinity.
 
-    Time domain: t = 0, where gamma is 0, or `check_numeric_time`'s: very
-    large t, t below about 7e-154 (Lorentzian) or 3.5e-306 (Ohmic), a
-    negative or non-finite t and a non-finite omega_j raise ValueError
-    naming it; so does a width whose square underflows, and from t = 1 on a
-    width too small to show against omega_j, naming the width or t.  Raises
-    QuadratureConvergenceError when the combined error estimate exceeds the
-    requested tolerances.
+    Time domain: t = 0, where gamma is 0, or `check_numeric_time`'s, whose
+    ValueError names the input at fault.  Raises QuadratureConvergenceError
+    when the combined error estimate exceeds the requested tolerances.
     """
     from scipy.integrate import quad
 

@@ -757,29 +757,54 @@ def test_golden_bytes_in_small_blocks(tmp_path, monkeypatch, argv, digest):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, block
 
 
-@pytest.mark.parametrize("preset, t_end", [
-    ("fig1a", "1e17"), ("fig1a", "1e20"), ("fig1a", "1e308"), ("fig4a", "1e16"),
+NUMERIC_OUTSIDE = [
+    ("fig1a", "1e17", "3"), ("fig1a", "1e20", "3"), ("fig1a", "1e308", "3"),
+    ("fig4a", "1e16", "3"),
     # past the top where the tails' half-period pi/t resolves against their
     # start (quadpack returned values about 2e-4 off there)
-    ("fig1a", "1e15"), ("fig1b", "1e15"), ("fig4a", "1e15"), ("fig4b", "1e15"),
+    ("fig1a", "1e15", "3"), ("fig1b", "1e15", "3"), ("fig4a", "1e15", "3"),
+    ("fig4b", "1e15", "3"),
     # below the domain, where the quadrature tails overflow: at t_end, or
     # (1e-153 and 6e-306) only at the first grid time t_end/2
-    ("fig4a", "1e-200"), ("fig4a", "1e-153"), ("fig1a", "1e-307"),
-    ("fig1a", "6e-306")])
+    ("fig4a", "1e-200", "3"), ("fig4a", "1e-153", "3"), ("fig1a", "1e-307", "3"),
+    ("fig1a", "6e-306", "3"),
+    # a contour of 100 rows at its 200 steps: 81 rows a tile, and the first
+    # row past the top (row 82, from 0) lies in the second tile
+    ("fig2b", "1.5e6", "200")]
+
+
+@pytest.mark.parametrize("preset, t_end, steps", NUMERIC_OUTSIDE,
+                         ids=[f"{preset}-{t_end}" for preset, t_end, _ in NUMERIC_OUTSIDE])
 def test_numeric_time_outside_domain_exits_2(tmp_path, capsys, monkeypatch,
-                                             preset, t_end):
-    # the whole grid is rejected before the first quadrature call, in one
-    # line naming t_end, and no file is left
+                                             preset, t_end, steps):
+    # the whole grid of every row is rejected before the first quadrature
+    # call, in one line naming t_end, and no file is left
     def no_quadrature(*args, **kwargs):
         raise AssertionError("quadrature ran before t_end was rejected")
 
     monkeypatch.setattr(dynamics, "numeric_rates", no_quadrature)
     out = tmp_path / "out.csv"
-    assert main(["run", preset, "--mode", "numeric", "--steps", "3",
+    assert main(["run", preset, "--mode", "numeric", "--steps", steps,
                  "--t-end", t_end, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("configuration error: t_end")
+    assert_left_as_was(out, None)
+
+
+@pytest.mark.parametrize("reservoir, rule", [
+    (["--family", "lorentzian", "--width", "1e308"], "width=1e+308"),
+    (["--family", "ohmic", "--omega-c", "1e308"], "omega_c=1e+308"),
+    # a domain left, below t of about 3e-154
+    (["--family", "ohmic", "--omega-c", "1e160"], "t_end=20")])
+def test_numeric_empty_domain_names_the_width(tmp_path, capsys, reservoir, rule):
+    # the window edge overflows, so no --t-end could pass: the width is named
+    out = tmp_path / "out.csv"
+    assert main(["run", "custom", *reservoir, "--coupling", "0.5", "--mode", "numeric",
+                 "--steps", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"configuration error: {rule} is outside")
     assert_left_as_was(out, None)
 
 

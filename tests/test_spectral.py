@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -191,7 +192,8 @@ class TestGammaNumeric:
 
     @pytest.mark.parametrize("t", [1e17, 1e20, 1e308])
     def test_time_outside_domain_names_t(self, t):
-        # the core radius 6 pi/t vanishes against the segment end 29.01
+        # the tails' half-period pi/t spans too few float spacings of their
+        # start 151.98
         with pytest.raises(ValueError, match=r"^t=\S+ is outside"):
             gamma_numeric(OHMIC(3.0), 0.99, t)
 
@@ -241,6 +243,17 @@ class TestGammaNumeric:
         # below t = 1 the tails never evaluate a cycle's end node
         assert math.isfinite(gamma_numeric(model, wj, 0.5))
 
+    @pytest.mark.parametrize("model, rule", [
+        (lorentz(1e308), "width=1e+308"), (lorentz(1e153), "width=1e+153"),
+        (OHMIC(1e308), "omega_c=1e+308")],
+        ids=["lorentzian-edge", "lorentzian-edge-squared", "ohmic-edge"])
+    def test_empty_domain_is_named_by_the_width(self, model, rule):
+        # the window edge overflows, or a Lorentzian's squared distance from
+        # its peak past it: the tails overflow at every t, so no t_end passes
+        for t in (5e-324, 1e-300, 0.5, 20.0, 1e300):
+            with pytest.raises(ValueError, match=f"^{re.escape(rule)} is outside"):
+                spectral.check_numeric_time(model, 0.5, t, name="t_end")
+
 
 @pytest.mark.parametrize("model, wj", [
     (OHMIC(3.0), 0.99), (OHMIC(3.0), 0.5), (OHMIC(0.3), 1.5), (OHMIC(300.0), 0.5),
@@ -259,6 +272,30 @@ def test_numeric_rate_is_closed_or_rejected_at_every_decade(model, wj):
             assert str(exc).startswith(f"t={t:g} is outside"), (t, exc)
             continue
         assert got == pytest.approx(gamma_closed(model, wj, t), rel=1e-6), t
+
+
+# A numeric grid is checked at its first nonzero and last times only
+# (`dynamics._check_numeric_grid`).  That is sound if the times
+# `check_numeric_time` accepts on each (model, omega_j) line form one run.
+# Widths run from where their square underflows to where the window edge
+# overflows, and times from subnormal to 1e308, in coarse steps.
+DOMAIN_LINES = [(family(10.0 ** k), name, wj)
+                for family, name in ((OHMIC, "omega_c"), (lorentz, "width"))
+                for k in range(-165, 309, 10) for wj in (-1.5, 0.0, 1e-17, 0.5, 1e150)]
+DOMAIN_TIMES = [5e-324] + [10.0 ** (k / 4) for k in range(-1236, 1233, 12)]
+
+
+def test_accepted_times_are_one_interval():
+    for model, width, wj in DOMAIN_LINES:
+        accepted = []
+        for i, t in enumerate(DOMAIN_TIMES):
+            try:
+                spectral.check_numeric_time(model, wj, t)
+            except ValueError as exc:
+                assert str(exc).startswith((f"t={t:g} is outside", f"{width}=")), exc
+            else:
+                accepted.append(i)
+        assert not accepted or accepted[-1] - accepted[0] + 1 == len(accepted), (model, wj)
 
 
 @pytest.mark.parametrize("model, wj", [(OHMIC(3.0), 1.0), (OHMIC(0.3), 0.0),
