@@ -283,13 +283,16 @@ def check_numeric_time(model: SpectralModel, omega_j: float, t: float,
     """Return `gamma_numeric`'s quadrature plan at omega_j and time t, or raise
     ValueError naming the input at fault (a t that is not finite and > 0, ``name``).
 
-    The plan (u_lo, u_hi, center, r0, sides): the feature is the Ohmic pole
-    pair at center 0 with width sigma = omega_c, or the Lorentzian peak with
-    sigma = lambda.  The window [u_lo, u_hi] of u = omega' - omega_j, edge
-    max(u_hi, -u_lo), is the hull of omega_j +- W sigma, its mirror and center
-    +- W sigma (W = FREQ_WINDOW).  A core covers |u| < r0 = 6 pi/t, ``sides``
-    the sine-weighted segments from r0 on to u_hi and (in v = -u) -u_lo, split
-    at center +- 10 sigma, and sine-weighted tails the rest.
+    The plan is the segments (side, lo, hi, points) that `gamma_numeric`
+    integrates in order; they cover the real line once.  The feature is the
+    Ohmic pole pair at center 0 with width sigma = omega_c, or the Lorentzian
+    peak with sigma = lambda.  The window [u_lo, u_hi] of u = omega' - omega_j,
+    edge max(u_hi, -u_lo), is the hull of omega_j +- W sigma, its mirror and
+    center +- W sigma (W = FREQ_WINDOW).  Side 0 is the core [max(u_lo, -r0),
+    min(u_hi, r0)], r0 = 6 pi/t, with points [center - omega_j] if inside.
+    Sides +1 (in u) and -1 (in v = -u) run under the sine weight from r0 on
+    to u_hi and -u_lo, split at center +- 10 sigma, then the tails from u_hi
+    and -u_lo to inf.
 
     The domain, one rule each; the first that fails raises:
     - width square: sigma**2 > 0, else J is 0/0 at the feature.  Names the width.
@@ -340,16 +343,19 @@ def check_numeric_time(model: SpectralModel, omega_j: float, t: float,
         raise outside(False, f"the tails' half-period pi/{name} = {math.pi / t:.3g} spans "
                       f"fewer than {TAIL_SPACINGS:.0e} float spacings of their start {edge:.6g}")
     r0 = 6.0 * math.pi / t
-    sides = [[r0] + [x for x in (c - 10.0 * sigma, c + 10.0 * sigma) if r0 < x < b] + [b]
-             if b > r0 else [] for b, c in ((u_hi, center - wj), (-u_lo, wj - center))]
-    return u_lo, u_hi, center, r0, sides
+    lo, hi, c = max(u_lo, -r0), min(u_hi, r0), center - wj  # c: the feature in u
+    plan = [(0, lo, hi, [c] if lo < c < hi else None)] if lo < hi else []
+    for side, b, c in ((1, u_hi, c), (-1, -u_lo, -c)):  # side -1 in v = -u
+        edges = [r0] + [x for x in (c - 10.0 * sigma, c + 10.0 * sigma) if r0 < x < b] + [b]
+        plan += [(side, lo, hi, None) for lo, hi in zip(edges, edges[1:]) if b > r0]
+    return plan + [(1, u_hi, math.inf, None), (-1, -u_lo, math.inf, None)]
 
 
 def _integrands(model: SpectralModel, wj: float, t: float):
-    """The integrands of `gamma_numeric`: J(wj + u) sin(u t)/u on the core,
-    J(wj + u)/u and J(wj - v)/v under the sine weight.  Each family writes J
-    out in the arithmetic of `_scalar_density`, so a quadrature point costs
-    one Python call, not two."""
+    """The integrands of `gamma_numeric`, indexed by the plan's side 0, +1 and
+    -1: J(wj + u) sin(u t)/u on the core, J(wj + u)/u and J(wj - v)/v under
+    the sine weight.  Each family writes J out in the arithmetic of
+    `_scalar_density`, so a quadrature point costs one Python call, not two."""
     if model.kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
         wc2 = model.omega_c ** 2
         return (lambda u: ((2.0 * (w := wj + u) / math.pi) * wc2 / (wc2 + w * w)
@@ -372,12 +378,8 @@ def gamma_numeric(model: SpectralModel, omega_j: float, t: float) -> float:
 
         gamma_j(t) = 2 int J(omega') sin((omega_j - omega') t)/(omega_j - omega') domega'.
 
-    The frequency integral is split into a non-oscillatory core around the
-    kernel peak (plain adaptive quadrature), oscillatory stretches inside the
-    finite window (sine-weighted quadrature, split at the spectral feature),
-    and sine-weighted tails that always run from the window edges to +-infinity.
-
-    Time domain: t = 0, where gamma is 0, or `check_numeric_time`'s, whose
+    The integral is `check_numeric_time`'s plan, summed segment by segment.
+    Time domain: t = 0, where gamma is 0, or that function's, whose
     ValueError names the input at fault.  Raises QuadratureConvergenceError
     when the combined error estimate exceeds the requested tolerances.
     """
@@ -389,39 +391,19 @@ def gamma_numeric(model: SpectralModel, omega_j: float, t: float) -> float:
     if t == 0.0:
         return 0.0
 
-    u_lo, u_hi, center, r0, sides = check_numeric_time(model, wj, t)
-
-    eps_a = ABS_TOL / 8.0
-    total = 0.0
-    est = 0.0
+    integrands = _integrands(model, wj, t)
+    eps = ABS_TOL / 8.0
+    total = est = 0.0
     failed = False
-
-    def accumulate(res):
-        nonlocal total, est, failed
-        total += res[0]
+    # QAWO (finite sine segments) ignores limlst, QAWF (tails) epsrel; the
+    # tails keep a floor on epsabs
+    for side, lo, hi, points in check_numeric_time(model, wj, t):
+        res = quad(integrands[side], lo, hi, points=points, weight="sin" if side else None,
+                   wvar=t, epsabs=eps if hi < math.inf else max(eps, 1e-12),
+                   epsrel=REL_TOL, limit=MAX_SUBDIVISIONS, limlst=200, full_output=1)
+        total += res[0]  # summed as they come: each result holds limit-sized arrays
         est += res[1]
-        if len(res) > 3:  # quadpack appended a warning message
-            failed = True
-
-    # non-oscillatory core: a few kernel cycles around u = 0
-    near_lo, near_hi = max(u_lo, -r0), min(u_hi, r0)
-    f_near, g_plus, g_minus = _integrands(model, wj, t)
-    if near_lo < near_hi:
-        pts = [center - wj] if near_lo < center - wj < near_hi else None
-        accumulate(quad(f_near, near_lo, near_hi, points=pts,
-                        limit=MAX_SUBDIVISIONS, epsabs=eps_a, epsrel=REL_TOL,
-                        full_output=1))
-
-    for g, edges in zip((g_plus, g_minus), sides):
-        for seg_lo, seg_hi in zip(edges[:-1], edges[1:]):
-            accumulate(quad(g, seg_lo, seg_hi, weight="sin", wvar=t,
-                            limit=MAX_SUBDIVISIONS, epsabs=eps_a, epsrel=REL_TOL,
-                            full_output=1))
-
-    for g, a in ((g_plus, u_hi), (g_minus, -u_lo)):
-        accumulate(quad(g, a, np.inf, weight="sin", wvar=t,
-                        epsabs=max(eps_a, 1e-12), limlst=200,
-                        limit=MAX_SUBDIVISIONS, full_output=1))
+        failed = failed or len(res) > 3  # quadpack appended a warning message
 
     total *= 2.0
     est *= 2.0
