@@ -41,7 +41,7 @@ from .presets import (
 # make_config and quantity_values are not called here, but
 # perfbench/tracer.py wraps these bindings
 from .presets import make_config, quantity_values  # noqa: F401
-from .spectral import QuadratureConvergenceError, _check
+from .spectral import QuadratureConvergenceError, check_domain
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -199,7 +199,7 @@ def _parse_range(text: str, param: str) -> np.ndarray:
                          f"got {text!r}")
     if not math.isfinite(b - a):  # np.linspace would step by inf
         raise ValueError(f"--range for {param}: B - A overflows, got {text!r}")
-    _check("n_points", n, f"--range for {param}: count", repr(text))
+    check_domain(None, {"n_points": n}, f"--range for {param}: count", repr(text))
     try:
         # with B - A finite only the last value can overflow, and linspace
         # sets that one to B
@@ -351,7 +351,7 @@ def _check_grid_flags(t_end, steps) -> None:
     """Name --t-end or --steps (None: the preset's) if it breaks its grid rule."""
     for flag, field, v in (("--t-end", "t_end", t_end), ("--steps", "n_points", steps)):
         if v is not None:
-            _check(field, v, f"{flag}: {field}")
+            check_domain(None, {field: v}, f"{flag}: {field}")
 
 
 def main(argv=None) -> int:

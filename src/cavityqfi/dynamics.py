@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (MODEL_FIELDS, SpectralKind, SpectralModel, _check, check_domain,
+from .spectral import (MODEL_FIELDS, SpectralKind, SpectralModel, check_domain,
                        check_numeric_time, closed_rates, numeric_rates)
 # beta_closed, gamma_closed, beta_numeric and gamma_numeric are not called
 # here, but perfbench/tracer.py wraps these bindings
@@ -51,8 +51,8 @@ class TimeGrid:
     n_points: int
 
     def __post_init__(self):
-        _check("t_end", self.t_end)
-        _check("n_points", self.n_points)
+        check_domain(None, {"t_end": self.t_end})
+        check_domain(None, {"n_points": self.n_points})
 
     def window(self, start: int, stop: int) -> np.ndarray:
         """``times[start:stop]``, 0 <= start <= stop <= n_points, without the

@@ -46,7 +46,7 @@ from .dynamics import (
 )
 # amplitude is not called here, but perfbench/tracer.py wraps this binding
 from .dynamics import amplitude  # noqa: F401
-from .spectral import _check, gamma_closed
+from .spectral import check_domain, gamma_closed
 
 MAX_PHASE_PER_STEP = 0.05  # (omega0 + coupling) * step bound
 _CHUNK_SUBSTEPS = 2048  # substeps per vectorized block of evolve (bounds memory)
@@ -68,7 +68,7 @@ class IntegratorConfig:
     step: float
 
     def __post_init__(self):
-        _check("step", self.step)
+        check_domain(None, {"step": self.step})
 
 
 def initial_dressed(cfg: SystemConfig) -> np.ndarray:

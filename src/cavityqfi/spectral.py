@@ -14,8 +14,8 @@ forms can be cross-checked.  Frequency integrals run over the full real
 line, including negative frequencies.  Only the oracle (`gamma_numeric`,
 and `numeric_rates` and `beta_numeric` built on it) uses scipy, and it
 imports it when called, so closed-form use never loads it.  `_DOMAIN`
-states the domain of every numeric input once: `check_domain` applies it to
-config fields as columns, `_check` to one named input such as a rate's t.
+states the domain of every numeric input once, and `check_domain` applies
+it, to config fields as floats or columns and to one input such as a rate's t.
 
 Units: hbar = 1, all frequencies and rates share one scale (the atom
 frequency for Ohmic scenarios, the dissipative rate for Lorentzian ones).
@@ -57,7 +57,7 @@ _DOMAIN = {
     ("coupling",): (None, lambda g: (0.0 <= g) & (g < np.inf),
                     "{name} must be finite and >= 0, got {value}"),
     # on the full line the rate at omega0 - coupling < 0 turns negative
-    ("coupling", "omega0"): (SpectralKind.OHMIC_LORENTZ_DRUDE, lambda g, w0: ~(g > w0),
+    ("coupling", "omega0"): (SpectralKind.OHMIC_LORENTZ_DRUDE, lambda g, w0: ~np.greater(g, w0),
                              "coupling must satisfy 0 <= coupling <= omega0 for an "
                              "Ohmic reservoir, got coupling={0}, omega0={1}"),
     ("theta",): (None, lambda th: (0.0 <= th) & (th <= math.pi),
@@ -73,50 +73,38 @@ _DOMAIN = {
 }
 
 
-def _check_real(name: str, v) -> None:
-    """Raise ValueError naming ``name`` unless ``v`` is a real number (not a bool or str)."""
-    if np.asarray(v).dtype.kind not in "fiu":
-        raise ValueError(f"{name} must be a real number, got {v!r}")
-
-
-def _check(field: str, v, name: str | None = None, got: str | None = None) -> None:
-    """Raise ValueError naming ``name`` (default ``field``), showing ``got`` if
-    given, unless ``v`` (a number or array) has the type and `_DOMAIN` rule of ``field``."""
-    name = name or field
-    if field == "n_points":  # the one integer input
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {v!r}")
-    elif not isinstance(v, float):
-        _check_real(name, v)
-        v = np.asarray(v, dtype=float)
-    _, holds, message = _DOMAIN[field,]
-    ok = holds(v)
-    if not (ok if type(ok) is bool else ok.all()):
-        bad = v if np.ndim(v) == 0 else v.flat[np.argmin(ok)]
-        raise ValueError(message.format(name=name, value=bad if got is None else got))
-
-
-def check_domain(kind: SpectralKind, fields: dict) -> None:
-    """Raise ValueError for the first row of ``fields``, and its first rule
-    of `_DOMAIN`, outside the domain.  ``fields`` maps names to floats or
-    equal-length columns (None reads as NaN); a rule runs when every field
-    it reads is given.  A field that is not a real number, such as a
-    numeric string or a bool, raises ValueError naming it (`_check_real`)."""
-    for name, v in fields.items():
-        if v is not None:
-            _check_real(name, v)
-    cols = {k: np.asarray(v, dtype=float) for k, v in fields.items()}
-    failures = []  # (first bad row, rule) of each rule that fails
-    for rule, (names, (family, holds, message)) in enumerate(_DOMAIN.items()):
-        if family in (None, kind) and all(n in cols for n in names):
-            bad = np.flatnonzero(~holds(*(cols[n] for n in names)))
-            if bad.size:
-                failures.append((bad[0], rule, names, message))
+def check_domain(kind: SpectralKind | None, fields: dict, name: str | None = None,
+                 got: str | None = None) -> None:
+    """`_DOMAIN`'s one applier: raise ValueError for the first row of ``fields``,
+    and its first rule, outside the domain.  ``fields`` maps names to numbers or
+    equal-length columns; a rule runs when its family is None or ``kind`` and
+    every field it reads is given.  A value that is not a real number (a str, a
+    bool), or an ``n_points`` that is not an integer, raises ValueError naming
+    it.  ``kind`` None checks one input such as a rate's t, shown as a float,
+    naming ``name`` and showing ``got`` if given; with a ``kind`` the fields are
+    a config's, where None reads as NaN and a scalar shows as given."""
+    cols = {}
+    for n, v in fields.items():
+        if n == "n_points":  # the one integer input
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name or n} must be an integer, got {v!r}")
+        elif type(v) is not float:
+            if (kind is None or v is not None) and np.asarray(v).dtype.kind not in "fiu":
+                raise ValueError(f"{name or n} must be a real number, got {v!r}")
+            v = np.asarray(v, dtype=float)
+        cols[n] = v
+    failures = []  # (first bad row, names, message) of each rule that fails, in order
+    for names, (family, holds, message) in _DOMAIN.items():
+        if names[0] in cols and names[-1] in cols and (family is None or family is kind):
+            ok = holds(*[cols[n] for n in names])
+            if not (ok if type(ok) is bool else ok.all()):
+                failures.append((int(np.argmin(ok)), names, message))
     if failures:
-        i, _, names, message = min(failures)
-        values = [fields[n] if np.ndim(fields[n]) == 0 else float(fields[n][i])
-                  for n in names]
-        raise ValueError(message.format(*values, name=names[0], value=values[0]))
+        i, names, message = min(failures, key=lambda f: f[0])  # the first rule of the first row
+        values = [(cols if kind is None else fields)[n] if np.ndim(fields[n]) == 0
+                  else float(cols[n].flat[i]) for n in names]
+        raise ValueError(message.format(*values, name=name or names[0],
+                                        value=values[0] if got is None else got))
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -247,8 +235,8 @@ def closed_rates(kind: SpectralKind, fields, omega_j, t, halves=(0, 1)):
 
 def _closed(half: int, model: SpectralModel, omega_j: float, t):
     """Half 0 (gamma) or 1 (beta) of the family kernel at times ``t`` >= 0, alone."""
-    _check("t", t)
-    _check("omega_j", omega_j)
+    check_domain(None, {"t": t})
+    check_domain(None, {"omega_j": omega_j})
     t = np.asarray(t, dtype=float)
     out = closed_rates(model.kind, model.fields(), float(omega_j), t, (half,))[half]
     return out if out.ndim else float(out)
@@ -298,7 +286,7 @@ def check_numeric_time(model: SpectralModel, omega_j: float, t: float,
     - width square: sigma**2 > 0, else J is 0/0 at the feature.  Names the width.
     - tails' overflow: 200 half-periods pi/t past the edge (quadpack's limlst),
       and a Lorentzian's squared distance from its peak 3 past it, are finite.
-      Names ``name``, or the width when no t passes.
+      Names ``name``; if no t passes, omega_j when its window alone overflows, else the width.
     - tail start, from t = 1 on: each start a resolves against a + 3 pi, its
       first cycle's end node, or an integrand divides by zero at u = 0.
       Names the width if a = 0 (a window collapsed onto omega_j), else ``name``.
@@ -308,39 +296,44 @@ def check_numeric_time(model: SpectralModel, omega_j: float, t: float,
       so this also resolves each segment's start against its end.
     Each rule rejects every t or none, small t or large t: one interval passes.
     """
-    _check("t_end", t, name)  # a grid's time, finite and > 0
-    _check("omega_j", omega_j)
+    check_domain(None, {"t_end": t}, name)  # a grid's time, finite and > 0
+    check_domain(None, {"omega_j": omega_j})
     wj = float(omega_j)
     if model.kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
         center, sigma, width = 0.0, model.omega_c, "omega_c"
     else:
         center, sigma, width = model.lorentz_peak(), model.width, "width"
 
-    def outside(at_width: bool, why: str) -> ValueError:
-        who = f"{width}={sigma:g}" if at_width else f"{name}={t:g}"
-        return ValueError(f"{who} is outside the numeric-mode domain at omega_j={wj:g}: {why}")
+    def outside(who: str, why: str) -> ValueError:  # who: width, name or "omega_j"
+        at = "" if who == "omega_j" else f" at omega_j={wj:g}"
+        value = {width: sigma, name: t, "omega_j": wj}[who]
+        return ValueError(f"{who}={value:g} is outside the numeric-mode domain{at}: {why}")
 
     if sigma * sigma == 0.0:
-        raise outside(True, "its square underflows to 0")
-    r = FREQ_WINDOW * sigma
-    u_lo = min(wj - r, -(abs(wj) + r), center - r) - wj
-    u_hi = max(wj + r, abs(wj) + r, center + r) - wj
-    edge = max(u_hi, -u_lo)
+        raise outside(width, "its square underflows to 0")
 
-    def tails_overflow(s):  # s = inf: as t grows without bound
+    def window(r):  # (u_lo, u_hi, edge) of the hull of omega_j +- r, its mirror, center +- r
+        u_lo = min(wj - r, -(abs(wj) + r), center - r) - wj
+        u_hi = max(wj + r, abs(wj) + r, center + r) - wj
+        return u_lo, u_hi, max(u_hi, -u_lo)
+
+    def tails_overflow(s, edge):  # s = inf: as t grows without bound
         far = abs(center - wj) + edge + 3.0 * math.pi / s
         return (edge + 200.0 * math.pi / s == math.inf
                 or model.kind is SpectralKind.LORENTZIAN and far * far == math.inf)
 
-    if tails_overflow(t):
-        raise outside(tails_overflow(math.inf), f"the quadrature tails from {edge:.3g}, "
+    u_lo, u_hi, edge = window(FREQ_WINDOW * sigma)
+    if tails_overflow(t, edge):  # no t passes: omega_j's fault if no width would pass
+        who = (name if not tails_overflow(math.inf, edge) else
+               "omega_j" if tails_overflow(math.inf, window(0.0)[2]) else width)
+        raise outside(who, f"the quadrature tails from {edge:.3g}, "
                       f"in half-periods of {math.pi / t:.3g}, would overflow")
     for a in (u_hi, -u_lo) if t >= 1.0 else ():  # quadpack evaluates a + 3 pi
         if (a + 3.0 * math.pi) + a == (a + 3.0 * math.pi) - a:
-            raise outside(a == 0.0, f"the quadrature tail start {a:.3g} is not "
+            raise outside(width if a == 0.0 else name, f"the quadrature tail start {a:.3g} is not "
                           f"resolvable against its first cycle of up to 3 pi")
     if math.pi / t < TAIL_SPACINGS * math.ulp(edge):
-        raise outside(False, f"the tails' half-period pi/{name} = {math.pi / t:.3g} spans "
+        raise outside(name, f"the tails' half-period pi/{name} = {math.pi / t:.3g} spans "
                       f"fewer than {TAIL_SPACINGS:.0e} float spacings of their start {edge:.6g}")
     r0 = 6.0 * math.pi / t
     lo, hi, c = max(u_lo, -r0), min(u_hi, r0), center - wj  # c: the feature in u
@@ -385,8 +378,8 @@ def gamma_numeric(model: SpectralModel, omega_j: float, t: float) -> float:
     """
     from scipy.integrate import quad
 
-    _check("t", t)
-    _check("omega_j", omega_j)
+    check_domain(None, {"t": t})
+    check_domain(None, {"omega_j": omega_j})
     t, wj = float(t), float(omega_j)
     if t == 0.0:
         return 0.0

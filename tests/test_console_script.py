@@ -88,6 +88,9 @@ ROWS = {
     "underflow-width-lorentzian": Row(cli("run custom --family lorentzian --width 1e-300 "
                                           "--coupling 40 --mode numeric --steps 3 --t-end 0.5"),
                                       2, 1, ERR + "width=1e-300 "),
+    # a transition 1e200 from the line's peak: its tails overflow at any width
+    "transition-empty-domain": Row(cli("run custom --family lorentzian --width 1 --coupling 1e200 "
+                                       "--mode numeric --steps 3"), 2, 1, ERR + "omega_j=-1e+200 "),
     "collapsed-ohmic-wj0": Row(cli("run custom --family ohmic --omega-c 1e-100 --coupling 1.0 "
                                    "--mode numeric --steps 3"), 2, 1, ERR + "t_end="),
     "repeated-coupling": Row(cli("run custom --family ohmic --omega-c 3 --coupling 0.5 "

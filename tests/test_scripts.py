@@ -1,6 +1,7 @@
 import hashlib
 import json
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -34,3 +35,22 @@ def test_reproduce_figures_matches_reference_digests(tmp_path, monkeypatch):
     got = {p.stem: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in tmp_path.glob("*.csv")}
     assert got == want
+
+
+def test_bench_records_a_presets_run(tmp_path):
+    # one short untraced run; the file keeps the run's environment and result
+    done = subprocess.run([sys.executable, str(SCRIPTS / "bench.py"), "smoke", "--workload",
+                           "presets", "--seconds", "1", "--trace", "0", "--out", str(tmp_path)],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    record = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert record.keys() == {"label", "commit", "dirty", "runs"}
+    assert record["label"] == "smoke"
+    [run] = record["runs"]
+    assert {k: run[k] for k in ("workload", "seed", "seconds", "trace")} == {
+        "workload": "presets", "seed": 1, "seconds": 1.0, "trace": False}
+    assert {"python", "numpy", "scipy", "nproc", "cpu"} <= run["env"].keys()
+    result = run["result"]
+    assert result["correct"] is True and result["failed"] == 0
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert set(result["metrics"]) == {m["name"] for m in spec["end_to_end"]}

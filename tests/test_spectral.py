@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavityqfi import (
+    IntegratorConfig,
     QuadratureConvergenceError,
     SpectralKind,
     SpectralModel,
@@ -255,6 +256,20 @@ class TestGammaNumeric:
                 spectral.check_numeric_time(model, 0.5, t, name="t_end")
 
 
+    @pytest.mark.parametrize("model, wj, rule", [
+        # a coupling of 1e200 puts both transitions 1e200 from the line's peak
+        (lorentz(1.0, detuning=1e200), 1.0 - 1e200, "omega_j=-1e+200"),
+        (lorentz(1.0, detuning=1e200), 1.0 + 1e200, "omega_j=1e+200"),
+        (OHMIC(3.0), 1e308, "omega_j=1e+308")],
+        ids=["lorentzian-omega_1", "lorentzian-omega_2", "ohmic"])
+    def test_empty_domain_is_named_by_the_transition(self, model, wj, rule):
+        # the tails overflow from the window's mirror point -|omega_j| alone,
+        # so no t passes at any width: the transition is at fault
+        for t in (5e-324, 1e-300, 0.5, 20.0, 1e300):
+            with pytest.raises(ValueError, match=f"^{re.escape(rule)} is outside "
+                                                 "the numeric-mode domain: the quadrature"):
+                spectral.check_numeric_time(model, wj, t, name="t_end")
+
 @pytest.mark.parametrize("model, wj", [
     (OHMIC(3.0), 0.99), (OHMIC(3.0), 0.5), (OHMIC(0.3), 1.5), (OHMIC(300.0), 0.5),
     (lorentz(1.0, detuning=0.0), 1.0), (lorentz(0.1, detuning=0.0), 1.5),
@@ -452,6 +467,79 @@ def test_bad_time_in_an_array_or_a_string_is_named(rate):
     with pytest.raises(ValueError, match="^t must be a real number, got '1'$"):
         rate(OHMIC(3.0), 0.5, "1")
 
+
+# Every rule of `spectral._DOMAIN` through a call that applies it, with a bad
+# float, a 3-row column bad in row 1 and an int: a grid or rate input shows
+# its value as a float, a config field as given.  A str or a bool is no number.
+OHM_KIND, LOR_KIND = SpectralKind.OHMIC_LORENTZ_DRUDE, SpectralKind.LORENTZIAN
+DOMAIN_CALLS = {
+    "omega_c": lambda v: spectral.check_domain(OHM_KIND, {"omega_c": v}),
+    "rate": lambda v: spectral.check_domain(LOR_KIND, {"rate": v}),
+    "width": lambda v: spectral.check_domain(LOR_KIND, {"width": v}),
+    "detuning": lambda v: spectral.check_domain(LOR_KIND, {"detuning": v}),
+    "omega0": lambda v: spectral.check_domain(OHM_KIND, {"omega0": v}),
+    "coupling": lambda v: spectral.check_domain(LOR_KIND, {"coupling": v}),
+    "coupling-omega0": lambda v: spectral.check_domain(OHM_KIND, {"coupling": v, "omega0": 1.0}),
+    "theta": lambda v: spectral.check_domain(OHM_KIND, {"theta": v}),
+    "phi": lambda v: spectral.check_domain(OHM_KIND, {"phi": v}),
+    "t_end": lambda v: TimeGrid(v, 3),
+    "n_points": lambda v: TimeGrid(1.0, v),
+    "step": lambda v: IntegratorConfig(v),
+    "t": lambda v: gamma_closed(OHMIC(3.0), 0.5, v),
+    "omega_j": lambda v: gamma_closed(OHMIC(3.0), v, 1.0),  # a scalar: no column
+}
+OHMIC_PAIR = "coupling must satisfy 0 <= coupling <= omega0 for an Ohmic reservoir, got "
+DOMAIN_MESSAGES = [
+    ("omega_c", -1.0, "omega_c must be finite and > 0, got -1.0"),
+    ("omega_c", [3.0, -1.0, 3.0], "omega_c must be finite and > 0, got -1.0"),
+    ("omega_c", -1, "omega_c must be finite and > 0, got -1"),
+    ("rate", 0.0, "rate must be finite and > 0, got 0.0"),
+    ("rate", [1.0, 0.0, 1.0], "rate must be finite and > 0, got 0.0"),
+    ("rate", 0, "rate must be finite and > 0, got 0"),
+    ("width", math.nan, "width must be finite and > 0, got nan"),
+    ("width", [1.0, math.nan, 1.0], "width must be finite and > 0, got nan"),
+    ("width", -2, "width must be finite and > 0, got -2"),
+    ("detuning", math.inf, "detuning must be finite, got inf"),
+    ("detuning", [0.5, -math.inf, 0.5], "detuning must be finite, got -inf"),
+    ("omega0", -0.0, "omega0 must be finite and > 0, got -0.0"),
+    ("omega0", [1.0, -0.0, 1.0], "omega0 must be finite and > 0, got -0.0"),
+    ("omega0", -1, "omega0 must be finite and > 0, got -1"),
+    ("coupling", -1.0, "coupling must be finite and >= 0, got -1.0"),
+    ("coupling", [0.5, math.inf, 0.5], "coupling must be finite and >= 0, got inf"),
+    ("coupling", -1, "coupling must be finite and >= 0, got -1"),
+    ("coupling-omega0", 1.5, OHMIC_PAIR + "coupling=1.5, omega0=1.0"),
+    ("coupling-omega0", [0.5, 1.5, 0.5], OHMIC_PAIR + "coupling=1.5, omega0=1.0"),
+    ("coupling-omega0", 2, OHMIC_PAIR + "coupling=2, omega0=1.0"),
+    ("theta", 4.0, "theta must lie in [0, pi], got 4.0"),
+    ("theta", [1.0, -1e-300, 1.0], "theta must lie in [0, pi], got -1e-300"),
+    ("theta", 4, "theta must lie in [0, pi], got 4"),
+    ("phi", 2 * math.pi, "phi must lie in [0, 2 pi), got 6.283185307179586"),
+    ("phi", [1.0, 2 * math.pi, 1.0], "phi must lie in [0, 2 pi), got 6.283185307179586"),
+    ("phi", 7, "phi must lie in [0, 2 pi), got 7"),
+    ("t_end", 0.0, "t_end must be finite and > 0, got 0.0"),
+    ("t_end", [1.0, 0.0, 1.0], "t_end must be finite and > 0, got 0.0"),
+    ("t_end", -1, "t_end must be finite and > 0, got -1.0"),
+    ("n_points", 2.0, "n_points must be an integer, got 2.0"),
+    ("n_points", [3, 0, 3], "n_points must be an integer, got [3, 0, 3]"),
+    ("n_points", 0, "n_points must be >= 1, got 0"),
+    ("step", -math.inf, "step must be finite and > 0, got -inf"),
+    ("step", [0.1, 0.0, 0.1], "step must be finite and > 0, got 0.0"),
+    ("step", 0, "step must be finite and > 0, got 0.0"),
+    ("t", -2.0, "t must be finite and >= 0, got -2.0"),
+    ("t", [1.0, -2.0, 1.0], "t must be finite and >= 0, got -2.0"),
+    ("t", -1, "t must be finite and >= 0, got -1.0"),
+    ("omega_j", math.nan, "omega_j must be finite, got nan"),
+] + [(rule, v, f"{rule.split('-')[0]} must be "
+               f"{'an integer' if rule == 'n_points' else 'a real number'}, got {v!r}")
+     for rule in DOMAIN_CALLS for v in ("1", True)]
+
+
+@pytest.mark.parametrize("rule, value, message", DOMAIN_MESSAGES,
+                         ids=[f"{rule}-{value!r}" for rule, value, _ in DOMAIN_MESSAGES])
+def test_domain_message_of_every_rule(rule, value, message):
+    with pytest.raises(ValueError) as err:
+        DOMAIN_CALLS[rule](value)
+    assert str(err.value) == message
 
 def test_numeric_grid_time_named_by_caller():
     with pytest.raises(ValueError, match="^t_end must be finite and > 0, got nan$"):
