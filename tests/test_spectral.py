@@ -255,7 +255,6 @@ class TestGammaNumeric:
             with pytest.raises(ValueError, match=f"^{re.escape(rule)} is outside"):
                 spectral.check_numeric_time(model, 0.5, t, name="t_end")
 
-
     @pytest.mark.parametrize("model, wj, rule", [
         # a coupling of 1e200 puts both transitions 1e200 from the line's peak
         (lorentz(1.0, detuning=1e200), 1.0 - 1e200, "omega_j=-1e+200"),
@@ -269,6 +268,7 @@ class TestGammaNumeric:
             with pytest.raises(ValueError, match=f"^{re.escape(rule)} is outside "
                                                  "the numeric-mode domain: the quadrature"):
                 spectral.check_numeric_time(model, wj, t, name="t_end")
+
 
 @pytest.mark.parametrize("model, wj", [
     (OHMIC(3.0), 0.99), (OHMIC(3.0), 0.5), (OHMIC(0.3), 1.5), (OHMIC(300.0), 0.5),
