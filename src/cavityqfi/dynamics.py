@@ -59,7 +59,8 @@ class TimeGrid:
         rest of the grid; `np.linspace` bit for bit, underflowing step too."""
         t = np.arange(start, stop, dtype=float)
         div = max(self.n_points - 1, 1)
-        t = t * (self.t_end / div) if self.t_end / div else t / div * self.t_end
+        with np.errstate(over="ignore"):  # only the last time can overflow, set below
+            t = t * (self.t_end / div) if self.t_end / div else t / div * self.t_end
         if stop == self.n_points > 1 and start < stop:
             t[-1] = self.t_end
         return t

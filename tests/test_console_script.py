@@ -49,6 +49,8 @@ def golden(case):
 SPAN = cli("sweep --model lorentzian --param detuning --range=-1e308:1e308:3")
 # B - A is finite, but linspace overflows on the way to B = DBL_MAX
 TOP = cli("sweep --model ohmic --param coupling --range=0:1.7976931348623157e308:4 --steps 2")
+# the last grid step overflows on the way to t_end = DBL_MAX
+DBL_MAX_END = cli("run fig1a --steps 4 --t-end 1.7976931348623157e308")
 UNDERFLOW = cli("sweep --model ohmic --param omega_c --range 1e-150:1e-149:2 "
                 "--fix coupling=1 --steps 3")
 NAN_TIME = ("import sys; sys.tracebacklimit = 0; "  # the error line alone
@@ -105,6 +107,8 @@ ROWS = {
     "range-span-W-error": Row(SPAN, 2, 1, ERR + "--range for detuning", flags=W_ERROR),
     "range-top": Row(TOP, 2, 1, ERR + "coupling must satisfy"),
     "range-top-W-error": Row(TOP, 2, 1, ERR + "coupling must satisfy", flags=W_ERROR),
+    "t-end-dbl-max": Row(DBL_MAX_END, 2, 1, ERR + "coupling=0.01,"),
+    "t-end-dbl-max-W-error": Row(DBL_MAX_END, 2, 1, ERR + "coupling=0.01,", flags=W_ERROR),
     "omega-c-underflow": Row(UNDERFLOW, 2, 1, ERR + "coupling=1.0, omega_c=1e-150"),
     "omega-c-underflow-W-error": Row(UNDERFLOW, 2, 1, ERR + "coupling=1.0, omega_c=1e-150",
                                      flags=W_ERROR),
