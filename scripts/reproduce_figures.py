@@ -9,19 +9,16 @@ import time
 from pathlib import Path
 
 from cavityqfi.cli import Scenario, run_contour_preset, run_curve_preset
-from cavityqfi.presets import CONTOUR_PRESETS, CURVE_PRESETS
+from cavityqfi.presets import CURVE_PRESETS, PRESET_NAMES
 
 
 def main() -> int:
     outdir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("figures")
     outdir.mkdir(parents=True, exist_ok=True)
-    for name in CURVE_PRESETS:
+    for name in PRESET_NAMES:  # the curves, then the contours
+        run = run_curve_preset if name in CURVE_PRESETS else run_contour_preset
         t0 = time.perf_counter()
-        path = run_curve_preset(Scenario(name, outdir / f"{name}.csv"))
-        print(f"{name}: {path}  [{time.perf_counter() - t0:.2f}s]")
-    for name in CONTOUR_PRESETS:
-        t0 = time.perf_counter()
-        path = run_contour_preset(Scenario(name, outdir / f"{name}.csv"))
+        path = run(Scenario(name, outdir / f"{name}.csv"))
         print(f"{name}: {path}  [{time.perf_counter() - t0:.2f}s]")
     return 0
 

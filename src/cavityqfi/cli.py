@@ -92,22 +92,19 @@ def _config_rows(tiles, columns):
         yield tile % tuple(values.ravel().tolist())
 
 
-def _meta_lines(pairs) -> list[str]:
-    return [f"# {k}: {v}" for k, v in pairs]
-
-
-def _write(path: Path, lines, blocks) -> None:
-    """Write the metadata and header ``lines``, then the bytes of ``blocks``,
-    which may be computed and checked as they are read, to a new file that
-    replaces ``path`` (a symlink: the file it names), keeping its mode, once
-    all are written, so any failure leaves ``path`` as it was.  The file is
-    written in binary mode: its line ends are ``\\n`` on every OS, and no
-    locale encoding is involved."""
+def _write(path: Path, meta, header: str, blocks) -> Path:
+    """Write ``path``'s CSV, return ``path``: the generator and the ``meta``
+    (name, value) pairs as ``# name: value`` lines, the ``header``, then the bytes
+    of ``blocks``, which may be computed and checked as they are read, to a new
+    file that replaces ``path`` (a symlink: the file it names), keeping its mode,
+    once all are written, so any failure leaves ``path`` as it was.  Binary mode:
+    line ends are ``\\n`` on every OS, and no locale encoding is involved."""
+    lines = [f"# {k}: {v}" for k, v in [("generator", f"cavityqfi {__version__}"), *meta]]
     real = path.resolve()
     tmp = real.with_name(f".{real.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "xb") as fh:
-            fh.write(("\n".join(lines) + "\n").encode())
+            fh.write(("\n".join(lines + [header]) + "\n").encode())
             fh.writelines(blocks)
         if real.is_file():
             shutil.copymode(real, tmp)
@@ -117,6 +114,7 @@ def _write(path: Path, lines, blocks) -> None:
         if isinstance(exc, OSError):
             raise OSError(f"cannot write output file {path}: {exc}") from exc
         raise
+    return path
 
 
 def _overridden(preset, sc: Scenario):
@@ -132,8 +130,7 @@ def run_curve_preset(sc: Scenario, preset: CurvePreset | None = None) -> Path:
     preset = _overridden(preset or CURVE_PRESETS[sc.preset], sc)
     tiles = curve_table(preset, sc.mode)
     header = "t," + ",".join(f"value_omega_{g}" for g in preset.couplings)
-    meta = _meta_lines([
-        ("generator", f"cavityqfi {__version__}"),
+    meta = [
         ("preset", preset.name),
         ("family", preset.family),
         ("quantity", preset.quantity),
@@ -144,18 +141,16 @@ def run_curve_preset(sc: Scenario, preset: CurvePreset | None = None) -> Path:
         ("points", preset.n_points),
         ("mode", sc.mode),
         ("time_unit", TIME_UNIT[preset.family]),
-    ])
-    _write(sc.out, meta + [header], (_curve_block(times, values)
-                                     for _, times, values in tiles))
-    return sc.out
+    ]
+    return _write(sc.out, meta, header, (_curve_block(times, values)
+                                         for _, times, values in tiles))
 
 
 def run_contour_preset(sc: Scenario) -> Path:
     """Preset contour as long-format CSV (t, param, value)."""
     preset = _overridden(CONTOUR_PRESETS[sc.preset], sc)
     params, tiles = contour_table(preset, sc.mode)
-    meta = _meta_lines([
-        ("generator", f"cavityqfi {__version__}"),
+    meta = [
         ("preset", preset.name),
         ("family", preset.family),
         ("quantity", "qfi_phi"),
@@ -167,9 +162,8 @@ def run_contour_preset(sc: Scenario) -> Path:
         ("points", preset.n_points),
         ("mode", sc.mode),
         ("row_order", "param-major"),
-    ])
-    _write(sc.out, meta + ["t,param,value"], _config_rows(tiles, [params]))
-    return sc.out
+    ]
+    return _write(sc.out, meta, "t,param,value", _config_rows(tiles, [params]))
 
 
 def run_verify(suite_names=None) -> int:
@@ -221,18 +215,15 @@ def run_sweep(family: str, params: list[str], ranges: list[str],
     grid = TimeGrid(t_end, n_points)
     table = config_table(family, [(p, _parse_range(r, p))
                                   for p, r in zip(params, ranges)], fixed)
-
-    meta = _meta_lines([
-        ("generator", f"cavityqfi {__version__}"),
+    meta = [
         ("family", family), ("quantity", quantity),
         ("swept", ",".join(params)),
         ("fixed", ",".join(f"{k}={v}" for k, v in sorted(fixed)) or "-"),
         ("t_end", _fmt(t_end)), ("points", n_points),
-    ])
-    _write(out, meta + ["t," + ",".join(params) + ",value"],
-           _config_rows(table_tiles(table, grid, quantity),
-                        [table.columns[p] for p in params]))
-    return out
+    ]
+    return _write(out, meta, "t," + ",".join(params) + ",value",
+                  _config_rows(table_tiles(table, grid, quantity),
+                               [table.columns[p] for p in params]))
 
 
 def _suite_name(name: str) -> str:
@@ -358,8 +349,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_attach_negative_ranges(argv))
     try:
-        if args.command != "verify":
-            _check_grid_flags(args.t_end, args.steps)
+        if args.command == "verify":
+            return run_verify(args.suite)
+        _check_grid_flags(args.t_end, args.steps)
         if args.command == "run":
             out = _output_path(args.out or Path(f"{args.preset}.csv"))
             sc = Scenario(args.preset, out, args.steps, args.t_end, args.mode)
@@ -372,11 +364,7 @@ def main(argv=None) -> int:
                 run_curve_preset(sc)
             else:
                 run_contour_preset(sc)
-            print(f"wrote {out}")
-            return EXIT_OK
-        if args.command == "verify":
-            return run_verify(args.suite)
-        if args.command == "sweep":
+        else:  # sweep
             fixed = []
             for item in args.fix:
                 name, sep, value = item.partition("=")
@@ -390,8 +378,8 @@ def main(argv=None) -> int:
             out = _output_path(args.out or Path("sweep.csv"))
             run_sweep(args.model, args.param, args.ranges, args.quantity,
                       args.t_end, args.steps, out, fixed)
-            print(f"wrote {out}")
-            return EXIT_OK
+        print(f"wrote {out}")
+        return EXIT_OK
     except (ValueError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -401,7 +389,6 @@ def main(argv=None) -> int:
     except QuadratureConvergenceError as exc:
         print(f"tolerance error: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
-    raise AssertionError("unreachable")
 
 
 def entrypoint() -> None:

@@ -69,7 +69,8 @@ _DOMAIN = {
     ("step",): (None, _positive, "{name} must be finite and > 0, got {value}"),
     ("t",): (None, lambda t: (0.0 <= t) & (t < np.inf),
              "{name} must be finite and >= 0, got {value}"),
-    ("omega_j",): (None, math.isfinite, "{name} must be finite, got {value}"),  # a scalar
+    ("omega_j",): (None, lambda w: (-np.inf < w) & (w < np.inf),
+                   "{name} must be finite, got {value}"),
 }
 
 
@@ -80,18 +81,21 @@ def check_domain(kind: SpectralKind | None, fields: dict, name: str | None = Non
     equal-length columns; a rule runs when its family is None or ``kind`` and
     every field it reads is given.  A value that is not a real number (a str, a
     bool), or an ``n_points`` that is not an integer, raises ValueError naming
-    it.  ``kind`` None checks one input such as a rate's t, shown as a float,
-    naming ``name`` and showing ``got`` if given; with a ``kind`` the fields are
-    a config's, where None reads as NaN and a scalar shows as given."""
+    it.  ``kind`` None checks one number such as a rate's t, shown as a float,
+    naming ``name`` and showing ``got`` if given, so a list or an array is no
+    number there; with a ``kind`` the fields are a config's, numbers or columns,
+    where None reads as NaN and a scalar shows as given."""
     cols = {}
     for n, v in fields.items():
         if n == "n_points":  # the one integer input
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
                 raise ValueError(f"{name or n} must be an integer, got {v!r}")
         elif type(v) is not float:
-            if (kind is None or v is not None) and np.asarray(v).dtype.kind not in "fiu":
+            a = np.asarray(v)
+            if (kind is None or v is not None) and a.dtype.kind not in "fiu" or (
+                    kind is None and a.ndim):
                 raise ValueError(f"{name or n} must be a real number, got {v!r}")
-            v = np.asarray(v, dtype=float)
+            v = np.asarray(a, dtype=float)
         cols[n] = v
     failures = []  # (first bad row, names, message) of each rule that fails, in order
     for names, (family, holds, message) in _DOMAIN.items():
@@ -234,11 +238,18 @@ def closed_rates(kind: SpectralKind, fields, omega_j, t, halves=(0, 1)):
 
 
 def _closed(half: int, model: SpectralModel, omega_j: float, t):
-    """Half 0 (gamma) or 1 (beta) of the family kernel at times ``t`` >= 0, alone."""
-    check_domain(None, {"t": t})
+    """Half 0 (gamma) or 1 (beta) of the family kernel at times ``t`` >= 0, alone.
+    Overflow is silent (a product in e^{-omega_c t} overflows on its way to 0),
+    but a NaN result raises ValueError naming omega_j and t."""
+    check_domain(model.kind if np.ndim(t) else None, {"t": t})  # t alone may be a column
     check_domain(None, {"omega_j": omega_j})
-    t = np.asarray(t, dtype=float)
-    out = closed_rates(model.kind, model.fields(), float(omega_j), t, (half,))[half]
+    t, wj = np.asarray(t, dtype=float), float(omega_j)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = closed_rates(model.kind, model.fields(), wj, t, (half,))[half]
+    nan = out != out  # np.isnan, cheaper on one value
+    if nan.any():
+        raise ValueError(f"{('gamma', 'beta')[half]}_j is nan at omega_j={wj:g}, "
+                         f"t={t.flat[nan.argmax()] if t.ndim else t:g}: a term overflows")
     return out if out.ndim else float(out)
 
 

@@ -470,7 +470,8 @@ def test_bad_time_in_an_array_or_a_string_is_named(rate):
 
 # Every rule of `spectral._DOMAIN` through a call that applies it, with a bad
 # float, a 3-row column bad in row 1 and an int: a grid or rate input shows
-# its value as a float, a config field as given.  A str or a bool is no number.
+# its value as a float, a config field as given.  A str or a bool is no number,
+# and neither is a column where one number is read (only a rate's t is a column).
 OHM_KIND, LOR_KIND = SpectralKind.OHMIC_LORENTZ_DRUDE, SpectralKind.LORENTZIAN
 DOMAIN_CALLS = {
     "omega_c": lambda v: spectral.check_domain(OHM_KIND, {"omega_c": v}),
@@ -486,7 +487,7 @@ DOMAIN_CALLS = {
     "n_points": lambda v: TimeGrid(1.0, v),
     "step": lambda v: IntegratorConfig(v),
     "t": lambda v: gamma_closed(OHMIC(3.0), 0.5, v),
-    "omega_j": lambda v: gamma_closed(OHMIC(3.0), v, 1.0),  # a scalar: no column
+    "omega_j": lambda v: gamma_closed(OHMIC(3.0), v, 1.0),
 }
 OHMIC_PAIR = "coupling must satisfy 0 <= coupling <= omega0 for an Ohmic reservoir, got "
 DOMAIN_MESSAGES = [
@@ -517,18 +518,19 @@ DOMAIN_MESSAGES = [
     ("phi", [1.0, 2 * math.pi, 1.0], "phi must lie in [0, 2 pi), got 6.283185307179586"),
     ("phi", 7, "phi must lie in [0, 2 pi), got 7"),
     ("t_end", 0.0, "t_end must be finite and > 0, got 0.0"),
-    ("t_end", [1.0, 0.0, 1.0], "t_end must be finite and > 0, got 0.0"),
+    ("t_end", [1.0, 0.0, 1.0], "t_end must be a real number, got [1.0, 0.0, 1.0]"),
     ("t_end", -1, "t_end must be finite and > 0, got -1.0"),
     ("n_points", 2.0, "n_points must be an integer, got 2.0"),
     ("n_points", [3, 0, 3], "n_points must be an integer, got [3, 0, 3]"),
     ("n_points", 0, "n_points must be >= 1, got 0"),
     ("step", -math.inf, "step must be finite and > 0, got -inf"),
-    ("step", [0.1, 0.0, 0.1], "step must be finite and > 0, got 0.0"),
+    ("step", [0.1, 0.0, 0.1], "step must be a real number, got [0.1, 0.0, 0.1]"),
     ("step", 0, "step must be finite and > 0, got 0.0"),
     ("t", -2.0, "t must be finite and >= 0, got -2.0"),
     ("t", [1.0, -2.0, 1.0], "t must be finite and >= 0, got -2.0"),
     ("t", -1, "t must be finite and >= 0, got -1.0"),
     ("omega_j", math.nan, "omega_j must be finite, got nan"),
+    ("omega_j", [0.5, math.nan, 0.5], "omega_j must be a real number, got [0.5, nan, 0.5]"),
 ] + [(rule, v, f"{rule.split('-')[0]} must be "
                f"{'an integer' if rule == 'n_points' else 'a real number'}, got {v!r}")
      for rule in DOMAIN_CALLS for v in ("1", True)]
@@ -540,6 +542,42 @@ def test_domain_message_of_every_rule(rule, value, message):
     with pytest.raises(ValueError) as err:
         DOMAIN_CALLS[rule](value)
     assert str(err.value) == message
+
+
+# one number where a rate function reads one: omega_j always, t in the
+# numeric oracle and its plan (the closed forms take a column of times)
+SEQUENCE_CASES = [(f, arg, kind) for f in RATE_FUNCTIONS for arg in ("omega_j", "t")
+                  for kind in ("list", "array")
+                  if arg == "omega_j" or f in ("gamma_numeric", "check_numeric_time")]
+
+
+@pytest.mark.parametrize("function, arg, kind", SEQUENCE_CASES,
+                         ids=["-".join(case) for case in SEQUENCE_CASES])
+def test_sequence_where_a_number_is_read_is_named(function, arg, kind):
+    args = {"omega_j": 0.5, "t": 1.0, arg: [0.5, 0.6]}
+    if kind == "array":
+        args[arg] = np.array(args[arg])
+    with pytest.raises(ValueError, match=f"^{arg} must be a real number, got "
+                       f"{re.escape(repr(args[arg]))}$"):
+        RATE_FUNCTIONS[function](OHMIC(3.0), args["omega_j"], args["t"])
+
+
+def test_closed_rate_overflowing_to_zero_is_silent():
+    # e^{-omega_c t} underflows to 0 through an overflowing omega_c t
+    assert gamma_closed(OHMIC(3.0), 0.5, 1e308) == gamma_closed(OHMIC(3.0), 0.5, 1e3)
+
+
+@pytest.mark.parametrize("model, omega_j, t, shown", [
+    (OHMIC(3.0), 1e308, 1.0, "omega_j=1e+308, t=1"),
+    (OHMIC(3.0), 1e155, 1.0, "omega_j=1e+155, t=1"),
+    (OHMIC(1e200), 0.5, 1.0, "omega_j=0.5, t=1"),
+    (OHMIC(1e200), 0.5, np.array([0.0, 2.0]), "omega_j=0.5, t=0")],
+    ids=["omega_j-1e308", "omega_j-1e155", "omega_c-1e200", "times"])
+def test_closed_beta_that_is_nan_raises(model, omega_j, t, shown):
+    with pytest.raises(ValueError,
+                       match=f"^beta_j is nan at {re.escape(shown)}: a term overflows$"):
+        beta_closed(model, omega_j, t)
+
 
 def test_numeric_grid_time_named_by_caller():
     with pytest.raises(ValueError, match="^t_end must be finite and > 0, got nan$"):
