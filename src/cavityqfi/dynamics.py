@@ -100,6 +100,8 @@ class SystemConfig(_Dressed):
     spectral: SpectralModel
 
     def __post_init__(self):
+        if not isinstance(self.spectral, SpectralModel):
+            raise ValueError(f"spectral must be a SpectralModel, got {self.spectral!r}")
         check_domain(self.spectral.kind, {"omega0": self.omega0, "coupling": self.coupling,
                                           "theta": self.theta, "phi": self.phi})
         if self.spectral.omega0 not in (None, self.omega0):

@@ -145,7 +145,7 @@ def config_table(family: str, axes, fixed=()) -> ConfigTable:
                 raise ValueError(f"{flag} {name}: given twice")
             if flag == "--fix" and name in swept:
                 raise ValueError(f"--fix {name}: also swept by --param {name}")
-    values = [np.asarray(v, dtype=float) for _, v in axes]
+    values = [np.asarray(v) for _, v in axes]
     shape = tuple(v.size for v in values)
     n = math.prod(shape)
     try:
@@ -155,11 +155,11 @@ def config_table(family: str, axes, fixed=()) -> ConfigTable:
         raise ValueError(f"--param {', '.join(swept)}: {n} configs do not fit "
                          f"in memory") from None
     point = {"omega0": OMEGA0[family], "rate": LORENTZ_RATE,
-             **DEFAULTS, **{k: float(v) for k, v in fixed}, **columns}
+             **DEFAULTS, **dict(fixed), **columns}
     kind = KIND[family]
     names = ("omega0", "coupling", "theta", "phi", *MODEL_FIELDS[kind])
-    fields = {k: point[k] for k in names if point[k] is not None}
-    check_domain(kind, fields)
+    fields = {k: point[k] for k in names if point[k] is not None or k in held}
+    check_domain(kind, fields, columns=swept)
     fields.setdefault("detuning", fields["coupling"])  # the paper's line, on omega_1
     return ConfigTable(kind, {k: np.broadcast_to(np.asarray(fields[k], dtype=float), (n,))
                               for k in names})

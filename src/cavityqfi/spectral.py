@@ -15,7 +15,7 @@ line, including negative frequencies.  Only the oracle (`gamma_numeric`,
 and `numeric_rates` and `beta_numeric` built on it) uses scipy, and it
 imports it when called, so closed-form use never loads it.  `_DOMAIN`
 states the domain of every numeric input once, and `check_domain` applies
-it, to config fields as floats or columns and to one input such as a rate's t.
+it, to config fields and to grid and rate inputs, as numbers or named columns.
 
 Units: hbar = 1, all frequencies and rates share one scale (the atom
 frequency for Ohmic scenarios, the dissipative rate for Lorentzian ones).
@@ -75,16 +75,16 @@ _DOMAIN = {
 
 
 def check_domain(kind: SpectralKind | None, fields: dict, name: str | None = None,
-                 got: str | None = None) -> None:
+                 got: str | None = None, columns=()) -> None:
     """`_DOMAIN`'s one applier: raise ValueError for the first row of ``fields``,
-    and its first rule, outside the domain.  ``fields`` maps names to numbers or
-    equal-length columns; a rule runs when its family is None or ``kind`` and
-    every field it reads is given.  A value that is not a real number (a str, a
-    bool), or an ``n_points`` that is not an integer, raises ValueError naming
-    it.  ``kind`` None checks one number such as a rate's t, shown as a float,
-    naming ``name`` and showing ``got`` if given, so a list or an array is no
-    number there; with a ``kind`` the fields are a config's, numbers or columns,
-    where None reads as NaN and a scalar shows as given."""
+    and its first rule, outside the domain.  ``fields`` maps names to real
+    numbers, and the names in ``columns`` to numbers or equal-length columns;
+    a rule runs when its family is None or ``kind`` and every field it reads is
+    given.  Any other value (a str, a bool, a list or an array not named in
+    ``columns``), or an ``n_points`` that is not an integer, raises ValueError
+    naming it.  With a ``kind`` the fields are a config's: None reads as NaN
+    and a scalar shows as given.  ``kind`` None checks grid or rate inputs,
+    shown as floats, naming ``name`` and showing ``got`` if given."""
     cols = {}
     for n, v in fields.items():
         if n == "n_points":  # the one integer input
@@ -93,7 +93,7 @@ def check_domain(kind: SpectralKind | None, fields: dict, name: str | None = Non
         elif type(v) is not float:
             a = np.asarray(v)
             if (kind is None or v is not None) and a.dtype.kind not in "fiu" or (
-                    kind is None and a.ndim):
+                    a.ndim and n not in columns):
                 raise ValueError(f"{name or n} must be a real number, got {v!r}")
             v = np.asarray(a, dtype=float)
         cols[n] = v
@@ -143,6 +143,8 @@ class SpectralModel:
     omega0: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, SpectralKind):
+            raise ValueError(f"kind must be a SpectralKind, got {self.kind!r}")
         for name in ("omega_c", "rate", "width", "detuning", "omega0"):
             if name not in MODEL_FIELDS[self.kind] and getattr(self, name) is not None:
                 raise ValueError(f"{name} is not a parameter of the "
@@ -156,13 +158,13 @@ class SpectralModel:
 
     @classmethod
     def ohmic_lorentz_drude(cls, omega_c: float) -> "SpectralModel":
-        return cls(SpectralKind.OHMIC_LORENTZ_DRUDE, omega_c=float(omega_c))
+        return cls(SpectralKind.OHMIC_LORENTZ_DRUDE, omega_c=omega_c)
 
     @classmethod
     def lorentzian(cls, rate: float, width: float, detuning: float,
                    omega0: float) -> "SpectralModel":
-        return cls(SpectralKind.LORENTZIAN, rate=float(rate), width=float(width),
-                   detuning=float(detuning), omega0=float(omega0))
+        return cls(SpectralKind.LORENTZIAN, rate=rate, width=width, detuning=detuning,
+                   omega0=omega0)
 
     def lorentz_peak(self) -> float:
         """Center frequency of the Lorentzian line, ``omega0 - detuning``."""
@@ -241,7 +243,7 @@ def _closed(half: int, model: SpectralModel, omega_j: float, t):
     """Half 0 (gamma) or 1 (beta) of the family kernel at times ``t`` >= 0, alone.
     Overflow is silent (a product in e^{-omega_c t} overflows on its way to 0),
     but a NaN result raises ValueError naming omega_j and t."""
-    check_domain(model.kind if np.ndim(t) else None, {"t": t})  # t alone may be a column
+    check_domain(None, {"t": t}, columns=("t",))
     check_domain(None, {"omega_j": omega_j})
     t, wj = np.asarray(t, dtype=float), float(omega_j)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -290,8 +292,9 @@ def check_numeric_time(model: SpectralModel, omega_j: float, t: float,
     center +- W sigma (W = FREQ_WINDOW).  Side 0 is the core [max(u_lo, -r0),
     min(u_hi, r0)], r0 = 6 pi/t, with points [center - omega_j] if inside.
     Sides +1 (in u) and -1 (in v = -u) run under the sine weight from r0 on
-    to u_hi and -u_lo, split at center +- 10 sigma, then the tails from u_hi
-    and -u_lo to inf.
+    to u_hi and -u_lo, split at center +- 10 sigma and at the decades r0 * 10**k,
+    over each of which 1/u falls at most 10x, then the tails from u_hi and -u_lo
+    to inf.
 
     The domain, one rule each; the first that fails raises:
     - width square: sigma**2 > 0, else J is 0/0 at the feature.  Names the width.
@@ -350,7 +353,9 @@ def check_numeric_time(model: SpectralModel, omega_j: float, t: float,
     lo, hi, c = max(u_lo, -r0), min(u_hi, r0), center - wj  # c: the feature in u
     plan = [(0, lo, hi, [c] if lo < c < hi else None)] if lo < hi else []
     for side, b, c in ((1, u_hi, c), (-1, -u_lo, -c)):  # side -1 in v = -u
-        edges = [r0] + [x for x in (c - 10.0 * sigma, c + 10.0 * sigma) if r0 < x < b] + [b]
+        decades = range(1, int(math.log10(b / r0)) + 2) if b > r0 else ()
+        splits = {c - 10.0 * sigma, c + 10.0 * sigma, *(r0 * 10.0 ** k for k in decades)}
+        edges = [r0] + sorted(x for x in splits if r0 < x < b) + [b]
         plan += [(side, lo, hi, None) for lo, hi in zip(edges, edges[1:]) if b > r0]
     return plan + [(1, u_hi, math.inf, None), (-1, -u_lo, math.inf, None)]
 

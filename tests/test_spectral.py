@@ -14,6 +14,7 @@ from cavityqfi import (
     QuadratureConvergenceError,
     SpectralKind,
     SpectralModel,
+    SystemConfig,
     TimeGrid,
     beta_closed,
     beta_numeric,
@@ -23,6 +24,7 @@ from cavityqfi import (
     numeric_rates,
 )
 from cavityqfi import spectral
+from cavityqfi.presets import config_table, make_config
 
 OHMIC = SpectralModel.ohmic_lorentz_drude
 
@@ -351,12 +353,10 @@ def test_gamma_numeric_integrates_exactly_the_plan(monkeypatch, model, wj, t):
                      for side, lo, hi, points in spectral.check_numeric_time(model, wj, t)]
 
 
-# Accepted by `check_numeric_time` and 9.2e-5 to 1.84e-4 off relative, while
-# quadpack's summed error estimate is 2e-11 to 5e-11.  `gamma_closed` has no
-# cancellation here (e^{-width t} is 0).  Strict: a fix of the domain must
-# remove the marker.
-@pytest.mark.xfail(strict=True, reason="known defect: the numeric-mode domain "
-                   "accepts these points and quadrature misses its tolerance")
+# Points where a sine-weighted side spans decades of 1/u: as one segment,
+# quadpack was 9.2e-5 to 1.84e-4 off relative under a summed error estimate
+# of 2e-11 to 5e-11, so the plan splits it at decades.  `gamma_closed` has no
+# cancellation here (e^{-width t} is 0).
 @pytest.mark.parametrize("model, wj, t", [
     (OHMIC(1e-3), 0.5, 1e7), (OHMIC(1e-2), 3.0, 1e7),
     (lorentz(1e-2), 3.0, 1e6), (lorentz(1e-2), 3.0, 1e7)],
@@ -471,18 +471,20 @@ def test_bad_time_in_an_array_or_a_string_is_named(rate):
 # Every rule of `spectral._DOMAIN` through a call that applies it, with a bad
 # float, a 3-row column bad in row 1 and an int: a grid or rate input shows
 # its value as a float, a config field as given.  A str or a bool is no number,
-# and neither is a column where one number is read (only a rate's t is a column).
+# and neither is a column where one number is read (only the config fields,
+# named as columns here, and a closed rate's t are columns).
 OHM_KIND, LOR_KIND = SpectralKind.OHMIC_LORENTZ_DRUDE, SpectralKind.LORENTZIAN
 DOMAIN_CALLS = {
-    "omega_c": lambda v: spectral.check_domain(OHM_KIND, {"omega_c": v}),
-    "rate": lambda v: spectral.check_domain(LOR_KIND, {"rate": v}),
-    "width": lambda v: spectral.check_domain(LOR_KIND, {"width": v}),
-    "detuning": lambda v: spectral.check_domain(LOR_KIND, {"detuning": v}),
-    "omega0": lambda v: spectral.check_domain(OHM_KIND, {"omega0": v}),
-    "coupling": lambda v: spectral.check_domain(LOR_KIND, {"coupling": v}),
-    "coupling-omega0": lambda v: spectral.check_domain(OHM_KIND, {"coupling": v, "omega0": 1.0}),
-    "theta": lambda v: spectral.check_domain(OHM_KIND, {"theta": v}),
-    "phi": lambda v: spectral.check_domain(OHM_KIND, {"phi": v}),
+    "omega_c": lambda v: spectral.check_domain(OHM_KIND, {"omega_c": v}, columns=("omega_c",)),
+    "rate": lambda v: spectral.check_domain(LOR_KIND, {"rate": v}, columns=("rate",)),
+    "width": lambda v: spectral.check_domain(LOR_KIND, {"width": v}, columns=("width",)),
+    "detuning": lambda v: spectral.check_domain(LOR_KIND, {"detuning": v}, columns=("detuning",)),
+    "omega0": lambda v: spectral.check_domain(OHM_KIND, {"omega0": v}, columns=("omega0",)),
+    "coupling": lambda v: spectral.check_domain(LOR_KIND, {"coupling": v}, columns=("coupling",)),
+    "coupling-omega0": lambda v: spectral.check_domain(OHM_KIND, {"coupling": v, "omega0": 1.0},
+                                                       columns=("coupling",)),
+    "theta": lambda v: spectral.check_domain(OHM_KIND, {"theta": v}, columns=("theta",)),
+    "phi": lambda v: spectral.check_domain(OHM_KIND, {"phi": v}, columns=("phi",)),
     "t_end": lambda v: TimeGrid(v, 3),
     "n_points": lambda v: TimeGrid(1.0, v),
     "step": lambda v: IntegratorConfig(v),
@@ -542,6 +544,39 @@ def test_domain_message_of_every_rule(rule, value, message):
     with pytest.raises(ValueError) as err:
         DOMAIN_CALLS[rule](value)
     assert str(err.value) == message
+
+
+# Inputs a constructor reads as one number, or as a model or family where a
+# field holds one: each raises ValueError naming the field, before any
+# conversion reads it, and a fixed None is no unset value.
+WRONG_INPUTS = [
+    ("omega_c", lambda: SpectralModel(OHM_KIND, omega_c=[1.0, 2.0])),
+    ("omega_c", lambda: SpectralModel(OHM_KIND, omega_c=np.array([1.0, 2.0]))),
+    ("coupling", lambda: SystemConfig(1.0, [0.1, 0.2], 1.0, 0.0, OHMIC(3.0))),
+    ("omega_c", lambda: OHMIC("3")),
+    ("omega_c", lambda: OHMIC(True)),
+    ("omega_c", lambda: OHMIC([1.0])),
+    ("rate", lambda: SpectralModel.lorentzian("1", 1, 0.5, 1)),
+    ("coupling", lambda: make_config("ohmic", "0.5", 3.0)),
+    ("coupling", lambda: make_config("ohmic", True, 3.0)),
+    ("coupling", lambda: make_config("ohmic", [0.5], 3.0)),
+    ("coupling", lambda: config_table("lorentzian", [], [("coupling", None)])),
+    ("detuning", lambda: config_table("lorentzian", [], [("detuning", None)])),
+    ("coupling", lambda: config_table("ohmic", [("coupling", ["0.1", "0.2"])])),
+    ("coupling", lambda: config_table("ohmic", [("coupling", [True, False])])),
+    ("spectral", lambda: SystemConfig(1.0, 0.5, 1.0, 0.0, None)),
+    ("kind", lambda: SpectralModel("ohmic", omega_c=1.0)),
+]
+
+
+@pytest.mark.parametrize("name, build", WRONG_INPUTS, ids=[
+    "model-list", "model-array", "config-list", "ohmic-str", "ohmic-bool", "ohmic-list",
+    "lorentzian-str", "make_config-str", "make_config-bool", "make_config-list",
+    "fixed-coupling-None", "fixed-detuning-None", "axis-str", "axis-bool",
+    "config-model-None", "model-kind-str"])
+def test_wrong_input_is_named_when_built(name, build):
+    with pytest.raises(ValueError, match=f"^{name} "):
+        build()
 
 
 # one number where a rate function reads one: omega_j always, t in the
