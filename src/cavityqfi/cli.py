@@ -125,45 +125,35 @@ def _overridden(preset, sc: Scenario):
         n_points=preset.n_points if sc.n_points is None else sc.n_points)
 
 
+def _write_preset(sc: Scenario, preset, quantity, own, last, header, blocks) -> Path:
+    """`_write` a preset's CSV: the metadata pairs every preset shares, with the
+    preset kind's ``own`` pairs after its quantity and its ``last`` pair at the end."""
+    meta = [("preset", preset.name), ("family", preset.family), ("quantity", quantity),
+            *own, ("theta", _fmt(THETA_DEFAULT)), ("phi", _fmt(PHI_DEFAULT)),
+            ("t_end", _fmt(preset.t_end)), ("points", preset.n_points), ("mode", sc.mode), last]
+    return _write(sc.out, meta, header, blocks)
+
+
 def run_curve_preset(sc: Scenario, preset: CurvePreset | None = None) -> Path:
     """Preset curves as CSV: one column per coupling value."""
     preset = _overridden(preset or CURVE_PRESETS[sc.preset], sc)
     tiles = curve_table(preset, sc.mode)
-    header = "t," + ",".join(f"value_omega_{g}" for g in preset.couplings)
-    meta = [
-        ("preset", preset.name),
-        ("family", preset.family),
-        ("quantity", preset.quantity),
-        ("reservoir", f"{RESERVOIR[preset.family]}={_fmt(preset.reservoir)}"),
-        ("couplings", ",".join(str(g) for g in preset.couplings)),
-        ("theta", _fmt(THETA_DEFAULT)), ("phi", _fmt(PHI_DEFAULT)),
-        ("t_end", _fmt(preset.t_end)),
-        ("points", preset.n_points),
-        ("mode", sc.mode),
-        ("time_unit", TIME_UNIT[preset.family]),
-    ]
-    return _write(sc.out, meta, header, (_curve_block(times, values)
-                                         for _, times, values in tiles))
+    own = [("reservoir", f"{RESERVOIR[preset.family]}={_fmt(preset.reservoir)}"),
+           ("couplings", ",".join(str(g) for g in preset.couplings))]
+    return _write_preset(sc, preset, preset.quantity, own,
+                         ("time_unit", TIME_UNIT[preset.family]),
+                         "t," + ",".join(f"value_omega_{g}" for g in preset.couplings),
+                         (_curve_block(times, values) for _, times, values in tiles))
 
 
 def run_contour_preset(sc: Scenario) -> Path:
     """Preset contour as long-format CSV (t, param, value)."""
     preset = _overridden(CONTOUR_PRESETS[sc.preset], sc)
     params, tiles = contour_table(preset, sc.mode)
-    meta = [
-        ("preset", preset.name),
-        ("family", preset.family),
-        ("quantity", "qfi_phi"),
-        ("sweep", f"{preset.sweep} in [{_fmt(preset.lo)}, {_fmt(preset.hi)}]"
-         f" x {preset.n_param}"),
-        ("fixed", _fmt(preset.fixed)),
-        ("theta", _fmt(THETA_DEFAULT)), ("phi", _fmt(PHI_DEFAULT)),
-        ("t_end", _fmt(preset.t_end)),
-        ("points", preset.n_points),
-        ("mode", sc.mode),
-        ("row_order", "param-major"),
-    ]
-    return _write(sc.out, meta, "t,param,value", _config_rows(tiles, [params]))
+    own = [("sweep", f"{preset.sweep} in [{_fmt(preset.lo)}, {_fmt(preset.hi)}]"
+            f" x {preset.n_param}"), ("fixed", _fmt(preset.fixed))]
+    return _write_preset(sc, preset, "qfi_phi", own, ("row_order", "param-major"),
+                         "t,param,value", _config_rows(tiles, [params]))
 
 
 def run_verify(suite_names=None) -> int:

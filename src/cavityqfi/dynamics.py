@@ -33,6 +33,9 @@ EPS_AMPLITUDE = 1e-9    # slack on |p| <= 1
 EPS_P_SINGULAR = 1e-10  # |p| at or below this flags Gamma/S as singular
 # (config x time) samples per tile of a table or block of the residual (bounds memory)
 _BLOCK_SAMPLES = 1 << 14
+# each family's parameters as tables and error messages name them, in order
+KIND_PARAMS = {SpectralKind.OHMIC_LORENTZ_DRUDE: ("coupling", "omega_c", "theta", "phi"),
+               SpectralKind.LORENTZIAN: ("coupling", "width", "detuning", "theta", "phi")}
 
 
 class AmplitudeRangeError(ValueError):
@@ -173,10 +176,8 @@ def per_value(f, x, p, name):
 
 
 def _describe(table: ConfigTable, i: int) -> str:
-    """Row i by its coupling, reservoir and angles, for error messages."""
-    ohmic = table.kind is SpectralKind.OHMIC_LORENTZ_DRUDE
-    names = ("coupling", *(("omega_c",) if ohmic else ("width", "detuning")), "theta", "phi")
-    return ", ".join(f"{n}={float(table.columns[n][i])}" for n in names)
+    """Row i by its family's `KIND_PARAMS`, for error messages."""
+    return ", ".join(f"{n}={float(table.columns[n][i])}" for n in KIND_PARAMS[table.kind])
 
 
 def _check_amplitude(table: ConfigTable, times: np.ndarray, p: np.ndarray) -> None:
@@ -267,13 +268,18 @@ def amplitude(cfg: SystemConfig, grid: TimeGrid,
     return AmplitudeSeries(a.times, a.p[0], a.p_dot[0])
 
 
+def _checked_abs(p: np.ndarray) -> np.ndarray:
+    """|p|; AmplitudeRangeError unless every |p| <= 1 + EPS_AMPLITUDE (NaN fails)."""
+    mag = np.abs(p)
+    if not np.all(mag <= 1.0 + EPS_AMPLITUDE):
+        raise AmplitudeRangeError(f"|p| = {float(np.max(mag))} exceeds 1 + {EPS_AMPLITUDE}")
+    return mag
+
+
 def _state_elements(cfg, p):
     """(rho_ee, rho_eg) of `atom_state`; rho_gg = 1 - rho_ee, rho_ge = conj(rho_eg)."""
     p = np.asarray(p, dtype=complex)
-    mag = np.abs(p)
-    if not np.all(mag <= 1.0 + EPS_AMPLITUDE):
-        raise AmplitudeRangeError(
-            f"|p| = {float(np.max(mag))} exceeds 1 + {EPS_AMPLITUDE}")
+    mag = _checked_abs(p)
     c = per_value(lambda th: math.cos(th / 2.0), cfg.theta, p, "theta")
     s = per_value(lambda th: math.sin(th / 2.0), cfg.theta, p, "theta")
     phase = per_value(lambda ph: np.exp(-1j * ph), cfg.phi, p, "phi")

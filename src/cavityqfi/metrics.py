@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .dynamics import EPS_AMPLITUDE, AmplitudeRangeError, per_value
+from .dynamics import _checked_abs, per_value
 
 
 EPS_DET = 1e-12  # qfi_general_2x2 treats det(rho) <= this as (near-)pure
@@ -37,12 +37,10 @@ def qfi_closed(p, theta):
     """Closed-form (F_phi, F_theta) for amplitude p and polar angle theta.
 
     ``theta`` may also be a 1-D array of angles, one per row of an (n, n_t)
-    ``p``; with any other ``p`` that raises ValueError naming theta.
+    ``p``; with any other ``p`` that raises ValueError naming theta.  A |p|
+    past 1 + 1e-9 raises `atom_state`'s AmplitudeRangeError.
     """
-    mag2 = np.abs(np.asarray(p, dtype=complex)) ** 2
-    if not np.all(np.sqrt(mag2) <= 1.0 + EPS_AMPLITUDE):
-        raise AmplitudeRangeError(f"|p| exceeds 1 + {EPS_AMPLITUDE}")
-    f_theta = mag2
+    f_theta = mag2 = _checked_abs(np.asarray(p, dtype=complex)) ** 2
     f_phi = mag2 * per_value(lambda th: math.sin(th) ** 2, theta, mag2, "theta")
     if f_phi.ndim:
         return f_phi, f_theta

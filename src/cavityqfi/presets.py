@@ -33,7 +33,7 @@ from .dynamics import (
 # amplitude is not called here, but perfbench/tracer.py wraps this binding
 from .dynamics import amplitude  # noqa: F401
 from .metrics import qfi_closed
-from .spectral import MODEL_FIELDS, SpectralKind, check_domain
+from .spectral import MODEL_FIELDS, SpectralKind, _as_real, check_domain
 
 THETA_DEFAULT = math.pi / 2.0
 PHI_DEFAULT = 0.0
@@ -44,10 +44,7 @@ LORENTZ_RATE = 1.0
 KIND = {"ohmic": SpectralKind.OHMIC_LORENTZ_DRUDE, "lorentzian": SpectralKind.LORENTZIAN}
 OMEGA0 = {"ohmic": 1.0, "lorentzian": LORENTZ_OMEGA0}
 RESERVOIR = {"ohmic": "omega_c", "lorentzian": "width"}
-PARAMS = {
-    "ohmic": ("coupling", "omega_c", "theta", "phi"),
-    "lorentzian": ("coupling", "width", "detuning", "theta", "phi"),
-}
+PARAMS = {family: dynamics.KIND_PARAMS[kind] for family, kind in KIND.items()}
 # values of the parameters a table neither sweeps nor fixes
 DEFAULTS = {"coupling": 1.0, "omega_c": 3.0, "width": 1.0,
             "theta": THETA_DEFAULT, "phi": PHI_DEFAULT, "detuning": None}
@@ -145,7 +142,7 @@ def config_table(family: str, axes, fixed=()) -> ConfigTable:
                 raise ValueError(f"{flag} {name}: given twice")
             if flag == "--fix" and name in swept:
                 raise ValueError(f"--fix {name}: also swept by --param {name}")
-    values = [np.asarray(v) for _, v in axes]
+    values = [_as_real(n, v, column=True) for n, v in axes]  # shown as given if not real
     shape = tuple(v.size for v in values)
     n = math.prod(shape)
     try:

@@ -74,28 +74,39 @@ _DOMAIN = {
 }
 
 
+def _as_real(name: str, v, column: bool = False) -> np.ndarray:
+    """``v`` as a float64 array, 0-d unless ``column``; ValueError naming
+    ``name`` and showing ``v`` as given unless it is a real number (not a str,
+    bool or None) or, with ``column``, an array or a non-ragged sequence of them."""
+    try:
+        a = np.asarray(v)
+    except ValueError:  # numpy rejects a ragged sequence: not real either
+        a = np.asarray(None)
+    if a.dtype.kind not in "fiu" or a.ndim and not column:
+        raise ValueError(f"{name} must be a real number, got {v!r}")
+    return np.asarray(a, dtype=float)
+
+
 def check_domain(kind: SpectralKind | None, fields: dict, name: str | None = None,
                  got: str | None = None, columns=()) -> None:
     """`_DOMAIN`'s one applier: raise ValueError for the first row of ``fields``,
     and its first rule, outside the domain.  ``fields`` maps names to real
     numbers, and the names in ``columns`` to numbers or equal-length columns;
     a rule runs when its family is None or ``kind`` and every field it reads is
-    given.  Any other value (a str, a bool, a list or an array not named in
-    ``columns``), or an ``n_points`` that is not an integer, raises ValueError
-    naming it.  With a ``kind`` the fields are a config's: None reads as NaN
-    and a scalar shows as given.  ``kind`` None checks grid or rate inputs,
-    shown as floats, naming ``name`` and showing ``got`` if given."""
+    given.  A value `_as_real` rejects, or an ``n_points`` that is not an
+    integer, raises ValueError naming it.  With a ``kind`` the fields are a
+    config's: None reads as NaN and a scalar shows as given.  ``kind`` None
+    checks grid or rate inputs, shown as floats, naming ``name`` and showing
+    ``got`` if given."""
     cols = {}
     for n, v in fields.items():
         if n == "n_points":  # the one integer input
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
                 raise ValueError(f"{name or n} must be an integer, got {v!r}")
+        elif v is None and kind is not None:
+            v = math.nan
         elif type(v) is not float:
-            a = np.asarray(v)
-            if (kind is None or v is not None) and a.dtype.kind not in "fiu" or (
-                    a.ndim and n not in columns):
-                raise ValueError(f"{name or n} must be a real number, got {v!r}")
-            v = np.asarray(a, dtype=float)
+            v = _as_real(name or n, v, n in columns)
         cols[n] = v
     failures = []  # (first bad row, names, message) of each rule that fails, in order
     for names, (family, holds, message) in _DOMAIN.items():
@@ -186,22 +197,16 @@ TAIL_SPACINGS = 1.0 / REL_TOL
 
 
 def eval_density(model: SpectralModel, omega_prime):
-    """Spectral density J(omega') of the reservoir.  Accepts arrays."""
-    out = np.asarray(_scalar_density(model)(np.asarray(omega_prime, dtype=float)))
-    return out if out.ndim else float(out)
-
-
-def _scalar_density(model: SpectralModel):
-    """Density closure, elementwise on arrays, behind `eval_density`.  The
-    quadrature integrands (`_integrands`) write J out inline; a test pins
-    their bits to this closure's."""
+    """Spectral density J(omega') of the reservoir.  Accepts arrays.  The
+    quadrature integrands (`_integrands`) write J out inline, to the bit."""
+    w = np.asarray(omega_prime, dtype=float)
     if model.kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
         wc2 = model.omega_c ** 2
-        return lambda w: (2.0 * w / math.pi) * wc2 / (wc2 + w * w)
-    peak = model.lorentz_peak()
-    lam2 = model.width ** 2
-    amp = model.rate * lam2 / (2.0 * math.pi)
-    return lambda w: amp / ((peak - w) ** 2 + lam2)
+        out = (2.0 * w / math.pi) * wc2 / (wc2 + w * w)
+    else:
+        lam2 = model.width ** 2
+        out = model.rate * lam2 / (2.0 * math.pi) / ((model.lorentz_peak() - w) ** 2 + lam2)
+    return out if out.ndim else float(out)
 
 
 def _ohmic_rates(wc, wj, t, halves):
@@ -364,7 +369,7 @@ def _integrands(model: SpectralModel, wj: float, t: float):
     """The integrands of `gamma_numeric`, indexed by the plan's side 0, +1 and
     -1: J(wj + u) sin(u t)/u on the core, J(wj + u)/u and J(wj - v)/v under
     the sine weight.  Each family writes J out in the arithmetic of
-    `_scalar_density`, so a quadrature point costs one Python call, not two."""
+    `eval_density`, so a quadrature point costs one Python call, not two."""
     if model.kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
         wc2 = model.omega_c ** 2
         return (lambda u: ((2.0 * (w := wj + u) / math.pi) * wc2 / (wc2 + w * w)

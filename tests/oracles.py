@@ -1,4 +1,4 @@
-"""Test-local references for `cavityqfi.mesolve`.
+"""Test-local references for `cavityqfi.mesolve` and `cavityqfi.spectral`.
 
 `generator_apply` is the right-hand side written out as matrices: the
 Hamiltonian phase -i(E_a - E_b) on every element and the two dissipators
@@ -9,13 +9,18 @@ plain RK4 loop over this right-hand side pins it to rounding.
 `timelocal_residual_stack` is the time-local residual with the atom's full
 2x2 matrices and their Frobenius norm, which `timelocal_residual_blocks`
 reduces to three matrix elements.
+
+`beta_gridfree` is the accumulated exponent beta_j(t) at one time from the
+density alone, with no time grid and no closed form.
 """
+
+import math
 
 import numpy as np
 
 from cavityqfi.dynamics import ConfigTable, _log_ratio, amplitude_table, atom_state
 from cavityqfi.mesolve import dressed_energies
-from cavityqfi.spectral import gamma_closed
+from cavityqfi.spectral import SpectralKind, eval_density, gamma_closed
 
 # (gamma_1 _DEC1 + gamma_2 _DEC2) / 4 is the decay rate of each element,
 # in the basis order (|a0>, |a1->, |a1+>)
@@ -66,3 +71,43 @@ def timelocal_residual_stack(cfg, grid) -> np.ndarray:
     out = np.full(grid.n_points, np.nan)
     out[1:-1] = np.linalg.norm((fd - rhs).reshape(-1, 4), axis=1)
     return out
+
+
+def beta_gridfree(model, omega_j: float, t: float) -> float:
+    """beta_j(t) by quadrature of the exact time primitive of gamma_j,
+
+        beta_j(t) = 2 int J(omega') (1 - cos(Delta t)) / Delta^2 domega',
+
+    Delta = omega_j - omega', in u = omega' - omega_j.  The core |u| < r0 =
+    6 pi/t integrates 2 J sin^2(u t/2)/u^2 (t^2 J/2 at u = 0) as is; beyond
+    r0, each side is the plain integral of J/u^2 minus its cosine-weighted
+    one, split at the spectral feature (the Ohmic zero, or the Lorentzian
+    peak) and 10 and 50 of its widths past it, then a tail to infinity.
+    J comes from `eval_density` alone."""
+    from scipy.integrate import quad
+
+    if t == 0.0:
+        return 0.0
+    if model.kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
+        center, sigma = 0.0, model.omega_c
+    else:
+        center, sigma = model.lorentz_peak(), model.width
+    r0, c = 6.0 * math.pi / t, center - omega_j  # c: the feature in u
+
+    def integral(f, lo, hi, **options):
+        return quad(f, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=1000, **options)[0]
+
+    def core(u):
+        k = t / 2.0 if u == 0.0 else math.sin(u * t / 2.0) / u
+        return 2.0 * eval_density(model, omega_j + u) * k * k
+
+    total = integral(core, -r0, r0, points=[c] if -r0 < c < r0 else None)
+    for side in (1.0, -1.0):
+        def f(u, side=side):
+            return eval_density(model, omega_j + side * u) / (u * u)
+
+        splits = side * c + sigma * np.array([-10.0, 0.0, 10.0, 50.0])
+        edges = sorted({r0, *splits[splits > r0].tolist()}) + [math.inf]
+        for lo, hi in zip(edges, edges[1:]):
+            total += integral(f, lo, hi) - integral(f, lo, hi, weight="cos", wvar=t)
+    return 2.0 * total

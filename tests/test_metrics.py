@@ -46,6 +46,14 @@ class TestQfiClosed:
         with pytest.raises(AmplitudeRangeError):
             qfi_closed(np.array([0.5, 1.0 + 2e-9]), 1.0)
 
+    def test_range_error_is_atom_states(self):
+        # one |p| check behind both: the same error, word for word
+        with pytest.raises(AmplitudeRangeError) as closed:
+            qfi_closed(1.5, 0.3)
+        with pytest.raises(AmplitudeRangeError) as state:
+            atom_state(cfg_with(math.pi / 2, coupling=0.5), 1.5)
+        assert str(closed.value) == str(state.value) == "|p| = 1.5 exceeds 1 + 1e-09"
+
     @pytest.mark.parametrize("p_shape, theta_shape",
                              [((4,), (4,)), ((3, 5), (4,)), ((4, 5, 1), (4,)),
                               ((3, 5), (3, 1))],

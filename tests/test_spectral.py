@@ -26,6 +26,8 @@ from cavityqfi import (
 from cavityqfi import spectral
 from cavityqfi.presets import config_table, make_config
 
+import oracles
+
 OHMIC = SpectralModel.ohmic_lorentz_drude
 
 
@@ -141,6 +143,17 @@ class TestBetaClosed:
     def test_ohmic_zero_transition_frequency(self):
         ts = np.linspace(0.0, 8.0, 30)
         assert np.all(beta_closed(OHMIC(0.5), 0.0, ts) == 0.0)
+
+    @pytest.mark.parametrize("t", [0.5, 10.0, 50.0])
+    @pytest.mark.parametrize("model, wj", [
+        (lorentz(3.0), 0.5), (lorentz(3.0), 41.0), (lorentz(0.1), 0.5),
+        (OHMIC(3.0), 0.5), (OHMIC(0.3), 0.5)],
+        ids=["lorentzian", "lorentzian-far", "lorentzian-narrow", "ohmic", "ohmic-narrow"])
+    def test_equals_the_gridfree_oracle(self, model, wj, t):
+        # the time primitive of gamma_j, integrated over frequency alone,
+        # reaches times past the verify suite's time grids
+        assert beta_closed(model, wj, t) == pytest.approx(
+            oracles.beta_gridfree(model, wj, t), rel=1e-10, abs=0.0)
 
 
 @st.composite
@@ -375,7 +388,7 @@ def test_silent_quadrature_error_is_rejected_or_closed(model, wj, t):
 def test_inlined_integrands_equal_the_density_closure(model, wj):
     # each integrand writes J out; it must give the closure's bits exactly
     t = 2.7
-    J = spectral._scalar_density(model)
+    J = lambda w: eval_density(model, w)
     f_near, g_plus, g_minus = spectral._integrands(model, wj, t)
     us = np.concatenate(([0.0], np.linspace(-40.0, 40.0, 401), [1e-9, -3e-300]))
     for u in us.tolist():
@@ -547,36 +560,42 @@ def test_domain_message_of_every_rule(rule, value, message):
 
 
 # Inputs a constructor reads as one number, or as a model or family where a
-# field holds one: each raises ValueError naming the field, before any
-# conversion reads it, and a fixed None is no unset value.
+# field holds one: each raises ValueError naming the field and showing the
+# input as given, before any conversion reads it, and a fixed None is no
+# unset value.  A ragged sequence is no column of numbers either.
 WRONG_INPUTS = [
-    ("omega_c", lambda: SpectralModel(OHM_KIND, omega_c=[1.0, 2.0])),
-    ("omega_c", lambda: SpectralModel(OHM_KIND, omega_c=np.array([1.0, 2.0]))),
-    ("coupling", lambda: SystemConfig(1.0, [0.1, 0.2], 1.0, 0.0, OHMIC(3.0))),
-    ("omega_c", lambda: OHMIC("3")),
-    ("omega_c", lambda: OHMIC(True)),
-    ("omega_c", lambda: OHMIC([1.0])),
-    ("rate", lambda: SpectralModel.lorentzian("1", 1, 0.5, 1)),
-    ("coupling", lambda: make_config("ohmic", "0.5", 3.0)),
-    ("coupling", lambda: make_config("ohmic", True, 3.0)),
-    ("coupling", lambda: make_config("ohmic", [0.5], 3.0)),
-    ("coupling", lambda: config_table("lorentzian", [], [("coupling", None)])),
-    ("detuning", lambda: config_table("lorentzian", [], [("detuning", None)])),
-    ("coupling", lambda: config_table("ohmic", [("coupling", ["0.1", "0.2"])])),
-    ("coupling", lambda: config_table("ohmic", [("coupling", [True, False])])),
-    ("spectral", lambda: SystemConfig(1.0, 0.5, 1.0, 0.0, None)),
-    ("kind", lambda: SpectralModel("ohmic", omega_c=1.0)),
+    ("omega_c", lambda v: SpectralModel(OHM_KIND, omega_c=v), [1.0, 2.0]),
+    ("omega_c", lambda v: SpectralModel(OHM_KIND, omega_c=v), np.array([1.0, 2.0])),
+    ("coupling", lambda v: SystemConfig(1.0, v, 1.0, 0.0, OHMIC(3.0)), [0.1, 0.2]),
+    ("omega_c", OHMIC, "3"),
+    ("omega_c", OHMIC, True),
+    ("omega_c", OHMIC, [1.0]),
+    ("omega_c", OHMIC, [[1.0], [2.0, 3.0]]),
+    ("rate", lambda v: SpectralModel.lorentzian(v, 1, 0.5, 1), "1"),
+    ("coupling", lambda v: make_config("ohmic", v, 3.0), "0.5"),
+    ("coupling", lambda v: make_config("ohmic", v, 3.0), True),
+    ("coupling", lambda v: make_config("ohmic", v, 3.0), [0.5]),
+    ("omega_c", lambda v: make_config("ohmic", 0.5, v), [1.0, [2.0]]),
+    ("coupling", lambda v: config_table("lorentzian", [], [("coupling", v)]), None),
+    ("detuning", lambda v: config_table("lorentzian", [], [("detuning", v)]), None),
+    ("coupling", lambda v: config_table("ohmic", [("coupling", v)]), ["0.1", "0.2"]),
+    ("coupling", lambda v: config_table("ohmic", [("coupling", v)]), [True, False]),
+    ("coupling", lambda v: config_table("ohmic", [("coupling", v)]), [0.1, None]),
+    ("coupling", lambda v: config_table("ohmic", [("coupling", v)]), [0.1, [0.2]]),
+    ("spectral", lambda v: SystemConfig(1.0, 0.5, 1.0, 0.0, v), None),
+    ("kind", lambda v: SpectralModel(v, omega_c=1.0), "ohmic"),
 ]
 
 
-@pytest.mark.parametrize("name, build", WRONG_INPUTS, ids=[
+@pytest.mark.parametrize("name, build, value", WRONG_INPUTS, ids=[
     "model-list", "model-array", "config-list", "ohmic-str", "ohmic-bool", "ohmic-list",
-    "lorentzian-str", "make_config-str", "make_config-bool", "make_config-list",
-    "fixed-coupling-None", "fixed-detuning-None", "axis-str", "axis-bool",
-    "config-model-None", "model-kind-str"])
-def test_wrong_input_is_named_when_built(name, build):
-    with pytest.raises(ValueError, match=f"^{name} "):
-        build()
+    "ohmic-ragged", "lorentzian-str", "make_config-str", "make_config-bool",
+    "make_config-list", "make_config-ragged", "fixed-coupling-None", "fixed-detuning-None",
+    "axis-str", "axis-bool", "axis-None", "axis-ragged", "config-model-None",
+    "model-kind-str"])
+def test_wrong_input_is_named_when_built(name, build, value):
+    with pytest.raises(ValueError, match=f"^{name} .*, got {re.escape(repr(value))}$"):
+        build(value)
 
 
 # one number where a rate function reads one: omega_j always, t in the

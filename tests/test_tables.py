@@ -319,7 +319,7 @@ def test_failed_check_names_the_config(growing_p):
 
 @pytest.mark.parametrize("family", ["ohmic", "lorentzian"])
 def test_failed_check_names_the_family_parameters(growing_p, family):
-    # dynamics cannot import presets, so _describe keeps its own list of names
+    # presets.PARAMS is built from dynamics.KIND_PARAMS, the list _describe reads
     table = config_table(family, [("coupling", (0.25, 0.75))],
                          [(presets.RESERVOIR[family], 0.7)])
     with pytest.raises(AmplitudeRangeError) as info:
