@@ -24,6 +24,7 @@ import math
 import numpy as np
 
 from .dynamics import _checked_abs, per_value
+from .spectral import check_domain
 
 
 EPS_DET = 1e-12  # qfi_general_2x2 treats det(rho) <= this as (near-)pure
@@ -37,9 +38,11 @@ def qfi_closed(p, theta):
     """Closed-form (F_phi, F_theta) for amplitude p and polar angle theta.
 
     ``theta`` may also be a 1-D array of angles, one per row of an (n, n_t)
-    ``p``; with any other ``p`` that raises ValueError naming theta.  A |p|
-    past 1 + 1e-9 raises `atom_state`'s AmplitudeRangeError.
+    ``p``; with any other ``p`` that raises ValueError naming theta, as does
+    an angle outside [0, pi].  A |p| past 1 + 1e-9 raises `atom_state`'s
+    AmplitudeRangeError.
     """
+    check_domain(None, {"theta": theta}, columns=("theta",))
     f_theta = mag2 = _checked_abs(np.asarray(p, dtype=complex)) ** 2
     f_phi = mag2 * per_value(lambda th: math.sin(th) ** 2, theta, mag2, "theta")
     if f_phi.ndim:

@@ -107,12 +107,10 @@ PRESETS: dict[str, CurvePreset | ContourPreset] = {**CURVE_PRESETS, **CONTOUR_PR
 PRESET_NAMES = tuple(PRESETS)
 
 
-def make_config(family: str, coupling: float, reservoir: float,
-                theta: float = THETA_DEFAULT,
-                phi: float = PHI_DEFAULT) -> SystemConfig:
+def make_config(family: str, coupling: float, reservoir: float) -> SystemConfig:
     """System configuration for one curve of a preset family: the one row
     of its `config_table`, so a Lorentzian line sits at omega0 - coupling."""
-    fixed = [("coupling", coupling), ("theta", theta), ("phi", phi)]
+    fixed = [("coupling", coupling)]
     if family in RESERVOIR:  # config_table names an unknown family
         fixed.append((RESERVOIR[family], reservoir))
     return config_table(family, [], fixed).row(0)
@@ -241,10 +239,9 @@ def table_tiles(table: ConfigTable, grid: TimeGrid, quantity: str,
     return tiles()
 
 
-def quantity_values(cfg: SystemConfig, grid: TimeGrid, quantity: str,
-                    mode: str = "closed") -> np.ndarray:
+def quantity_values(cfg: SystemConfig, grid: TimeGrid, quantity: str) -> np.ndarray:
     """Evaluate one output quantity on a grid (NaN marks flagged samples)."""
-    tiles = table_tiles(ConfigTable.of(cfg), grid, quantity, mode)
+    tiles = table_tiles(ConfigTable.of(cfg), grid, quantity)
     return np.concatenate([values[0] for _, _, values in tiles])
 
 

@@ -93,18 +93,15 @@ def check_domain(kind: SpectralKind | None, fields: dict, name: str | None = Non
     and its first rule, outside the domain.  ``fields`` maps names to real
     numbers, and the names in ``columns`` to numbers or equal-length columns;
     a rule runs when its family is None or ``kind`` and every field it reads is
-    given.  A value `_as_real` rejects, or an ``n_points`` that is not an
-    integer, raises ValueError naming it.  With a ``kind`` the fields are a
-    config's: None reads as NaN and a scalar shows as given.  ``kind`` None
-    checks grid or rate inputs, shown as floats, naming ``name`` and showing
-    ``got`` if given."""
+    given.  A value `_as_real` rejects, None too, or an ``n_points`` that is
+    not an integer, raises ValueError naming it.  A message names ``name``
+    if given, and shows a scalar as given (``got`` instead, if given) and a
+    column's bad row as a float."""
     cols = {}
     for n, v in fields.items():
         if n == "n_points":  # the one integer input
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
                 raise ValueError(f"{name or n} must be an integer, got {v!r}")
-        elif v is None and kind is not None:
-            v = math.nan
         elif type(v) is not float:
             v = _as_real(name or n, v, n in columns)
         cols[n] = v
@@ -116,8 +113,8 @@ def check_domain(kind: SpectralKind | None, fields: dict, name: str | None = Non
                 failures.append((int(np.argmin(ok)), names, message))
     if failures:
         i, names, message = min(failures, key=lambda f: f[0])  # the first rule of the first row
-        values = [(cols if kind is None else fields)[n] if np.ndim(fields[n]) == 0
-                  else float(cols[n].flat[i]) for n in names]
+        values = [fields[n] if np.ndim(fields[n]) == 0 else float(cols[n].flat[i])
+                  for n in names]
         raise ValueError(message.format(*values, name=name or names[0],
                                         value=values[0] if got is None else got))
 
@@ -198,7 +195,9 @@ TAIL_SPACINGS = 1.0 / REL_TOL
 
 def eval_density(model: SpectralModel, omega_prime):
     """Spectral density J(omega') of the reservoir.  Accepts arrays.  The
-    quadrature integrands (`_integrands`) write J out inline, to the bit."""
+    quadrature integrands (`_integrands`) write J out inline, to the bit.
+    ``omega_prime`` must be finite, by `_DOMAIN`'s omega_j rule."""
+    check_domain(None, {"omega_j": omega_prime}, "omega_prime", columns=("omega_j",))
     w = np.asarray(omega_prime, dtype=float)
     if model.kind is SpectralKind.OHMIC_LORENTZ_DRUDE:
         wc2 = model.omega_c ** 2

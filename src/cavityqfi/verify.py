@@ -402,7 +402,8 @@ def run_suites(names=None, ctx: VerifyContext | None = None) -> list[SuiteResult
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]
     if unknown:
-        raise KeyError(f"unknown suite(s): {', '.join(unknown)}")
+        raise KeyError(f"unknown suite(s): {', '.join(unknown)} "
+                       f"(choose from {', '.join(sorted(SUITES))})")
     repeated = sorted({n for i, n in enumerate(names) if n in names[:i]})
     if repeated:
         raise KeyError(f"suite(s) given twice: {', '.join(repeated)}")

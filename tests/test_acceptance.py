@@ -350,7 +350,8 @@ def test_results_are_builtin_types(ctx):
 
 
 @pytest.mark.parametrize("names, text", [
-    (["physicality", "bogus"], "unknown suite(s): bogus"),
+    (["physicality", "bogus"],
+     f"unknown suite(s): bogus (choose from {', '.join(sorted(SUITES))})"),
     (["stable-asymptote", "physicality", "stable-asymptote"],
      "suite(s) given twice: stable-asymptote"),
 ], ids=["unknown", "repeated"])

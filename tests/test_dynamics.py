@@ -21,7 +21,7 @@ from cavityqfi import (
     lamb_shift,
     physicality,
 )
-from cavityqfi.presets import config_table, make_config
+from cavityqfi.presets import config_table
 
 OHMIC3 = SpectralModel.ohmic_lorentz_drude(3.0)
 
@@ -158,8 +158,9 @@ class TestSystemConfig:
                          spectral=SpectralModel.lorentzian(1.0, 1.0, 0.5, omega0=2.0))
 
     def test_lorentzian_defaults_resolved(self):
-        # make_config and config_table place the line; the model is kept as built
-        cfg = make_config("lorentzian", 0.7, 0.5, theta=0.1)
+        # config_table places the line; the model is kept as built
+        cfg = config_table("lorentzian", [], [("coupling", 0.7), ("width", 0.5),
+                                              ("theta", 0.1)]).row(0)
         assert cfg.spectral.detuning == 0.7
         assert cfg.spectral.omega0 == 1.0
         # spectrum centered at omega0 - coupling puts transition 1 on resonance

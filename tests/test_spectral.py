@@ -24,6 +24,7 @@ from cavityqfi import (
     numeric_rates,
 )
 from cavityqfi import spectral
+from cavityqfi.metrics import qfi_closed
 from cavityqfi.presets import config_table, make_config
 
 import oracles
@@ -81,10 +82,9 @@ class TestValidation:
 
     def test_incomplete_lorentzian_rejected_when_built(self):
         # the line's place is part of the model, not filled in by a config
-        for fields, message in (({}, "detuning must be finite"),
-                                ({"detuning": 0.5}, "omega0 must be finite and > 0"),
-                                ({"omega0": 1.0}, "detuning must be finite")):
-            with pytest.raises(ValueError, match=f"^{message}, got None"):
+        for fields, name in (({}, "detuning"), ({"detuning": 0.5}, "omega0"),
+                             ({"omega0": 1.0}, "detuning")):
+            with pytest.raises(ValueError, match=f"^{name} must be a real number, got None$"):
                 SpectralModel(SpectralKind.LORENTZIAN, rate=1.0, width=1.0, **fields)
 
     @pytest.mark.parametrize("omega0", [0.0, -1.0])
@@ -482,10 +482,10 @@ def test_bad_time_in_an_array_or_a_string_is_named(rate):
 
 
 # Every rule of `spectral._DOMAIN` through a call that applies it, with a bad
-# float, a 3-row column bad in row 1 and an int: a grid or rate input shows
-# its value as a float, a config field as given.  A str or a bool is no number,
-# and neither is a column where one number is read (only the config fields,
-# named as columns here, and a closed rate's t are columns).
+# float, a 3-row column bad in row 1 and an int: a number shows as given, a
+# column's bad row as a float.  A str or a bool is no number, and neither is a
+# column where one number is read (only the config fields, named as columns
+# here, a closed rate's t, J's omega_prime and qfi_closed's theta are columns).
 OHM_KIND, LOR_KIND = SpectralKind.OHMIC_LORENTZ_DRUDE, SpectralKind.LORENTZIAN
 DOMAIN_CALLS = {
     "omega_c": lambda v: spectral.check_domain(OHM_KIND, {"omega_c": v}, columns=("omega_c",)),
@@ -503,6 +503,9 @@ DOMAIN_CALLS = {
     "step": lambda v: IntegratorConfig(v),
     "t": lambda v: gamma_closed(OHMIC(3.0), 0.5, v),
     "omega_j": lambda v: gamma_closed(OHMIC(3.0), v, 1.0),
+    "omega_prime": lambda v: eval_density(OHMIC(3.0), v),
+    # one row of p per angle, so a column of angles has its shape
+    "theta-qfi_closed": lambda v: qfi_closed(np.full((np.size(v), 2), 0.5), v),
 }
 OHMIC_PAIR = "coupling must satisfy 0 <= coupling <= omega0 for an Ohmic reservoir, got "
 DOMAIN_MESSAGES = [
@@ -534,18 +537,23 @@ DOMAIN_MESSAGES = [
     ("phi", 7, "phi must lie in [0, 2 pi), got 7"),
     ("t_end", 0.0, "t_end must be finite and > 0, got 0.0"),
     ("t_end", [1.0, 0.0, 1.0], "t_end must be a real number, got [1.0, 0.0, 1.0]"),
-    ("t_end", -1, "t_end must be finite and > 0, got -1.0"),
+    ("t_end", -1, "t_end must be finite and > 0, got -1"),
     ("n_points", 2.0, "n_points must be an integer, got 2.0"),
     ("n_points", [3, 0, 3], "n_points must be an integer, got [3, 0, 3]"),
     ("n_points", 0, "n_points must be >= 1, got 0"),
     ("step", -math.inf, "step must be finite and > 0, got -inf"),
     ("step", [0.1, 0.0, 0.1], "step must be a real number, got [0.1, 0.0, 0.1]"),
-    ("step", 0, "step must be finite and > 0, got 0.0"),
+    ("step", 0, "step must be finite and > 0, got 0"),
     ("t", -2.0, "t must be finite and >= 0, got -2.0"),
     ("t", [1.0, -2.0, 1.0], "t must be finite and >= 0, got -2.0"),
-    ("t", -1, "t must be finite and >= 0, got -1.0"),
+    ("t", -1, "t must be finite and >= 0, got -1"),
     ("omega_j", math.nan, "omega_j must be finite, got nan"),
     ("omega_j", [0.5, math.nan, 0.5], "omega_j must be a real number, got [0.5, nan, 0.5]"),
+    ("omega_prime", math.nan, "omega_prime must be finite, got nan"),
+    ("omega_prime", [0.5, math.inf, 0.5], "omega_prime must be finite, got inf"),
+    ("theta-qfi_closed", 7.0, "theta must lie in [0, pi], got 7.0"),
+    ("theta-qfi_closed", [1.0, 4.0, 1.0], "theta must lie in [0, pi], got 4.0"),
+    ("theta-qfi_closed", -1, "theta must lie in [0, pi], got -1"),
 ] + [(rule, v, f"{rule.split('-')[0]} must be "
                f"{'an integer' if rule == 'n_points' else 'a real number'}, got {v!r}")
      for rule in DOMAIN_CALLS for v in ("1", True)]
