@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (MODEL_FIELDS, SpectralKind, SpectralModel, check_domain,
-                       check_numeric_time, closed_rates, numeric_rates)
+                       check_numeric_grid, closed_rates, numeric_rates)
 # beta_closed, gamma_closed, beta_numeric and gamma_numeric are not called
 # here, but perfbench/tracer.py wraps these bindings
 from .spectral import beta_closed, beta_numeric, gamma_closed, gamma_numeric  # noqa: F401
@@ -203,19 +203,6 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be 'closed' or 'numeric', got {mode!r}")
 
 
-def _check_numeric_grid(table: ConfigTable, times: np.ndarray) -> None:
-    """Raise `check_numeric_time`'s ValueError, a time named ``t_end`` or
-    ``t_end/(n - 1)``, unless uniform ``times`` from 0 lie in its domain on
-    both transitions of every row.  Its accepted times are one interval, so
-    the last and first nonzero times decide."""
-    if times[-1] > 0.0:
-        t_end, first = float(times[-1]), float(times[1])
-        for c in map(table.row, range(len(table))):
-            for wj in (c.omega_1, c.omega_2):
-                check_numeric_time(c.spectral, wj, t_end, name="t_end")
-                check_numeric_time(c.spectral, wj, first, name=f"t_end/{times.size - 1}")
-
-
 def _rate_table(table: ConfigTable, times: np.ndarray, mode: str, halves):
     """(gamma1, beta1, gamma2, beta2) over (row, time); closed mode: only ``halves``."""
     _check_mode(mode)
@@ -223,11 +210,12 @@ def _rate_table(table: ConfigTable, times: np.ndarray, mode: str, halves):
         fields = {k: v[:, None] for k, v in table.columns.items()}
         return (*closed_rates(table.kind, fields, table.omega_1[:, None], times, halves),
                 *closed_rates(table.kind, fields, table.omega_2[:, None], times, halves))
-    _check_numeric_grid(table, times)  # the whole grid, before the first quad call
-    rows = [(*numeric_rates(c.spectral, c.omega_1, times),
-             *numeric_rates(c.spectral, c.omega_2, times))
-            for c in map(table.row, range(len(table)))]
-    return tuple(np.array(col) for col in zip(*rows))
+    lines = [(c.spectral, wj) for c in map(table.row, range(len(table)))
+             for wj in (c.omega_1, c.omega_2)]
+    for model, wj in lines:  # the whole table's grid, before the first quad call
+        check_numeric_grid(model, wj, times)
+    rates = [numeric_rates(model, wj, times) for model, wj in lines]
+    return tuple(np.array([r[k] for r in rates[j::2]]) for j in (0, 1) for k in (0, 1))
 
 
 def amplitude_table(table: ConfigTable, times: np.ndarray, mode: str = "closed",
@@ -236,8 +224,8 @@ def amplitude_table(table: ConfigTable, times: np.ndarray, mode: str = "closed",
 
     Closed mode evaluates the closed forms once over the (config x time)
     block; numeric mode integrates each config's quadrature rates, and
-    needs uniform ``times`` from 0 in `check_numeric_time`'s domain (a
-    ValueError names ``t_end``).  Row i equals ``amplitude(table.row(i), ...)`` bit for bit.
+    needs uniform ``times`` from 0 in `check_numeric_grid`'s domain on
+    every row (a ValueError names ``t_end``).  Row i equals ``amplitude(table.row(i), ...)`` bit for bit.
     Every row is checked as `amplitude` checks it, and the error names the
     config.  A time so large that omega_j t overflows gives a NaN amplitude;
     the check rejects it, so numpy's overflow warnings on the way there are

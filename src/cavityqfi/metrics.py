@@ -79,8 +79,10 @@ def qfi_general_2x2(rho: np.ndarray, drho: np.ndarray):
 
 
 def coherence_l1(rho) -> float:
-    """l1 coherence: sum of absolute off-diagonal entries.  Accepts stacks."""
+    """l1 coherence, |rho_01| + |rho_10|, of one 2x2 state or (..., 2, 2) stacks."""
     rho = np.asarray(rho)
+    if rho.shape[-2:] != (2, 2):
+        raise ValueError(f"expected 2x2 matrices, or stacks of them, got shape {rho.shape}")
     out = np.abs(rho[..., 0, 1]) + np.abs(rho[..., 1, 0])
     return out if out.ndim else float(out)
 

@@ -24,7 +24,6 @@ from .dynamics import (
     SystemConfig,
     TimeGrid,
     _check_mode,
-    _check_numeric_grid,
     _state_elements,
     amplitude_table,
     decoherence_rate,
@@ -37,12 +36,11 @@ from .spectral import MODEL_FIELDS, SpectralKind, _as_real, check_domain
 
 THETA_DEFAULT = math.pi / 2.0
 PHI_DEFAULT = 0.0
-LORENTZ_OMEGA0 = 1.0   # atom frequency in units of R
 LORENTZ_RATE = 1.0
 
 # The parameter vocabulary every table (curve, contour, sweep) is built from.
 KIND = {"ohmic": SpectralKind.OHMIC_LORENTZ_DRUDE, "lorentzian": SpectralKind.LORENTZIAN}
-OMEGA0 = {"ohmic": 1.0, "lorentzian": LORENTZ_OMEGA0}
+OMEGA0 = 1.0  # atom frequency: the Ohmic unit, and 1 R in the Lorentzian family
 RESERVOIR = {"ohmic": "omega_c", "lorentzian": "width"}
 PARAMS = {family: dynamics.KIND_PARAMS[kind] for family, kind in KIND.items()}
 # values of the parameters a table neither sweeps nor fixes
@@ -75,25 +73,24 @@ class ContourPreset:
     n_points: int
 
 
-_TRIO_OHMIC = (0.01, 0.5, 1.0)
-_TRIO_LORENTZ = (0.01, 0.5, 1.0)
+_TRIO = (0.01, 0.5, 1.0)
 
 CURVE_PRESETS: dict[str, CurvePreset] = {
-    "fig1a": CurvePreset("fig1a", "ohmic", "qfi_phi", _TRIO_OHMIC, 3.0, 20.0, 2000),
-    "fig1b": CurvePreset("fig1b", "ohmic", "qfi_phi", _TRIO_OHMIC, 0.3, 20.0, 2000),
-    "fig1c": CurvePreset("fig1c", "ohmic", "coherence", _TRIO_OHMIC, 3.0, 20.0, 2000),
-    "fig1d": CurvePreset("fig1d", "ohmic", "coherence", _TRIO_OHMIC, 0.3, 20.0, 2000),
-    "fig3a": CurvePreset("fig3a", "ohmic", "decoherence_rate", _TRIO_OHMIC, 3.0, 20.0, 2000),
-    "fig3b": CurvePreset("fig3b", "ohmic", "decoherence_rate", _TRIO_OHMIC, 0.3, 20.0, 2000),
+    "fig1a": CurvePreset("fig1a", "ohmic", "qfi_phi", _TRIO, 3.0, 20.0, 2000),
+    "fig1b": CurvePreset("fig1b", "ohmic", "qfi_phi", _TRIO, 0.3, 20.0, 2000),
+    "fig1c": CurvePreset("fig1c", "ohmic", "coherence", _TRIO, 3.0, 20.0, 2000),
+    "fig1d": CurvePreset("fig1d", "ohmic", "coherence", _TRIO, 0.3, 20.0, 2000),
+    "fig3a": CurvePreset("fig3a", "ohmic", "decoherence_rate", _TRIO, 3.0, 20.0, 2000),
+    "fig3b": CurvePreset("fig3b", "ohmic", "decoherence_rate", _TRIO, 0.3, 20.0, 2000),
     # 40 R column reproduces the strong-coupling inset of the same panel
     "fig4a": CurvePreset("fig4a", "lorentzian", "qfi_phi",
-                         _TRIO_LORENTZ + (40.0,), 3.0, 50.0, 12800),
-    "fig4b": CurvePreset("fig4b", "lorentzian", "qfi_phi", _TRIO_LORENTZ, 0.1, 50.0, 2000),
+                         _TRIO + (40.0,), 3.0, 50.0, 12800),
+    "fig4b": CurvePreset("fig4b", "lorentzian", "qfi_phi", _TRIO, 0.1, 50.0, 2000),
     "fig4c": CurvePreset("fig4c", "lorentzian", "coherence",
-                         _TRIO_LORENTZ + (40.0,), 3.0, 50.0, 12800),
-    "fig4d": CurvePreset("fig4d", "lorentzian", "coherence", _TRIO_LORENTZ, 0.1, 50.0, 2000),
-    "fig6a": CurvePreset("fig6a", "lorentzian", "decoherence_rate", _TRIO_LORENTZ, 3.0, 20.0, 2000),
-    "fig6b": CurvePreset("fig6b", "lorentzian", "decoherence_rate", _TRIO_LORENTZ, 0.1, 20.0, 2000),
+                         _TRIO + (40.0,), 3.0, 50.0, 12800),
+    "fig4d": CurvePreset("fig4d", "lorentzian", "coherence", _TRIO, 0.1, 50.0, 2000),
+    "fig6a": CurvePreset("fig6a", "lorentzian", "decoherence_rate", _TRIO, 3.0, 20.0, 2000),
+    "fig6b": CurvePreset("fig6b", "lorentzian", "decoherence_rate", _TRIO, 0.1, 20.0, 2000),
 }
 
 CONTOUR_PRESETS: dict[str, ContourPreset] = {
@@ -149,7 +146,7 @@ def config_table(family: str, axes, fixed=()) -> ConfigTable:
     except (MemoryError, ValueError):  # numpy's errors for too many configs
         raise ValueError(f"--param {', '.join(swept)}: {n} configs do not fit "
                          f"in memory") from None
-    point = {"omega0": OMEGA0[family], "rate": LORENTZ_RATE,
+    point = {"omega0": OMEGA0, "rate": LORENTZ_RATE,
              **DEFAULTS, **dict(fixed), **columns}
     kind = KIND[family]
     names = ("omega0", "coupling", "theta", "phi", *MODEL_FIELDS[kind])
@@ -212,22 +209,22 @@ def table_tiles(table: ConfigTable, grid: TimeGrid, quantity: str,
     A tile is the configs from ``first_row`` on times a `TimeGrid.window`,
     with their `metric_series` from one `amplitude_table` call: at most
     ``dynamics._BLOCK_SAMPLES`` samples, or one time of every config
-    (``by_time``, as a curve's CSV rows are times) or one config's grid
-    (numeric mode).  A config range's windows come before the next range's.
-    ``quantity``, ``mode`` and a numeric grid of every row are checked on
-    the call, each tile's amplitudes before it is yielded, and a failing
-    check names its config.  No value depends on the tiling.
+    (``by_time``, as a curve's CSV rows are times) or the whole table
+    (numeric mode: its beta integrates from t = 0, and `amplitude_table`
+    checks every row's grid before the first quadrature, which bounds the
+    run, not memory).  A config range's windows come before the next range's.
+    ``quantity`` and ``mode`` are checked on the call, each tile's amplitudes
+    before it is yielded, and a failing check names its config.  No value
+    depends on the tiling.
     """
     if quantity not in TABLE_QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
     _check_mode(mode)
-    if mode == "numeric":
-        _check_numeric_grid(table, grid.times)
     samples = dynamics._BLOCK_SAMPLES
     per_tile = max(1, samples // len(table)) if by_time else samples
-    # numeric beta is a cumulative Simpson integral from t = 0: the whole grid
-    width = grid.n_points if mode == "numeric" else min(grid.n_points, per_tile)
-    rows = len(table) if by_time else max(1, samples // width)
+    numeric = mode == "numeric"
+    width = grid.n_points if numeric else min(grid.n_points, per_tile)
+    rows = len(table) if by_time or numeric else max(1, samples // width)
 
     def tiles():
         for first in range(0, len(table), rows):

@@ -364,6 +364,23 @@ def check_numeric_time(model: SpectralModel, omega_j: float, t: float,
     return plan + [(1, u_hi, math.inf, None), (-1, -u_lo, math.inf, None)]
 
 
+def check_numeric_grid(model: SpectralModel, omega_j: float, times) -> np.ndarray:
+    """``times``, `numeric_rates`' grid, as a float array, or ValueError before
+    any quadrature.  A value outside `_DOMAIN`'s t rule names ``times``, as does
+    a grid that is empty, not 1-D or not from exactly 0.  `check_numeric_time`
+    then runs at the last time (named ``t_end``) and the first nonzero one
+    (``t_end/(n - 1)``): it accepts one interval of times on one (model,
+    omega_j) line, so those two decide if the times increase, as they must."""
+    check_domain(None, {"t": times}, "times", columns=("t",))
+    grid = np.asarray(times, dtype=float)
+    if grid.ndim == 1 and grid.size > 1 and grid[0] == 0.0:
+        check_numeric_time(model, omega_j, float(grid[-1]), name="t_end")
+        check_numeric_time(model, omega_j, float(grid[1]), name=f"t_end/{grid.size - 1}")
+    if grid.ndim != 1 or not grid.size or grid[0] != 0.0 or np.any(grid[1:] <= grid[:-1]):
+        raise ValueError(f"times must be a non-empty 1-D grid increasing from 0, got {times!r}")
+    return grid
+
+
 def _integrands(model: SpectralModel, wj: float, t: float):
     """The integrands of `gamma_numeric`, indexed by the plan's side 0, +1 and
     -1: J(wj + u) sin(u t)/u on the core, J(wj + u)/u and J(wj - v)/v under
@@ -427,12 +444,13 @@ def gamma_numeric(model: SpectralModel, omega_j: float, t: float) -> float:
     return total
 
 
-def numeric_rates(model: SpectralModel, omega_j: float, times: np.ndarray):
-    """(gamma_j, beta_j) on uniform ``times`` from 0: `gamma_numeric`
-    samples, and beta(t) = int_0^t gamma by composite Simpson, with
-    beta(0) = 0 exactly."""
+def numeric_rates(model: SpectralModel, omega_j: float, times):
+    """(gamma_j, beta_j) on uniform ``times`` from 0, checked first by
+    `check_numeric_grid`: `gamma_numeric` samples, and beta(t) = int_0^t
+    gamma by composite Simpson, with beta(0) = 0 exactly."""
     from scipy.integrate import cumulative_simpson
 
+    times = check_numeric_grid(model, omega_j, times)
     gamma = np.array([gamma_numeric(model, omega_j, t) for t in times.tolist()])
     if times.size == 1:
         return gamma, np.zeros(1)
@@ -440,11 +458,5 @@ def numeric_rates(model: SpectralModel, omega_j: float, times: np.ndarray):
 
 
 def beta_numeric(model: SpectralModel, omega_j: float, grid) -> np.ndarray:
-    """Cumulative exponent beta_j on a uniform grid from gamma_numeric samples.
-
-    ``grid`` is a TimeGrid (uniform, starting at 0); see `numeric_rates`.
-    """
-    times = np.asarray(grid.times, dtype=float)
-    if times[0] != 0.0:
-        raise ValueError("grid must start at t = 0")
-    return numeric_rates(model, omega_j, times)[1]
+    """Cumulative exponent beta_j on a TimeGrid's times; see `numeric_rates`."""
+    return numeric_rates(model, omega_j, grid.times)[1]

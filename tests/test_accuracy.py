@@ -2,7 +2,8 @@
 the same closed forms on the same float inputs: coupling 0.5, theta = pi/2
 and 201 points to t = 20, as in README's "Accuracy of narrow Lorentzian
 lines".  A CSV prints 12 significant digits, which a relative error of at
-most 5e-13 holds."""
+most 5e-13 holds.  The Ohmic gamma is checked the same way, and decides
+between the closed form and the quadrature oracle where they disagree."""
 
 import mpmath
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from cavityqfi.dynamics import TimeGrid, amplitude
 from cavityqfi.metrics import qfi_closed
 from cavityqfi.presets import make_config
-from cavityqfi.spectral import SpectralKind
+from cavityqfi.spectral import ABS_TOL, SpectralKind, SpectralModel, gamma_closed, gamma_numeric
 
 PRINTED_DIGITS = 5e-13
 GRID = TimeGrid(20.0, 201)
@@ -31,6 +32,13 @@ def beta(model, wj, t):
     e, c, s = mpmath.exp(-lam * t), mpmath.cos(d * t), mpmath.sin(d * t)
     return (rate * lam * lam / den) * (
         t - 2 * d * e * s / den + (lam * lam - d * d) * (e * c - 1) / (lam * den))
+
+
+def gamma(model, wj, t):
+    """gamma_j(t) of `spectral.gamma_closed`'s Ohmic formula, in mpmath."""
+    wc, wj, t = mpmath.mpf(model.omega_c), mpmath.mpf(wj), mpmath.mpf(t)
+    e, c, s = mpmath.exp(-wc * t), mpmath.cos(wj * t), mpmath.sin(wj * t)
+    return (4 * wc * wc / (wj * wj + wc * wc)) * (wj * (1 - e * c) - wc * e * s)
 
 
 def f_phi(cfg, t):
@@ -57,3 +65,27 @@ def test_f_phi_holds_the_printed_digits(family, reservoir):
         worst = max(abs(x / f_phi(cfg, t) - 1)
                     for x, t in zip(got.tolist(), GRID.times.tolist()))
     assert worst <= PRINTED_DIGITS
+
+
+# Ohmic omega_j = 41 at small cutoffs, where gamma is 2e-10 to 2e-7 and the
+# two float routes disagree by 1e-9 to 1e-8: the closed form holds 1e-11
+# relative, and quadrature misses its ABS_TOL promise (one sign is wrong at t = 10**-0.5)
+QUAD_OFF = pytest.mark.xfail(strict=True, reason="gamma_numeric is off by 1e-9 "
+                             "to 1e-8 at omega_j = 41 and omega_c <= 1e-3")
+OFF_POINTS = [(1e-4, 10 ** 2.5), (1e-3, 10 ** -0.5), (1e-3, 10 ** 2.5)]
+NEAR_POINT = (1e-4, 10 ** 3.5)  # quadrature is 2.1e-11 off here
+
+
+@pytest.mark.parametrize("omega_c, t", [*OFF_POINTS, NEAR_POINT])
+def test_gamma_closed_agrees_with_mpmath(omega_c, t):
+    model = SpectralModel.ohmic_lorentz_drude(omega_c)
+    with mpmath.workdps(40):
+        assert abs(gamma_closed(model, 41.0, t) / gamma(model, 41.0, t) - 1) <= 1e-11
+
+
+@pytest.mark.parametrize("omega_c, t", [*[pytest.param(*p, marks=QUAD_OFF) for p in OFF_POINTS],
+                                         NEAR_POINT])
+def test_gamma_numeric_within_its_absolute_tolerance(omega_c, t):
+    model = SpectralModel.ohmic_lorentz_drude(omega_c)
+    with mpmath.workdps(40):
+        assert abs(gamma_numeric(model, 41.0, t) - gamma(model, 41.0, t)) <= ABS_TOL

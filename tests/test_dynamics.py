@@ -21,6 +21,7 @@ from cavityqfi import (
     lamb_shift,
     physicality,
 )
+from cavityqfi.dynamics import amplitude_table
 from cavityqfi.presets import config_table
 
 OHMIC3 = SpectralModel.ohmic_lorentz_drude(3.0)
@@ -217,6 +218,13 @@ class TestAmplitude:
         np.testing.assert_array_equal(
             amps.p, 0.5 * (np.exp(-1j * w1 * t - b1 / 4.0)
                            + np.exp(-1j * w2 * t - b2 / 4.0)))
+
+    def test_numeric_table_rejects_times_not_from_zero(self):
+        # numeric beta integrates from t = 0: a table on times from 1 is
+        # rejected, not integrated from its first time
+        table = config_table("ohmic", [("coupling", [0.5])], [("omega_c", 3.0)])
+        with pytest.raises(ValueError, match="^times "):
+            amplitude_table(table, np.array([1.0, 2.0, 3.0]), mode="numeric")
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):

@@ -156,6 +156,12 @@ class TestCoherence:
         rho = atom_state(cfg_with(0.0), 0.9)
         assert coherence_l1(rho) == 0.0
 
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3, 3), (2,)])
+    def test_rejects_states_that_are_not_2x2(self, shape):
+        # a 3x3 state has off-diagonals past [0, 1] and [1, 0]: no silent 2x2 read
+        with pytest.raises(ValueError, match="2x2"):
+            coherence_l1(np.ones(shape))
+
     @given(st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi),
            st.floats(0.0, math.pi))
     @settings(max_examples=100)

@@ -783,8 +783,8 @@ NUMERIC_OUTSIDE = [
     # (1e-153 and 6e-306) only at the first grid time t_end/2
     ("fig4a", "1e-200", "3"), ("fig4a", "1e-153", "3"), ("fig1a", "1e-307", "3"),
     ("fig1a", "6e-306", "3"),
-    # a contour of 100 rows at its 200 steps: 81 rows a tile, and the first
-    # row past the top (row 82, from 0) lies in the second tile
+    # a contour of 100 rows at its 200 steps, one numeric tile: the first row
+    # past the top (row 82, from 0) is checked before row 0's quadrature
     ("fig2b", "1.5e6", "200")]
 
 

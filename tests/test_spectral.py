@@ -305,7 +305,7 @@ def test_numeric_rate_is_closed_or_rejected_at_every_decade(model, wj):
 
 
 # A numeric grid is checked at its first nonzero and last times only
-# (`dynamics._check_numeric_grid`).  That is sound if the times
+# (`spectral.check_numeric_grid`).  That is sound if the times
 # `check_numeric_time` accepts on each (model, omega_j) line form one run.
 # Widths run from where their square underflows to where the window edge
 # overflows, and times from subnormal to 1e308, in coarse steps.
@@ -419,7 +419,36 @@ class TestNumericRates:
         assert np.all(np.isfinite(gamma)) and beta[0] == 0.0
 
 
+    @pytest.mark.parametrize("times", [[1.0, 2.0, 3.0], [], np.zeros((2, 2)), 1.0,
+                                       [0.0, 2.0, 1.0], [0.0, math.nan], "0"],
+                             ids=["shifted", "empty", "2-d", "scalar", "decreasing",
+                                  "nan", "str"])
+    def test_bad_grid_names_times_before_quadrature(self, monkeypatch, times):
+        # the grid rule is numeric_rates' own: a grid that is not 1-D, non-empty,
+        # from exactly 0 and increasing is rejected naming times, no quad call run
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran before the grid was rejected")
+
+        monkeypatch.setattr(spectral, "gamma_numeric", no_quadrature)
+        with pytest.raises(ValueError, match="^times "):
+            numeric_rates(OHMIC(3.0), 0.5, times)
+
+    def test_accepts_a_list(self):
+        m = OHMIC(3.0)
+        for got, want in zip(numeric_rates(m, 0.5, [0.0, 1.0]),
+                             numeric_rates(m, 0.5, np.array([0.0, 1.0]))):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestBetaNumeric:
+    def test_time_outside_domain_names_t_end_before_quadrature(self, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran before t_end was rejected")
+
+        monkeypatch.setattr(spectral, "gamma_numeric", no_quadrature)
+        with pytest.raises(ValueError, match=r"^t_end=1e\+07 is outside"):
+            beta_numeric(OHMIC(3.0), 1.0, TimeGrid(1e7, 5))
+
     def test_single_point_grid(self):
         out = beta_numeric(OHMIC(3.0), 1.0, TimeGrid(1.0, 1))
         np.testing.assert_array_equal(out, [0.0])

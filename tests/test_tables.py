@@ -165,6 +165,17 @@ def test_small_blocks_change_no_bit(block, family, couplings, thetas, reservoir,
     assert (row, start) == (len(table), 0)
 
 
+def test_numeric_table_is_one_tile(monkeypatch):
+    # numeric beta integrates the whole grid from t = 0, and the table's grid
+    # is checked before the first quadrature: one tile, whatever the block
+    monkeypatch.setattr(dynamics, "_BLOCK_SAMPLES", 7)
+    table = config_table("ohmic", [("coupling", (0.2, 0.5, 1.0))], [("omega_c", 3.0)])
+    grid = TimeGrid(1.0, 5)
+    [(first, times, values)] = table_tiles(table, grid, "qfi_phi", "numeric")
+    assert first == 0 and values.shape == (3, 5)
+    assert np.array_equal(times, grid.times)
+
+
 def test_sweep_streams_in_bounded_memory(tmp_path, monkeypatch):
     monkeypatch.setattr(dynamics, "_BLOCK_SAMPLES", 1024)
     out = tmp_path / "out.csv"
@@ -436,8 +447,8 @@ def first_rejection(family, axes, fixed):
                 # after its checks, so a bad coupling is reported as coupling
                 detuning = 0.0 if kw["detuning"] is None else kw["detuning"]
                 model = SpectralModel.lorentzian(presets.LORENTZ_RATE, kw["width"],
-                                                 detuning, presets.LORENTZ_OMEGA0)
-            SystemConfig(omega0=presets.OMEGA0[family], coupling=kw["coupling"],
+                                                 detuning, presets.OMEGA0)
+            SystemConfig(omega0=presets.OMEGA0, coupling=kw["coupling"],
                          theta=kw["theta"], phi=kw["phi"], spectral=model)
         except ValueError as exc:
             return str(exc)
